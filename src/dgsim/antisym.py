@@ -168,7 +168,7 @@ def pfaffian_all_restrictions(M) -> np.ndarray:
     return pf
 
 
-def _real_planes(M, vecs):
+def _real_planes(vecs):
     """Real orthonormal row pairs from positive-eigenvalue eigenvectors."""
     rows = []
     for v in vecs:
@@ -198,7 +198,7 @@ def block_diagonalize(M, tol: float = 1e-10):
     pos = [(w[i], V[:, i]) for i in range(m) if w[i] > tol * scale]
     pos.sort(key=lambda p: -p[0])
     lambdas = [float(val) for val, _ in pos]
-    rows = _real_planes(M, [v for _, v in pos])
+    rows = _real_planes([v for _, v in pos])
     # Kernel: real orthonormal completion of the plane rows.
     k = m - len(rows)
     if k:

@@ -222,19 +222,23 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_file:
             p.add_argument("file", help="input document (JSON)")
         p.add_argument("--out", default=None, help="write the result document here")
-        p.add_argument("--shots", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--n-max", type=int, default=None, dest="n_max")
-        p.add_argument("--tol", type=float, default=None)
         p.set_defaults(func=func)
         return p
 
-    add("run", cmd_run)
+    def add_tol(p):
+        p.add_argument("--tol", type=float, default=None, help="tolerance")
+
+    run = add("run", cmd_run)
+    run.add_argument("--shots", type=int, default=None, help="override the measure block's shots")
+    run.add_argument("--seed", type=int, default=None, help="override the measure block's seed")
     add("compile", cmd_compile)
     add("embed", cmd_embed)
-    add("test-state", cmd_test_state)
-    add("test-unitary", cmd_test_unitary)
-    add("oracle-verify", cmd_oracle_verify)
+    add_tol(add("test-state", cmd_test_state))
+    add_tol(add("test-unitary", cmd_test_unitary))
+    verify = add("oracle-verify", cmd_oracle_verify)
+    add_tol(verify)
+    verify.add_argument("--n-max", type=int, default=None, dest="n_max",
+                        help="refuse circuits wider than this (at most the oracle cap)")
     add("version", cmd_version, needs_file=False)
     return parser
 

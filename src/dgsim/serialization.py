@@ -9,12 +9,13 @@ byte-deterministic -- keys are emitted in sorted order and floats with
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
 from .simulator import Circuit
 from .state import DGaussState
-from .unitary import FSWAP, Gate, GateSequence
+from .unitary import FSWAP, Gate, GateError, GateSequence
 
 SCHEMA_VERSION = "dgsim/1"
 
@@ -67,7 +68,7 @@ def complex_matrix_doc(A: np.ndarray):
     return np.stack([A.real, A.imag], axis=-1).tolist()
 
 
-def parse_gate(obj, n, loc) -> Gate:
+def parse_gate(obj, loc) -> Gate:
     _take(obj, {"kind"}, {"axes", "angle", "line"}, loc)
     kind = obj["kind"]
     try:
@@ -80,7 +81,6 @@ def parse_gate(obj, n, loc) -> Gate:
             if not (isinstance(axes, list) and len(axes) == 2):
                 raise SchemaError("axes must be a pair", loc + ".axes")
             g = Gate(kind, axes=(int(axes[0]), int(axes[1])), angle=float(obj["angle"]))
-        g.validate(n)
     except SchemaError:
         raise
     except (TypeError, ValueError) as exc:
@@ -130,9 +130,11 @@ def parse_circuit(obj) -> tuple[Circuit, dict]:
 
     if not isinstance(obj["gates"], list):
         raise SchemaError("gates must be a list", "$.gates")
-    gates = tuple(
-        parse_gate(g, n, f"$.gates[{i}]") for i, g in enumerate(obj["gates"])
-    )
+    gates = tuple(parse_gate(g, f"$.gates[{i}]") for i, g in enumerate(obj["gates"]))
+    try:
+        seq = GateSequence(n, gates)
+    except GateError as exc:
+        raise SchemaError(str(exc), f"$.gates[{exc.index}]") from None
 
     measure = None
     if "measure" in obj:
@@ -162,7 +164,7 @@ def parse_circuit(obj) -> tuple[Circuit, dict]:
         else:
             raise SchemaError("measure needs x, or shots and seed", "$.measure")
 
-    return Circuit(n, spec, GateSequence(n, gates)), measure
+    return Circuit(n, spec, seq), measure
 
 
 def circuit_doc(c: Circuit, measure=None):
@@ -257,8 +259,20 @@ def dumps(doc) -> str:
     return "".join(out) + "\n"
 
 
+def _reject_constant(token: str):
+    raise SchemaError(f"non-finite number {token} is not allowed")
+
+
+def _finite_float(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise SchemaError(f"number {token} overflows a double")
+    return value
+
+
 def loads(text: str):
+    """Parse a JSON document; NaN, infinities and overflowing numbers are rejected."""
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=_reject_constant, parse_float=_finite_float)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: line {exc.lineno} column {exc.colno}") from None

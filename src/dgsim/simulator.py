@@ -24,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .antisym import check_antisymmetric, plane_decompose
 from .state import DGaussState, from_diagonal
-from .unitary import FSWAP, LINE1, MATCHGATE, Gate, GateSequence, gate_update
+from .unitary import GateSequence, gate_update
 
 
 class NumericalAdmissibilityError(RuntimeError):
@@ -120,42 +119,6 @@ def overlap(rho: DGaussState, sigma: DGaussState) -> float:
 # ---------------------------------------------------------------------------
 # Product-state preparation
 
-def _bloch_rotation_gates(n: int, r) -> list[Gate]:
-    """Line-0 gates rotating the diagonal state lambda=|r| into Bloch vector r.
-
-    Local covariance of line 0 lives on Majorana axes (0, 1, 2n); its
-    axial vector a = (M[1,2n], -M[0,2n], M[0,1]) = (<Y>, -<X>, -<Z>)
-    transforms by the same SO(3) rotation as the axes.  We build any Q
-    taking the start vector (0,0,-|r|) to the target (r_y, -r_x, -r_z)
-    and synthesize it from plane rotations on the three allowed pairs.
-    """
-    r = np.asarray(r, dtype=float)
-    nr = float(np.linalg.norm(r))
-    if nr < 1e-14:
-        return []
-    u = np.array([r[1], -r[0], -r[2]]) / nr
-    # The start vector is -|r| e_z and the target is |r| u, so Q must
-    # send e_z to -u; complete -u to a right-handed orthonormal frame.
-    cols = [u]
-    for seed in np.eye(3):
-        v = seed - sum(np.dot(seed, c) * c for c in cols)
-        if np.linalg.norm(v) > 1e-7:
-            cols.append(v / np.linalg.norm(v))
-        if len(cols) == 3:
-            break
-    Q = np.column_stack([cols[1], cols[2], -u])
-    if np.linalg.det(Q) < 0:
-        Q[:, 1] = -Q[:, 1]
-    ext = 2 * n
-    axis_map = {0: 0, 1: 1, 2: ext}
-    gates = []
-    for pr in plane_decompose(Q, lambda j, k: True):
-        j, k = axis_map[pr.axes[0]], axis_map[pr.axes[1]]
-        kind = LINE1 if ext in (j, k) else MATCHGATE
-        gates.append(Gate(kind, axes=(j, k), angle=pr.angle))
-    return gates
-
-
 def _check_blochs(blochs) -> list[np.ndarray]:
     out = [np.asarray(r, dtype=float) for r in blochs]
     for r in out:
@@ -164,32 +127,6 @@ def _check_blochs(blochs) -> list[np.ndarray]:
         if np.linalg.norm(r) > 1.0 + 1e-9:
             raise ValueError(f"Bloch vector {r} is longer than 1")
     return out
-
-
-def product_circuit(blochs) -> tuple[list[float], GateSequence]:
-    """Diagonal input and gate list preparing a product of PURE Bloch states.
-
-    Each qubit is synthesized on line 0 (the only line admitting
-    arbitrary single-qubit gates) and routed to its target line by a
-    chain of adjacent fermionic swaps, farthest target first.  The
-    route requires pure inputs: a fermionic swap acts as a genuine
-    qubit swap only past definite-parity states, and the intermediate
-    lines hold pure |0> states exactly when every input is pure.  (A
-    mixed diagonal state is a parity mixture; swapping a displaced
-    state past it damps the displacement instead of moving it.)
-    """
-    blochs = _check_blochs(blochs)
-    n = len(blochs)
-    for r in blochs:
-        if abs(np.linalg.norm(r) - 1.0) > 1e-9:
-            raise ValueError("the circuit route requires pure Bloch vectors")
-    lambdas0 = [1.0] * n
-    gates: list[Gate] = []
-    for target in range(n - 1, -1, -1):
-        gates.extend(_bloch_rotation_gates(n, blochs[target]))
-        for line in range(target):
-            gates.append(Gate(FSWAP, line=line))
-    return lambdas0, GateSequence(n, tuple(gates))
 
 
 def product_covariance(blochs) -> tuple[np.ndarray, np.ndarray]:
@@ -205,27 +142,23 @@ def product_covariance(blochs) -> tuple[np.ndarray, np.ndarray]:
         M[2q+s, 2q'+t] = L_s(q) (prod_{q<p<q'} z_p) R_t(q'),  q < q',
 
     with left factors L_0 = y_q, L_1 = -x_q and right factors
-    R_0 = x_{q'}, R_1 = y_{q'}.
+    R_0 = x_{q'}, R_1 = y_{q'}.  The z products are running products,
+    so assembly costs O(n^2).
     """
-    blochs = _check_blochs(blochs)
-    n = len(blochs)
+    x, y, z = np.array(_check_blochs(blochs)).reshape(-1, 3).T
+    n = len(z)
     M = np.zeros((2 * n, 2 * n))
-    mu = np.zeros(2 * n)
-    zs = np.array([r[2] for r in blochs])
-    for q, r in enumerate(blochs):
-        pre = float(np.prod(zs[:q]))
-        mu[2 * q] = pre * r[0]
-        mu[2 * q + 1] = pre * r[1]
-        M[2 * q, 2 * q + 1] = -r[2]
-        M[2 * q + 1, 2 * q] = r[2]
-        for qp in range(q + 1, n):
-            between = float(np.prod(zs[q + 1:qp]))
-            rp = blochs[qp]
-            for s, left in ((0, r[1]), (1, -r[0])):
-                for t, right in ((0, rp[0]), (1, rp[1])):
-                    val = left * between * right
-                    M[2 * q + s, 2 * qp + t] = val
-                    M[2 * qp + t, 2 * q + s] = -val
+    for q in range(n - 1):
+        between = np.cumprod(np.concatenate(([1.0], z[q + 1:n - 1])))
+        for s, left in ((0, y[q]), (1, -x[q])):
+            M[2 * q + s, 2 * q + 2::2] = left * between * x[q + 1:]
+            M[2 * q + s, 2 * q + 3::2] = left * between * y[q + 1:]
+    M = M - M.T
+    q = np.arange(n)
+    M[2 * q, 2 * q + 1] = -z
+    M[2 * q + 1, 2 * q] = z
+    prefix = np.cumprod(np.concatenate(([1.0], z[:-1])))
+    mu = np.ravel(np.column_stack((prefix * x, prefix * y)))
     return M, mu
 
 
@@ -257,23 +190,16 @@ def product_is_gaussian(blochs, tol: float = 1e-9) -> bool:
 def prepare_product(blochs) -> DGaussState:
     """Displaced Gaussian state of a tensor product of single-qubit states.
 
-    Pure inputs go through the circuit route (line-0 synthesis plus
-    fermionic-swap chains); representable mixed inputs use the direct
-    covariance assembly, since a fermionic swap cannot move a displaced
-    qubit past a parity-mixed line.  Products outside the Gaussian
-    class (see product_is_gaussian) raise NonGaussianProductError.
+    The carrier is assembled directly by product_covariance, for pure
+    and mixed inputs alike.  Products outside the Gaussian class (see
+    product_is_gaussian) raise NonGaussianProductError.
     """
-    blochs = _check_blochs(blochs)
-    n = len(blochs)
     if not product_is_gaussian(blochs):
         raise NonGaussianProductError(
             "a qubit after the first mixed one is transversely displaced; "
             "this product state is not a displaced Gaussian state"
         )
-    if all(abs(np.linalg.norm(r) - 1.0) <= 1e-12 for r in blochs):
-        lambdas0, seq = product_circuit(blochs)
-        return run(Circuit(n, ("lambdas", lambdas0), seq))
-    return DGaussState(n, *product_covariance(blochs))
+    return DGaussState(len(blochs), *product_covariance(blochs))
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +234,7 @@ class Circuit:
             if len(payload) != self.n:
                 raise ValueError("Bloch input length differs from n")
             return prepare_product(payload)
-        M, mu = payload
-        return DGaussState(self.n, check_antisymmetric(np.asarray(M, dtype=float)),
-                           np.asarray(mu, dtype=float))
+        return DGaussState(self.n, *payload)
 
 
 def run(c: Circuit) -> DGaussState:
@@ -318,10 +242,11 @@ def run(c: Circuit) -> DGaussState:
 
     The extended carrier is updated in place; each gate multiplies at
     most four rows and the matching columns by its small orthogonal
-    block.  The output state is validated once at the end.
+    block.  Gates were validated when their sequence was built, and the
+    output carrier is antisymmetric by construction, so neither is
+    checked again here.
     """
-    state = c.input_state()
-    Me = state.M_ext.copy()
+    Me = c.input_state().M_ext
     for g in c.gates:
         rows, Q = gate_update(g, c.n)
         Me[rows, :] = Q @ Me[rows, :]

@@ -50,12 +50,13 @@ def validate(M_ext, tol: float = ADMISSIBILITY_TOL):
     values of M_ext sorted descending.  Valid iff all lambdas <= 1+tol;
     pure iff additionally every nonzero lambda equals 1 within 1e-7.
     The matrix rank (2 * number of nonzero lambdas) is implied by the
-    returned list but deliberately not enforced.
+    returned list but deliberately not enforced.  Antisymmetry is
+    checked by block_diagonalize.
     """
-    M_ext = check_antisymmetric(np.asarray(M_ext, dtype=float))
+    M_ext = np.asarray(M_ext, dtype=float)
+    _, lambdas = block_diagonalize(M_ext)
     if M_ext.shape[0] % 2 == 0:
         raise ValueError("extended carrier must have odd dimension")
-    _, lambdas = block_diagonalize(M_ext)
     valid = all(lam <= 1.0 + tol for lam in lambdas)
     pure = valid and all(abs(lam - 1.0) <= PURITY_TOL for lam in lambdas)
     return valid, pure, lambdas
@@ -63,7 +64,13 @@ def validate(M_ext, tol: float = ADMISSIBILITY_TOL):
 
 @dataclass(frozen=True)
 class DGaussState:
-    """Displaced Gaussian state (n, M, mu); immutable after construction."""
+    """Displaced Gaussian state (n, M, mu); immutable after construction.
+
+    With ``check`` (the default) the data is checked once for
+    antisymmetry and admissibility.  Internal constructors whose carrier
+    is antisymmetric by construction pass ``check=False``, which checks
+    the shapes only.
+    """
 
     n: int
     M: np.ndarray
@@ -71,7 +78,7 @@ class DGaussState:
     check: bool = field(default=True, compare=False)
 
     def __post_init__(self):
-        M = check_antisymmetric(np.asarray(self.M, dtype=float))
+        M = np.asarray(self.M, dtype=float)
         mu = np.asarray(self.mu, dtype=float)
         if M.shape != (2 * self.n, 2 * self.n) or mu.shape != (2 * self.n,):
             raise ValueError("covariance dimensions do not match n")
@@ -103,26 +110,17 @@ class DGaussState:
         return lambdas + [0.0] * (self.n - len(lambdas))
 
 
-@dataclass(frozen=True)
-class DiagonalSpec:
-    """Z-diagonal product state parameters: rho = tensor of (1 + lambda_q Z)/2."""
+def from_diagonal(lambdas) -> DGaussState:
+    """Diagonal product state tensor of (1 + lambda_q Z)/2.
 
-    lambdas: tuple[float, ...]
-
-    def __post_init__(self):
-        lams = tuple(float(x) for x in self.lambdas)
-        if any(abs(x) > 1.0 + 1e-12 for x in lams):
-            raise ValueError("diagonal parameters must lie in [-1, 1]")
-        object.__setattr__(self, "lambdas", lams)
-
-
-def from_diagonal(spec: DiagonalSpec | list | tuple) -> DGaussState:
-    """Diagonal product state with M[2q, 2q+1] = -lambda_q and mu = 0."""
-    if not isinstance(spec, DiagonalSpec):
-        spec = DiagonalSpec(tuple(spec))
-    n = len(spec.lambdas)
+    M[2q, 2q+1] = -lambda_q and mu = 0; every lambda_q must lie in [-1, 1].
+    """
+    lams = [float(x) for x in lambdas]
+    if any(abs(x) > 1.0 + 1e-12 for x in lams):
+        raise ValueError("diagonal parameters must lie in [-1, 1]")
+    n = len(lams)
     M = np.zeros((2 * n, 2 * n))
-    for q, lam in enumerate(spec.lambdas):
+    for q, lam in enumerate(lams):
         M[2 * q, 2 * q + 1] = -lam
         M[2 * q + 1, 2 * q] = lam
     return DGaussState(n, M, np.zeros(2 * n), check=False)

@@ -242,17 +242,32 @@ class Gate:
                 raise ValueError(f"fswap line {self.line} out of range")
 
 
+class GateError(ValueError):
+    """Gate ``index`` of a sequence does not fit the register."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
 @dataclass(frozen=True)
 class GateSequence:
-    """Ordered gate list; gates apply left to right."""
+    """Ordered gate list; gates apply left to right.
+
+    This is the one place gates are validated against the register;
+    the functions that take a sequence trust it.
+    """
 
     n: int
     gates: tuple[Gate, ...]
 
     def __post_init__(self):
         gates = tuple(self.gates)
-        for g in gates:
-            g.validate(self.n)
+        for i, g in enumerate(gates):
+            try:
+                g.validate(self.n)
+            except ValueError as exc:
+                raise GateError(i, str(exc)) from None
         object.__setattr__(self, "gates", gates)
 
     def __len__(self):
@@ -273,8 +288,10 @@ FSWAP_ROTATION4 = scipy.linalg.expm(2 * _FSWAP_H4)
 
 
 def gate_update(g: Gate, n: int) -> tuple[list[int], np.ndarray]:
-    """(rows, Q): the gate's rotation acts as Q on the listed axes only."""
-    g.validate(n)
+    """(rows, Q): the gate's rotation acts as Q on the listed axes only.
+
+    The gate must already be valid for n (see GateSequence).
+    """
     if g.kind == FSWAP:
         a = g.line
         return [2 * a, 2 * a + 1, 2 * a + 2, 2 * a + 3], FSWAP_ROTATION4
@@ -285,6 +302,7 @@ def gate_update(g: Gate, n: int) -> tuple[list[int], np.ndarray]:
 
 def gate_rotation(g: Gate, n: int) -> np.ndarray:
     """Full (2n+1)-dimensional rotation effected by the gate."""
+    g.validate(n)
     rows, Q = gate_update(g, n)
     R = np.eye(2 * n + 1)
     R[np.ix_(rows, rows)] = Q

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from dgsim import cli, oracle, serialization as ser
+from dgsim import cli, oracle, serialization as ser, unitary as un_mod
 
 from helpers import ghz4, rand_antisym
 
@@ -223,6 +223,69 @@ def test_parse_errors(tmp_path, capsys):
 
     code, _ = run_cli(capsys, ["run", str(tmp_path / "missing.json")])
     assert code == 2
+
+
+
+@pytest.mark.parametrize(
+    "gate, loc",
+    [
+        ({"kind": "matchgate", "axes": [0, 5], "angle": 0.3}, "$.gates[1]"),
+        ({"kind": "fswap", "line": 2}, "$.gates[1]"),
+    ],
+)
+def test_bad_gate_located(tmp_path, capsys, gate, loc):
+    gates = [{"kind": "fswap", "line": 0}, gate]
+    path = write_doc(tmp_path, "c.json", circuit_doc(3, [1.0] * 3, gates))
+    code = cli.main(["run", path])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert loc in captured.err
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_non_finite_number_rejected(tmp_path, capsys, token):
+    measure = '"measure": {"lines": [0, 1], "shots": 5, "seed": 1}'
+    docs = [
+        '{"schema": "dgsim/1", "n": 2, "input": {"lambdas": [%s, 1.0]}, "gates": [],'
+        ' "measure": {"lines": [0], "x": [0]}}' % token,
+        '{"schema": "dgsim/1", "n": 2, "input": {"lambdas": [1.0, 1.0]}, "gates":'
+        ' [{"kind": "matchgate", "axes": [1, 2], "angle": %s}], %s}' % (token, measure),
+    ]
+    for text in docs:
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        code, out = run_cli(capsys, ["run", str(path)])
+        assert code == 2 and out == ""
+
+
+def test_unused_flag_rejected(tmp_path, capsys):
+    path = write_doc(tmp_path, "h.json", {"schema": ser.SCHEMA_VERSION, "n": 1,
+                                          "h": [[0.0, 0.1], [-0.1, 0.0]]})
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["compile", path, "--shots", "1"])
+    assert exc.value.code == 2
+
+
+def test_run_validates_each_gate_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = un_mod.Gate.validate
+
+    def counting(self, n):
+        calls.append(self)
+        return real(self, n)
+
+    monkeypatch.setattr(un_mod.Gate, "validate", counting)
+    gates = [
+        {"kind": "matchgate", "axes": [1, 2], "angle": 0.7},
+        {"kind": "line1", "axes": [0, 6], "angle": -0.4},
+        {"kind": "fswap", "line": 1},
+        {"kind": "matchgate", "axes": [2, 5], "angle": 0.2},
+    ]
+    measure = {"lines": [0, 2], "x": [0, 1]}
+    path = write_doc(tmp_path, "c.json", circuit_doc(3, [0.9, -0.5, 1.0], gates, measure))
+    code, _ = run_cli(capsys, ["run", path])
+    assert code == 0
+    assert len(calls) == len(gates)
 
 
 def test_numeric_error_inadmissible(tmp_path, capsys):

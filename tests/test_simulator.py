@@ -122,9 +122,23 @@ def test_prepare_product_rejects_long_bloch():
         sim.prepare_product([np.array([1.0, 1.0, 1.0])])
 
 
-def test_product_circuit_pure_only():
-    with pytest.raises(ValueError):
-        sim.product_circuit([np.array([0.5, 0.0, 0.0])])
+
+@pytest.mark.parametrize("pure", [True, False])
+def test_prepare_product_beyond_oracle_cap(pure):
+    n = 48
+    if pure:
+        blochs = [rand_bloch(rng, pure=True) for _ in range(n)]
+    else:
+        # representable mixed product: pure prefix, one mixed, diagonal tail
+        blochs = [rand_bloch(rng, pure=True) for _ in range(20)] + [rand_bloch(rng)]
+        blochs += [np.array([0.0, 0.0, float(rng.uniform(-1, 1))]) for _ in range(n - 21)]
+    s = sim.prepare_product(blochs)
+    if pure:
+        assert np.max(np.abs(np.array(s.canonical_lambdas()) - 1.0)) < 1e-12
+    K = tuple(sorted(int(q) for q in rng.choice(n, 6, replace=False)))
+    x = tuple(int(b) for b in rng.integers(0, 2, 6))
+    want = np.prod([(1 + (-1) ** b * blochs[q][2]) / 2 for q, b in zip(K, x)])
+    assert sim.expectation(s, sim.MeasurementOp(K, x)) == pytest.approx(want, abs=1e-12)
 
 
 def test_sample_deterministic_and_concentrated():
