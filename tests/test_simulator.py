@@ -1,4 +1,5 @@
 import collections
+import hashlib
 
 import numpy as np
 import pytest
@@ -168,3 +169,74 @@ def test_circuit_input_kinds():
     c = sim.Circuit(2, ("lambdas", [0.3, 0.7]), un_mod.GateSequence(2, ()))
     out = sim.run(c)
     assert out.M[0, 1] == pytest.approx(-0.3)
+
+
+# ---------------------------------------------------------------------------
+# Golden sampling fixture.  Outcomes frozen from the determinant chain-rule
+# sampler (one 2j x 2j determinant per new prefix); every later sampler
+# must reproduce them shot for shot.  Each digest is the first 16 hex
+# digits of sha256(",".join(outcomes)).
+
+def _golden_case(name):
+    """(state, lines, shots) of a golden case, built from its own seed."""
+    r = np.random.default_rng(sum(map(ord, name)))
+    if name == "diag-pure":
+        return st_mod.from_diagonal([1, -1, -1, 1, 1, -1, 1]), tuple(range(7)), 64
+    if name == "diag-pure-subset":
+        return st_mod.from_diagonal([1, -1, -1, 1, 1, -1, 1]), (1, 3, 4, 6), 64
+    if name == "diag-mixed":
+        return st_mod.from_diagonal([1.0, 0.3, -1.0, -0.55, 0.0]), tuple(range(5)), 300
+    if name.startswith("rand-n"):
+        n = int(name[6:])
+        K = tuple(q for q in range(n) if q != 1 or n < 5)
+        return rand_state(r, n), K, 500
+    if name == "run-n64":
+        n = 64
+        c = sim.Circuit(n, ("lambdas", list(r.uniform(-1, 1, n))), rand_sequence(r, n, 512))
+        return sim.run(c), tuple(range(24, 40)), 300
+    if name == "chunks-k3":
+        return rand_state(r, 4), (0, 2, 3), 100_001
+    raise KeyError(name)
+
+
+GOLDEN_SAMPLES = {
+    ("diag-pure", 5): "3c903c875b87afb5",
+    ("diag-pure", 6): "3c903c875b87afb5",
+    ("diag-pure", 7): "3c903c875b87afb5",
+    ("diag-pure-subset", 5): "c22355b07ba5afe5",
+    ("diag-pure-subset", 6): "c22355b07ba5afe5",
+    ("diag-pure-subset", 7): "c22355b07ba5afe5",
+    ("diag-mixed", 5): "1bb3b814a9252458",
+    ("diag-mixed", 6): "ab6cd81598c6cdbf",
+    ("diag-mixed", 7): "e8db03ba90964f3b",
+    ("rand-n3", 5): "e7e9bab46a4277e4",
+    ("rand-n3", 6): "467349536c4d1fb0",
+    ("rand-n3", 7): "a7e6343396f43fe8",
+    ("rand-n4", 5): "2f5dd941a3984838",
+    ("rand-n4", 6): "320611e54bfc0ac7",
+    ("rand-n4", 7): "967f4739f4a40721",
+    ("rand-n5", 5): "165f3ca343f3957c",
+    ("rand-n5", 6): "ffa16a771e4d6d2a",
+    ("rand-n5", 7): "c8bfeda443f80b5f",
+    ("rand-n6", 5): "4ec1dd295960347d",
+    ("rand-n6", 6): "f78d82daa9669a81",
+    ("rand-n6", 7): "f594c5d53fe8fff2",
+    ("run-n64", 5): "27656a8ac24c527f",
+    ("run-n64", 6): "274ed7835bfdddff",
+    ("run-n64", 7): "9849c68835efaa78",
+    ("chunks-k3", 5): "85aa33956defcc06",
+    ("chunks-k3", 6): "b139447b6043e94d",
+    ("chunks-k3", 7): "671f63fed7bd40d7",
+}
+
+
+def _digest(outcomes):
+    return hashlib.sha256(",".join(outcomes).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name,seed", sorted(GOLDEN_SAMPLES))
+def test_sample_matches_golden(name, seed):
+    s, K, shots = _golden_case(name)
+    out = sim.sample(s, K, shots=shots, seed=seed)
+    assert len(out) == shots and all(len(x) == len(K) for x in out)
+    assert _digest(out) == GOLDEN_SAMPLES[name, seed]
