@@ -9,13 +9,18 @@ O(n^2) memory.
 Measurement uses the determinant formula: the probability of outcome
 bits x on lines K is 2^{-|K|} sqrt(det(I - M_rho M_{K,x})), evaluated
 through the 2|K| x 2|K| compression of M_rho onto the measured
-Majorana axes.  Sampling draws bits through the chain rule over these
-joint probabilities.
+Majorana axes.  Sampling conditions that compression one line at a
+time: the line's conditional probability is one entry, and fixing its
+bit is a rank-2 Schur update, O(|K|^2) per line per shot.  Shots are
+processed in chunks, each an array of compressions; no probability is
+memoized.
 
-RNG contract: ``sample`` consumes numpy's default_rng(seed) by drawing
-a (shots, |K|) uniform block up front; shot i uses row i.  A partition
-of the shot range that slices the same block row-wise reproduces the
-sequential output exactly.
+RNG contract: ``sample`` consumes numpy's default_rng(seed) as one
+(shots, |K|) uniform block, shot i using row i and line j column j.
+The block is drawn in consecutive row chunks from the same generator,
+which yields the same numbers as drawing it at once, so memory stays
+at one chunk.  A partition of the shot range that slices the same
+block row-wise reproduces the sequential output exactly.
 """
 
 from __future__ import annotations
@@ -33,6 +38,14 @@ class NumericalAdmissibilityError(RuntimeError):
 
 
 DET_CLAMP = 1e-10
+
+# A sampled bit whose conditional probability is at most this is
+# treated as impossible: the line takes the likelier bit instead.
+PIVOT_TOL = 1e-12
+
+# Working-set budget of one sampling chunk: the (rows, 2|K|, 2|K|) stack
+# of conditioned compressions.
+SAMPLE_CHUNK_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -237,8 +250,24 @@ class Circuit:
         return DGaussState(self.n, *payload)
 
 
-def run(c: Circuit) -> DGaussState:
-    """Fold the circuit's gates over its input state.
+def _apply_gates(Me: np.ndarray, gates: GateSequence) -> DGaussState:
+    """Fold validated gates over the extended carrier Me, in place (see evolve).
+
+    Taking the carrier rather than the state lets run drop its input
+    state, and the 2n x 2n matrix it holds, before the gate loop.
+    """
+    n = gates.n
+    for g in gates:
+        rows, Q = gate_update(g, n)
+        Me[rows, :] = Q @ Me[rows, :]
+        Me[:, rows] = Me[:, rows] @ Q.T
+    m = 2 * n
+    Me = (Me - Me.T) / 2
+    return DGaussState(n, Me[:m, :m], Me[:m, m], check=False)
+
+
+def evolve(s: DGaussState, gates: GateSequence) -> DGaussState:
+    """Fold a gate sequence over a state.
 
     The extended carrier is updated in place; each gate multiplies at
     most four rows and the matching columns by its small orthogonal
@@ -246,54 +275,89 @@ def run(c: Circuit) -> DGaussState:
     output carrier is antisymmetric by construction, so neither is
     checked again here.
     """
-    Me = c.input_state().M_ext
-    for g in c.gates:
-        rows, Q = gate_update(g, c.n)
-        Me[rows, :] = Q @ Me[rows, :]
-        Me[:, rows] = Me[:, rows] @ Q.T
-    m = 2 * c.n
-    Me = (Me - Me.T) / 2
-    return DGaussState(c.n, Me[:m, :m], Me[:m, m], check=False)
+    if gates.n != s.n:
+        raise ValueError("gate list size differs from state size")
+    return _apply_gates(s.M_ext, gates)
+
+
+def run(c: Circuit) -> DGaussState:
+    """Evolve the circuit's input state by its gates (see evolve).
+
+    The circuit already matched its gates to its size, so evolve's
+    size check is skipped.
+    """
+    return _apply_gates(c.input_state().M_ext, c.gates)
+
+
+def _uniform_chunks(seed: int, shots: int, k: int, rows: int):
+    """Row blocks of ``default_rng(seed).random((shots, k))``, ``rows`` at a time.
+
+    numpy fills a uniform block in row-major order from one stream, so
+    the blocks concatenate to the single (shots, k) draw bit for bit.
+    """
+    rng = np.random.default_rng(seed)
+    for start in range(0, shots, rows):
+        yield rng.random((min(rows, shots - start), k))
+
+
+def _condition(S: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Condition a stack of compressions on bits b of their first line.
+
+    S has shape (c, 2m, 2m); row i is conditioned on bit b[i].  The
+    pivot beta = S[i, 0, 1] + (1 if b[i] else -1) satisfies
+    |beta| = 2 p(b | conditioning so far), and the result is the
+    (c, 2m-2, 2m-2) Schur complement S[2:, 2:] - R J R^T / beta with
+    R = S[2:, :2] and J = [[0, 1], [-1, 0]].  Every pivot must be away
+    from zero.
+    """
+    beta = S[:, 0, 1] + np.where(b, 1.0, -1.0)
+    JRt = np.stack((S[:, 2:, 1], -S[:, 2:, 0]), axis=1) / beta[:, None, None]
+    out = np.matmul(S[:, 2:, :2], JRt)
+    return np.subtract(S[:, 2:, 2:], out, out=out)
 
 
 def sample(s: DGaussState, K, shots: int, seed: int) -> list[str]:
-    """Draw computational-basis outcomes on lines K, chain-rule style.
+    """Draw computational-basis outcomes on lines K, one line at a time.
 
-    Deterministic for a given seed (see the module docstring for the
-    exact RNG contract).  Joint prefix probabilities are memoized, so
-    repeated shots cost dictionary lookups after the first visit.
+    Every shot of a chunk carries its own copy of the 2|K| x 2|K|
+    compression of the carrier onto the measured axes.  Line j reads
+    p0 = (1 - S[0, 1]) / 2 from the conditioned compression, draws bit 0
+    when the shot's uniform is below p0, and conditions on the bit by a
+    rank-2 Schur update (_condition).  That is O(|K|^2) per line per
+    shot, done as array operations over the chunk.  A bit whose
+    conditional probability is at round-off level is never drawn: the
+    line takes the likelier bit instead.  Deterministic for a given
+    seed (see the module docstring for the exact RNG contract).
     """
-    K = tuple(int(k) for k in K)
+    K = tuple(int(q) for q in K)
     k = len(K)
+    MeasurementOp(K, (0,) * k)  # rejects unsorted or repeated lines
+    for line in K:
+        if not 0 <= line < s.n:
+            raise IndexError(f"measured line {line} out of range")
     if shots < 1:
         raise ValueError("need at least one shot")
     if k == 0:
         return [""] * shots
-    uniforms = np.random.default_rng(seed).random((shots, k))
-    joint: dict[tuple[int, ...], float] = {(): 1.0}
-
-    def prefix_prob(x: tuple[int, ...]) -> float:
-        if x not in joint:
-            op = MeasurementOp(K[: len(x)], x)
-            joint[x] = _expectation_from_M(s.M, op)
-        return joint[x]
-
-    out = []
-    for i in range(shots):
-        x: tuple[int, ...] = ()
+    idx = [a for line in K for a in (2 * line, 2 * line + 1)]
+    S0 = s.M[np.ix_(idx, idx)]
+    rows = max(1, SAMPLE_CHUNK_BYTES // S0.nbytes)
+    out: list[str] = []
+    for u in _uniform_chunks(seed, shots, k, rows):
+        S = np.broadcast_to(S0, (len(u),) + S0.shape)
+        b = np.empty(u.shape, dtype=bool)
         for j in range(k):
-            p_pref = prefix_prob(x)
-            if p_pref <= 0.0:
-                # Forced branch on an impossible prefix: extend by the
-                # likelier child deterministically.
-                p0 = prefix_prob(x + (0,))
-                x = x + (0 if p0 >= prefix_prob(x + (1,)) else 1,)
-                continue
-            p0 = prefix_prob(x + (0,)) / p_pref
-            if p0 < -1e-9 or p0 > 1 + 1e-9:
+            p0 = (1.0 - S[:, 0, 1]) / 2
+            bad = ~((p0 >= -1e-9) & (p0 <= 1 + 1e-9))  # NaN included
+            if bad.any():
                 raise NumericalAdmissibilityError(
-                    f"conditional probability {p0} outside [0, 1]"
+                    f"conditional probability {p0[bad][0]} outside [0, 1]"
                 )
-            x = x + (0 if uniforms[i, j] < p0 else 1,)
-        out.append("".join(map(str, x)))
+            bj = u[:, j] >= p0
+            # Forced branch: never condition on a (numerically) impossible bit.
+            b[:, j] = np.where(np.where(bj, 1.0 - p0, p0) > PIVOT_TOL, bj, p0 < 0.5)
+            if j + 1 < k:
+                S = _condition(S, b[:, j])
+        text = (b.view(np.uint8) + ord("0")).tobytes().decode()
+        out.extend(text[i:i + k] for i in range(0, len(text), k))
     return out

@@ -67,9 +67,9 @@ class DGaussState:
     """Displaced Gaussian state (n, M, mu); immutable after construction.
 
     With ``check`` (the default) the data is checked once for
-    antisymmetry and admissibility.  Internal constructors whose carrier
-    is antisymmetric by construction pass ``check=False``, which checks
-    the shapes only.
+    finiteness, antisymmetry and admissibility.  Internal constructors
+    whose carrier is antisymmetric by construction pass ``check=False``,
+    which checks the shapes only.
     """
 
     n: int
@@ -85,6 +85,8 @@ class DGaussState:
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "mu", mu)
         if self.check:
+            if not (np.isfinite(M).all() and np.isfinite(mu).all()):
+                raise ValueError("covariance data must be finite")
             valid, _, lambdas = validate(self.M_ext)
             if not valid:
                 raise AdmissibilityError(
@@ -116,7 +118,7 @@ def from_diagonal(lambdas) -> DGaussState:
     M[2q, 2q+1] = -lambda_q and mu = 0; every lambda_q must lie in [-1, 1].
     """
     lams = [float(x) for x in lambdas]
-    if any(abs(x) > 1.0 + 1e-12 for x in lams):
+    if not all(abs(x) <= 1.0 + 1e-12 for x in lams):
         raise ValueError("diagonal parameters must lie in [-1, 1]")
     n = len(lams)
     M = np.zeros((2 * n, 2 * n))

@@ -6,7 +6,7 @@ import pytest
 
 from dgsim import oracle, simulator as sim, state as st_mod, unitary as un_mod
 
-from helpers import dense_product, rand_bloch, rand_sequence, rand_state
+from helpers import dense_product, rand_bloch, rand_pure_state, rand_sequence, rand_state
 
 rng = np.random.default_rng(2024)
 
@@ -161,6 +161,88 @@ def test_sample_total_variation():
         p = sim.expectation(s, sim.MeasurementOp(K, x))
         tv += abs(counts["".join(map(str, x))] / shots - p)
     assert tv / 2 < 0.01
+
+
+def test_sample_validates_lines_and_shots():
+    s = st_mod.from_diagonal([0.2, -0.4, 0.6])
+    for K in ((1, 0), (0, 0)):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            sim.sample(s, K, shots=3, seed=0)
+    for K in ((0, 3), (-1, 0)):
+        with pytest.raises(IndexError, match="measured line .* out of range"):
+            sim.sample(s, K, shots=3, seed=0)
+    with pytest.raises(ValueError, match="shot"):
+        sim.sample(s, (0,), shots=0, seed=0)
+    assert sim.sample(s, (), shots=4, seed=0) == [""] * 4
+
+
+@pytest.mark.parametrize("bad", [-1.5, float("nan")])
+def test_sample_rejects_inadmissible_conditional(bad):
+    M = np.zeros((4, 4))
+    M[2, 3], M[3, 2] = bad, -bad
+    s = st_mod.DGaussState(2, M, np.zeros(4), check=False)
+    with pytest.raises(sim.NumericalAdmissibilityError):
+        sim.sample(s, (0, 1), shots=5, seed=0)
+
+
+def test_sample_forced_branch_skips_impossible_bit(monkeypatch):
+    # Line 0 has p(0) = 1e-13, round-off level.  A zero uniform would draw
+    # bit 0; the sampler takes the likelier bit 1 instead of dividing by
+    # the vanishing pivot, and line 1 stays deterministic.
+    s = st_mod.from_diagonal([-(1 - 2e-13), 1.0])
+    zeros = lambda seed, shots, k, rows: iter([np.zeros((shots, k))])
+    monkeypatch.setattr(sim, "_uniform_chunks", zeros)
+    assert sim.sample(s, (0, 1), shots=3, seed=0) == ["10"] * 3
+
+
+@pytest.mark.parametrize("shots,k,rows", [(1000, 7, 64), (100_001, 3, 4096), (37, 20, 5)])
+def test_uniform_chunks_equal_one_block(shots, k, rows):
+    whole = np.random.default_rng(17).random((shots, k))
+    chunks = list(sim._uniform_chunks(17, shots, k, rows))
+    assert max(len(u) for u in chunks) <= rows
+    assert np.array_equal(np.concatenate(chunks), whole)
+
+
+def test_sample_conditionals_multiply_to_born():
+    r = np.random.default_rng(31)
+    for n in (3, 4, 5, 6):
+        for s in (rand_state(r, n), rand_pure_state(r, n)):
+            K = tuple(sorted(int(q) for q in r.choice(n, 3 if n % 2 else 4, replace=False)))
+            rho = st_mod.dense(s)
+            idx = [a for q in K for a in (2 * q, 2 * q + 1)]
+            for xv in range(1 << len(K)):
+                x = tuple(xv >> (len(K) - 1 - i) & 1 for i in range(len(K)))
+                S = s.M[np.ix_(idx, idx)][None]
+                p = 1.0
+                for bit in x:
+                    p0 = (1 - S[0, 0, 1]) / 2
+                    p *= 1 - p0 if bit else p0
+                    S = sim._condition(S, np.array([bit], dtype=bool))
+                assert p == pytest.approx(oracle.born_probability(rho, K, x), abs=1e-10)
+
+
+def test_sample_marginals_at_n200():
+    r = np.random.default_rng(200)
+    n, shots = 200, 2000
+    c = sim.Circuit(n, ("lambdas", list(r.uniform(-1, 1, n))), rand_sequence(r, n, 4 * n))
+    s = sim.run(c)
+    K = tuple(sorted(int(q) for q in r.choice(n, 20, replace=False)))
+    out = sim.sample(s, K, shots=shots, seed=3)
+    for j, q in enumerate(K):
+        p1 = sim.expectation(s, sim.MeasurementOp((q,), (1,)))
+        ones = sum(x[j] == "1" for x in out)
+        assert abs(ones - shots * p1) <= 5 * np.sqrt(shots * p1 * (1 - p1))
+
+
+def test_evolve_matches_run_and_checks_size():
+    n = 3
+    s = rand_state(rng, n)
+    seq = rand_sequence(rng, n, 30)
+    out = sim.evolve(s, seq)
+    want = sim.run(sim.Circuit(n, ("covariance", (s.M, s.mu)), seq))
+    assert np.array_equal(out.M, want.M) and np.array_equal(out.mu, want.mu)
+    with pytest.raises(ValueError, match="size"):
+        sim.evolve(s, rand_sequence(rng, n + 1, 3))
 
 
 def test_circuit_input_kinds():

@@ -20,6 +20,16 @@ def test_from_diagonal_basic():
     assert np.max(np.abs(rho - direct)) < 1e-12
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_constructors_reject_non_finite(bad):
+    with pytest.raises(ValueError, match="must lie in"):
+        st_mod.from_diagonal([bad, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        st_mod.DGaussState(1, [[0.0, bad], [-bad, 0.0]], [0.0, 0.0])
+    with pytest.raises(ValueError, match="finite"):
+        st_mod.DGaussState(1, np.zeros((2, 2)), [bad, 0.0])
+
+
 def test_validate_rejects_inadmissible():
     M = np.array([[0.0, -1.5], [1.5, 0.0]])
     with pytest.raises(st_mod.AdmissibilityError):
