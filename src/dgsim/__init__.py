@@ -22,7 +22,6 @@ from .unitary import DGUnitary, Gate, GateSequence, compile  # noqa: F401
 from .simulator import (  # noqa: F401
     Circuit,
     MeasurementOp,
-    evolve,
     expectation,
     overlap,
     prepare_product,

@@ -175,9 +175,8 @@ def cmd_oracle_verify(args) -> int:
         raise OracleCapError(f"circuit size {circuit.n} exceeds --n-max {n_max}")
     tol = args.tol if args.tol is not None else 1e-7
 
-    in_state = circuit.input_state()
-    out_state = simulator.evolve(in_state, circuit.gates)
-    rho = st_mod.dense(in_state)
+    out_state = simulator.run(circuit)
+    rho = st_mod.dense(circuit.input_state())
     for g in circuit.gates:
         Ug = un_mod.gate_dense(g, circuit.n)
         rho = Ug @ rho @ Ug.conj().T

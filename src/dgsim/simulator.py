@@ -48,6 +48,18 @@ PIVOT_TOL = 1e-12
 SAMPLE_CHUNK_BYTES = 8 << 20
 
 
+def _check_lines(K, n: int | None = None) -> tuple[int, ...]:
+    """Measured lines K as ints: strictly increasing and, given n, in [0, n)."""
+    K = tuple(int(q) for q in K)
+    if any(b <= a for a, b in zip(K, K[1:])):
+        raise ValueError("measured lines must be strictly increasing")
+    if n is not None:
+        for line in K:
+            if not 0 <= line < n:
+                raise IndexError(f"measured line {line} out of range")
+    return K
+
+
 @dataclass(frozen=True)
 class MeasurementOp:
     """Computational-basis projector data: outcome bits x on lines K."""
@@ -62,8 +74,7 @@ class MeasurementOp:
             raise ValueError("line subset and outcome lengths differ")
         if any(b not in (0, 1) for b in x):
             raise ValueError("outcome bits must be 0 or 1")
-        if any(b <= a for a, b in zip(K, K[1:])):
-            raise ValueError("measured lines must be strictly increasing")
+        _check_lines(K)
         object.__setattr__(self, "K", K)
         object.__setattr__(self, "x", x)
 
@@ -75,10 +86,9 @@ def measurement_cov(n: int, m: MeasurementOp) -> np.ndarray:
     the canonical block with parameter -(-1)^b there (<Z_q> = (-1)^b
     and the carrier convention is M[2q, 2q+1] = -<Z_q>).
     """
+    _check_lines(m.K, n)
     M = np.zeros((2 * n, 2 * n))
     for line, bit in zip(m.K, m.x):
-        if not 0 <= line < n:
-            raise IndexError(f"measured line {line} out of range")
         c = -((-1) ** bit)
         M[2 * line, 2 * line + 1] = c
         M[2 * line + 1, 2 * line] = -c
@@ -250,24 +260,8 @@ class Circuit:
         return DGaussState(self.n, *payload)
 
 
-def _apply_gates(Me: np.ndarray, gates: GateSequence) -> DGaussState:
-    """Fold validated gates over the extended carrier Me, in place (see evolve).
-
-    Taking the carrier rather than the state lets run drop its input
-    state, and the 2n x 2n matrix it holds, before the gate loop.
-    """
-    n = gates.n
-    for g in gates:
-        rows, Q = gate_update(g, n)
-        Me[rows, :] = Q @ Me[rows, :]
-        Me[:, rows] = Me[:, rows] @ Q.T
-    m = 2 * n
-    Me = (Me - Me.T) / 2
-    return DGaussState(n, Me[:m, :m], Me[:m, m], check=False)
-
-
-def evolve(s: DGaussState, gates: GateSequence) -> DGaussState:
-    """Fold a gate sequence over a state.
+def run(c: Circuit) -> DGaussState:
+    """Fold the circuit's gates over its input state.
 
     The extended carrier is updated in place; each gate multiplies at
     most four rows and the matching columns by its small orthogonal
@@ -275,18 +269,14 @@ def evolve(s: DGaussState, gates: GateSequence) -> DGaussState:
     output carrier is antisymmetric by construction, so neither is
     checked again here.
     """
-    if gates.n != s.n:
-        raise ValueError("gate list size differs from state size")
-    return _apply_gates(s.M_ext, gates)
-
-
-def run(c: Circuit) -> DGaussState:
-    """Evolve the circuit's input state by its gates (see evolve).
-
-    The circuit already matched its gates to its size, so evolve's
-    size check is skipped.
-    """
-    return _apply_gates(c.input_state().M_ext, c.gates)
+    Me = c.input_state().M_ext
+    for g in c.gates:
+        rows, Q = gate_update(g, c.n)
+        Me[rows, :] = Q @ Me[rows, :]
+        Me[:, rows] = Me[:, rows] @ Q.T
+    m = 2 * c.n
+    Me = (Me - Me.T) / 2
+    return DGaussState(c.n, Me[:m, :m], Me[:m, m], check=False)
 
 
 def _uniform_chunks(seed: int, shots: int, k: int, rows: int):
@@ -329,12 +319,8 @@ def sample(s: DGaussState, K, shots: int, seed: int) -> list[str]:
     line takes the likelier bit instead.  Deterministic for a given
     seed (see the module docstring for the exact RNG contract).
     """
-    K = tuple(int(q) for q in K)
+    K = _check_lines(K, s.n)
     k = len(K)
-    MeasurementOp(K, (0,) * k)  # rejects unsorted or repeated lines
-    for line in K:
-        if not 0 <= line < s.n:
-            raise IndexError(f"measured line {line} out of range")
     if shots < 1:
         raise ValueError("need at least one shot")
     if k == 0:

@@ -201,25 +201,6 @@ def test_oracle_verify_catches_corruption(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["ok"] is False
 
 
-def test_oracle_verify_builds_input_once(tmp_path, capsys, monkeypatch):
-    import dgsim.simulator as sim_mod
-
-    calls = []
-    real = sim_mod.prepare_product
-
-    def counted(blochs):
-        calls.append(1)
-        return real(blochs)
-
-    monkeypatch.setattr(sim_mod, "prepare_product", counted)
-    doc = circuit_doc(2, [1.0, 1.0], [{"kind": "matchgate", "axes": [1, 2], "angle": 0.7}],
-                      measure={"lines": [0, 1], "x": [0, 1]})
-    doc["input"] = {"bloch": [[0.6, 0.0, 0.8], [0.0, 0.0, 1.0]]}
-    code, out = run_cli(capsys, ["oracle-verify", write_doc(tmp_path, "c.json", doc)])
-    assert code == 0 and json.loads(out)["ok"] is True
-    assert len(calls) == 1
-
-
 def test_oracle_verify_cap(tmp_path, capsys):
     n = oracle.ORACLE_MAX_QUBITS + 1
     path = write_doc(tmp_path, "c.json", circuit_doc(n, [1.0] * n))

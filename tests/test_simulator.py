@@ -234,17 +234,6 @@ def test_sample_marginals_at_n200():
         assert abs(ones - shots * p1) <= 5 * np.sqrt(shots * p1 * (1 - p1))
 
 
-def test_evolve_matches_run_and_checks_size():
-    n = 3
-    s = rand_state(rng, n)
-    seq = rand_sequence(rng, n, 30)
-    out = sim.evolve(s, seq)
-    want = sim.run(sim.Circuit(n, ("covariance", (s.M, s.mu)), seq))
-    assert np.array_equal(out.M, want.M) and np.array_equal(out.mu, want.mu)
-    with pytest.raises(ValueError, match="size"):
-        sim.evolve(s, rand_sequence(rng, n + 1, 3))
-
-
 def test_circuit_input_kinds():
     with pytest.raises(ValueError):
         sim.Circuit(2, ("nonsense", []), un_mod.GateSequence(2, ()))
