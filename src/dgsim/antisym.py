@@ -138,14 +138,25 @@ def pfaffian_restricted(M, J) -> complex | float:
     return pfaffian(M[np.ix_(J, J)])
 
 
+def _popcounts(m: int) -> np.ndarray:
+    """Number of set bits of every mask below 2^m, as uint8."""
+    pc = np.zeros(1 << m, dtype=np.uint8)
+    for a in range(m):
+        pc[1 << a:2 << a] = pc[:1 << a] + 1
+    return pc
+
+
 def pfaffian_all_restrictions(M) -> np.ndarray:
     """Pfaffians of every even-sized restriction of ``M`` at once.
 
     Returns an array ``pf`` of length ``2**m`` with ``pf[mask]`` the
     Pfaffian of the restriction to the set bits of ``mask`` (masks of
     odd popcount hold 0, the empty mask holds 1).  Dynamic program over
-    the first-row expansion, O(2^m * m); used to evaluate all moments
-    of a Gaussian state in one pass.
+    the first-row expansion, O(2^m * m): all masks of one popcount k are
+    done together, from the k-2 table, as the alternating sum over the
+    set bits b above the lowest bit a of M[a, b] * pf[mask - a - b],
+    with b increasing.  Used to evaluate all moments of a Gaussian state
+    in one pass.
     """
     M = check_antisymmetric(M)
     m = M.shape[0]
@@ -154,17 +165,29 @@ def pfaffian_all_restrictions(M) -> np.ndarray:
     dtype = complex if np.iscomplexobj(M) else float
     pf = np.zeros(1 << m, dtype=dtype)
     pf[0] = 1.0
-    for mask in range(1, 1 << m):
-        bits = [j for j in range(m) if mask >> j & 1]
-        if len(bits) % 2:
-            continue
-        a = bits[0]
-        acc = 0.0
+    size = _popcounts(m)
+    for k in range(2, m + 1, 2):
+        masks = np.flatnonzero(size == k)
+        low = masks & -masks
+        a = np.frexp(low)[1] - 1
+        rest = masks ^ low
+        acc = np.zeros(len(masks), dtype=dtype)
         sign = 1.0
-        for b in bits[1:]:
-            acc += sign * M[a, b] * pf[mask & ~(1 << a) & ~(1 << b)]
+        for _ in range(k - 1):
+            bit = rest & -rest
+            b = np.frexp(bit)[1] - 1
+            t = sign * M[a, b]
+            p = pf[masks ^ low ^ bit]
+            if dtype is complex:
+                # Componentwise, rounded as scalar complex products are
+                # (an array complex multiply may fuse multiply and add).
+                acc.real += t.real * p.real - t.imag * p.imag
+                acc.imag += t.real * p.imag + t.imag * p.real
+            else:
+                acc += t * p
+            rest ^= bit
             sign = -sign
-        pf[mask] = acc
+        pf[masks] = acc
     return pf
 
 

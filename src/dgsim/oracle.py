@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .antisym import check_antisymmetric, pfaffian_all_restrictions
+from .antisym import _popcounts, check_antisymmetric, pfaffian_all_restrictions
 
 ORACLE_MAX_QUBITS = 6
 ORACLE_MAX_PAIRED = 4
@@ -104,27 +104,73 @@ def pauli_tensor(A: np.ndarray) -> np.ndarray:
     """Coefficients c with A = sum_P c[P] * P over Pauli strings P.
 
     Returns an array of shape (4,)*n indexed by per-line Pauli codes.
-    Recursive block transform, O(n 4^n).
+    One array transform per line, line 0 first: the 2x2 blocks
+    (b00, b01, b10, b11) of that line become the four coefficients
+    ((b00+b11)/2, (b01+b10)/2, i(b01-b10)/2, (b00-b11)/2).  n whole-array
+    steps, O(n 4^n) arithmetic.
     """
-    dim = A.shape[0]
-    if dim == 1:
-        return A.reshape(())
-    h = dim // 2
-    blocks = (A[:h, :h], A[:h, h:], A[h:, :h], A[h:, h:])
-    comps = (
-        (blocks[0] + blocks[3]) / 2,          # I
-        (blocks[1] + blocks[2]) / 2,          # X
-        1j * (blocks[1] - blocks[2]) / 2,     # Y
-        (blocks[0] - blocks[3]) / 2,          # Z
-    )
-    return np.stack([pauli_tensor(c) for c in comps])
+    n = int(A.shape[0]).bit_length() - 1
+    X = A.reshape(1, 1 << n, 1 << n)
+    for q in range(n):
+        h = 1 << (n - q - 1)
+        X = X.reshape(-1, 2, h, 2, h)
+        b00, b01, b10, b11 = X[:, 0, :, 0], X[:, 0, :, 1], X[:, 1, :, 0], X[:, 1, :, 1]
+        X = np.stack(
+            (
+                (b00 + b11) / 2,          # I
+                (b01 + b10) / 2,          # X
+                1j * (b01 - b10) / 2,     # Y
+                (b00 - b11) / 2,          # Z
+            ),
+            axis=1,
+        ).reshape(-1, h, h)
+    return X.reshape((4,) * n)
 
 
 def from_pauli_tensor(C: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`pauli_tensor`."""
-    if C.ndim == 0:
-        return C.reshape(1, 1)
-    return sum(np.kron(PAULIS[p], from_pauli_tensor(C[p])) for p in range(4))
+    """Inverse of :func:`pauli_tensor`: A = sum_P C[P] * P.
+
+    One array transform per line, last line first: the coefficients
+    (c_I, c_X, c_Y, c_Z) become the 2x2 blocks
+    ((c_I+c_Z, c_X-i c_Y), (c_X+i c_Y, c_I-c_Z)).  n steps, O(n 4^n).
+    """
+    n = C.ndim
+    X = C.reshape(-1, 1, 1)
+    for q in range(n - 1, -1, -1):
+        h = 1 << (n - q - 1)
+        X = X.reshape(-1, 4, h, h)
+        cI, cX, cY, cZ = X[:, 0], X[:, 1], X[:, 2], X[:, 3]
+        out = np.empty((X.shape[0], 2, h, 2, h), dtype=complex)
+        out[:, 0, :, 0] = cI + cZ
+        out[:, 0, :, 1] = cX + -1j * cY
+        out[:, 1, :, 0] = cX + 1j * cY
+        out[:, 1, :, 1] = cI - cZ
+        X = out.reshape(-1, 2 * h, 2 * h)
+    return X.reshape(1 << n, 1 << n)
+
+
+def _monomial_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pauli string and phase of gamma_J for every bitmask J over 2n axes.
+
+    Returns ``(index, phase)`` with gamma_J = phase[J] * P, P the Pauli
+    string whose per-line codes, read as base-4 digits with line 0 most
+    significant, give index[J].  Built in 2n array steps: the masks with
+    top bit a are those below 2^a times gamma_a on the right.
+    """
+    size = 1 << (2 * n)
+    codes = np.zeros((size, n), dtype=np.uint8)
+    phase = np.ones(size, dtype=complex)
+    for a in range(2 * n):
+        lo, hi = 1 << a, 2 << a
+        codes[lo:hi] = codes[:lo]
+        phase[lo:hi] = phase[:lo]
+        cs, ph = codes[lo:hi], phase[lo:hi]
+        for q, c in enumerate(_majorana_codes(n, a)):
+            if c:
+                ph *= _MUL_PHASE[cs[:, q], c]
+                cs[:, q] = _MUL_CODE[cs[:, q], c]
+    index = codes @ 4 ** np.arange(n - 1, -1, -1)
+    return index, phase
 
 
 class MomentTable:
@@ -154,33 +200,18 @@ class MomentTable:
 
 
 def moments(A: np.ndarray) -> MomentTable:
-    """Moment table of a dense operator via its Pauli coefficients."""
+    """Moment table of a dense operator via its Pauli coefficients.
+
+    A_J = conj(phase_J) * 2^n * c_P for gamma_J = phase_J * P: one
+    Pauli transform and one gather through the monomial table, O(n 4^n).
+    """
     n = int(A.shape[0]).bit_length() - 1
     if A.shape != (1 << n, 1 << n):
         raise ValueError("operator dimension is not a power of two")
     C = pauli_tensor(A).reshape(-1)
-    # Monomial string/phase for every subset, reusing the subset without
-    # its top Majorana index (already computed earlier in the scan).
-    nmaj = 2 * n
-    strides = 4 ** np.arange(n - 1, -1, -1)
-    codes = np.zeros((1 << nmaj, n), dtype=int)
-    phases = np.zeros(1 << nmaj, dtype=complex)
-    phases[0] = 1.0
-    values = np.zeros(1 << nmaj, dtype=complex)
+    index, phase = _monomial_table(n)
+    values = np.conj(phase) * (1 << n) * C[index]
     values[0] = np.trace(A)
-    for mask in range(1, 1 << nmaj):
-        top = mask.bit_length() - 1
-        rest = mask & ~(1 << top)
-        cs = codes[rest].copy()
-        ph = phases[rest]
-        for q, c in enumerate(_majorana_codes(n, top)):
-            if c:
-                ph *= _MUL_PHASE[cs[q], c]
-                cs[q] = _MUL_CODE[cs[q], c]
-        codes[mask] = cs
-        phases[mask] = ph
-        # A_J = conj(phase) * Tr(P A) = conj(phase) * 2^n * c_P
-        values[mask] = np.conj(ph) * (1 << n) * C[int(cs @ strides)]
     return MomentTable(n, values)
 
 
@@ -189,7 +220,9 @@ def wick_moment_array(M_ext: np.ndarray) -> np.ndarray:
 
     ``M_ext`` is (2n+1)x(2n+1) real antisymmetric holding the covariance
     block M and mean column mu (extended covariance = i * M_ext).
-    Returns the length-4^n moment array in MomentTable layout.
+    Returns the length-4^n moment array in MomentTable layout: an even
+    |J| reads i^{|J|/2} Pf(M_J), an odd |J| reads
+    -i * i^{(|J|+1)/2} Pf(M_{J + mean axis}).
     """
     M_ext = check_antisymmetric(np.asarray(M_ext, dtype=float))
     m = M_ext.shape[0]
@@ -197,33 +230,30 @@ def wick_moment_array(M_ext: np.ndarray) -> np.ndarray:
         raise ValueError("extended carrier must have odd dimension")
     nmaj = m - 1
     pf = pfaffian_all_restrictions(M_ext)
-    out = np.zeros(1 << nmaj, dtype=complex)
-    ext_bit = 1 << nmaj
-    for mask in range(1 << nmaj):
-        size = bin(mask).count("1")
-        if size % 2 == 0:
-            out[mask] = (1j) ** (size // 2) * pf[mask]
-        else:
-            out[mask] = -1j * (1j) ** ((size + 1) // 2) * pf[mask | ext_bit]
-    return out
+    size = _popcounts(nmaj)
+    coef = np.array([
+        (1j) ** (k // 2) if k % 2 == 0 else -1j * (1j) ** ((k + 1) // 2)
+        for k in range(nmaj + 1)
+    ])
+    masks = np.arange(1 << nmaj)
+    return coef[size] * pf[np.where(size % 2, masks | (1 << nmaj), masks)]
 
 
 def gaussian_dense(M_ext: np.ndarray) -> np.ndarray:
     """Dense displaced Gaussian state from its real extended carrier.
 
     Assembles rho = 2^{-n} sum_J rho_J gamma_J through the Pauli
-    coefficient tensor (O(n 4^n) instead of summing dense monomials).
+    coefficient tensor: the Wick moments are scattered to their Pauli
+    strings by the monomial table and transformed back once, O(n 4^n)
+    instead of summing dense monomials.
     """
     nmaj = M_ext.shape[0] - 1
     n = nmaj // 2
     _check_cap(n, 2 * ORACLE_MAX_PAIRED)
     vals = wick_moment_array(M_ext)
-    strides = 4 ** np.arange(n - 1, -1, -1)
+    index, phase = _monomial_table(n)
     C = np.zeros(1 << (2 * n), dtype=complex)
-    for mask in range(1 << nmaj):
-        J = [a for a in range(nmaj) if mask >> a & 1]
-        ph, cs = monomial_string(n, J)
-        C[int(np.array(cs) @ strides)] += vals[mask] * ph / (1 << n)
+    C[index] = vals * phase / (1 << n)
     return from_pauli_tensor(C.reshape((4,) * n))
 
 

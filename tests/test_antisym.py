@@ -51,6 +51,21 @@ def test_pfaffian_all_restrictions():
         )
 
 
+@pytest.mark.parametrize("m", range(1, 10))
+def test_pfaffian_all_restrictions_every_mask(m):
+    cases = [rand_antisym(rng, m), rand_antisym(rng, m) + 1j * rand_antisym(rng, m)]
+    for M in cases:
+        table = antisym.pfaffian_all_restrictions(M)
+        assert table.dtype == (complex if np.iscomplexobj(M) else float)
+        for mask in range(1 << m):
+            J = [j for j in range(m) if mask >> j & 1]
+            if len(J) % 2:
+                assert table[mask] == 0
+            else:
+                want = antisym.pfaffian_restricted(M, J)
+                assert abs(table[mask] - want) <= 1e-12 * max(1.0, abs(want))
+
+
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 7, 8])
 def test_block_diagonalize_roundtrip(m):
     for _ in range(5):

@@ -37,6 +37,17 @@ def test_monomial_string_matches_product():
         assert np.max(np.abs(oracle.majorana_monomial(n, J) - direct)) < 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_monomial_table_matches_monomial_string(n):
+    index, phase = oracle._monomial_table(n)
+    strides = 4 ** np.arange(n - 1, -1, -1)
+    for mask in range(1 << (2 * n)):
+        J = [a for a in range(2 * n) if mask >> a & 1]
+        ph, codes = oracle.monomial_string(n, J)
+        assert index[mask] == int(np.array(codes) @ strides)
+        assert phase[mask] == ph
+
+
 def test_pauli_tensor_roundtrip():
     A = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     C = oracle.pauli_tensor(A)
