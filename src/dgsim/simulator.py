@@ -120,6 +120,7 @@ def _expectation_from_M(M: np.ndarray, m: MeasurementOp) -> float:
 
 def expectation(s: DGaussState, m: MeasurementOp) -> float:
     """Probability Tr[O(K,x) rho] via the determinant formula."""
+    _check_lines(m.K, s.n)
     return _expectation_from_M(s.M, m)
 
 

@@ -53,6 +53,18 @@ def test_expectation_matches_born():
                 assert p == pytest.approx(oracle.born_probability(rho, K, x), abs=1e-8)
 
 
+def test_expectation_rejects_negative_line():
+    s = st_mod.from_diagonal([1.0, 0.5, -1.0])
+    with pytest.raises(IndexError, match="measured line -1 out of range"):
+        sim.expectation(s, sim.MeasurementOp((-1,), (1,)))
+
+
+def test_expectation_rejects_line_past_n():
+    s = st_mod.from_diagonal([1.0, 0.5, -1.0])
+    with pytest.raises(IndexError, match="measured line 3 out of range"):
+        sim.expectation(s, sim.MeasurementOp((3,), (0,)))
+
+
 def test_probabilities_complete_n12():
     n = 12
     s = rand_state(rng, n)
