@@ -109,7 +109,7 @@ def cmd_compile(args) -> int:
 def cmd_embed(args) -> int:
     s = ser.parse_state(_read_doc(args.file))
     res = embedding.embed_covariance(s)
-    emb = embedding.embed_state(s)
+    emb = res.state()
     doc = {
         "schema": ser.SCHEMA_VERSION,
         "n": emb.n,

@@ -39,6 +39,11 @@ class EmbeddingResult:
     r: np.ndarray
     c: float
 
+    def state(self) -> DGaussState:
+        """The embedded even state; its carrier is checked for admissibility."""
+        m = self.sigma.shape[0]
+        return DGaussState(m // 2, self.sigma, np.zeros(m))
+
 
 def _kernel_vector(M_ext: np.ndarray) -> np.ndarray:
     """Signed sub-Pfaffian vector of an odd-dimensional antisymmetric matrix.
@@ -92,8 +97,7 @@ def embed_covariance(s: DGaussState) -> EmbeddingResult:
 
 def embed_state(s: DGaussState) -> DGaussState:
     """Even displaced-Gaussian state of the embedding E(s) on n+1 qubits."""
-    res = embed_covariance(s)
-    return DGaussState(s.n + 1, res.sigma, np.zeros(2 * s.n + 2))
+    return embed_covariance(s).state()
 
 
 def embed_unitary(U: DGUnitary) -> DGUnitary:

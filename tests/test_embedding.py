@@ -38,6 +38,16 @@ def test_embed_state_pure_exact():
         assert np.hypot(np.linalg.norm(res.r), res.c) == pytest.approx(1.0, abs=1e-8)
 
 
+def test_embedded_state_is_checked():
+    res = emb.embed_covariance(st_mod.from_diagonal([0.5]))
+    out, want = res.state(), emb.embed_state(st_mod.from_diagonal([0.5]))
+    assert out.n == want.n == 2
+    assert np.array_equal(out.M, want.M) and np.array_equal(out.mu, want.mu)
+    bad = emb.EmbeddingResult(sigma=3.0 * res.sigma, r=res.r, c=res.c)
+    with pytest.raises(st_mod.AdmissibilityError):
+        bad.state()
+
+
 def test_embed_dense_channel_preserves_purity():
     for n in (1, 2, 3):
         s = rand_state(rng, n)
