@@ -68,6 +68,17 @@ def complex_matrix_doc(A: np.ndarray):
     return np.stack([A.real, A.imag], axis=-1).tolist()
 
 
+def _size(obj) -> int:
+    """The document's qubit count ``n``: a positive integer (errors at $.n)."""
+    try:
+        n = int(obj["n"])
+    except (TypeError, ValueError):
+        raise SchemaError("n must be an integer", "$.n") from None
+    if n < 1:
+        raise SchemaError("n must be positive", "$.n")
+    return n
+
+
 def parse_gate(obj, loc) -> Gate:
     _take(obj, {"kind"}, {"axes", "angle", "line"}, loc)
     kind = obj["kind"]
@@ -98,12 +109,7 @@ def parse_circuit(obj) -> tuple[Circuit, dict]:
     """Parse a circuit document into (Circuit, measure-spec dict)."""
     _take(obj, {"schema", "n", "input", "gates"}, {"measure"}, "$")
     _check_schema(obj)
-    try:
-        n = int(obj["n"])
-    except (TypeError, ValueError):
-        raise SchemaError("n must be an integer", "$.n") from None
-    if n < 1:
-        raise SchemaError("n must be positive", "$.n")
+    n = _size(obj)
 
     inp = _take(obj["input"], set(), {"lambdas", "bloch", "covariance"}, "$.input")
     if len(inp) != 1:
@@ -189,7 +195,7 @@ def parse_hamiltonian(obj) -> tuple[int, np.ndarray, np.ndarray]:
     """Parse a generator document into (n, h, d)."""
     _take(obj, {"schema", "n", "h"}, {"d"}, "$")
     _check_schema(obj)
-    n = int(obj["n"])
+    n = _size(obj)
     h = _real_matrix(obj["h"], "$.h")
     if h.shape != (2 * n, 2 * n):
         raise SchemaError("h must be 2n x 2n", "$.h")
@@ -205,7 +211,7 @@ def parse_state(obj) -> DGaussState:
     """Parse a covariance state document."""
     _take(obj, {"schema", "n", "M", "mu"}, set(), "$")
     _check_schema(obj)
-    n = int(obj["n"])
+    n = _size(obj)
     M = _real_matrix(obj["M"], "$.M")
     mu = _real_matrix(obj["mu"], "$.mu")
     if M.shape != (2 * n, 2 * n) or mu.shape != (2 * n,):
@@ -217,7 +223,7 @@ def parse_dense_operator(obj) -> np.ndarray:
     """Parse a dense operator document (state or unitary matrix)."""
     _take(obj, {"schema", "n", "matrix"}, set(), "$")
     _check_schema(obj)
-    n = int(obj["n"])
+    n = _size(obj)
     A = _complex_matrix(obj["matrix"], "$.matrix")
     if A.shape != (1 << n, 1 << n):
         raise SchemaError("matrix must be 2^n x 2^n", "$.matrix")

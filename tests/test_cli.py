@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from dgsim import cli, oracle, serialization as ser, unitary as un_mod
+from dgsim import cli, embedding, oracle, serialization as ser, unitary as un_mod
 
 from helpers import ghz4, rand_antisym
 
@@ -130,6 +130,22 @@ def test_embed(tmp_path, capsys):
     assert abs(abs(res["c"]) - 1.0) < 1e-12  # pure input: unit kernel vector
 
 
+def test_embed_computes_embedding_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = embedding._kernel_vector
+
+    def counting(M_ext):
+        calls.append(M_ext.shape)
+        return real(M_ext)
+
+    monkeypatch.setattr(embedding, "_kernel_vector", counting)
+    doc = {"schema": ser.SCHEMA_VERSION, "n": 1, "M": [[0.0, -0.6], [0.6, 0.0]],
+           "mu": [0.3, 0.0]}
+    code, out = run_cli(capsys, ["embed", write_doc(tmp_path, "s.json", doc)])
+    assert code == 0 and json.loads(out)["n"] == 2
+    assert calls == [(3, 3)]
+
+
 def test_test_state_verdicts(tmp_path, capsys):
     path = write_doc(tmp_path, "c.json", circuit_doc(2, [1.0, 0.4]))
     code, out = run_cli(capsys, ["test-state", path])
@@ -240,6 +256,27 @@ def test_bad_gate_located(tmp_path, capsys, gate, loc):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert loc in captured.err
+
+
+SIZE_DOCS = {
+    "run": lambda n: circuit_doc(n, [1.0]),
+    "embed": lambda n: {"schema": ser.SCHEMA_VERSION, "n": n,
+                        "M": [[0.0, -1.0], [1.0, 0.0]], "mu": [0.0, 0.0]},
+    "compile": lambda n: {"schema": ser.SCHEMA_VERSION, "n": n,
+                          "h": [[0.0, 0.1], [-0.1, 0.0]]},
+    "test-state": lambda n: {"schema": ser.SCHEMA_VERSION, "n": n,
+                             "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]},
+}
+
+
+@pytest.mark.parametrize("verb", sorted(SIZE_DOCS))
+@pytest.mark.parametrize("n", ["x", 0, -2, None])
+def test_bad_size_located(tmp_path, capsys, verb, n):
+    path = write_doc(tmp_path, "d.json", SIZE_DOCS[verb](n))
+    code = cli.main([verb, path])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "$.n" in captured.err
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
