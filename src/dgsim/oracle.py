@@ -8,6 +8,16 @@ validate the polynomial-time covariance-matrix paths, so sizes are
 hard-capped (n <= 6 for single-register operators, n <= 4 for the
 2n-qubit convolution/Choi constructions).
 
+The moment kernels are whole-array transforms, not loops over the 4^n
+Majorana bitmasks: the Pauli transform takes one step per line, a
+monomial table gives every gamma_J's Pauli string and phase in 2n
+steps, and the Pfaffians of all restrictions come one popcount at a
+time.  Each costs O(n 4^n) arithmetic (O(2^m m) for the Pfaffians).
+They keep the operation order of the per-mask loops they replaced, so
+the values are the same (a golden fixture in the test suite pins
+them); the per-mask definitions ``monomial_string`` and
+``pfaffian_restricted`` remain as independent cross-checks.
+
 Index conventions are 0-based throughout: Majorana operator 2q acts as
 X on qubit line q behind a Z string, operator 2q+1 acts as Y.  With
 this convention i*gamma_0*gamma_1 = -Z on line 0, so a state with
