@@ -152,7 +152,7 @@ def from_pauli_tensor(C: np.ndarray) -> np.ndarray:
         cI, cX, cY, cZ = X[:, 0], X[:, 1], X[:, 2], X[:, 3]
         out = np.empty((X.shape[0], 2, h, 2, h), dtype=complex)
         out[:, 0, :, 0] = cI + cZ
-        out[:, 0, :, 1] = cX + -1j * cY
+        out[:, 0, :, 1] = cX - 1j * cY
         out[:, 1, :, 0] = cX + 1j * cY
         out[:, 1, :, 1] = cI - cZ
         X = out.reshape(-1, 2 * h, 2 * h)
