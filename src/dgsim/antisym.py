@@ -27,6 +27,8 @@ import scipy.linalg
 
 ANTISYM_TOL = 1e-12
 ORTHO_TOL = 1e-10
+# Canonical values at most this (relative to the largest entry) are kernel.
+KERNEL_TOL = 1e-10
 
 
 class DimensionError(ValueError):
@@ -37,29 +39,49 @@ class DecompositionError(RuntimeError):
     """A requested factorization does not exist for the given input."""
 
 
-def check_antisymmetric(M, tol: float = ANTISYM_TOL) -> np.ndarray:
+def check_antisymmetric(M) -> np.ndarray:
     """Validate and return ``M`` as a square antisymmetric ndarray."""
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {M.shape}")
     if M.size:
         scale = max(1.0, float(np.abs(M).max()))
-        if np.abs(M + M.T).max() > tol * scale:
+        if np.abs(M + M.T).max() > ANTISYM_TOL * scale:
             raise ValueError("matrix is not antisymmetric within tolerance")
     return M
 
 
-def check_rotation(R, tol: float = ORTHO_TOL) -> np.ndarray:
+def check_rotation(R) -> np.ndarray:
     """Validate and return ``R`` as a special orthogonal ndarray."""
     R = np.asarray(R, dtype=float)
     if R.ndim != 2 or R.shape[0] != R.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {R.shape}")
     m = R.shape[0]
-    if np.abs(R.T @ R - np.eye(m)).max() > tol:
+    if np.abs(R.T @ R - np.eye(m)).max() > ORTHO_TOL:
         raise ValueError("matrix is not orthogonal within tolerance")
-    if abs(np.linalg.det(R) - 1.0) > max(tol, 1e-8):
+    if abs(np.linalg.det(R) - 1.0) > 1e-8:
         raise ValueError("matrix has determinant != +1")
     return R
+
+
+def bordered(A, v) -> np.ndarray:
+    """New float array [[A, v], [-v^T, 0]] for A m x m and v of length m.
+
+    This is the layout of every extended matrix: a carrier (M, mu), a
+    generator (h, d), and the embedding's carriers.
+    """
+    A = np.asarray(A, dtype=float)
+    v = np.asarray(v, dtype=float)
+    m = v.shape[0] if v.ndim == 1 else -1
+    if A.shape != (m, m):
+        raise DimensionError(
+            f"border of shape {v.shape} does not fit a matrix of shape {A.shape}"
+        )
+    out = np.zeros((m + 1, m + 1))
+    out[:m, :m] = A
+    out[:m, m] = v
+    out[m, :m] = -v
+    return out
 
 
 def pfaffian(M) -> complex | float:
@@ -202,7 +224,7 @@ def _real_planes(vecs):
     return rows
 
 
-def block_diagonalize(M, tol: float = 1e-10):
+def block_diagonalize(M):
     """Canonical form of a real antisymmetric matrix.
 
     Returns ``(R, lambdas)`` with ``R`` special orthogonal such that
@@ -218,7 +240,7 @@ def block_diagonalize(M, tol: float = 1e-10):
         return np.eye(0), []
     scale = max(1.0, float(np.abs(M).max()))
     w, V = np.linalg.eigh(1j * M)
-    pos = [(w[i], V[:, i]) for i in range(m) if w[i] > tol * scale]
+    pos = [(w[i], V[:, i]) for i in range(m) if w[i] > KERNEL_TOL * scale]
     pos.sort(key=lambda p: -p[0])
     lambdas = [float(val) for val, _ in pos]
     rows = _real_planes([v for _, v in pos])

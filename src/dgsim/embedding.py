@@ -50,14 +50,14 @@ def _kernel_vector(M_ext: np.ndarray) -> np.ndarray:
 
     w_j = (-1)^j Pf(M_ext with row and column j removed); it spans the
     kernel of M_ext and its length is the product of the canonical
-    block parameters, so for a pure state it is a unit vector.
+    block parameters, so for a pure state it is a unit vector.  With k
+    the unit kernel vector (the last right-singular vector), expanding
+    Pf([[M_ext, k], [-k^T, 0]]) along its last row gives w . k, so
+    w = Pf([[M_ext, k], [-k^T, 0]]) * k: one O(m^3) Pfaffian, whatever
+    the sign of k, and 0 when M_ext has a larger kernel.
     """
-    m = M_ext.shape[0]
-    w = np.empty(m)
-    for j in range(m):
-        keep = [k for k in range(m) if k != j]
-        w[j] = (-1) ** j * antisym.pfaffian(M_ext[np.ix_(keep, keep)])
-    return w
+    k = np.linalg.svd(M_ext)[2][-1]
+    return antisym.pfaffian(antisym.bordered(M_ext, k)) * k
 
 
 def embed_covariance(s: DGaussState) -> EmbeddingResult:
@@ -73,25 +73,18 @@ def embed_covariance(s: DGaussState) -> EmbeddingResult:
     where (-r, -c) is the signed sub-Pfaffian kernel vector of the
     extended carrier of the input, times the parity phase
     (-1)^(n+1) of the Jordan-Wigner string.  The couplings to axis 2n
-    are the
-    input's top odd moments <gamma_a P> and c is the parity <P>, which
-    the restricted Pfaffians evaluate; the vector carries the product
-    of canonical lambdas as its length, so for pure inputs (r, c) is
-    the unit kernel row of the canonicalizing rotation.
+    are the input's top odd moments <gamma_a P> and c is the parity
+    <P>.  The vector is Pf([[M_ext, k], [-k^T, 0]]) * k for the unit
+    kernel vector k of M_ext, so the embedding costs O(n^3).  Its
+    length is the product of the canonical lambdas, so for pure inputs
+    (r, c) is the unit kernel row of the canonicalizing rotation.
     """
     n = s.n
     m = 2 * n
     w = (-1) ** (n + 1) * _kernel_vector(s.M_ext)
     r = -w[:m]
     c = -float(w[m])
-    sigma = np.zeros((m + 2, m + 2))
-    sigma[:m, :m] = s.M
-    sigma[:m, m] = -r
-    sigma[m, :m] = r
-    sigma[:m, m + 1] = s.mu
-    sigma[m + 1, :m] = -s.mu
-    sigma[m, m + 1] = c
-    sigma[m + 1, m] = -c
+    sigma = antisym.bordered(antisym.bordered(s.M, -r), np.append(s.mu, c))
     return EmbeddingResult(sigma=sigma, r=r, c=c)
 
 
@@ -113,10 +106,7 @@ def embed_unitary(U: DGUnitary) -> DGUnitary:
     and E(U rho U+) = U~ E(rho) U~+.
     """
     m = 2 * U.n
-    h = np.zeros((m + 2, m + 2))
-    h[:m, :m] = U.h
-    h[:m, m + 1] = -U.d
-    h[m + 1, :m] = U.d
+    h = antisym.bordered(antisym.bordered(U.h, np.zeros(m)), np.append(-U.d, 0.0))
     return DGUnitary.from_generator(U.n + 1, h, np.zeros(m + 2))
 
 

@@ -29,10 +29,14 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .antisym import _popcounts, check_antisymmetric, pfaffian_all_restrictions
+from .antisym import _popcounts, bordered, check_antisymmetric, pfaffian_all_restrictions
 
 ORACLE_MAX_QUBITS = 6
 ORACLE_MAX_PAIRED = 4
+# Relative deviation from parity symmetry that still counts as even.
+PARITY_TOL = 1e-10
+# Hermiticity and unit-trace tolerance of a dense state.
+STATE_TOL = 1e-10
 
 
 class OracleCapError(ValueError):
@@ -268,19 +272,14 @@ def gaussian_dense(M_ext: np.ndarray) -> np.ndarray:
 
 
 def covariance_from_dense(A: np.ndarray) -> np.ndarray:
-    """Real extended carrier (M and mu) read off a dense state's moments."""
+    """Real extended carrier (M and mu) read off a dense state's moments.
+
+    mu_j = Re rho_{(j)} and, for j < k, M_jk = Im rho_{(j,k)}.
+    """
     table = moments(A)
-    nmaj = 2 * table.n
-    M_ext = np.zeros((nmaj + 1, nmaj + 1))
-    for j in range(nmaj):
-        mu = table[(j,)]
-        M_ext[j, nmaj] = mu.real
-        M_ext[nmaj, j] = -mu.real
-        for k in range(j + 1, nmaj):
-            # rho_{(j,k)} = i M_{jk}
-            M_ext[j, k] = table[(j, k)].imag
-            M_ext[k, j] = -M_ext[j, k]
-    return M_ext
+    values, bits = table.values, 1 << np.arange(2 * table.n)
+    upper = np.triu(values[bits[:, None] | bits].imag, 1)
+    return bordered(upper - upper.T, values[bits].real)
 
 
 def is_gaussian(A: np.ndarray, tol: float = 1e-7) -> tuple[bool, float]:
@@ -335,19 +334,19 @@ def conv_unitary(n: int) -> np.ndarray:
     return exp_quadratic(2 * n, h, np.zeros(4 * n))
 
 
-def is_even(A: np.ndarray, tol: float = 1e-10) -> bool:
+def is_even(A: np.ndarray) -> bool:
     """True iff A commutes with the total parity operator Z...Z."""
     n = int(A.shape[0]).bit_length() - 1
     par = _pauli_string_dense((3,) * n)
-    return bool(np.abs(par @ A @ par - A).max() <= tol * max(1.0, np.abs(A).max()))
+    return bool(np.abs(par @ A @ par - A).max() <= PARITY_TOL * max(1.0, np.abs(A).max()))
 
 
-def check_state(A: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def check_state(A: np.ndarray) -> np.ndarray:
     """Validate Hermiticity, unit trace, and positive semidefiniteness."""
     A = np.asarray(A, dtype=complex)
-    if np.abs(A - A.conj().T).max() > tol:
+    if np.abs(A - A.conj().T).max() > STATE_TOL:
         raise ValueError("state is not Hermitian")
-    if abs(np.trace(A) - 1.0) > tol:
+    if abs(np.trace(A) - 1.0) > STATE_TOL:
         raise ValueError("state trace is not 1")
     if np.linalg.eigvalsh(A).min() < -1e-9:
         raise ValueError("state has a negative eigenvalue")
@@ -415,12 +414,11 @@ def max_entangled(n: int) -> np.ndarray:
     identity unitary.
     """
     _check_cap(n, ORACLE_MAX_PAIRED)
-    m = 4 * n
-    M_ext = np.zeros((m + 1, m + 1))
-    for a in range(2 * n):
-        M_ext[a, 2 * n + a] = -1.0
-        M_ext[2 * n + a, a] = 1.0
-    return gaussian_dense(M_ext)
+    a = np.arange(2 * n)
+    M = np.zeros((4 * n, 4 * n))
+    M[a, 2 * n + a] = -1.0
+    M[2 * n + a, a] = 1.0
+    return gaussian_dense(bordered(M, np.zeros(4 * n)))
 
 
 def born_probability(rho: np.ndarray, K, x) -> float:

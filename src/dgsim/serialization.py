@@ -9,11 +9,11 @@ byte-deterministic -- keys are emitted in sorted order and floats with
 from __future__ import annotations
 
 import json
-import math
+from math import isfinite
 
 import numpy as np
 
-from .simulator import Circuit
+from .simulator import Circuit, NumericalAdmissibilityError
 from .state import DGaussState
 from .unitary import FSWAP, Gate, GateError, GateSequence
 
@@ -236,6 +236,8 @@ def _emit(value, out):
     elif isinstance(value, (int, np.integer)):
         out.append(str(int(value)))
     elif isinstance(value, (float, np.floating)):
+        if not isfinite(value):
+            raise NumericalAdmissibilityError(f"result holds the non-finite number {value}")
         out.append(format(float(value), ".17g"))
     elif isinstance(value, str):
         out.append(json.dumps(value))
@@ -259,7 +261,11 @@ def _emit(value, out):
 
 
 def dumps(doc) -> str:
-    """Deterministic JSON: sorted keys, 17-significant-digit floats."""
+    """Deterministic JSON: sorted keys, 17-significant-digit floats.
+
+    A NaN or infinity raises NumericalAdmissibilityError: JSON has no
+    spelling for it, so nothing is emitted.
+    """
     out: list[str] = []
     _emit(doc, out)
     return "".join(out) + "\n"
@@ -271,7 +277,7 @@ def _reject_constant(token: str):
 
 def _finite_float(token: str) -> float:
     value = float(token)
-    if not math.isfinite(value):
+    if not isfinite(value):
         raise SchemaError(f"number {token} overflows a double")
     return value
 

@@ -43,6 +43,10 @@ DET_CLAMP = 1e-10
 # treated as impossible: the line takes the likelier bit instead.
 PIVOT_TOL = 1e-12
 
+# Bloch-vector lengths and transverse parts within this of 1 and 0
+# count as pure and diagonal.
+PRODUCT_TOL = 1e-9
+
 # Working-set budget of one sampling chunk: the (rows, 2|K|, 2|K|) stack
 # of conditioned compressions.
 SAMPLE_CHUNK_BYTES = 8 << 20
@@ -190,7 +194,7 @@ class NonGaussianProductError(ValueError):
     """Product state requested that no displaced Gaussian state represents."""
 
 
-def product_is_gaussian(blochs, tol: float = 1e-9) -> bool:
+def product_is_gaussian(blochs) -> bool:
     """Whether the tensor product of these Bloch states is Gaussian.
 
     A product of single-qubit states is a displaced Gaussian state
@@ -204,9 +208,9 @@ def product_is_gaussian(blochs, tol: float = 1e-9) -> bool:
     first_mixed = None
     for q, r in enumerate(blochs):
         if first_mixed is not None and q > first_mixed:
-            if np.hypot(r[0], r[1]) > tol:
+            if np.hypot(r[0], r[1]) > PRODUCT_TOL:
                 return False
-        if first_mixed is None and np.linalg.norm(r) < 1.0 - tol:
+        if first_mixed is None and np.linalg.norm(r) < 1.0 - PRODUCT_TOL:
             first_mixed = q
     return True
 

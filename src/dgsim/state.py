@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import oracle
-from .antisym import block_diagonalize, check_antisymmetric, pfaffian_restricted
+from .antisym import block_diagonalize, bordered, check_antisymmetric, pfaffian_restricted
 
 ADMISSIBILITY_TOL = 1e-9
 PURITY_TOL = 1e-7
@@ -43,12 +43,13 @@ class SaturationError(ValueError):
         )
 
 
-def validate(M_ext, tol: float = ADMISSIBILITY_TOL):
+def validate(M_ext):
     """Check a real extended carrier for admissibility.
 
     Returns (valid, pure, lambdas) where lambdas are the canonical
-    values of M_ext sorted descending.  Valid iff all lambdas <= 1+tol;
-    pure iff additionally every nonzero lambda equals 1 within 1e-7.
+    values of M_ext sorted descending.  Valid iff all lambdas are at
+    most 1 + ADMISSIBILITY_TOL; pure iff additionally every nonzero
+    lambda equals 1 within PURITY_TOL.
     The matrix rank (2 * number of nonzero lambdas) is implied by the
     returned list but deliberately not enforced.  Antisymmetry is
     checked by block_diagonalize.
@@ -57,7 +58,7 @@ def validate(M_ext, tol: float = ADMISSIBILITY_TOL):
     _, lambdas = block_diagonalize(M_ext)
     if M_ext.shape[0] % 2 == 0:
         raise ValueError("extended carrier must have odd dimension")
-    valid = all(lam <= 1.0 + tol for lam in lambdas)
+    valid = all(lam <= 1.0 + ADMISSIBILITY_TOL for lam in lambdas)
     pure = valid and all(abs(lam - 1.0) <= PURITY_TOL for lam in lambdas)
     return valid, pure, lambdas
 
@@ -95,12 +96,8 @@ class DGaussState:
 
     @property
     def M_ext(self) -> np.ndarray:
-        m = 2 * self.n
-        out = np.zeros((m + 1, m + 1))
-        out[:m, :m] = self.M
-        out[:m, m] = self.mu
-        out[m, :m] = -self.mu
-        return out
+        """A fresh, writable [[M, mu], [-mu^T, 0]]."""
+        return bordered(self.M, self.mu)
 
     @property
     def is_even(self) -> bool:
@@ -149,19 +146,6 @@ def purity(state: DGaussState) -> float:
     return float(np.prod([(1 + lam * lam) / 2 for lam in state.canonical_lambdas()]))
 
 
-def _thermal_carrier(h, d) -> np.ndarray:
-    h = check_antisymmetric(np.asarray(h, dtype=float))
-    d = np.asarray(d, dtype=float)
-    m = h.shape[0]
-    if d.shape != (m,):
-        raise ValueError("h and d dimensions differ")
-    G = np.zeros((m + 1, m + 1))
-    G[:m, :m] = h
-    G[:m, m] = d
-    G[m, :m] = -d
-    return G
-
-
 def _odd_function(G: np.ndarray, f) -> np.ndarray:
     """Apply an odd real function to a real antisymmetric matrix.
 
@@ -182,7 +166,7 @@ def from_thermal(h, d) -> DGaussState:
     beta the state carries lambda = tanh(beta); equivalently
     M_ext = i*tanh(i*G) for the extended carrier G = [[h, d], [-d^T, 0]].
     """
-    G = _thermal_carrier(h, d)
+    G = bordered(check_antisymmetric(np.asarray(h, dtype=float)), d)
     M_ext = _odd_function(G, np.tanh)
     m = G.shape[0] - 1
     return DGaussState(m // 2, M_ext[:m, :m], M_ext[:m, m], check=False)

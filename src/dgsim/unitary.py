@@ -28,6 +28,7 @@ import scipy.linalg
 from . import oracle
 from .antisym import (
     PlaneRotation,
+    bordered,
     check_antisymmetric,
     check_rotation,
     expm_antisym,
@@ -50,15 +51,7 @@ def lie_embed(h, d) -> np.ndarray:
     axis.
     """
     h = check_antisymmetric(np.asarray(h, dtype=float))
-    d = np.asarray(d, dtype=float)
-    m = h.shape[0]
-    if d.shape != (m,):
-        raise ValueError("h and d dimensions differ")
-    G = np.zeros((m + 1, m + 1))
-    G[:m, :m] = 2 * h
-    G[:m, m] = -2 * d
-    G[m, :m] = 2 * d
-    return G
+    return bordered(2 * h, -2 * np.asarray(d, dtype=float))
 
 
 @dataclass(frozen=True)

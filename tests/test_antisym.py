@@ -15,6 +15,26 @@ def test_check_antisymmetric_rejects():
         antisym.check_antisymmetric(np.eye(2))
 
 
+def test_bordered_layout():
+    A = rand_antisym(rng, 4)
+    v = rng.normal(size=4)
+    B = antisym.bordered(A, v)
+    assert B.dtype == float and B.shape == (5, 5)
+    assert np.array_equal(B[:4, :4], A)
+    assert np.array_equal(B[:4, 4], v) and np.array_equal(B[4, :4], -v)
+    assert B[4, 4] == 0.0
+    B[0, 0] = 7.0  # a new array: the input is untouched
+    assert A[0, 0] == 0.0
+    assert np.array_equal(antisym.bordered(np.zeros((0, 0)), []), np.zeros((1, 1)))
+
+
+def test_bordered_rejects_shape_mismatch():
+    for A, v in ((np.zeros((3, 3)), np.zeros(2)), (np.zeros((2, 3)), np.zeros(2)),
+                 (np.zeros((2, 2)), np.zeros((2, 1))), (np.zeros((2, 2)), 0.0)):
+        with pytest.raises(antisym.DimensionError):
+            antisym.bordered(A, v)
+
+
 def test_pfaffian_matches_reference():
     for m in (0, 2, 4, 6, 8):
         for _ in range(5):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from dgsim import cli, embedding, oracle, serialization as ser, unitary as un_mod
+from dgsim import antisym, cli, embedding, oracle, serialization as ser, unitary as un_mod
 
 from helpers import ghz4, rand_antisym
 
@@ -131,19 +131,25 @@ def test_embed(tmp_path, capsys):
 
 
 def test_embed_computes_embedding_once(tmp_path, capsys, monkeypatch):
-    calls = []
-    real = embedding._kernel_vector
+    calls, pfaffians = [], []
+    real, real_pf = embedding._kernel_vector, antisym.pfaffian
 
     def counting(M_ext):
         calls.append(M_ext.shape)
         return real(M_ext)
 
+    def counting_pf(M):
+        pfaffians.append(np.shape(M))
+        return real_pf(M)
+
     monkeypatch.setattr(embedding, "_kernel_vector", counting)
+    monkeypatch.setattr(antisym, "pfaffian", counting_pf)
     doc = {"schema": ser.SCHEMA_VERSION, "n": 1, "M": [[0.0, -0.6], [0.6, 0.0]],
            "mu": [0.3, 0.0]}
     code, out = run_cli(capsys, ["embed", write_doc(tmp_path, "s.json", doc)])
     assert code == 0 and json.loads(out)["n"] == 2
     assert calls == [(3, 3)]
+    assert pfaffians == [(4, 4)]  # one bordered Pfaffian, not 2n+1 minors
 
 
 def test_test_state_verdicts(tmp_path, capsys):
@@ -337,6 +343,25 @@ def test_numeric_error_inadmissible(tmp_path, capsys):
     path = write_doc(tmp_path, "c.json", doc)
     code, _ = run_cli(capsys, ["run", path])
     assert code == 3
+
+
+# Generator entries near the float range: the dense exponential and the
+# rotation overflow (numpy warns), and the results would print NaN.
+HUGE_H = [[0.0, 1e300], [-1e300, 0.0]]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_deviation_is_numeric_error(tmp_path, capsys):
+    doc = {"schema": ser.SCHEMA_VERSION, "n": 1, "h": HUGE_H, "d": [1e300, 0.0]}
+    code, out = run_cli(capsys, ["test-unitary", write_doc(tmp_path, "u.json", doc)])
+    assert code == 3 and out == ""
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_residual_is_numeric_error(tmp_path, capsys):
+    doc = {"schema": ser.SCHEMA_VERSION, "n": 1, "h": HUGE_H}
+    code, out = run_cli(capsys, ["compile", write_doc(tmp_path, "h.json", doc)])
+    assert code == 3 and out == ""
 
 
 def test_version(capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dgsim import embedding as emb, oracle, state as st_mod, unitary as un_mod
+from dgsim import antisym, embedding as emb, oracle, state as st_mod, unitary as un_mod
 
 from helpers import (
     dense_product,
@@ -36,6 +36,27 @@ def test_embed_state_pure_exact():
         assert st_mod.purity(out) == pytest.approx(st_mod.purity(s), abs=1e-8)
         res = emb.embed_covariance(s)
         assert np.hypot(np.linalg.norm(res.r), res.c) == pytest.approx(1.0, abs=1e-8)
+
+
+def signed_sub_pfaffians(M_ext):
+    """w_j = (-1)^j Pf(M_ext without row and column j), straight from the definition."""
+    m = M_ext.shape[0]
+    keep = [[k for k in range(m) if k != j] for j in range(m)]
+    return np.array([(-1) ** j * antisym.pfaffian(M_ext[np.ix_(kj, kj)])
+                     for j, kj in enumerate(keep)])
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_kernel_vector_is_signed_sub_pfaffians(n):
+    lambdas = rng.uniform(-1, 1, size=n)
+    lambdas[rng.integers(n)] = 0.0
+    states = [rand_pure_state(rng, n), rand_state(rng, n), st_mod.from_diagonal(lambdas)]
+    if n == 3:
+        states.append(st_mod.from_diagonal([1.0, 0.0, 0.5]))
+    for s in states:
+        want = signed_sub_pfaffians(s.M_ext)
+        assert np.max(np.abs(emb._kernel_vector(s.M_ext) - want)) < 1e-14
+    assert np.max(np.abs(want)) < 1e-14  # rank-deficient carrier: zero vector
 
 
 def test_embedded_state_is_checked():
