@@ -39,6 +39,11 @@ class DecompositionError(RuntimeError):
     """A requested factorization does not exist for the given input."""
 
 
+class NumericalAdmissibilityError(RuntimeError):
+    """A computed quantity is not admissible: a determinant below the
+    clamping tolerance, or a result that is not finite."""
+
+
 def check_antisymmetric(M) -> np.ndarray:
     """Validate and return ``M`` as a square antisymmetric ndarray."""
     M = np.asarray(M)
@@ -56,6 +61,8 @@ def check_rotation(R) -> np.ndarray:
     R = np.asarray(R, dtype=float)
     if R.ndim != 2 or R.shape[0] != R.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {R.shape}")
+    if not np.isfinite(R).all():
+        raise ValueError("matrix has non-finite entries")
     m = R.shape[0]
     if np.abs(R.T @ R - np.eye(m)).max() > ORTHO_TOL:
         raise ValueError("matrix is not orthogonal within tolerance")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import os
 import sys
 
 import numpy as np
@@ -43,8 +44,20 @@ def _read_doc(path: str):
 
 
 def _write(doc, out_path: str | None):
+    """Write the result document to ``out_path``, or to stdout.
+
+    An existing regular file is unlinked and written anew, not truncated
+    in place: on ext4 the truncation waits for the write-back of the old
+    contents, which are flushed when a file truncated to zero is closed.
+    A crash then leaves a missing, short or complete file, never new
+    bytes mixed with old ones.  Symlinks, devices and FIFOs are written
+    through.  The document is formatted first, so a refused result
+    leaves the old file as it was.
+    """
     text = ser.dumps(doc)
     if out_path:
+        if os.path.isfile(out_path) and not os.path.islink(out_path):
+            os.unlink(out_path)
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:

@@ -4,6 +4,13 @@ All documents carry a versioned ``schema`` field.  Parsing is strict:
 unknown fields are rejected with their location.  Serialization is
 byte-deterministic -- keys are emitted in sorted order and floats with
 17 significant digits -- so fixture files are diffable and stable.
+
+A float ndarray (a carrier, a mean vector) is checked for NaN and
+infinities once, with one ``np.isfinite``, and then written one row at a
+time: each row of its last axis is a single ``%`` formatting call over
+``row.tolist()``.  The bytes are those of formatting each element on its
+own; every other value (lists, dicts, integer arrays, scalars) takes
+the per-element path.
 """
 
 from __future__ import annotations
@@ -230,8 +237,31 @@ def parse_dense_operator(obj) -> np.ndarray:
     return A
 
 
+def _emit_floats(a: np.ndarray, out):
+    """A finite float array, one ``%`` call per row of its last axis.
+
+    ``"%.17g" % x`` and ``format(x, ".17g")`` share one formatter, so
+    the bytes are those of the per-element path.
+    """
+    if a.ndim == 1:
+        out.append(("[" + ",".join(["%.17g"] * len(a)) + "]") % tuple(a.tolist()))
+        return
+    out.append("[")
+    for i, row in enumerate(a):
+        if i:
+            out.append(",")
+        _emit_floats(row, out)
+    out.append("]")
+
+
 def _emit(value, out):
-    if value is None or isinstance(value, bool):
+    if isinstance(value, np.ndarray) and value.dtype.kind == "f" and value.ndim:
+        finite = np.isfinite(value)
+        if not finite.all():
+            bad = value[~finite][0]
+            raise NumericalAdmissibilityError(f"result holds the non-finite number {bad}")
+        _emit_floats(value, out)
+    elif value is None or isinstance(value, bool):
         out.append(json.dumps(value))
     elif isinstance(value, (int, np.integer)):
         out.append(str(int(value)))

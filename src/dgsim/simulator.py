@@ -29,12 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .antisym import NumericalAdmissibilityError
 from .state import DGaussState, from_diagonal
 from .unitary import GateSequence, gate_update
-
-
-class NumericalAdmissibilityError(RuntimeError):
-    """A probability determinant fell below the clamping tolerance."""
 
 
 DET_CLAMP = 1e-10

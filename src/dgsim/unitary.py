@@ -27,6 +27,7 @@ import scipy.linalg
 
 from . import oracle
 from .antisym import (
+    NumericalAdmissibilityError,
     PlaneRotation,
     bordered,
     check_antisymmetric,
@@ -93,7 +94,12 @@ class DGUnitary:
 
     def rotation(self) -> np.ndarray:
         if self.R is None:
-            object.__setattr__(self, "R", expm_antisym(lie_embed(self.h, self.d)))
+            R = expm_antisym(lie_embed(self.h, self.d))
+            if not np.isfinite(R).all():
+                raise NumericalAdmissibilityError(
+                    "the rotation exp(lie_embed(h, d)) is not finite: the generator overflows"
+                )
+            object.__setattr__(self, "R", R)
         return self.R
 
     def generator(self) -> tuple[np.ndarray, np.ndarray]:

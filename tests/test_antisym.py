@@ -117,6 +117,17 @@ def test_block_diagonalize_degenerate_spectrum():
     assert np.max(np.abs(R @ M @ R.T - C)) < 1e-9
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_check_rotation_rejects_non_finite(bad):
+    # NaN compares False with every bound, so it must be refused by name.
+    with pytest.raises(ValueError, match="non-finite"):
+        antisym.check_rotation(np.full((3, 3), bad))
+    R = np.eye(3)
+    R[2, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        antisym.check_rotation(R)
+
+
 def test_expm_antisym_special_orthogonal():
     h = rand_antisym(rng, 5)
     R = antisym.expm_antisym(h)

@@ -98,6 +98,48 @@ def test_run_out_file(tmp_path, capsys):
     assert json.loads(out_path.read_text())["mode"] == "state"
 
 
+def test_run_out_replaces_longer_file(tmp_path, capsys):
+    path = write_doc(tmp_path, "c.json", circuit_doc(1, [1.0]))
+    code, expected = run_cli(capsys, ["run", path])
+    assert code == 0
+    out_path = tmp_path / "result.json"
+    out_path.write_text("x" * (10 * len(expected)))
+    code, out = run_cli(capsys, ["run", path, "--out", str(out_path)])
+    assert code == 0 and out == ""
+    assert out_path.read_text() == expected
+
+
+def test_run_out_writes_fresh_file(tmp_path, capsys):
+    # A reader holding the old file keeps its bytes: the path gets a new
+    # file and the old one is never truncated in place.
+    path = write_doc(tmp_path, "c.json", circuit_doc(1, [1.0]))
+    out_path = tmp_path / "result.json"
+    out_path.write_bytes(b"old contents")
+    with open(out_path, "rb") as held:
+        code, _ = run_cli(capsys, ["run", path, "--out", str(out_path)])
+        assert code == 0
+        assert held.read() == b"old contents"
+    assert json.loads(out_path.read_text())["mode"] == "state"
+
+
+def test_run_out_through_symlink(tmp_path, capsys):
+    path = write_doc(tmp_path, "c.json", circuit_doc(1, [1.0]))
+    target = tmp_path / "target.json"
+    target.write_text("old contents")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    code, _ = run_cli(capsys, ["run", path, "--out", str(link)])
+    assert code == 0
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert json.loads(target.read_text())["mode"] == "state"
+
+
+def test_run_out_dev_null(tmp_path, capsys):
+    path = write_doc(tmp_path, "c.json", circuit_doc(1, [1.0]))
+    code, out = run_cli(capsys, ["run", path, "--out", "/dev/null"])
+    assert code == 0 and out == ""
+
+
 def test_compile(tmp_path, capsys):
     n = 3
     h = rand_antisym(rng, 2 * n)
@@ -346,7 +388,7 @@ def test_numeric_error_inadmissible(tmp_path, capsys):
 
 
 # Generator entries near the float range: the dense exponential and the
-# rotation overflow (numpy warns), and the results would print NaN.
+# rotation overflow (numpy may warn), and the results would print NaN.
 HUGE_H = [[0.0, 1e300], [-1e300, 0.0]]
 
 
@@ -358,10 +400,26 @@ def test_non_finite_deviation_is_numeric_error(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_non_finite_residual_is_numeric_error(tmp_path, capsys):
-    doc = {"schema": ser.SCHEMA_VERSION, "n": 1, "h": HUGE_H}
-    code, out = run_cli(capsys, ["compile", write_doc(tmp_path, "h.json", doc)])
+def test_refused_result_keeps_out_file(tmp_path, capsys):
+    doc = {"schema": ser.SCHEMA_VERSION, "n": 1, "h": HUGE_H, "d": [1e300, 0.0]}
+    out_path = tmp_path / "result.json"
+    out_path.write_text("old contents")
+    code, out = run_cli(
+        capsys, ["test-unitary", write_doc(tmp_path, "u.json", doc), "--out", str(out_path)]
+    )
     assert code == 3 and out == ""
+    assert out_path.read_text() == "old contents"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_residual_is_numeric_error(tmp_path, capsys):
+    # The rotation overflows; it is refused where it is computed, before
+    # the compiler or the residual sees it.
+    doc = {"schema": ser.SCHEMA_VERSION, "n": 1, "h": HUGE_H}
+    code = cli.main(["compile", write_doc(tmp_path, "h.json", doc)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "rotation" in captured.err and "result holds" not in captured.err
 
 
 def test_version(capsys):

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from dgsim import antisym, oracle, state as st_mod, unitary as un_mod
+from dgsim import antisym, oracle, simulator as sim, state as st_mod, unitary as un_mod
 
 from helpers import rand_antisym, rand_sequence, rand_state, rand_unitary
 
@@ -23,6 +23,17 @@ def test_rotation_special_orthogonal():
     R = U.rotation()
     antisym.check_rotation(R)
     assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_rotation_of_overflowing_generator_refused():
+    # A finite generator whose exponential is not: 1e300 entries.
+    U = un_mod.DGUnitary.from_generator(1, [[0.0, 1e300], [-1e300, 0.0]])
+    with pytest.raises(antisym.NumericalAdmissibilityError, match="rotation"):
+        U.rotation()
+    with pytest.raises(antisym.NumericalAdmissibilityError):
+        un_mod.compile(U)
+    assert sim.NumericalAdmissibilityError is antisym.NumericalAdmissibilityError
 
 
 def test_generator_roundtrip():
