@@ -81,3 +81,39 @@ def quartic_unitary():
     """exp(i pi/4 g0 g1 g2 g3) on 2 qubits: even but not Gaussian."""
     quart = oracle.majorana_monomial(2, (0, 1, 2, 3))
     return np.cos(np.pi / 4) * np.eye(4, dtype=complex) + 1j * np.sin(np.pi / 4) * quart
+
+
+# ---------------------------------------------------------------------------
+# Reference fold: one Gate object at a time.  The rows and the block Q of
+# each gate are built exactly as the per-gate evolution built them, so a
+# fold over precomputed blocks must reproduce these carriers bit for bit.
+
+def reference_block(g):
+    """(rows, Q): the gate's rotation acts as Q on the listed axes only."""
+    if g.kind == un_mod.FSWAP:
+        a = g.line
+        return [2 * a, 2 * a + 1, 2 * a + 2, 2 * a + 3], un_mod.FSWAP_ROTATION4
+    j, k = g.axes
+    c, s = np.cos(g.angle), np.sin(g.angle)
+    return [j, k], np.array([[c, s], [-s, c]])
+
+
+def reference_run(M_ext, gates):
+    """(M, mu) after folding ``gates`` over a copy of the extended carrier."""
+    Me = np.array(M_ext, dtype=float)
+    for g in gates:
+        rows, Q = reference_block(g)
+        Me[rows, :] = Q @ Me[rows, :]
+        Me[:, rows] = Me[:, rows] @ Q.T
+    m = Me.shape[0] - 1
+    Me = (Me - Me.T) / 2
+    return Me[:m, :m], Me[:m, m]
+
+
+def reference_rotation(n, gates):
+    """Product rotation of ``gates`` (applied in order), one row update each."""
+    acc = np.eye(2 * n + 1)
+    for g in gates:
+        rows, Q = reference_block(g)
+        acc[rows, :] = Q @ acc[rows, :]
+    return acc
