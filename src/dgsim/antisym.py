@@ -305,6 +305,21 @@ class PlaneRotation:
         return plane_rotation_matrix(dim, self.axes[0], self.axes[1], self.angle)
 
 
+def wrap_angles(angles) -> np.ndarray:
+    """PlaneRotation's angle normalization applied to each angle, bit for bit.
+
+    Sines and cosines are taken over the whole array; atan2 is
+    ``math.atan2`` per angle, because ``np.arctan2`` rounds differently
+    in the last bit.  The normalization is not idempotent: a second pass
+    changes the last bit of some angles.
+    """
+    a = np.asarray(angles, dtype=float)
+    out = np.array([atan2(s, c) for s, c in zip(np.sin(a).tolist(), np.cos(a).tolist())],
+                   dtype=float)
+    out[out <= -pi] = pi
+    return out
+
+
 def plane_rotation_matrix(dim: int, j: int, k: int, angle: float) -> np.ndarray:
     """exp(angle * s_jk) with s_jk = |j><k| - |k><j|."""
     R = np.eye(dim)

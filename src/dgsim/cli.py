@@ -9,7 +9,6 @@ documents (see serialization).  Exit codes: 0 ok, 1 verdict-negative,
 from __future__ import annotations
 
 import argparse
-import collections
 import os
 import sys
 
@@ -68,11 +67,32 @@ def _measure_override(measure, args):
     if args.shots is not None or args.seed is not None:
         if measure is None or "x" in measure:
             raise CliError("--shots/--seed need a sampling measure block", EXIT_PARSE)
+        if args.shots is not None and args.shots < 1:
+            raise CliError("--shots must be at least 1", EXIT_PARSE)
+        if args.seed is not None and args.seed < 0:
+            raise CliError("--seed must be non-negative", EXIT_PARSE)
         if args.shots is not None:
             measure["shots"] = args.shots
         if args.seed is not None:
             measure["seed"] = args.seed
     return measure
+
+
+def _counts(bits: np.ndarray) -> dict[str, int]:
+    """Shots per distinct outcome row of a (shots, |K|) bit array.
+
+    Keys are "0"/"1" strings, first line first.  Each row is packed
+    eight bits to a byte and counted as one opaque value by np.unique,
+    so only the distinct outcomes become strings.
+    """
+    shots, k = bits.shape
+    if k == 0:
+        return {"": shots}
+    packed = np.packbits(bits, axis=1)
+    rows, counts = np.unique(packed.view((np.void, packed.shape[1])).ravel(), return_counts=True)
+    outcomes = np.unpackbits(rows.view(np.uint8).reshape(len(rows), -1), axis=1, count=k)
+    text = (outcomes + ord("0")).tobytes().decode()
+    return {text[i:i + k]: c for i, c in zip(range(0, len(text), k), counts.tolist())}
 
 
 def cmd_run(args) -> int:
@@ -89,14 +109,11 @@ def cmd_run(args) -> int:
         doc["mode"] = "expectation"
         doc["value"] = simulator.expectation(out_state, op)
     else:
-        outcomes = simulator.sample(
-            out_state, measure["lines"], measure["shots"], measure["seed"]
-        )
-        counts = collections.Counter(outcomes)
+        bits = simulator.sample(out_state, measure["lines"], measure["shots"], measure["seed"])
         doc["mode"] = "sample"
         doc["shots"] = measure["shots"]
         doc["seed"] = measure["seed"]
-        doc["counts"] = {bits: counts[bits] for bits in sorted(counts)}
+        doc["counts"] = _counts(bits)
     _write(doc, args.out)
     return EXIT_OK
 
@@ -106,7 +123,7 @@ def cmd_compile(args) -> int:
     U = un_mod.DGUnitary.from_generator(n, h, d)
     seq = un_mod.compile(U)
     residual = float(np.max(np.abs(un_mod.sequence_rotation(seq) - U.rotation())))
-    count = len(seq.gates)
+    count = len(seq)
     doc = {
         "schema": ser.SCHEMA_VERSION,
         "n": n,

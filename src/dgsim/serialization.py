@@ -1,7 +1,9 @@
 """Structured text (JSON) schemas for circuits, operators, and results.
 
 All documents carry a versioned ``schema`` field.  Parsing is strict:
-unknown fields are rejected with their location.  Serialization is
+unknown fields are rejected with their location, and integer fields
+(``n``, gate lines and axes, measured lines, outcome bits, ``shots``,
+``seed``) must be JSON integers, never booleans.  Serialization is
 byte-deterministic -- keys are emitted in sorted order and floats with
 17 significant digits -- so fixture files are diffable and stable.
 
@@ -20,9 +22,10 @@ from math import isfinite
 
 import numpy as np
 
+from .antisym import wrap_angles
 from .simulator import Circuit, NumericalAdmissibilityError
 from .state import DGaussState
-from .unitary import FSWAP, Gate, GateError, GateSequence
+from .unitary import FSWAP, KINDS, LINE1, MATCHGATE, Gate, GateError, GateSequence
 
 SCHEMA_VERSION = "dgsim/1"
 
@@ -75,35 +78,85 @@ def complex_matrix_doc(A: np.ndarray):
     return np.stack([A.real, A.imag], axis=-1).tolist()
 
 
+def _is_int(value) -> bool:
+    """Whether a document value is an integer: ``int`` or ``np.integer``, never ``bool``."""
+    return type(value) is int or isinstance(value, np.integer)
+
+
 def _size(obj) -> int:
     """The document's qubit count ``n``: a positive integer (errors at $.n)."""
-    try:
-        n = int(obj["n"])
-    except (TypeError, ValueError):
-        raise SchemaError("n must be an integer", "$.n") from None
+    n = obj["n"]
+    if not _is_int(n):
+        raise SchemaError("n must be an integer", "$.n")
     if n < 1:
         raise SchemaError("n must be positive", "$.n")
-    return n
+    return int(n)
 
 
-def parse_gate(obj, loc) -> Gate:
-    _take(obj, {"kind"}, {"axes", "angle", "line"}, loc)
-    kind = obj["kind"]
+_GATE_KEYS = {FSWAP: {"kind", "line"}, MATCHGATE: {"kind", "axes", "angle"},
+              LINE1: {"kind", "axes", "angle"}}
+_KIND_CODES = {kind: code for code, kind in enumerate(KINDS)}
+
+
+def _parse_gate(obj, i: int):
+    """(kind code, j, k, line, angle) of gate document i; the angle is not yet normalized.
+
+    Errors name ``$.gates[i]``.  Only the document's structure and types
+    are checked here; the register rules are GateSequence's.
+    """
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    keys = _GATE_KEYS.get(kind) if isinstance(kind, str) else None
+    if keys is None or obj.keys() != keys:
+        loc = f"$.gates[{i}]"
+        _take(obj, {"kind"}, {"axes", "angle", "line"}, loc)
+        if keys is None:
+            raise SchemaError(f"unknown gate kind {kind!r}", loc)
+        _take(obj, keys, set(), loc)
+    if kind == FSWAP:
+        line = obj["line"]
+        if not _is_int(line):
+            raise SchemaError("line must be an integer", f"$.gates[{i}].line")
+        return _KIND_CODES[kind], -1, -1, line, 0.0
+    axes, angle = obj["axes"], obj["angle"]
+    if not (isinstance(axes, list) and len(axes) == 2):
+        raise SchemaError("axes must be a pair", f"$.gates[{i}].axes")
+    j, k = axes
+    if not (_is_int(j) and _is_int(k)):
+        raise SchemaError("axes must be integers", f"$.gates[{i}].axes")
+    if j == k:
+        raise SchemaError("gate axes must differ", f"$.gates[{i}]")
+    if isinstance(angle, bool):
+        raise SchemaError("angle must be a number", f"$.gates[{i}].angle")
     try:
-        if kind == FSWAP:
-            _take(obj, {"kind", "line"}, set(), loc)
-            g = Gate(kind, line=int(obj["line"]))
-        else:
-            _take(obj, {"kind", "axes", "angle"}, set(), loc)
-            axes = obj["axes"]
-            if not (isinstance(axes, list) and len(axes) == 2):
-                raise SchemaError("axes must be a pair", loc + ".axes")
-            g = Gate(kind, axes=(int(axes[0]), int(axes[1])), angle=float(obj["angle"]))
-    except SchemaError:
-        raise
+        angle = float(angle)
     except (TypeError, ValueError) as exc:
-        raise SchemaError(str(exc), loc) from None
-    return g
+        raise SchemaError(str(exc), f"$.gates[{i}]") from None
+    return _KIND_CODES[kind], j, k, -1, angle
+
+
+def _parse_gates(docs, n: int) -> GateSequence:
+    """The gate list as a GateSequence: one pass over the dicts, then array steps.
+
+    Every document is checked for structure before any register rule,
+    so a schema error comes first wherever it is.  Angles are
+    normalized once, as ``Gate(...)`` does.
+    """
+    if not isinstance(docs, list):
+        raise SchemaError("gates must be a list", "$.gates")
+    rows = [_parse_gate(obj, i) for i, obj in enumerate(docs)]
+    kind, j, k, line, angle = zip(*rows) if rows else ((),) * 5
+    try:
+        axes = np.array((j, k), dtype=np.int64).T.copy()
+        line = np.array(line, dtype=np.int64)
+    except OverflowError:
+        i = next(i for i, row in enumerate(rows) if not all(-(2**63) <= v < 2**63 for v in row[1:4]))
+        raise SchemaError("gate index out of range", f"$.gates[{i}]") from None
+    try:
+        return GateSequence._from_columns(
+            n, np.array(kind, dtype=np.int8), axes, line, wrap_angles(angle)
+        )
+    except GateError as exc:
+        raise SchemaError(str(exc), f"$.gates[{exc.index}]") from None
 
 
 def gate_doc(g: Gate):
@@ -141,13 +194,7 @@ def parse_circuit(obj) -> tuple[Circuit, dict]:
             raise SchemaError("M must be 2n x 2n and mu length 2n", "$.input.covariance")
         spec = ("covariance", (M, mu))
 
-    if not isinstance(obj["gates"], list):
-        raise SchemaError("gates must be a list", "$.gates")
-    gates = tuple(parse_gate(g, f"$.gates[{i}]") for i, g in enumerate(obj["gates"]))
-    try:
-        seq = GateSequence(n, gates)
-    except GateError as exc:
-        raise SchemaError(str(exc), f"$.gates[{exc.index}]") from None
+    seq = _parse_gates(obj["gates"], n)
 
     measure = None
     if "measure" in obj:
@@ -155,6 +202,8 @@ def parse_circuit(obj) -> tuple[Circuit, dict]:
         lines = ms["lines"]
         if not isinstance(lines, list):
             raise SchemaError("lines must be a list", "$.measure.lines")
+        if not all(_is_int(v) for v in lines):
+            raise SchemaError("lines must be integers", "$.measure.lines")
         lines = [int(v) for v in lines]
         if any(not 0 <= v < n for v in lines) or sorted(set(lines)) != lines:
             raise SchemaError(
@@ -163,17 +212,18 @@ def parse_circuit(obj) -> tuple[Circuit, dict]:
         if "x" in ms:
             if "shots" in ms or "seed" in ms:
                 raise SchemaError("x excludes shots/seed", "$.measure")
-            x = [int(v) for v in ms["x"]]
-            if len(x) != len(lines) or any(b not in (0, 1) for b in x):
-                raise SchemaError("x must be bits matching lines", "$.measure.x")
-            measure = {"mode": "expectation", "lines": lines, "x": x}
+            x = ms["x"]
+            if (not isinstance(x, list) or len(x) != len(lines)
+                    or not all(_is_int(b) and b in (0, 1) for b in x)):
+                raise SchemaError("x must be integer bits matching lines", "$.measure.x")
+            measure = {"mode": "expectation", "lines": lines, "x": [int(b) for b in x]}
         elif "shots" in ms and "seed" in ms:
-            measure = {
-                "mode": "sample",
-                "lines": lines,
-                "shots": int(ms["shots"]),
-                "seed": int(ms["seed"]),
-            }
+            shots, seed = ms["shots"], ms["seed"]
+            if not (_is_int(shots) and shots >= 1):
+                raise SchemaError("shots must be an integer of at least 1", "$.measure.shots")
+            if not (_is_int(seed) and seed >= 0):
+                raise SchemaError("seed must be a non-negative integer", "$.measure.seed")
+            measure = {"mode": "sample", "lines": lines, "shots": int(shots), "seed": int(seed)}
         else:
             raise SchemaError("measure needs x, or shots and seed", "$.measure")
 

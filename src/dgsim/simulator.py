@@ -31,7 +31,7 @@ import numpy as np
 
 from .antisym import NumericalAdmissibilityError
 from .state import DGaussState, from_diagonal
-from .unitary import GateSequence, gate_update
+from .unitary import GateSequence
 
 
 DET_CLAMP = 1e-10
@@ -265,17 +265,18 @@ class Circuit:
 def run(c: Circuit) -> DGaussState:
     """Fold the circuit's gates over its input state.
 
-    The extended carrier is updated in place; each gate multiplies at
-    most four rows and the matching columns by its small orthogonal
-    block.  Gates were validated when their sequence was built, and the
-    output carrier is antisymmetric by construction, so neither is
-    checked again here.
+    The extended carrier is updated in place.  Each gate's fold block
+    (rows, Q, Q^T) was computed when its sequence was built (see
+    GateSequence): the gate multiplies its two or four rows by Q and the
+    matching columns by Q^T, so the loop builds no per-gate object.
+    Gates were validated when their sequence was built, and the output
+    carrier is antisymmetric by construction, so neither is checked
+    again here.
     """
     Me = c.input_state().M_ext
-    for g in c.gates:
-        rows, Q = gate_update(g, c.n)
+    for rows, Q, QT in c.gates.blocks:
         Me[rows, :] = Q @ Me[rows, :]
-        Me[:, rows] = Me[:, rows] @ Q.T
+        Me[:, rows] = Me[:, rows] @ QT
     m = 2 * c.n
     Me = (Me - Me.T) / 2
     return DGaussState(c.n, Me[:m, :m], Me[:m, m], check=False)
@@ -308,8 +309,11 @@ def _condition(S: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.subtract(S[:, 2:, 2:], out, out=out)
 
 
-def sample(s: DGaussState, K, shots: int, seed: int) -> list[str]:
+def sample(s: DGaussState, K, shots: int, seed: int) -> np.ndarray:
     """Draw computational-basis outcomes on lines K, one line at a time.
+
+    Returns the (shots, |K|) uint8 array of outcome bits: row i is shot
+    i, column j the bit of line K[j].
 
     Every shot of a chunk carries its own copy of the 2|K| x 2|K|
     compression of the carrier onto the measured axes.  Line j reads
@@ -325,15 +329,17 @@ def sample(s: DGaussState, K, shots: int, seed: int) -> list[str]:
     k = len(K)
     if shots < 1:
         raise ValueError("need at least one shot")
+    out = np.empty((shots, k), dtype=np.uint8)
     if k == 0:
-        return [""] * shots
+        return out
     idx = [a for line in K for a in (2 * line, 2 * line + 1)]
     S0 = s.M[np.ix_(idx, idx)]
     rows = max(1, SAMPLE_CHUNK_BYTES // S0.nbytes)
-    out: list[str] = []
+    start = 0
     for u in _uniform_chunks(seed, shots, k, rows):
         S = np.broadcast_to(S0, (len(u),) + S0.shape)
-        b = np.empty(u.shape, dtype=bool)
+        b = out[start:start + len(u)].view(bool)
+        start += len(u)
         for j in range(k):
             p0 = (1.0 - S[:, 0, 1]) / 2
             bad = ~((p0 >= -1e-9) & (p0 <= 1 + 1e-9))  # NaN included
@@ -346,6 +352,4 @@ def sample(s: DGaussState, K, shots: int, seed: int) -> list[str]:
             b[:, j] = np.where(np.where(bj, 1.0 - p0, p0) > PIVOT_TOL, bj, p0 < 0.5)
             if j + 1 < k:
                 S = _condition(S, b[:, j])
-        text = (b.view(np.uint8) + ord("0")).tobytes().decode()
-        out.extend(text[i:i + k] for i in range(0, len(text), k))
     return out

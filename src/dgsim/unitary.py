@@ -15,6 +15,13 @@ exp(theta/2 g_j g_k) rotates the (j,k) plane by theta):
 - ``line1``: plane rotation within axes {0, 1, 2n}; axes (j, 2n) are
   displacements, dense exp(-i (theta/2) g_j).
 - ``fswap``: fermionic swap of adjacent qubit lines (a, a+1).
+
+A gate list is a GateSequence, held as arrays rather than Gate objects:
+kind codes, axes, fswap lines and angles, one entry per gate, plus each
+gate's fold block (the rows it touches and its small rotation Q), all
+computed in array steps when the sequence is built.  The register rules
+are checked there, one array step per rule.  ``Gate`` stays the
+user-facing constructor of a single gate.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from .antisym import (
     check_rotation,
     expm_antisym,
     plane_decompose,
-    plane_rotation_matrix,
+    wrap_angles,
 )
 from .state import DGaussState
 
@@ -190,17 +197,18 @@ MATCHGATE = "matchgate"
 LINE1 = "line1"
 FSWAP = "fswap"
 
+# GateSequence.kind holds codes into this tuple.
+KINDS = (MATCHGATE, LINE1, FSWAP)
+_MATCHGATE, _LINE1, _FSWAP = range(3)
 
-def _in_window(j: int, k: int) -> bool:
-    """True iff {j, k} sits inside one matchgate Majorana window."""
-    for a in (j, k):
-        lo = 4 * (a // 4)
-        if lo <= j <= lo + 3 and lo <= k <= lo + 3:
-            return True
-        lo = 4 * ((a - 2) // 4) + 2
-        if lo >= 0 and lo <= j <= lo + 3 and lo <= k <= lo + 3:
-            return True
-    return False
+
+def _in_window(j, k):
+    """Whether axes j, k >= 0 sit inside one matchgate Majorana window.
+
+    The windows are {4m..4m+3} and {4m+2..4m+5}.  Works elementwise on
+    integer arrays as well as on ints.
+    """
+    return (j // 4 == k // 4) | ((j - 2) // 4 == (k - 2) // 4)
 
 
 @dataclass(frozen=True)
@@ -228,17 +236,29 @@ class Gate:
             raise ValueError(f"unknown gate kind {self.kind!r}")
 
     def validate(self, n: int):
-        ext = 2 * n
-        if self.kind == MATCHGATE:
-            j, k = self.axes
-            if not (0 <= j < ext and 0 <= k < ext and _in_window(j, k)):
-                raise ValueError(f"matchgate axes {self.axes} outside every window")
-        elif self.kind == LINE1:
-            if not set(self.axes) <= {0, 1, ext}:
-                raise ValueError(f"line1 axes {self.axes} leave the first line")
-        else:
-            if not 0 <= self.line < n - 1:
-                raise ValueError(f"fswap line {self.line} out of range")
+        """Raise ValueError unless the gate fits an n-line register."""
+        _check_gates(n, *_columns((self,))[:3])
+
+
+def _trusted_gate(kind: str, axes, angle, line) -> Gate:
+    """A Gate holding exactly these fields, which are already checked.
+
+    ``Gate(...)`` would normalize the angle once more, and the
+    normalization is not idempotent.
+    """
+    g = object.__new__(Gate)
+    for name, value in (("kind", kind), ("axes", axes), ("angle", angle), ("line", line)):
+        object.__setattr__(g, name, value)
+    return g
+
+
+def _columns(gates) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(kind, axes, line, angle) columns of Gate objects, angles as they hold them."""
+    kind = np.array([KINDS.index(g.kind) for g in gates], dtype=np.int8)
+    axes = np.array([g.axes or (-1, -1) for g in gates], dtype=np.int64).reshape(-1, 2)
+    line = np.array([-1 if g.line is None else g.line for g in gates], dtype=np.int64)
+    angle = np.array([g.angle or 0.0 for g in gates], dtype=float)
+    return kind, axes, line, angle
 
 
 class GateError(ValueError):
@@ -249,31 +269,28 @@ class GateError(ValueError):
         self.index = index
 
 
-@dataclass(frozen=True)
-class GateSequence:
-    """Ordered gate list; gates apply left to right.
+def _check_gates(n: int, kind: np.ndarray, axes: np.ndarray, line: np.ndarray):
+    """Raise GateError for the first gate that does not fit an n-line register.
 
-    This is the one place gates are validated against the register;
-    the functions that take a sequence trust it.
+    The rules, one array step each: a matchgate's axes lie in [0, 2n)
+    inside one window; a line1 gate's axes are among {0, 1, 2n}; an
+    fswap's line a satisfies 0 <= a < n - 1.
     """
-
-    n: int
-    gates: tuple[Gate, ...]
-
-    def __post_init__(self):
-        gates = tuple(self.gates)
-        for i, g in enumerate(gates):
-            try:
-                g.validate(self.n)
-            except ValueError as exc:
-                raise GateError(i, str(exc)) from None
-        object.__setattr__(self, "gates", gates)
-
-    def __len__(self):
-        return len(self.gates)
-
-    def __iter__(self):
-        return iter(self.gates)
+    ext = 2 * n
+    j, k = axes[:, 0], axes[:, 1]
+    match_ok = (j >= 0) & (j < ext) & (k >= 0) & (k < ext) & _in_window(j, k)
+    line1_ok = (((axes >= 0) & (axes <= 1)) | (axes == ext)).all(axis=1)
+    fswap_ok = (line >= 0) & (line < n - 1)
+    ok = np.where(kind == _MATCHGATE, match_ok, np.where(kind == _LINE1, line1_ok, fswap_ok))
+    if ok.all():
+        return
+    i = int(np.argmin(ok))
+    pair = tuple(axes[i].tolist())
+    if kind[i] == _MATCHGATE:
+        raise GateError(i, f"matchgate axes {pair} outside every window")
+    if kind[i] == _LINE1:
+        raise GateError(i, f"line1 axes {pair} leave the first line")
+    raise GateError(i, f"fswap line {int(line[i])} out of range")
 
 
 # Local 4x4 rotation of the adjacent fermionic swap: exponential of twice
@@ -284,25 +301,91 @@ for (_j, _k), _c in (((0, 3), np.pi / 4), ((1, 2), -np.pi / 4),
     _FSWAP_H4[_j, _k] = _c
     _FSWAP_H4[_k, _j] = -_c
 FSWAP_ROTATION4 = scipy.linalg.expm(2 * _FSWAP_H4)
+FSWAP_ROTATION4.flags.writeable = False
 
 
-def gate_update(g: Gate, n: int) -> tuple[list[int], np.ndarray]:
-    """(rows, Q): the gate's rotation acts as Q on the listed axes only.
+def _fold_blocks(kind, axes, line, angle) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(rows, Q, Q^T) of every gate: its rotation acts as Q on those axes only.
 
-    The gate must already be valid for n (see GateSequence).
+    A plane gate has rows (j, k) and Q = [[c, s], [-s, c]] with c, s the
+    cosine and sine of its angle; an fswap on lines (a, a+1) has rows
+    2a..2a+3 and Q = FSWAP_ROTATION4.  All blocks come from a few array
+    steps; the list holds read-only views into them, and Q^T is the
+    transposed view of Q.
     """
-    if g.kind == FSWAP:
-        a = g.line
-        return [2 * a, 2 * a + 1, 2 * a + 2, 2 * a + 3], FSWAP_ROTATION4
-    j, k = g.axes
-    c, s = np.cos(g.angle), np.sin(g.angle)
-    return [j, k], np.array([[c, s], [-s, c]])
+    fswap = kind == _FSWAP
+    rows2 = axes[~fswap]
+    c, s = np.cos(angle[~fswap]), np.sin(angle[~fswap])
+    Q2 = np.stack((c, s, -s, c), axis=1).reshape(-1, 2, 2)
+    rows4 = 2 * line[fswap, None] + np.arange(4)
+    for a in (rows2, Q2, rows4):
+        a.flags.writeable = False
+    plane = zip(rows2, Q2, Q2.transpose(0, 2, 1))
+    swap = ((r, FSWAP_ROTATION4, FSWAP_ROTATION4.T) for r in rows4)
+    return [next(swap) if f else next(plane) for f in fswap.tolist()]
+
+
+class GateSequence:
+    """Ordered gate list held as arrays; gates apply left to right.
+
+    For g gates the layout is:
+
+    - ``kind``: (g,) int8 codes into KINDS (matchgate 0, line1 1, fswap 2);
+    - ``axes``: (g, 2) int64, the plane (j, k) of a matchgate or line1
+      gate, -1 for an fswap;
+    - ``line``: (g,) int64, the lower line a of an fswap on (a, a+1),
+      -1 otherwise;
+    - ``angle``: (g,) float64 rotation angle in (-pi, pi], 0 for an fswap;
+    - ``blocks``: per gate the fold block (rows, Q, Q^T) of _fold_blocks,
+      computed once here.
+
+    The arrays are read-only.  ``GateSequence(n, gates)`` takes Gate
+    objects; the parser and the compiler fill the columns directly
+    (``_from_columns``).  This is the one place gates are checked against
+    the register, by one array step per rule; the functions that take a
+    sequence trust it.  Iteration yields Gate objects that carry exactly
+    the stored angles.
+    """
+
+    def __init__(self, n: int, gates=()):
+        self.n = n
+        self.kind, self.axes, self.line, self.angle = _columns(tuple(gates))
+        self.__post_init__()
+
+    @classmethod
+    def _from_columns(cls, n: int, kind, axes, line, angle) -> "GateSequence":
+        """A sequence of checked gate structure; angles already normalized."""
+        seq = cls.__new__(cls)
+        seq.n, seq.kind, seq.axes, seq.line, seq.angle = n, kind, axes, line, angle
+        seq.__post_init__()
+        return seq
+
+    def __post_init__(self):
+        for a in (self.kind, self.axes, self.line, self.angle):
+            a.flags.writeable = False
+        _check_gates(self.n, self.kind, self.axes, self.line)
+        self.blocks = _fold_blocks(self.kind, self.axes, self.line, self.angle)
+
+    def __len__(self):
+        return len(self.kind)
+
+    def __iter__(self):
+        columns = zip(self.kind.tolist(), self.axes.tolist(), self.line.tolist(),
+                      self.angle.tolist())
+        for code, (j, k), line, angle in columns:
+            if code == _FSWAP:
+                yield _trusted_gate(FSWAP, None, None, line)
+            else:
+                yield _trusted_gate(KINDS[code], (j, k), angle, None)
+
+    @property
+    def gates(self) -> tuple[Gate, ...]:
+        return tuple(self)
 
 
 def gate_rotation(g: Gate, n: int) -> np.ndarray:
     """Full (2n+1)-dimensional rotation effected by the gate."""
-    g.validate(n)
-    rows, Q = gate_update(g, n)
+    rows, Q, _ = GateSequence(n, (g,)).blocks[0]
     R = np.eye(2 * n + 1)
     R[np.ix_(rows, rows)] = Q
     return R
@@ -311,8 +394,7 @@ def gate_rotation(g: Gate, n: int) -> np.ndarray:
 def sequence_rotation(seq: GateSequence) -> np.ndarray:
     """Product rotation of a gate list (gates applied in order)."""
     acc = np.eye(2 * seq.n + 1)
-    for g in seq:
-        rows, Q = gate_update(g, seq.n)
+    for rows, Q, _ in seq.blocks:
         acc[rows, :] = Q @ acc[rows, :]
     return acc
 
@@ -351,7 +433,7 @@ def _compile_adjacency(n: int):
             return True
         if j == ext or k == ext:
             return False
-        return _in_window(j, k)
+        return bool(_in_window(j, k))
     return allowed
 
 
@@ -366,13 +448,12 @@ def compile_rotation(R, n: int) -> GateSequence:
     R = check_rotation(np.asarray(R, dtype=float))
     if R.shape[0] != 2 * n + 1:
         raise ValueError("rotation dimension does not match n")
-    ext = 2 * n
-    gates = []
-    for pr in plane_decompose(R, _compile_adjacency(n)):
-        j, k = pr.axes
-        kind = LINE1 if ext in (j, k) else MATCHGATE
-        gates.append(Gate(kind, axes=(j, k), angle=pr.angle))
-    return GateSequence(n, tuple(gates))
+    planes = plane_decompose(R, _compile_adjacency(n))
+    axes = np.array([pr.axes for pr in planes], dtype=np.int64).reshape(-1, 2)
+    kind = np.where((axes == 2 * n).any(axis=1), _LINE1, _MATCHGATE).astype(np.int8)
+    # PlaneRotation normalized each angle once; a Gate normalizes it again.
+    angle = wrap_angles([pr.angle for pr in planes])
+    return GateSequence._from_columns(n, kind, axes, np.full(len(planes), -1), angle)
 
 
 def compile(U: DGUnitary) -> GateSequence:  # noqa: A001 - established API name

@@ -106,7 +106,8 @@ def test_acceptance_3_measurement():
     shots = 100_000
     outcomes = simulator.sample(s, tuple(range(n)), shots, seed=42)
     counts = {}
-    for bits in outcomes:
+    for row in outcomes.tolist():
+        bits = "".join(map(str, row))
         counts[bits] = counts.get(bits, 0) + 1
     tv = 0.0
     for xv in range(1 << n):

@@ -1,3 +1,4 @@
+import collections
 import json
 
 import numpy as np
@@ -88,6 +89,65 @@ def test_run_shots_override(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["shots"] == 80 and doc["seed"] == 2
+
+
+def test_run_sample_counts_each_outcome(tmp_path, capsys):
+    # Keys put the first measured line first; no measured line gives one "" key.
+    lam = [0.3, -0.6, 0.1]
+    measure = {"lines": [0, 2], "shots": 300, "seed": 4}
+    path = write_doc(tmp_path, "c.json", circuit_doc(3, lam, measure=measure))
+    code, out = run_cli(capsys, ["run", path])
+    assert code == 0
+    from dgsim import simulator, state as st_mod
+    bits = simulator.sample(st_mod.from_diagonal(lam), [0, 2], 300, 4)
+    want = collections.Counter("".join(map(str, row)) for row in bits.tolist())
+    assert json.loads(out)["counts"] == dict(want) and len(want) == 4
+    measure = {"lines": [], "shots": 5, "seed": 0}
+    path = write_doc(tmp_path, "e.json", circuit_doc(3, lam, measure=measure))
+    code, out = run_cli(capsys, ["run", path])
+    assert code == 0 and json.loads(out)["counts"] == {"": 5}
+
+
+@pytest.mark.parametrize("flags", [["--shots", "0"], ["--seed", "-1"]])
+def test_run_shots_seed_flags_checked(tmp_path, capsys, flags):
+    measure = {"lines": [0], "shots": 5, "seed": 1}
+    path = write_doc(tmp_path, "c.json", circuit_doc(1, [0.2], measure=measure))
+    code = cli.main(["run", path, *flags])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and flags[0] in captured.err
+
+
+SAMPLE = {"lines": [0, 1], "shots": 5, "seed": 1}
+
+
+@pytest.mark.parametrize(
+    "edit, loc",
+    [
+        ({"gates": [{"kind": "fswap", "line": 0.7}]}, "$.gates[0]"),
+        ({"gates": [{"kind": "fswap", "line": True}]}, "$.gates[0]"),
+        ({"gates": [{"kind": "fswap", "line": "1"}]}, "$.gates[0]"),
+        ({"gates": [{"kind": "matchgate", "axes": [0.9, 3.2], "angle": 0.1}]}, "$.gates[0]"),
+        ({"gates": [{"kind": "line1", "axes": [0, True], "angle": 0.1}]}, "$.gates[0]"),
+        ({"gates": [{"kind": "matchgate", "axes": [1, 2], "angle": True}]}, "$.gates[0]"),
+        ({"gates": [{"kind": "fswap", "line": 0}, {"kind": "fswap", "line": 2**70}]},
+         "$.gates[1]"),
+        ({"measure": {"lines": [0, 1], "x": [1, 1.9]}}, "$.measure.x"),
+        ({"measure": {"lines": [0, 1], "x": [True, 0]}}, "$.measure.x"),
+        ({"measure": {"lines": [0.5, 1], "x": [0, 0]}}, "$.measure.lines"),
+        ({"measure": {**SAMPLE, "shots": 2.9}}, "$.measure.shots"),
+        ({"measure": {**SAMPLE, "shots": 0}}, "$.measure.shots"),
+        ({"measure": {**SAMPLE, "seed": -1}}, "$.measure.seed"),
+        ({"measure": {**SAMPLE, "seed": 1.5}}, "$.measure.seed"),
+        ({"n": 3.7, "input": {"lambdas": [1.0, 1.0, 1.0]}}, "$.n"),
+        ({"n": True, "input": {"lambdas": [1.0]}}, "$.n"),
+    ],
+)
+def test_non_integer_field_located(tmp_path, capsys, edit, loc):
+    doc = {**circuit_doc(3, [1.0, 0.5, -0.5]), **edit}
+    code = cli.main(["run", write_doc(tmp_path, "c.json", doc)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert loc in captured.err
 
 
 def test_run_out_file(tmp_path, capsys):
@@ -248,16 +308,13 @@ def test_oracle_verify_ok(tmp_path, capsys):
 
 
 def test_oracle_verify_catches_corruption(tmp_path, capsys, monkeypatch):
-    # sabotage the simulator side: apply the inverse rotation instead
-    import dgsim.simulator as sim_mod
+    # sabotage the simulator side: the blocks run folds apply the inverse rotation
+    real = un_mod._fold_blocks
 
-    real = sim_mod.gate_update
+    def crooked(*columns):
+        return [(rows, QT, Q) for rows, Q, QT in real(*columns)]
 
-    def crooked(g, n):
-        rows, Q = real(g, n)
-        return rows, Q.T
-
-    monkeypatch.setattr(sim_mod, "gate_update", crooked)
+    monkeypatch.setattr(un_mod, "_fold_blocks", crooked)
     gates = [{"kind": "matchgate", "axes": [0, 2], "angle": 0.9}]
     path = write_doc(tmp_path, "c.json", circuit_doc(2, [0.8, 0.8], gates))
     code, out = run_cli(capsys, ["oracle-verify", path])
@@ -352,14 +409,20 @@ def test_unused_flag_rejected(tmp_path, capsys):
 
 
 def test_run_validates_each_gate_once(tmp_path, capsys, monkeypatch):
-    calls = []
-    real = un_mod.Gate.validate
+    # One array check of the whole sequence per run, and no per-gate check.
+    checks, per_gate = [], []
+    real_check, real_validate = un_mod._check_gates, un_mod.Gate.validate
 
-    def counting(self, n):
-        calls.append(self)
-        return real(self, n)
+    def counting_check(n, *columns):
+        checks.append(len(columns[0]))
+        return real_check(n, *columns)
 
-    monkeypatch.setattr(un_mod.Gate, "validate", counting)
+    def counting_validate(self, n):
+        per_gate.append(self)
+        return real_validate(self, n)
+
+    monkeypatch.setattr(un_mod, "_check_gates", counting_check)
+    monkeypatch.setattr(un_mod.Gate, "validate", counting_validate)
     gates = [
         {"kind": "matchgate", "axes": [1, 2], "angle": 0.7},
         {"kind": "line1", "axes": [0, 6], "angle": -0.4},
@@ -370,7 +433,7 @@ def test_run_validates_each_gate_once(tmp_path, capsys, monkeypatch):
     path = write_doc(tmp_path, "c.json", circuit_doc(3, [0.9, -0.5, 1.0], gates, measure))
     code, _ = run_cli(capsys, ["run", path])
     assert code == 0
-    assert len(calls) == len(gates)
+    assert checks == [len(gates)] and per_gate == []
 
 
 def test_numeric_error_inadmissible(tmp_path, capsys):

@@ -11,6 +11,11 @@ from helpers import dense_product, rand_bloch, rand_pure_state, rand_sequence, r
 rng = np.random.default_rng(2024)
 
 
+def outcome_strings(bits):
+    """One "0"/"1" string per shot, first line first."""
+    return ["".join(map(str, row)) for row in bits.tolist()]
+
+
 def test_measurement_op_validation():
     with pytest.raises(ValueError):
         sim.MeasurementOp((1, 0), (0, 0))
@@ -157,8 +162,9 @@ def test_prepare_product_beyond_oracle_cap(pure):
 def test_sample_deterministic_and_concentrated():
     s = st_mod.from_diagonal([1.0, -1.0, 1.0])
     out = sim.sample(s, (0, 1, 2), shots=50, seed=11)
-    assert out == sim.sample(s, (0, 1, 2), shots=50, seed=11)
-    assert set(out) == {"010"}
+    assert out.shape == (50, 3) and out.dtype == np.uint8
+    assert np.array_equal(out, sim.sample(s, (0, 1, 2), shots=50, seed=11))
+    assert set(outcome_strings(out)) == {"010"}
 
 
 def test_sample_total_variation():
@@ -166,7 +172,7 @@ def test_sample_total_variation():
     s = rand_state(rng, n)
     K = (0, 2)
     shots = 100_000
-    counts = collections.Counter(sim.sample(s, K, shots=shots, seed=5))
+    counts = collections.Counter(outcome_strings(sim.sample(s, K, shots=shots, seed=5)))
     tv = 0.0
     for xv in range(4):
         x = (xv >> 1 & 1, xv & 1)
@@ -185,7 +191,7 @@ def test_sample_validates_lines_and_shots():
             sim.sample(s, K, shots=3, seed=0)
     with pytest.raises(ValueError, match="shot"):
         sim.sample(s, (0,), shots=0, seed=0)
-    assert sim.sample(s, (), shots=4, seed=0) == [""] * 4
+    assert sim.sample(s, (), shots=4, seed=0).shape == (4, 0)
 
 
 @pytest.mark.parametrize("bad", [-1.5, float("nan")])
@@ -204,7 +210,7 @@ def test_sample_forced_branch_skips_impossible_bit(monkeypatch):
     s = st_mod.from_diagonal([-(1 - 2e-13), 1.0])
     zeros = lambda seed, shots, k, rows: iter([np.zeros((shots, k))])
     monkeypatch.setattr(sim, "_uniform_chunks", zeros)
-    assert sim.sample(s, (0, 1), shots=3, seed=0) == ["10"] * 3
+    assert sim.sample(s, (0, 1), shots=3, seed=0).tolist() == [[1, 0]] * 3
 
 
 @pytest.mark.parametrize("shots,k,rows", [(1000, 7, 64), (100_001, 3, 4096), (37, 20, 5)])
@@ -242,7 +248,7 @@ def test_sample_marginals_at_n200():
     out = sim.sample(s, K, shots=shots, seed=3)
     for j, q in enumerate(K):
         p1 = sim.expectation(s, sim.MeasurementOp((q,), (1,)))
-        ones = sum(x[j] == "1" for x in out)
+        ones = int(out[:, j].sum())
         assert abs(ones - shots * p1) <= 5 * np.sqrt(shots * p1 * (1 - p1))
 
 
@@ -321,5 +327,5 @@ def _digest(outcomes):
 def test_sample_matches_golden(name, seed):
     s, K, shots = _golden_case(name)
     out = sim.sample(s, K, shots=shots, seed=seed)
-    assert len(out) == shots and all(len(x) == len(K) for x in out)
-    assert _digest(out) == GOLDEN_SAMPLES[name, seed]
+    assert out.shape == (shots, len(K))
+    assert _digest(outcome_strings(out)) == GOLDEN_SAMPLES[name, seed]
