@@ -146,15 +146,7 @@ def _parse_gates(docs, n: int) -> GateSequence:
     rows = [_parse_gate(obj, i) for i, obj in enumerate(docs)]
     kind, j, k, line, angle = zip(*rows) if rows else ((),) * 5
     try:
-        axes = np.array((j, k), dtype=np.int64).T.copy()
-        line = np.array(line, dtype=np.int64)
-    except OverflowError:
-        i = next(i for i, row in enumerate(rows) if not all(-(2**63) <= v < 2**63 for v in row[1:4]))
-        raise SchemaError("gate index out of range", f"$.gates[{i}]") from None
-    try:
-        return GateSequence._from_columns(
-            n, np.array(kind, dtype=np.int8), axes, line, wrap_angles(angle)
-        )
+        return GateSequence._from_columns(n, kind, j, k, line, wrap_angles(angle))
     except GateError as exc:
         raise SchemaError(str(exc), f"$.gates[{exc.index}]") from None
 

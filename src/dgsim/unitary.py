@@ -236,8 +236,8 @@ class Gate:
             raise ValueError(f"unknown gate kind {self.kind!r}")
 
     def validate(self, n: int):
-        """Raise ValueError unless the gate fits an n-line register."""
-        _check_gates(n, *_columns((self,))[:3])
+        """Raise ValueError unless the gate fits an n-line register (GateSequence's check)."""
+        GateSequence(n, (self,))
 
 
 def _trusted_gate(kind: str, axes, angle, line) -> Gate:
@@ -252,21 +252,25 @@ def _trusted_gate(kind: str, axes, angle, line) -> Gate:
     return g
 
 
-def _columns(gates) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(kind, axes, line, angle) columns of Gate objects, angles as they hold them."""
-    kind = np.array([KINDS.index(g.kind) for g in gates], dtype=np.int8)
-    axes = np.array([g.axes or (-1, -1) for g in gates], dtype=np.int64).reshape(-1, 2)
-    line = np.array([-1 if g.line is None else g.line for g in gates], dtype=np.int64)
-    angle = np.array([g.angle or 0.0 for g in gates], dtype=float)
-    return kind, axes, line, angle
-
-
 class GateError(ValueError):
     """Gate ``index`` of a sequence does not fit the register."""
 
     def __init__(self, index: int, message: str):
         super().__init__(message)
         self.index = index
+
+
+def _index_column(values) -> np.ndarray:
+    """One integer per gate (an axis or a line) as int64.
+
+    A value outside int64 raises GateError for its gate: it fits no
+    register.
+    """
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        i = next(i for i, v in enumerate(values) if not -(2**63) <= v < 2**63)
+        raise GateError(i, f"gate index {values[i]} out of range") from None
 
 
 def _check_gates(n: int, kind: np.ndarray, axes: np.ndarray, line: np.ndarray):
@@ -340,25 +344,39 @@ class GateSequence:
       computed once here.
 
     The arrays are read-only.  ``GateSequence(n, gates)`` takes Gate
-    objects; the parser and the compiler fill the columns directly
-    (``_from_columns``).  This is the one place gates are checked against
-    the register, by one array step per rule; the functions that take a
-    sequence trust it.  Iteration yields Gate objects that carry exactly
-    the stored angles.
+    objects and keeps their angles; the parser and the compiler fill the
+    columns directly (``_from_columns``).  This is the one place gates
+    are checked against the register, by one array step per rule; the
+    functions that take a sequence trust it.  Iteration yields Gate
+    objects that carry exactly the stored angles.
     """
 
     def __init__(self, n: int, gates=()):
-        self.n = n
-        self.kind, self.axes, self.line, self.angle = _columns(tuple(gates))
-        self.__post_init__()
+        gates = tuple(gates)
+        pairs = [(-1, -1) if g.axes is None else g.axes for g in gates]
+        self._fill(n, [KINDS.index(g.kind) for g in gates], [p[0] for p in pairs],
+                   [p[1] for p in pairs], [-1 if g.line is None else g.line for g in gates],
+                   [0.0 if g.angle is None else g.angle for g in gates])
 
     @classmethod
-    def _from_columns(cls, n: int, kind, axes, line, angle) -> "GateSequence":
-        """A sequence of checked gate structure; angles already normalized."""
+    def _from_columns(cls, n: int, kind, j, k, line, angle) -> "GateSequence":
+        """A sequence from per-gate columns: kind codes, axes j and k, lines, angles.
+
+        The caller has checked each gate's structure (a plane gate's two
+        axes differ) and normalized its angle; the register rules are
+        checked here.
+        """
         seq = cls.__new__(cls)
-        seq.n, seq.kind, seq.axes, seq.line, seq.angle = n, kind, axes, line, angle
-        seq.__post_init__()
+        seq._fill(n, kind, j, k, line, angle)
         return seq
+
+    def _fill(self, n: int, kind, j, k, line, angle):
+        self.n = n
+        self.kind = np.array(kind, dtype=np.int8)
+        self.axes = np.stack((_index_column(j), _index_column(k)), axis=1)
+        self.line = _index_column(line)
+        self.angle = np.array(angle, dtype=float)
+        self.__post_init__()
 
     def __post_init__(self):
         for a in (self.kind, self.axes, self.line, self.angle):
@@ -402,6 +420,11 @@ def sequence_rotation(seq: GateSequence) -> np.ndarray:
 def gate_dense(g: Gate, n: int) -> np.ndarray:
     """Exact dense unitary of one gate (oracle-capped sizes only)."""
     g.validate(n)
+    return _gate_dense(g, n)
+
+
+def _gate_dense(g: Gate, n: int) -> np.ndarray:
+    """gate_dense of a gate already checked against n (one from a GateSequence)."""
     if g.kind == FSWAP:
         return oracle.fswap(n, g.line, g.line + 1)
     j, k = g.axes
@@ -422,8 +445,16 @@ def sequence_dense(seq: GateSequence) -> np.ndarray:
     """Dense product unitary of a gate list (applied in order)."""
     acc = np.eye(1 << seq.n, dtype=complex)
     for g in seq:
-        acc = gate_dense(g, seq.n) @ acc
+        acc = _gate_dense(g, seq.n) @ acc
     return acc
+
+
+def conjugate_dense(seq: GateSequence, rho) -> np.ndarray:
+    """Dense state rho after the gate list: rho -> U rho U^dag, one gate at a time."""
+    for g in seq:
+        Ug = _gate_dense(g, seq.n)
+        rho = Ug @ rho @ Ug.conj().T
+    return rho
 
 
 def _compile_adjacency(n: int):
@@ -433,7 +464,7 @@ def _compile_adjacency(n: int):
             return True
         if j == ext or k == ext:
             return False
-        return bool(_in_window(j, k))
+        return _in_window(j, k)
     return allowed
 
 
@@ -449,11 +480,11 @@ def compile_rotation(R, n: int) -> GateSequence:
     if R.shape[0] != 2 * n + 1:
         raise ValueError("rotation dimension does not match n")
     planes = plane_decompose(R, _compile_adjacency(n))
-    axes = np.array([pr.axes for pr in planes], dtype=np.int64).reshape(-1, 2)
-    kind = np.where((axes == 2 * n).any(axis=1), _LINE1, _MATCHGATE).astype(np.int8)
+    kind = [_LINE1 if 2 * n in pr.axes else _MATCHGATE for pr in planes]
     # PlaneRotation normalized each angle once; a Gate normalizes it again.
     angle = wrap_angles([pr.angle for pr in planes])
-    return GateSequence._from_columns(n, kind, axes, np.full(len(planes), -1), angle)
+    return GateSequence._from_columns(n, kind, [pr.axes[0] for pr in planes],
+                                      [pr.axes[1] for pr in planes], [-1] * len(planes), angle)
 
 
 def compile(U: DGUnitary) -> GateSequence:  # noqa: A001 - established API name

@@ -113,6 +113,37 @@ def test_gate_validation():
     un_mod.Gate(un_mod.LINE1, axes=(0, 6), angle=0.3).validate(3)
 
 
+def test_matchgate_windows_exactly():
+    # Windows {4m..4m+3} and {4m+2..4m+5} of [0, 2n); the sequence check
+    # accepts a matchgate exactly when both axes lie in one of them.
+    n = 5
+    windows = [set(range(lo, lo + 4)) for lo in range(0, 2 * n - 3, 2)]
+    for j, k in itertools.permutations(range(-2, 2 * n + 3), 2):
+        want = any({j, k} <= w for w in windows)
+        try:
+            un_mod.GateSequence(n, (un_mod.Gate(un_mod.MATCHGATE, axes=(j, k), angle=0.1),))
+            got = True
+        except un_mod.GateError as exc:
+            assert exc.index == 0 and "outside every window" in str(exc)
+            got = False
+        assert got == want, (j, k)
+
+
+def test_sequence_keeps_gate_fields():
+    gates = (
+        un_mod.Gate(un_mod.MATCHGATE, axes=(3, 2), angle=-0.0),
+        un_mod.Gate(un_mod.LINE1, axes=(4, 1), angle=7.5),
+        un_mod.Gate(un_mod.FSWAP, line=0),
+    )
+    seq = un_mod.GateSequence(2, gates)
+    assert len(seq) == 3 and seq.gates == gates
+    assert np.copysign(1.0, seq.gates[0].angle) == -1.0
+    assert seq.kind.tolist() == [0, 1, 2] and not seq.angle.flags.writeable
+    with pytest.raises(un_mod.GateError) as exc:
+        un_mod.GateSequence(2, gates + (un_mod.Gate(un_mod.FSWAP, line=1),))
+    assert exc.value.index == 3 and str(exc.value) == "fswap line 1 out of range"
+
+
 def test_sequence_rotation_matches_product():
     n = 3
     seq = rand_sequence(rng, n, 25)
