@@ -270,11 +270,12 @@ def block_diagonalize(M):
 
 
 def canonical_matrix(lambdas, dim: int) -> np.ndarray:
-    """Assemble the block-diagonal canonical form for given parameters."""
+    """Block-diagonal dim x dim matrix of blocks [[0, l_j], [-l_j, 0]], zeros after them."""
+    lam = np.asarray(lambdas, dtype=float)
     C = np.zeros((dim, dim))
-    for j, lam in enumerate(lambdas):
-        C[2 * j, 2 * j + 1] = lam
-        C[2 * j + 1, 2 * j] = -lam
+    j = 2 * np.arange(len(lam))
+    C[j, j + 1] = lam
+    C[j + 1, j] = -lam
     return C
 
 

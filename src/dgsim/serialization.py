@@ -18,13 +18,14 @@ the per-element path.
 from __future__ import annotations
 
 import json
+from functools import partial
 from math import isfinite
 
 import numpy as np
 
 from .antisym import wrap_angles
-from .simulator import Circuit, NumericalAdmissibilityError
-from .state import DGaussState
+from .simulator import Circuit, NumericalAdmissibilityError, prepare_product
+from .state import DGaussState, from_diagonal
 from .unitary import FSWAP, KINDS, LINE1, MATCHGATE, Gate, GateError, GateSequence
 
 SCHEMA_VERSION = "dgsim/1"
@@ -158,7 +159,11 @@ def gate_doc(g: Gate):
 
 
 def parse_circuit(obj) -> tuple[Circuit, dict]:
-    """Parse a circuit document into (Circuit, measure-spec dict)."""
+    """Parse a circuit document into (Circuit, measure-spec dict).
+
+    The input state is built, and checked, once: after every schema
+    check of the document, so a schema error anywhere comes first.
+    """
     _take(obj, {"schema", "n", "input", "gates"}, {"measure"}, "$")
     _check_schema(obj)
     n = _size(obj)
@@ -172,19 +177,19 @@ def parse_circuit(obj) -> tuple[Circuit, dict]:
         lam = _real_matrix(inp["lambdas"], "$.input.lambdas")
         if lam.shape != (n,):
             raise SchemaError(f"expected {n} entries", "$.input.lambdas")
-        spec = ("lambdas", lam.tolist())
+        build = partial(from_diagonal, lam)
     elif "bloch" in inp:
         bl = _real_matrix(inp["bloch"], "$.input.bloch")
         if bl.shape != (n, 3):
             raise SchemaError(f"expected {n} 3-vectors", "$.input.bloch")
-        spec = ("bloch", bl.tolist())
+        build = partial(prepare_product, bl)
     else:
         cov = _take(inp["covariance"], {"M", "mu"}, set(), "$.input.covariance")
         M = _real_matrix(cov["M"], "$.input.covariance.M")
         mu = _real_matrix(cov["mu"], "$.input.covariance.mu")
         if M.shape != (2 * n, 2 * n) or mu.shape != (2 * n,):
             raise SchemaError("M must be 2n x 2n and mu length 2n", "$.input.covariance")
-        spec = ("covariance", (M, mu))
+        build = partial(DGaussState, n, M, mu)
 
     seq = _parse_gates(obj["gates"], n)
 
@@ -219,25 +224,7 @@ def parse_circuit(obj) -> tuple[Circuit, dict]:
         else:
             raise SchemaError("measure needs x, or shots and seed", "$.measure")
 
-    return Circuit(n, spec, seq), measure
-
-
-def circuit_doc(c: Circuit, measure=None):
-    kind, payload = c.input_spec
-    if kind == "covariance":
-        M, mu = payload
-        inp = {"covariance": {"M": np.asarray(M).tolist(), "mu": np.asarray(mu).tolist()}}
-    else:
-        inp = {kind: payload}
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "n": c.n,
-        "input": inp,
-        "gates": [gate_doc(g) for g in c.gates.gates],
-    }
-    if measure is not None:
-        doc["measure"] = measure
-    return doc
+    return Circuit(build(), seq), measure
 
 
 def parse_hamiltonian(obj) -> tuple[int, np.ndarray, np.ndarray]:

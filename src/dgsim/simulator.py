@@ -1,10 +1,9 @@
 """End-to-end circuit execution on the covariance representation.
 
-A circuit is an input-state specification, an ordered gate list, and a
-measurement request.  Evolution updates the real extended carrier
-M_ext in place; each gate touches at most four rows and columns, so a
-g-gate circuit costs O(g n) plus O(n^2) bookkeeping, never more than
-O(n^2) memory.
+A circuit is a checked input state and an ordered gate list.
+Evolution updates a copy of the real extended carrier M_ext in place;
+each gate touches at most four rows and columns, so a g-gate circuit
+costs O(g n) plus O(n^2) bookkeeping, never more than O(n^2) memory.
 
 Measurement uses the determinant formula: the probability of outcome
 bits x on lines K is 2^{-|K|} sqrt(det(I - M_rho M_{K,x})), evaluated
@@ -29,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .antisym import NumericalAdmissibilityError
-from .state import DGaussState, from_diagonal
+from .antisym import NumericalAdmissibilityError, canonical_matrix
+from .state import DGaussState
 from .unitary import GateSequence
 
 
@@ -47,6 +46,9 @@ PRODUCT_TOL = 1e-9
 # Working-set budget of one sampling chunk: the (rows, 2|K|, 2|K|) stack
 # of conditioned compressions.
 SAMPLE_CHUNK_BYTES = 8 << 20
+
+# Side of the square blocks in which run symmetrizes its carrier in place.
+SYMMETRIZE_BLOCK = 256
 
 
 def _check_lines(K, n: int | None = None) -> tuple[int, ...]:
@@ -80,6 +82,16 @@ class MeasurementOp:
         object.__setattr__(self, "x", x)
 
 
+def _measured_axes(K) -> list[int]:
+    """Majorana axes (2q, 2q+1) of each measured line q, in order."""
+    return [a for line in K for a in (2 * line, 2 * line + 1)]
+
+
+def _outcome_carrier(m: MeasurementOp) -> np.ndarray:
+    """Carrier of O(K, x) on its measured axes: parameter -(-1)^b per line."""
+    return canonical_matrix(np.where(m.x, 1.0, -1.0), 2 * len(m.K))
+
+
 def measurement_cov(n: int, m: MeasurementOp) -> np.ndarray:
     """Real covariance carrier of the projector O(K, x), times 2^{|K|-n}.
 
@@ -89,10 +101,8 @@ def measurement_cov(n: int, m: MeasurementOp) -> np.ndarray:
     """
     _check_lines(m.K, n)
     M = np.zeros((2 * n, 2 * n))
-    for line, bit in zip(m.K, m.x):
-        c = -((-1) ** bit)
-        M[2 * line, 2 * line + 1] = c
-        M[2 * line + 1, 2 * line] = -c
+    idx = _measured_axes(m.K)
+    M[np.ix_(idx, idx)] = _outcome_carrier(m)
     return M
 
 
@@ -100,18 +110,11 @@ def _expectation_from_M(M: np.ndarray, m: MeasurementOp) -> float:
     k = len(m.K)
     if k == 0:
         return 1.0
-    idx = []
-    for line in m.K:
-        idx.extend((2 * line, 2 * line + 1))
-    C = np.zeros((2 * k, 2 * k))
-    for j, bit in enumerate(m.x):
-        c = -((-1) ** bit)
-        C[2 * j, 2 * j + 1] = c
-        C[2 * j + 1, 2 * j] = -c
+    idx = _measured_axes(m.K)
     # det(I - M_rho M_meas) = det(I_{2k} - S C) with S the compression
     # of M_rho onto the measured axes.
     S = M[np.ix_(idx, idx)]
-    det = float(np.real(np.linalg.det(np.eye(2 * k) - S @ C)))
+    det = float(np.real(np.linalg.det(np.eye(2 * k) - S @ _outcome_carrier(m))))
     if det < -DET_CLAMP:
         raise NumericalAdmissibilityError(
             f"measurement determinant {det} is negative beyond tolerance"
@@ -144,17 +147,7 @@ def overlap(rho: DGaussState, sigma: DGaussState) -> float:
 # ---------------------------------------------------------------------------
 # Product-state preparation
 
-def _check_blochs(blochs) -> list[np.ndarray]:
-    out = [np.asarray(r, dtype=float) for r in blochs]
-    for r in out:
-        if r.shape != (3,):
-            raise ValueError("each Bloch vector needs three components")
-        if np.linalg.norm(r) > 1.0 + 1e-9:
-            raise ValueError(f"Bloch vector {r} is longer than 1")
-    return out
-
-
-def product_covariance(blochs) -> tuple[np.ndarray, np.ndarray]:
+def product_covariance(blochs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Covariance data (M, mu) of a tensor product of single-qubit states.
 
     Direct second-moment assembly.  Majorana operators carry Z strings
@@ -170,7 +163,7 @@ def product_covariance(blochs) -> tuple[np.ndarray, np.ndarray]:
     R_0 = x_{q'}, R_1 = y_{q'}.  The z products are running products,
     so assembly costs O(n^2).
     """
-    x, y, z = np.array(_check_blochs(blochs)).reshape(-1, 3).T
+    x, y, z = blochs.T
     n = len(z)
     M = np.zeros((2 * n, 2 * n))
     for q in range(n - 1):
@@ -191,7 +184,7 @@ class NonGaussianProductError(ValueError):
     """Product state requested that no displaced Gaussian state represents."""
 
 
-def product_is_gaussian(blochs) -> bool:
+def product_is_gaussian(blochs: np.ndarray) -> bool:
     """Whether the tensor product of these Bloch states is Gaussian.
 
     A product of single-qubit states is a displaced Gaussian state
@@ -201,24 +194,26 @@ def product_is_gaussian(blochs) -> bool:
     of the odd moments.  (Dense counterexample: (1+0.5Z)/2 x (1+0.6X)/2
     violates Gaussianity with third-moment deviation 0.45.)
     """
-    blochs = _check_blochs(blochs)
-    first_mixed = None
-    for q, r in enumerate(blochs):
-        if first_mixed is not None and q > first_mixed:
-            if np.hypot(r[0], r[1]) > PRODUCT_TOL:
-                return False
-        if first_mixed is None and np.linalg.norm(r) < 1.0 - PRODUCT_TOL:
-            first_mixed = q
-    return True
+    mixed = np.flatnonzero(np.linalg.norm(blochs, axis=1) < 1.0 - PRODUCT_TOL)
+    if not mixed.size:
+        return True
+    tail = blochs[mixed[0] + 1:]
+    return not (np.hypot(tail[:, 0], tail[:, 1]) > PRODUCT_TOL).any()
 
 
 def prepare_product(blochs) -> DGaussState:
     """Displaced Gaussian state of a tensor product of single-qubit states.
 
-    The carrier is assembled directly by product_covariance, for pure
-    and mixed inputs alike.  Products outside the Gaussian class (see
-    product_is_gaussian) raise NonGaussianProductError.
+    The Bloch vectors are checked once, as an (n, 3) array that
+    product_is_gaussian and product_covariance take as it is.  Products
+    outside the Gaussian class raise NonGaussianProductError.
     """
+    blochs = np.asarray(blochs, dtype=float)
+    if blochs.ndim != 2 or blochs.shape[1] != 3:
+        raise ValueError("each Bloch vector needs three components")
+    long = np.linalg.norm(blochs, axis=1) > 1.0 + 1e-9
+    if long.any():
+        raise ValueError(f"Bloch vector {blochs[long][0]} is longer than 1")
     if not product_is_gaussian(blochs):
         raise NonGaussianProductError(
             "a qubit after the first mixed one is transversely displaced; "
@@ -232,53 +227,49 @@ def prepare_product(blochs) -> DGaussState:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Input spec + gate list (+ optional measurement, handled by callers).
+    """A checked input state and the gate sequence that acts on it; callers handle measurement."""
 
-    ``input_spec`` is one of ("lambdas", list), ("bloch", list of
-    3-vectors), or ("covariance", (M, mu)).
-    """
-
-    n: int
-    input_spec: tuple
+    state: DGaussState
     gates: GateSequence
 
     def __post_init__(self):
-        if self.gates.n != self.n:
+        if self.gates.n != self.state.n:
             raise ValueError("gate list size differs from circuit size")
-        kind = self.input_spec[0]
-        if kind not in ("lambdas", "bloch", "covariance"):
-            raise ValueError(f"unknown input kind {kind!r}")
+
+    @property
+    def n(self) -> int:
+        return self.state.n
 
     def input_state(self) -> DGaussState:
-        kind, payload = self.input_spec
-        if kind == "lambdas":
-            if len(payload) != self.n:
-                raise ValueError("diagonal input length differs from n")
-            return from_diagonal(payload)
-        if kind == "bloch":
-            if len(payload) != self.n:
-                raise ValueError("Bloch input length differs from n")
-            return prepare_product(payload)
-        return DGaussState(self.n, *payload)
+        return self.state
 
 
 def run(c: Circuit) -> DGaussState:
-    """Fold the circuit's gates over its input state.
+    """Fold the circuit's gates over a copy of its input state.
 
-    The extended carrier is updated in place.  Each gate's fold block
-    (rows, Q, Q^T) was computed when its sequence was built (see
-    GateSequence): the gate multiplies its two or four rows by Q and the
-    matching columns by Q^T, so the loop builds no per-gate object.
-    Gates were validated when their sequence was built, and the output
-    carrier is antisymmetric by construction, so neither is checked
-    again here.
+    The extended carrier is a fresh copy of the held input's, updated in
+    place.  Each gate's fold block (rows, Q, Q^T) was computed when its
+    sequence was built (see GateSequence): the gate multiplies its two
+    or four rows by Q and the matching columns by Q^T, so the loop
+    builds no per-gate object.  Gates were validated when their sequence
+    was built, and the output carrier is antisymmetric by construction,
+    so neither is checked again here.
+
+    The carrier is then replaced by (Me - Me^T) / 2 in place, a pair of
+    SYMMETRIZE_BLOCK-square blocks at a time, both computed before
+    either is written: the same bits as the whole-matrix expression,
+    with peak memory at the held input plus one carrier.
     """
     Me = c.input_state().M_ext
     for rows, Q, QT in c.gates.blocks:
         Me[rows, :] = Q @ Me[rows, :]
         Me[:, rows] = Me[:, rows] @ QT
+    b = SYMMETRIZE_BLOCK
+    for i in range(0, len(Me), b):
+        for j in range(i, len(Me), b):
+            I, J = slice(i, i + b), slice(j, j + b)
+            Me[I, J], Me[J, I] = (Me[I, J] - Me[J, I].T) / 2, (Me[J, I] - Me[I, J].T) / 2
     m = 2 * c.n
-    Me = (Me - Me.T) / 2
     return DGaussState(c.n, Me[:m, :m], Me[:m, m], check=False)
 
 
@@ -332,7 +323,7 @@ def sample(s: DGaussState, K, shots: int, seed: int) -> np.ndarray:
     out = np.empty((shots, k), dtype=np.uint8)
     if k == 0:
         return out
-    idx = [a for line in K for a in (2 * line, 2 * line + 1)]
+    idx = _measured_axes(K)
     S0 = s.M[np.ix_(idx, idx)]
     rows = max(1, SAMPLE_CHUNK_BYTES // S0.nbytes)
     start = 0

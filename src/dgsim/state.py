@@ -21,10 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import oracle
-from .antisym import block_diagonalize, bordered, check_antisymmetric, pfaffian_restricted
+from .antisym import block_diagonalize, bordered, canonical_matrix, check_antisymmetric, pfaffian_restricted
 
 ADMISSIBILITY_TOL = 1e-9
-PURITY_TOL = 1e-7
 SATURATION_TOL = 1e-9
 
 
@@ -46,21 +45,17 @@ class SaturationError(ValueError):
 def validate(M_ext):
     """Check a real extended carrier for admissibility.
 
-    Returns (valid, pure, lambdas) where lambdas are the canonical
-    values of M_ext sorted descending.  Valid iff all lambdas are at
-    most 1 + ADMISSIBILITY_TOL; pure iff additionally every nonzero
-    lambda equals 1 within PURITY_TOL.
-    The matrix rank (2 * number of nonzero lambdas) is implied by the
-    returned list but deliberately not enforced.  Antisymmetry is
-    checked by block_diagonalize.
+    Returns (valid, lambdas) where lambdas are the canonical values of
+    M_ext sorted descending; valid iff all of them are at most
+    1 + ADMISSIBILITY_TOL.  The matrix rank (2 * number of nonzero
+    lambdas) is implied by the returned list but deliberately not
+    enforced.  Antisymmetry is checked by block_diagonalize.
     """
     M_ext = np.asarray(M_ext, dtype=float)
     _, lambdas = block_diagonalize(M_ext)
     if M_ext.shape[0] % 2 == 0:
         raise ValueError("extended carrier must have odd dimension")
-    valid = all(lam <= 1.0 + ADMISSIBILITY_TOL for lam in lambdas)
-    pure = valid and all(abs(lam - 1.0) <= PURITY_TOL for lam in lambdas)
-    return valid, pure, lambdas
+    return all(lam <= 1.0 + ADMISSIBILITY_TOL for lam in lambdas), lambdas
 
 
 @dataclass(frozen=True)
@@ -88,7 +83,7 @@ class DGaussState:
         if self.check:
             if not (np.isfinite(M).all() and np.isfinite(mu).all()):
                 raise ValueError("covariance data must be finite")
-            valid, _, lambdas = validate(self.M_ext)
+            valid, lambdas = validate(self.M_ext)
             if not valid:
                 raise AdmissibilityError(
                     f"canonical values exceed 1: {[l for l in lambdas if l > 1 + ADMISSIBILITY_TOL]}"
@@ -114,15 +109,11 @@ def from_diagonal(lambdas) -> DGaussState:
 
     M[2q, 2q+1] = -lambda_q and mu = 0; every lambda_q must lie in [-1, 1].
     """
-    lams = [float(x) for x in lambdas]
-    if not all(abs(x) <= 1.0 + 1e-12 for x in lams):
+    lams = np.asarray(lambdas, dtype=float)
+    if not (np.abs(lams) <= 1.0 + 1e-12).all():
         raise ValueError("diagonal parameters must lie in [-1, 1]")
     n = len(lams)
-    M = np.zeros((2 * n, 2 * n))
-    for q, lam in enumerate(lams):
-        M[2 * q, 2 * q + 1] = -lam
-        M[2 * q + 1, 2 * q] = lam
-    return DGaussState(n, M, np.zeros(2 * n), check=False)
+    return DGaussState(n, canonical_matrix(-lams, 2 * n), np.zeros(2 * n), check=False)
 
 
 def wick_moment(state: DGaussState, J) -> complex:

@@ -173,7 +173,7 @@ def test_acceptance_5_three_way_characterization():
         lambdas = s_th.canonical_lambdas()
         seq = un_mod.compile_rotation(R.T, n)
         s_circ = simulator.run(
-            simulator.Circuit(n, ("lambdas", [-l for l in lambdas]), seq)
+            simulator.Circuit(st_mod.from_diagonal([-l for l in lambdas]), seq)
         )
 
         # dense route: Gibbs operator of the quadratic-plus-linear generator
@@ -254,7 +254,7 @@ def test_acceptance_7_gaussianity_verdicts():
         U = un_mod.DGUnitary.from_generator(n, h, np.zeros(2 * n))
         seq = un_mod.compile(U)
         psi = st_mod.dense(
-            simulator.run(simulator.Circuit(n, ("lambdas", [1.0] * n), seq))
+            simulator.run(simulator.Circuit(st_mod.from_diagonal([1.0] * n), seq))
         )
         overlap, verdict = emb.gaussian_state_test(psi)
         overlap_dev = max(overlap_dev, abs(overlap - 1.0))
@@ -333,7 +333,7 @@ def test_acceptance_8_performance():
     seq = rand_sequence(rng, n, 10_000)
     lambdas = rng.uniform(-1, 1, size=n).tolist()
     t0 = time.perf_counter()
-    out = simulator.run(simulator.Circuit(n, ("lambdas", lambdas), seq))
+    out = simulator.run(simulator.Circuit(st_mod.from_diagonal(lambdas), seq))
     K = tuple(sorted(rng.choice(n, size=10, replace=False).tolist()))
     total = 0.0
     for xv in range(1 << 10):

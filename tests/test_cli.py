@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from dgsim import antisym, cli, embedding, oracle, serialization as ser, unitary as un_mod
+from dgsim import antisym, cli, embedding, oracle, serialization as ser, simulator, state as st_mod, unitary as un_mod
 
 from helpers import ghz4, rand_antisym
 
@@ -320,6 +320,50 @@ def test_oracle_verify_catches_corruption(tmp_path, capsys, monkeypatch):
     code, out = run_cli(capsys, ["oracle-verify", path])
     assert code == 1
     assert json.loads(out)["ok"] is False
+
+
+def counted(monkeypatch, module, name, calls):
+    """Count calls of ``module.name`` in every dgsim module that binds it."""
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+
+    for mod in (cli, ser, simulator, st_mod, un_mod):
+        if getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, wrapper)
+
+
+def test_oracle_verify_builds_input_once(tmp_path, capsys, monkeypatch):
+    calls = collections.Counter()
+    counted(monkeypatch, simulator, "prepare_product", calls)
+    counted(monkeypatch, st_mod, "validate", calls)
+    doc = {"schema": ser.SCHEMA_VERSION, "n": 2, "input": {"bloch": [[0.6, 0.0, 0.8], [0.0, 1.0, 0.0]]},
+           "gates": [{"kind": "matchgate", "axes": [1, 2], "angle": 0.7}],
+           "measure": {"lines": [0, 1], "x": [1, 0]}}
+    code, out = run_cli(capsys, ["oracle-verify", write_doc(tmp_path, "c.json", doc)])
+    assert code == 0 and json.loads(out)["ok"] is True
+    assert calls == {"prepare_product": 1, "validate": 1}
+
+
+# An inadmissible input is refused while the document is parsed, so it
+# outranks faults found after parsing: a --shots flag without a sampling
+# measure block (exit 2) and a circuit wider than the oracle cap (exit 4).
+def non_gaussian_doc(n, measure=None):
+    doc = {"schema": ser.SCHEMA_VERSION, "n": n, "gates": [],
+           "input": {"bloch": [[0.6, 0.0, 0.0], [0.5, 0.0, 0.0]] + [[0.0, 0.0, 1.0]] * (n - 2)}}
+    if measure is not None:
+        doc["measure"] = measure
+    return doc
+
+
+@pytest.mark.parametrize("argv, n", [(["run", "--shots", "3"], 2), (["oracle-verify"], 7)])
+def test_inadmissible_input_outranks_later_faults(tmp_path, capsys, argv, n):
+    path = write_doc(tmp_path, "c.json", non_gaussian_doc(n, {"lines": [0], "x": [0]}))
+    code = cli.main([argv[0], path, *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == "" and "not a displaced Gaussian state" in captured.err
 
 
 def test_oracle_verify_cap(tmp_path, capsys):

@@ -11,7 +11,7 @@ without a stored digest of BLAS results, which can differ between CPUs.
 import numpy as np
 import pytest
 
-from dgsim import antisym, serialization as ser, simulator as sim, unitary as un_mod
+from dgsim import antisym, serialization as ser, simulator as sim, state as st_mod, unitary as un_mod
 
 from helpers import rand_bloch, rand_sequence, rand_unitary, reference_rotation, reference_run
 
@@ -54,7 +54,7 @@ def input_doc(rng, n, kind):
     if kind == "bloch":
         return {"bloch": [rand_bloch(rng, pure=True).tolist() for _ in range(n)]}
     # An admissible displaced carrier: a random circuit's output.
-    c = sim.Circuit(n, ("lambdas", rng.uniform(-1, 1, n).tolist()), rand_sequence(rng, n, 3 * n))
+    c = sim.Circuit(st_mod.from_diagonal(rng.uniform(-1, 1, n)), rand_sequence(rng, n, 3 * n))
     s = sim.run(c)
     return {"covariance": {"M": s.M.tolist(), "mu": s.mu.tolist()}}
 
@@ -84,7 +84,7 @@ def test_gate_sequence_run_matches_reference(n):
     rng = np.random.default_rng(n)
     seq = rand_sequence(rng, n, 4 * n + 12)
     gates = list(seq)
-    c = sim.Circuit(n, ("lambdas", rng.uniform(-1, 1, n).tolist()), seq)
+    c = sim.Circuit(st_mod.from_diagonal(rng.uniform(-1, 1, n)), seq)
     out = sim.run(c)
     M, mu = reference_run(c.input_state().M_ext, gates)
     assert np.array_equal(out.M, M) and np.array_equal(out.mu, mu)

@@ -102,7 +102,7 @@ def test_run_matches_dense():
         for _ in range(3):
             s = rand_state(rng, n)
             seq = rand_sequence(rng, n, 40)
-            out = sim.run(sim.Circuit(n, ("covariance", (s.M, s.mu)), seq))
+            out = sim.run(sim.Circuit(s, seq))
             rho = st_mod.dense(s)
             for g in seq.gates:
                 Ug = un_mod.gate_dense(g, n)
@@ -242,7 +242,7 @@ def test_sample_conditionals_multiply_to_born():
 def test_sample_marginals_at_n200():
     r = np.random.default_rng(200)
     n, shots = 200, 2000
-    c = sim.Circuit(n, ("lambdas", list(r.uniform(-1, 1, n))), rand_sequence(r, n, 4 * n))
+    c = sim.Circuit(st_mod.from_diagonal(r.uniform(-1, 1, n)), rand_sequence(r, n, 4 * n))
     s = sim.run(c)
     K = tuple(sorted(int(q) for q in r.choice(n, 20, replace=False)))
     out = sim.sample(s, K, shots=shots, seed=3)
@@ -253,9 +253,10 @@ def test_sample_marginals_at_n200():
 
 
 def test_circuit_input_kinds():
-    with pytest.raises(ValueError):
-        sim.Circuit(2, ("nonsense", []), un_mod.GateSequence(2, ()))
-    c = sim.Circuit(2, ("lambdas", [0.3, 0.7]), un_mod.GateSequence(2, ()))
+    with pytest.raises(ValueError, match="size"):
+        sim.Circuit(st_mod.from_diagonal([0.3, 0.7]), un_mod.GateSequence(3, ()))
+    c = sim.Circuit(st_mod.from_diagonal([0.3, 0.7]), un_mod.GateSequence(2, ()))
+    assert c.n == 2 and c.input_state() is c.state
     out = sim.run(c)
     assert out.M[0, 1] == pytest.approx(-0.3)
 
@@ -281,7 +282,7 @@ def _golden_case(name):
         return rand_state(r, n), K, 500
     if name == "run-n64":
         n = 64
-        c = sim.Circuit(n, ("lambdas", list(r.uniform(-1, 1, n))), rand_sequence(r, n, 512))
+        c = sim.Circuit(st_mod.from_diagonal(r.uniform(-1, 1, n)), rand_sequence(r, n, 512))
         return sim.run(c), tuple(range(24, 40)), 300
     if name == "chunks-k3":
         return rand_state(r, 4), (0, 2, 3), 100_001
