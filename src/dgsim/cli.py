@@ -63,14 +63,24 @@ def _write(doc, out_path: str | None):
         sys.stdout.write(text)
 
 
+def _check_flags(args):
+    """Refuse out-of-range flag values (exit 2) before any document is read."""
+    shots, seed = getattr(args, "shots", None), getattr(args, "seed", None)
+    tol, n_max = getattr(args, "tol", None), getattr(args, "n_max", None)
+    if shots is not None and shots < 1:
+        raise CliError("--shots must be at least 1", EXIT_PARSE)
+    if seed is not None and seed < 0:
+        raise CliError("--seed must be non-negative", EXIT_PARSE)
+    if tol is not None and not (np.isfinite(tol) and tol >= 0):
+        raise CliError("--tol must be a finite number of at least 0", EXIT_PARSE)
+    if n_max is not None and n_max < 1:
+        raise CliError("--n-max must be at least 1", EXIT_PARSE)
+
+
 def _measure_override(measure, args):
     if args.shots is not None or args.seed is not None:
         if measure is None or "x" in measure:
             raise CliError("--shots/--seed need a sampling measure block", EXIT_PARSE)
-        if args.shots is not None and args.shots < 1:
-            raise CliError("--shots must be at least 1", EXIT_PARSE)
-        if args.seed is not None and args.seed < 0:
-            raise CliError("--seed must be non-negative", EXIT_PARSE)
         if args.shots is not None:
             measure["shots"] = args.shots
         if args.seed is not None:
@@ -273,6 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_flags(args)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

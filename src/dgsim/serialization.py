@@ -1,9 +1,11 @@
 """Structured text (JSON) schemas for circuits, operators, and results.
 
 All documents carry a versioned ``schema`` field.  Parsing is strict:
-unknown fields are rejected with their location, and integer fields
+unknown fields are rejected with their location; integer fields
 (``n``, gate lines and axes, measured lines, outcome bits, ``shots``,
-``seed``) must be JSON integers, never booleans.  Serialization is
+``seed``) must be JSON integers, and float fields (``lambdas``,
+``bloch``, ``M``, ``mu``, ``h``, ``d``, ``matrix``, gate angles) JSON
+numbers, never booleans or strings.  Serialization is
 byte-deterministic -- keys are emitted in sorted order and floats with
 17 significant digits -- so fixture files are diffable and stable.
 
@@ -59,10 +61,30 @@ def _check_schema(obj, loc="$"):
         )
 
 
+def _is_number(value) -> bool:
+    """Whether a document value is a number: int or float (numpy's too), never ``bool``."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def _check_numbers(value, loc):
+    """Refuse anything but a number or nested lists of numbers (errors at ``loc``).
+
+    A list whose entries are all plain ints and floats is accepted with one
+    ``set(map(type, ...))``; any other list is walked entry by entry.
+    """
+    if isinstance(value, list):
+        if not set(map(type, value)) <= {int, float}:
+            for v in value:
+                _check_numbers(v, loc)
+    elif not _is_number(value):
+        raise SchemaError("entries must be JSON numbers", loc)
+
+
 def _real_matrix(value, loc):
+    _check_numbers(value, loc)
     try:
         arr = np.array(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"not a numeric array: {exc}", loc) from None
     return arr
 
@@ -126,12 +148,12 @@ def _parse_gate(obj, i: int):
         raise SchemaError("axes must be integers", f"$.gates[{i}].axes")
     if j == k:
         raise SchemaError("gate axes must differ", f"$.gates[{i}]")
-    if isinstance(angle, bool):
+    if not _is_number(angle):
         raise SchemaError("angle must be a number", f"$.gates[{i}].angle")
     try:
         angle = float(angle)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(str(exc), f"$.gates[{i}]") from None
+    except OverflowError as exc:
+        raise SchemaError(str(exc), f"$.gates[{i}].angle") from None
     return _KIND_CODES[kind], j, k, -1, angle
 
 
@@ -237,7 +259,7 @@ def parse_hamiltonian(obj) -> tuple[int, np.ndarray, np.ndarray]:
         raise SchemaError("h must be 2n x 2n", "$.h")
     if np.max(np.abs(h + h.T)) > 1e-12:
         raise SchemaError("h must be antisymmetric", "$.h")
-    d = _real_matrix(obj.get("d", np.zeros(2 * n)), "$.d")
+    d = _real_matrix(obj["d"], "$.d") if "d" in obj else np.zeros(2 * n)
     if d.shape != (2 * n,):
         raise SchemaError("d must have length 2n", "$.d")
     return n, h, d

@@ -150,6 +150,71 @@ def test_non_integer_field_located(tmp_path, capsys, edit, loc):
     assert loc in captured.err
 
 
+COV_M = [[0.0, -1.0], [1.0, 0.0]]
+
+
+@pytest.mark.parametrize(
+    "verb, doc, loc",
+    [
+        ("run", {**circuit_doc(2, [0.5, 0.5]), "input": {"lambdas": [True, "0.5"]}},
+         "$.input.lambdas"),
+        ("run", {**circuit_doc(2, [0.5, 0.5]), "input": {"lambdas": [1.0, True]}},
+         "$.input.lambdas"),
+        ("run", {**circuit_doc(2, [0.5, 0.5]), "input": {"lambdas": [10**400, 0.5]}},
+         "$.input.lambdas"),
+        ("run", {**circuit_doc(2, [0.5, 0.5]), "input": {"bloch": [[0, 0, 1], [0, 0, "1"]]}},
+         "$.input.bloch"),
+        ("run", {**circuit_doc(1, [0.5]), "input": {"covariance": {"M": [[0.0, True], [-1.0, 0.0]],
+                                                                   "mu": [0.0, 0.0]}}},
+         "$.input.covariance.M"),
+        ("run", {**circuit_doc(1, [0.5]), "input": {"covariance": {"M": COV_M, "mu": ["0", 0.0]}}},
+         "$.input.covariance.mu"),
+        ("run", circuit_doc(2, [0.5, 0.5], [{"kind": "matchgate", "axes": [1, 2], "angle": "0.7"}]),
+         "$.gates[0].angle"),
+        ("run", circuit_doc(2, [0.5, 0.5], [{"kind": "matchgate", "axes": [1, 2], "angle": None}]),
+         "$.gates[0].angle"),
+        ("compile", {"schema": ser.SCHEMA_VERSION, "n": 1, "h": [[0.0, False], [0.0, 0.0]]}, "$.h"),
+        ("compile", {"schema": ser.SCHEMA_VERSION, "n": 1, "h": COV_M, "d": ["0.1", 0.0]}, "$.d"),
+        ("embed", {"schema": ser.SCHEMA_VERSION, "n": 1, "M": COV_M, "mu": [0.0, True]}, "$.mu"),
+        ("test-state", {"schema": ser.SCHEMA_VERSION, "n": 1,
+                        "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, "0"]]]}, "$.matrix"),
+    ],
+)
+def test_non_number_float_field_located(tmp_path, capsys, verb, doc, loc):
+    code = cli.main([verb, write_doc(tmp_path, "d.json", doc)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"{loc}:" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["oracle-verify", "--tol", "nan"], "--tol"),
+        (["oracle-verify", "--tol", "inf"], "--tol"),
+        (["oracle-verify", "--tol", "-1"], "--tol"),
+        (["test-state", "--tol=-inf"], "--tol"),
+        (["test-unitary", "--tol", "nan"], "--tol"),
+        (["oracle-verify", "--n-max", "0"], "--n-max"),
+        (["oracle-verify", "--n-max", "-1"], "--n-max"),
+        (["run", "--shots", "0"], "--shots"),
+        (["run", "--seed", "-1"], "--seed"),
+    ],
+)
+def test_flag_values_checked_before_reading(tmp_path, capsys, argv, flag):
+    # The document does not exist: the flag is refused before it is read.
+    code = cli.main([argv[0], str(tmp_path / "missing.json"), *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert flag in captured.err and "cannot read" not in captured.err
+
+
+def test_flag_value_zero_tolerance_accepted(tmp_path, capsys):
+    path = write_doc(tmp_path, "c.json", circuit_doc(1, [1.0]))
+    code, out = run_cli(capsys, ["oracle-verify", path, "--tol", "0", "--n-max", "1"])
+    assert code == 1 and json.loads(out)["tolerance"] == 0.0
+
+
 def test_run_out_file(tmp_path, capsys):
     path = write_doc(tmp_path, "c.json", circuit_doc(1, [1.0]))
     out_path = tmp_path / "result.json"
