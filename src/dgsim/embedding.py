@@ -103,10 +103,12 @@ def embed_unitary(U: DGUnitary) -> DGUnitary:
               [ 0,   0,  0],
               [ d^T, 0,  0]]
 
-    and E(U rho U+) = U~ E(rho) U~+.
+    and E(U rho U+) = U~ E(rho) U~+.  A unitary held as a rotation only
+    is read through its generator (principal logarithm).
     """
     m = 2 * U.n
-    h = antisym.bordered(antisym.bordered(U.h, np.zeros(m)), np.append(-U.d, 0.0))
+    h, d = U.generator()
+    h = antisym.bordered(antisym.bordered(h, np.zeros(m)), np.append(-d, 0.0))
     return DGUnitary.from_generator(U.n + 1, h, np.zeros(m + 2))
 
 

@@ -117,6 +117,15 @@ def test_embed_unitary_even_padding():
     assert np.max(np.abs(Ut.h[2 * n :, :])) < 1e-12
 
 
+def test_embed_unitary_rotation_form():
+    # A unitary held as a rotation only embeds through its generator.
+    for n in (1, 2, 3):
+        U = rand_unitary(rng, n, scale=0.3)
+        Ur = un_mod.DGUnitary.from_rotation(n, U.rotation())
+        got, want = emb.embed_unitary(Ur).rotation(), emb.embed_unitary(U).rotation()
+        assert np.max(np.abs(got - want)) < 1e-10
+
+
 def test_embed_unitary_dense_projective():
     for n in (1, 2):
         U = rand_unitary(rng, n)
