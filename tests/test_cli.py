@@ -173,6 +173,8 @@ COV_M = [[0.0, -1.0], [1.0, 0.0]]
          "$.gates[0].angle"),
         ("run", circuit_doc(2, [0.5, 0.5], [{"kind": "matchgate", "axes": [1, 2], "angle": None}]),
          "$.gates[0].angle"),
+        ("run", circuit_doc(2, [0.5, 0.5], [{"kind": "line1", "axes": [0, 4], "angle": 10**400}]),
+         "$.gates[0].angle"),
         ("compile", {"schema": ser.SCHEMA_VERSION, "n": 1, "h": [[0.0, False], [0.0, 0.0]]}, "$.h"),
         ("compile", {"schema": ser.SCHEMA_VERSION, "n": 1, "h": COV_M, "d": ["0.1", 0.0]}, "$.d"),
         ("embed", {"schema": ser.SCHEMA_VERSION, "n": 1, "M": COV_M, "mu": [0.0, True]}, "$.mu"),

@@ -48,6 +48,11 @@ def same_gate(got, want):
         assert float(got.angle).hex() == float(want.angle).hex()
 
 
+def same_bits(a, b):
+    """Equal arrays with equal bits: a -0.0 differs from a 0.0."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def input_doc(rng, n, kind):
     if kind == "lambdas":
         return {"lambdas": rng.uniform(-1, 1, n).tolist()}
@@ -75,7 +80,7 @@ def test_parsed_run_matches_reference(n, kind):
         same_gate(got, w)
     out = sim.run(c)
     M, mu = reference_run(c.input_state().M_ext, want)
-    assert np.array_equal(out.M, M) and np.array_equal(out.mu, mu)
+    assert same_bits(out.M, M) and same_bits(out.mu, mu)
     assert np.array_equal(un_mod.sequence_rotation(c.gates), reference_rotation(n, want))
 
 
@@ -87,7 +92,7 @@ def test_gate_sequence_run_matches_reference(n):
     c = sim.Circuit(st_mod.from_diagonal(rng.uniform(-1, 1, n)), seq)
     out = sim.run(c)
     M, mu = reference_run(c.input_state().M_ext, gates)
-    assert np.array_equal(out.M, M) and np.array_equal(out.mu, mu)
+    assert same_bits(out.M, M) and same_bits(out.mu, mu)
     assert np.array_equal(un_mod.sequence_rotation(seq), reference_rotation(n, gates))
 
 

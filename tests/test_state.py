@@ -20,6 +20,16 @@ def test_from_diagonal_basic():
     assert np.max(np.abs(rho - direct)) < 1e-12
 
 
+def test_from_diagonal_matches_loop():
+    # Bit for bit, signed zeros included, as one canonical block per line.
+    lams = [0.0, -0.0, 0.5, -1.0, 1.0]
+    M = np.zeros((10, 10))
+    for q, lam in enumerate(lams):
+        M[2 * q, 2 * q + 1] = -lam
+        M[2 * q + 1, 2 * q] = lam
+    assert st_mod.from_diagonal(lams).M.tobytes() == M.tobytes()
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_constructors_reject_non_finite(bad):
     with pytest.raises(ValueError, match="must lie in"):
