@@ -109,7 +109,8 @@ def cmd_run(args) -> int:
     circuit, measure = ser.parse_circuit(_read_doc(args.file))
     measure = _measure_override(measure, args)
     out_state = simulator.run(circuit)
-    doc = {"schema": ser.SCHEMA_VERSION, "n": circuit.n}
+    del circuit  # its input carrier would stay alive while the result is formatted
+    doc = {"schema": ser.SCHEMA_VERSION, "n": out_state.n}
     if measure is None:
         doc["mode"] = "state"
         doc["M"] = out_state.M

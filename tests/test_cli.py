@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from dgsim import antisym, cli, embedding, oracle, serialization as ser, simulator, state as st_mod, unitary as un_mod
+from dgsim import antisym, cli, embedding, oracle, serialization as ser, simulator
+from dgsim import state as st_mod, unitary as un_mod
 
 from helpers import ghz4, rand_antisym
 
@@ -406,7 +407,8 @@ def test_oracle_verify_builds_input_once(tmp_path, capsys, monkeypatch):
     calls = collections.Counter()
     counted(monkeypatch, simulator, "prepare_product", calls)
     counted(monkeypatch, st_mod, "validate", calls)
-    doc = {"schema": ser.SCHEMA_VERSION, "n": 2, "input": {"bloch": [[0.6, 0.0, 0.8], [0.0, 1.0, 0.0]]},
+    doc = {"schema": ser.SCHEMA_VERSION, "n": 2,
+           "input": {"bloch": [[0.6, 0.0, 0.8], [0.0, 1.0, 0.0]]},
            "gates": [{"kind": "matchgate", "axes": [1, 2], "angle": 0.7}],
            "measure": {"lines": [0, 1], "x": [1, 0]}}
     code, out = run_cli(capsys, ["oracle-verify", write_doc(tmp_path, "c.json", doc)])

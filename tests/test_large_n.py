@@ -54,7 +54,8 @@ def test_marginal_consistency_at_n500():
     # p(x_K) = sum_b p(x_K, b_j) for a line j outside K, and sum_x p(x_K) = 1.
     rng = np.random.default_rng(5000)
     n = 500
-    s = sim.run(sim.Circuit(st_mod.from_diagonal(rng.uniform(-1, 1, n)), rand_sequence(rng, n, 2 * n)))
+    s = st_mod.from_diagonal(rng.uniform(-1, 1, n))
+    s = sim.run(sim.Circuit(s, rand_sequence(rng, n, 2 * n)))
     lines = sorted(int(q) for q in rng.choice(n, 5, replace=False))
     j = lines.pop(int(rng.integers(5)))
     total = 0.0
