@@ -217,7 +217,7 @@ def cmd_oracle_verify(args) -> int:
     tol = args.tol if args.tol is not None else 1e-7
 
     out_state = simulator.run(circuit)
-    rho = un_mod.conjugate_dense(circuit.gates, st_mod.dense(circuit.state))
+    rho = un_mod.conjugate_dense(circuit.gates, st_mod.dense(circuit.input_state()))
     sigma_dev = float(
         np.max(np.abs(out_state.M_ext - oracle.covariance_from_dense(rho)))
     )
