@@ -122,32 +122,6 @@ def pfaffian(M) -> complex | float:
     return val
 
 
-def pfaffian_reference(M) -> complex | float:
-    """Pfaffian via the signed sum over perfect matchings.
-
-    Factorial cost; intended as an independent cross-check for small
-    matrices (m <= 8 keeps it instantaneous).
-    """
-    M = check_antisymmetric(M)
-    m = M.shape[0]
-    if m % 2:
-        raise DimensionError("Pfaffian requires even dimension")
-
-    def expand(indices):
-        if not indices:
-            return 1.0
-        a = indices[0]
-        total = 0.0
-        for pos in range(1, len(indices)):
-            b = indices[pos]
-            rest = indices[1:pos] + indices[pos + 1:]
-            sign = -1.0 if pos % 2 == 0 else 1.0
-            total += sign * M[a, b] * expand(rest)
-        return total
-
-    return expand(tuple(range(m)))
-
-
 def pfaffian_restricted(M, J) -> complex | float:
     """Pfaffian of the restriction of ``M`` to the index tuple ``J``.
 

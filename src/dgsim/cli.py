@@ -138,7 +138,7 @@ def cmd_compile(args) -> int:
     doc = {
         "schema": ser.SCHEMA_VERSION,
         "n": n,
-        "gates": [ser.gate_doc(g) for g in seq.gates],
+        "gates": seq,
         "gate_count": count,
         "cubic_constant": count / n**3,
         "residual": residual,
@@ -168,8 +168,11 @@ def _dense_input(args) -> np.ndarray:
     if "matrix" in doc:
         return ser.parse_dense_operator(doc)
     circuit, _ = ser.parse_circuit(doc)
-    out_state = simulator.run(circuit)
-    return st_mod.dense(out_state)
+    if circuit.n > oracle.ORACLE_MAX_QUBITS:  # refused before the circuit is evolved
+        raise OracleCapError(
+            f"circuit size {circuit.n} exceeds the oracle cap {oracle.ORACLE_MAX_QUBITS}"
+        )
+    return st_mod.dense(simulator.run(circuit))
 
 
 def cmd_test_state(args) -> int:

@@ -1,12 +1,20 @@
 """Exact dense reference implementation at small qubit counts.
 
 Everything here is brute force on 2^n x 2^n complex matrices: Majorana
-operators, Majorana moments, quadratic-Hamiltonian exponentials, the
-convolution and embedding unitaries, fermionic swaps, Born
+operators, Majorana moments, general quadratic-Hamiltonian exponentials
+(``exp_quadratic``, for the convolution unitary and arbitrary
+generators), the embedding unitary, fermionic swaps, Born
 probabilities, and a moment-based Gaussianity check.  It exists to
 validate the polynomial-time covariance-matrix paths, so sizes are
 hard-capped (n <= 6 for single-register operators, n <= 4 for the
 2n-qubit convolution/Choi constructions).
+
+Operators with a two-term closed form skip the matrix exponential.  A
+Pauli string, and so every Majorana monomial, is a signed permutation
+of the basis states (``monomial_permutation``); so is the adjacent
+fermionic swap (``fswap_permutation``).  The embedding unitary is
+cos(pi/4) I - i sin(pi/4) gamma_{2n+1}, and a gate of the alphabet is
+c I + s D with D such a permutation (``unitary.conjugate_dense``).
 
 The moment kernels are whole-array transforms, not loops over the 4^n
 Majorana bitmasks: the Pauli transform takes one step per line, a
@@ -112,6 +120,31 @@ def majorana_monomial(n: int, J) -> np.ndarray:
     """Dense ordered product gamma_J."""
     phase, codes = monomial_string(n, J)
     return phase * _pauli_string_dense(codes)
+
+
+def monomial_permutation(n: int, J) -> tuple[np.ndarray, np.ndarray]:
+    """Ordered Majorana product gamma_J as a signed permutation (perm, d).
+
+    gamma_J[y, perm[y]] = d[y], so gamma_J @ A is ``d[:, None] * A[perm]``.
+    gamma_J is a phase times the Pauli string of ``monomial_string``,
+    whose X and Y flip their line's bit, Y and Z contribute (-1)^bit of
+    the column, and each Y a factor i: P|x> = i^#Y (-1)^|x & zmask|
+    |x ^ xmask>.  Line 0 is the most significant bit of a basis index.
+    """
+    _check_cap(n, 2 * ORACLE_MAX_PAIRED)
+    phase, codes = monomial_string(n, J)
+    codes = np.array(codes)
+    shift = np.arange(n - 1, -1, -1)
+    perm = np.arange(1 << n) ^ int((1 << shift[(codes == 1) | (codes == 2)]).sum())
+    odd = ((perm[:, None] >> shift[codes >= 2]) & 1).sum(axis=1) & 1
+    return perm, phase * (1, 1j, -1, -1j)[int((codes == 2).sum()) % 4] * (1.0 - 2.0 * odd)
+
+
+def permutation_dense(perm: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Dense matrix D of a signed permutation: D[y, perm[y]] = d[y], zero elsewhere."""
+    D = np.zeros((len(perm), len(perm)), dtype=complex)
+    D[np.arange(len(perm)), perm] = d
+    return D
 
 
 def pauli_tensor(A: np.ndarray) -> np.ndarray:
@@ -375,32 +408,48 @@ def fermionic_convolution(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return partial_trace_second(joint, n)
 
 
+def fswap_permutation(n: int, a: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fermionic swap of adjacent lines (a, a+1) as a signed permutation (perm, d).
+
+    The swap is the exponential of the four-term quadratic generator
+    (pi/4)(g_p g_s - g_q g_r - g_p g_q - g_r g_s) over the Majorana
+    quadruple (p,q,r,s) = (2a, 2a+1, 2a+2, 2a+3).  In closed form it
+    exchanges the two lines' bits, with -1 on |11>, times the global
+    phase -i: D[y, perm[y]] = d[y] as in ``monomial_permutation``.
+    """
+    _check_cap(n, 2 * ORACLE_MAX_PAIRED)
+    if not 0 <= a < n - 1:
+        raise ValueError("need 0 <= a < n - 1")
+    y = np.arange(1 << n)
+    hi, lo = (y >> (n - 1 - a)) & 1, (y >> (n - 2 - a)) & 1
+    perm = y ^ ((hi ^ lo) * (3 << (n - 2 - a)))
+    return perm, np.where(hi & lo, 1j, -1j)
+
+
 def fswap(n: int, a: int, b: int) -> np.ndarray:
     """Dense fermionic swap of lines a and b (0-based, a < b).
 
-    Adjacent swaps come from the four-term quadratic exponent
-    (pi/4)(g_p g_s - g_q g_r - g_p g_q - g_r g_s) over the Majorana
-    quadruple (p,q,r,s) = (2a, 2a+1, 2a+2, 2a+3); non-adjacent swaps
-    are built by conjugation with adjacent ones.
+    Adjacent swaps are ``fswap_permutation``; non-adjacent swaps are
+    built by conjugation with adjacent ones.
     """
     if not 0 <= a < b < n:
         raise ValueError("need 0 <= a < b < n")
     if b > a + 1:
         S1 = fswap(n, a, a + 1)
         return S1 @ fswap(n, a + 1, b) @ S1
-    h = np.zeros((2 * n, 2 * n))
-    p, q, r, s = 2 * a, 2 * a + 1, 2 * a + 2, 2 * a + 3
-    for (j, k), c in (((p, s), np.pi / 4), ((q, r), -np.pi / 4),
-                      ((p, q), -np.pi / 4), ((r, s), -np.pi / 4)):
-        h[j, k] = c
-        h[k, j] = -c
-    return exp_quadratic(n, h, np.zeros(2 * n))
+    return permutation_dense(*fswap_permutation(n, a))
 
 
 def embed_V(n: int) -> np.ndarray:
-    """Embedding unitary exp(-i (pi/4) gamma_{2n+1}) on n+1 lines (0-based index)."""
+    """Embedding unitary exp(-i (pi/4) gamma_{2n+1}) on n+1 lines (0-based index).
+
+    In closed form, cos(pi/4) I - i sin(pi/4) gamma_{2n+1}, since
+    gamma_{2n+1} squares to I.  The entries equal those of the matrix
+    exponential bit for bit at every size the cap allows.
+    """
     _check_cap(n + 1, 2 * ORACLE_MAX_PAIRED)
-    return scipy.linalg.expm(-1j * (np.pi / 4) * majorana(n + 1, 2 * n + 1))
+    return (np.cos(np.pi / 4) * np.eye(2 << n)
+            - 1j * np.sin(np.pi / 4) * majorana(n + 1, 2 * n + 1))
 
 
 def max_entangled(n: int) -> np.ndarray:

@@ -13,8 +13,10 @@ A float ndarray (a carrier, a mean vector) is checked for NaN and
 infinities once, with one ``np.isfinite``, and then written one row at a
 time: each row of its last axis is a single ``%`` formatting call over
 ``row.tolist()``.  The bytes are those of formatting each element on its
-own; every other value (lists, dicts, integer arrays, scalars) takes
-the per-element path.
+own.  A GateSequence (``compile``'s gate list) is written from its
+columns, one ``%`` call per gate, with the bytes of emitting each gate's
+document as a dict.  Every other value (lists, dicts, integer arrays,
+scalars) takes the per-element path.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 from .antisym import wrap_angles
 from .simulator import Circuit, NumericalAdmissibilityError, prepare_product
 from .state import DGaussState, from_diagonal
-from .unitary import FSWAP, KINDS, LINE1, MATCHGATE, Gate, GateError, GateSequence
+from .unitary import FSWAP, KINDS, LINE1, MATCHGATE, GateError, GateSequence
 
 SCHEMA_VERSION = "dgsim/1"
 
@@ -119,6 +121,7 @@ def _size(obj) -> int:
 _GATE_KEYS = {FSWAP: {"kind", "line"}, MATCHGATE: {"kind", "axes", "angle"},
               LINE1: {"kind", "axes", "angle"}}
 _KIND_CODES = {kind: code for code, kind in enumerate(KINDS)}
+_FSWAP_CODE = _KIND_CODES[FSWAP]
 
 
 def _parse_gate(obj, i: int):
@@ -172,12 +175,6 @@ def _parse_gates(docs, n: int) -> GateSequence:
         return GateSequence._from_columns(n, kind, j, k, line, wrap_angles(angle))
     except GateError as exc:
         raise SchemaError(str(exc), f"$.gates[{exc.index}]") from None
-
-
-def gate_doc(g: Gate):
-    if g.kind == FSWAP:
-        return {"kind": g.kind, "line": g.line}
-    return {"kind": g.kind, "axes": list(g.axes), "angle": g.angle}
 
 
 def parse_circuit(obj) -> tuple[Circuit, dict]:
@@ -337,8 +334,36 @@ def _emit(value, out):
                 out.append(",")
             _emit(item, out)
         out.append("]")
+    elif isinstance(value, GateSequence):
+        _emit_gates(value, out)
     else:
         raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+# One template per kind code: a gate's document with sorted keys.
+_GATE_TEMPLATES = tuple(
+    '{"kind":"fswap","line":%d}' if kind == FSWAP
+    else '{"angle":%.17g,"axes":[%d,%d],"kind":' + json.dumps(kind) + "}"
+    for kind in KINDS
+)
+
+
+def _emit_gates(seq: GateSequence, out):
+    """A gate list as its documents, one ``%`` call per gate from the columns.
+
+    The angles are checked for NaN and infinities once.  An fswap reads
+    {"kind", "line"}, a plane gate {"angle", "axes", "kind"}: the bytes
+    of emitting each gate's dict.
+    """
+    finite = np.isfinite(seq.angle)
+    if not finite.all():
+        bad = seq.angle[~finite][0]
+        raise NumericalAdmissibilityError(f"result holds the non-finite number {bad}")
+    columns = zip(seq.kind.tolist(), seq.axes.tolist(), seq.line.tolist(), seq.angle.tolist())
+    out.append("[" + ",".join([
+        _GATE_TEMPLATES[code] % ((line,) if code == _FSWAP_CODE else (angle, j, k))
+        for code, (j, k), line, angle in columns
+    ]) + "]")
 
 
 def dumps(doc) -> str:

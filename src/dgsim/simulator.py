@@ -92,20 +92,6 @@ def _outcome_carrier(m: MeasurementOp) -> np.ndarray:
     return canonical_matrix(np.where(m.x, 1.0, -1.0), 2 * len(m.K))
 
 
-def measurement_cov(n: int, m: MeasurementOp) -> np.ndarray:
-    """Real covariance carrier of the projector O(K, x), times 2^{|K|-n}.
-
-    Line q occupies Majorana axes (2q, 2q+1); outcome bit b contributes
-    the canonical block with parameter -(-1)^b there (<Z_q> = (-1)^b
-    and the carrier convention is M[2q, 2q+1] = -<Z_q>).
-    """
-    _check_lines(m.K, n)
-    M = np.zeros((2 * n, 2 * n))
-    idx = _measured_axes(m.K)
-    M[np.ix_(idx, idx)] = _outcome_carrier(m)
-    return M
-
-
 def _expectation_from_M(M: np.ndarray, m: MeasurementOp) -> float:
     k = len(m.K)
     if k == 0:

@@ -130,13 +130,6 @@ class DGUnitary:
         return oracle.exp_quadratic(self.n, h, d)
 
 
-def compose(U1: DGUnitary, U2: DGUnitary) -> DGUnitary:
-    """Unitary product U1 U2 (U2 applied first); rotations multiply."""
-    if U1.n != U2.n:
-        raise ValueError("cannot compose unitaries on different sizes")
-    return DGUnitary.from_rotation(U1.n, U1.rotation() @ U2.rotation())
-
-
 def conjugate_state(U: DGUnitary, s: DGaussState) -> DGaussState:
     """Covariance update of U rho U^dag: M_ext -> R M_ext R^T."""
     if U.n != s.n:
@@ -417,43 +410,41 @@ def sequence_rotation(seq: GateSequence) -> np.ndarray:
     return acc
 
 
-def gate_dense(g: Gate, n: int) -> np.ndarray:
-    """Exact dense unitary of one gate (oracle-capped sizes only)."""
-    g.validate(n)
-    return _gate_dense(g, n)
-
-
-def _gate_dense(g: Gate, n: int) -> np.ndarray:
-    """gate_dense of a gate already checked against n (one from a GateSequence)."""
-    if g.kind == FSWAP:
-        return oracle.fswap(n, g.line, g.line + 1)
-    j, k = g.axes
-    h = np.zeros((2 * n, 2 * n))
-    d = np.zeros(2 * n)
-    if 2 * n in (j, k):
-        a = j if k == 2 * n else k
-        # Rotation angle theta in the (a, 2n) plane comes from the
-        # displacement d_a = -theta/2 (R = exp(-2 d_a s_{a,2n})).
-        d[a] = -g.angle / 2 if k == 2 * n else g.angle / 2
-    else:
-        h[j, k] = g.angle / 2
-        h[k, j] = -g.angle / 2
-    return oracle.exp_quadratic(n, h, d)
-
-
-def sequence_dense(seq: GateSequence) -> np.ndarray:
-    """Dense product unitary of a gate list (applied in order)."""
-    acc = np.eye(1 << seq.n, dtype=complex)
-    for g in seq:
-        acc = _gate_dense(g, seq.n) @ acc
-    return acc
-
-
 def conjugate_dense(seq: GateSequence, rho) -> np.ndarray:
-    """Dense state rho after the gate list: rho -> U rho U^dag, one gate at a time."""
-    for g in seq:
-        Ug = _gate_dense(g, seq.n)
-        rho = Ug @ rho @ Ug.conj().T
+    """Dense state rho after the gate list: rho -> U rho U^dag, one gate at a time.
+
+    Each gate is U = c I + s D with D a signed permutation, D[y, perm[y]]
+    = d[y] (oracle-capped n), so no matrix exponential is formed.  A
+    plane gate on Majorana axes (j, k) is exp((theta/2) g_j g_k) =
+    cos(theta/2) I + sin(theta/2) g_j g_k.  A line1 gate on (a, 2n) is
+    the displacement exp(i t g_a) = cos t I + sin t (i g_a) with
+    t = d_a = -theta/2 (theta/2 on (2n, a)): its rotation exp(-2 d_a
+    s_{a,2n}) turns the (a, 2n) plane by theta.  Both D square to -I, and
+    U rho U^dag = c^2 rho + cs (D rho + rho D^dag) + s^2 D rho D^dag,
+    where D rho = d[:, None] * rho[perm] is a gather and a phase.  An
+    fswap is D alone.  Each gate costs a few O(4^n) elementwise steps and
+    no matrix product.
+    """
+    n, ext = seq.n, 2 * seq.n
+    rho = np.asarray(rho, dtype=complex)
+    columns = zip(seq.kind.tolist(), seq.axes.tolist(), seq.line.tolist(), seq.angle.tolist())
+    for code, (j, k), line, angle in columns:
+        if code == _FSWAP:
+            perm, d = oracle.fswap_permutation(n, line)
+            rho = d[:, None] * rho[np.ix_(perm, perm)] * d.conj()
+            continue
+        if ext in (j, k):
+            t = -angle / 2 if k == ext else angle / 2
+            perm, d = oracle.monomial_permutation(n, (j if k == ext else k,))
+            d = 1j * d
+        else:
+            t = angle / 2
+            perm, d = oracle.monomial_permutation(n, (min(j, k), max(j, k)))
+            if j > k:
+                d = -d
+        c, s, dh = np.cos(t), np.sin(t), d.conj()
+        Drho = d[:, None] * rho[perm]
+        rho = c * c * rho + c * s * (Drho + rho[:, perm] * dh) + s * s * (Drho[:, perm] * dh)
     return rho
 
 

@@ -1,10 +1,10 @@
-"""Shared random-instance builders for the test suite."""
+"""Shared random-instance builders and reference implementations for the test suite."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from dgsim import oracle, state as st_mod, unitary as un_mod
+from dgsim import antisym, oracle, simulator as sim, state as st_mod, unitary as un_mod
 
 
 def rand_antisym(rng, m, scale=1.0):
@@ -117,3 +117,93 @@ def reference_rotation(n, gates):
         rows, Q = reference_block(g)
         acc[rows, :] = Q @ acc[rows, :]
     return acc
+
+
+# ---------------------------------------------------------------------------
+# Reference code that only the tests call: independent definitions the
+# fast paths are checked against.
+
+def pfaffian_reference(M):
+    """Pfaffian via the signed sum over perfect matchings.
+
+    Factorial cost; an independent cross-check for small matrices
+    (m <= 8 keeps it instantaneous).
+    """
+    M = antisym.check_antisymmetric(M)
+    m = M.shape[0]
+    if m % 2:
+        raise antisym.DimensionError("Pfaffian requires even dimension")
+
+    def expand(indices):
+        if not indices:
+            return 1.0
+        a = indices[0]
+        total = 0.0
+        for pos in range(1, len(indices)):
+            b = indices[pos]
+            rest = indices[1:pos] + indices[pos + 1:]
+            sign = -1.0 if pos % 2 == 0 else 1.0
+            total += sign * M[a, b] * expand(rest)
+        return total
+
+    return expand(tuple(range(m)))
+
+
+def measurement_cov(n, m):
+    """Real covariance carrier of the projector O(K, x), times 2^{|K|-n}.
+
+    Line q occupies Majorana axes (2q, 2q+1); outcome bit b contributes
+    the canonical block with parameter -(-1)^b there (<Z_q> = (-1)^b
+    and the carrier convention is M[2q, 2q+1] = -<Z_q>).
+    """
+    sim._check_lines(m.K, n)
+    M = np.zeros((2 * n, 2 * n))
+    idx = sim._measured_axes(m.K)
+    M[np.ix_(idx, idx)] = sim._outcome_carrier(m)
+    return M
+
+
+def compose(U1, U2):
+    """Unitary product U1 U2 (U2 applied first); rotations multiply."""
+    if U1.n != U2.n:
+        raise ValueError("cannot compose unitaries on different sizes")
+    return un_mod.DGUnitary.from_rotation(U1.n, U1.rotation() @ U2.rotation())
+
+
+def sequence_dense(seq):
+    """Dense product unitary of a gate list (applied in order)."""
+    acc = np.eye(1 << seq.n, dtype=complex)
+    for g in seq:
+        acc = gate_dense(g, seq.n) @ acc
+    return acc
+
+
+def gate_doc(g):
+    """The document of one Gate, as a dict."""
+    if g.kind == un_mod.FSWAP:
+        return {"kind": g.kind, "line": g.line}
+    return {"kind": g.kind, "axes": list(g.axes), "angle": g.angle}
+
+
+def gate_dense(g, n):
+    """Dense unitary of one gate, by a matrix exponential of its generator.
+
+    The generator is the one the gate alphabet names: (theta/2) g_j g_k
+    for a plane, the displacement i d_a g_a for a line1 gate on (a, 2n),
+    and the four-term quadratic form of an fswap.
+    """
+    h, d = np.zeros((2 * n, 2 * n)), np.zeros(2 * n)
+    if g.kind == un_mod.FSWAP:
+        p, q, r, s = range(2 * g.line, 2 * g.line + 4)
+        terms = (((p, s), np.pi / 4), ((q, r), -np.pi / 4),
+                 ((p, q), -np.pi / 4), ((r, s), -np.pi / 4))
+    else:
+        j, k = g.axes
+        terms = () if 2 * n in (j, k) else (((j, k), g.angle / 2),)
+        if k == 2 * n:
+            d[j] = -g.angle / 2
+        elif j == 2 * n:
+            d[k] = g.angle / 2
+    for (j, k), c in terms:
+        h[j, k], h[k, j] = c, -c
+    return oracle.exp_quadratic(n, h, d)

@@ -23,6 +23,7 @@ from helpers import (
     rand_sequence,
     rand_state,
     rand_unitary,
+    sequence_dense,
 )
 
 
@@ -143,7 +144,7 @@ def test_acceptance_4_compiler():
             U = un_mod.DGUnitary.from_rotation(n, R)
             dense_dev = max(
                 dense_dev,
-                oracle.phase_aligned_distance(un_mod.sequence_dense(seq), U.dense()),
+                oracle.phase_aligned_distance(sequence_dense(seq), U.dense()),
             )
     elapsed = time.perf_counter() - t0
     ok = worst_res < 1e-7 and dense_dev < 1e-7 and elapsed < 120

@@ -3,7 +3,7 @@ import pytest
 
 from dgsim import antisym
 
-from helpers import rand_antisym
+from helpers import pfaffian_reference, rand_antisym
 
 rng = np.random.default_rng(1234)
 
@@ -40,7 +40,7 @@ def test_pfaffian_matches_reference():
         for _ in range(5):
             M = rand_antisym(rng, m)
             assert antisym.pfaffian(M) == pytest.approx(
-                antisym.pfaffian_reference(M), abs=1e-8
+                pfaffian_reference(M), abs=1e-8
             )
 
 
@@ -67,7 +67,7 @@ def test_pfaffian_all_restrictions():
     for mask in (0b0011, 0b1111, 0b01010101, 0b11111111):
         J = [j for j in range(8) if mask >> j & 1]
         assert table[mask] == pytest.approx(
-            antisym.pfaffian_reference(M[np.ix_(J, J)]), abs=1e-8
+            pfaffian_reference(M[np.ix_(J, J)]), abs=1e-8
         )
 
 

@@ -3,11 +3,12 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dgsim import antisym, cli, embedding, oracle, serialization as ser, simulator
 from dgsim import state as st_mod, unitary as un_mod
 
-from helpers import ghz4, rand_antisym
+from helpers import gate_doc, ghz4, rand_antisym
 
 rng = np.random.default_rng(90210)
 
@@ -283,6 +284,15 @@ def test_compile(tmp_path, capsys):
     res = json.loads(out)
     assert res["residual"] < 1e-7
     assert res["gate_count"] == len(res["gates"]) <= (2 * n + 1) ** 2
+    # The gate list is formatted from the sequence's columns: the bytes of
+    # emitting one dict per gate.
+    U = un_mod.DGUnitary.from_generator(n, np.array(doc["h"]), np.array(doc["d"]))
+    seq = un_mod.compile(U)
+    assert out == ser.dumps({
+        "schema": ser.SCHEMA_VERSION, "n": n, "gates": [gate_doc(g) for g in seq.gates],
+        "gate_count": len(seq), "cubic_constant": len(seq) / n**3,
+        "residual": float(np.max(np.abs(un_mod.sequence_rotation(seq) - U.rotation()))),
+    })
 
 
 def test_embed(tmp_path, capsys):
@@ -398,7 +408,7 @@ def counted(monkeypatch, module, name, calls):
         calls[name] += 1
         return real(*args, **kwargs)
 
-    for mod in (cli, ser, simulator, st_mod, un_mod):
+    for mod in (cli, ser, simulator, st_mod, un_mod, oracle):
         if getattr(mod, name, None) is real:
             monkeypatch.setattr(mod, name, wrapper)
 
@@ -433,6 +443,43 @@ def test_inadmissible_input_outranks_later_faults(tmp_path, capsys, argv, n):
     code = cli.main([argv[0], path, *argv[1:]])
     captured = capsys.readouterr()
     assert code == 3 and captured.out == "" and "not a displaced Gaussian state" in captured.err
+
+
+def test_oracle_verify_makes_no_exponential(tmp_path, capsys, monkeypatch):
+    # Every gate of the dense side is applied in closed form.
+    calls = collections.Counter()
+    counted(monkeypatch, oracle, "exp_quadratic", calls)
+    real_expm = scipy.linalg.expm
+
+    def counting_expm(*args, **kwargs):
+        calls["expm"] += 1
+        return real_expm(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
+    gates = [
+        {"kind": "matchgate", "axes": [1, 2], "angle": 0.7},
+        {"kind": "matchgate", "axes": [5, 3], "angle": -1.2},
+        {"kind": "line1", "axes": [0, 6], "angle": -0.4},
+        {"kind": "line1", "axes": [6, 1], "angle": 2.9},
+        {"kind": "fswap", "line": 1},
+        {"kind": "fswap", "line": 0},
+    ]
+    doc = circuit_doc(3, [0.6, -0.3, 0.9], gates, measure={"lines": [0, 2], "x": [1, 0]})
+    code, out = run_cli(capsys, ["oracle-verify", write_doc(tmp_path, "c.json", doc)])
+    assert code == 0 and json.loads(out)["ok"] is True
+    assert calls == {}
+
+
+def test_test_state_cap_before_evolution(tmp_path, capsys, monkeypatch):
+    calls = collections.Counter()
+    counted(monkeypatch, simulator, "run", calls)
+    n = oracle.ORACLE_MAX_QUBITS + 1
+    gates = [{"kind": "matchgate", "axes": [0, 2], "angle": 0.3}, {"kind": "fswap", "line": 3}]
+    path = write_doc(tmp_path, "c.json", circuit_doc(n, [1.0] * n, gates))
+    code = cli.main(["test-state", path])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == "" and "oracle cap" in captured.err
+    assert calls == {}
 
 
 def test_oracle_verify_cap(tmp_path, capsys):

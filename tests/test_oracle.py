@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dgsim import oracle
 
@@ -191,3 +192,31 @@ def test_oracle_cap():
 def test_phase_aligned_distance():
     U = oracle.exp_quadratic(1, np.array([[0.0, 0.3], [-0.3, 0.0]]), np.zeros(2))
     assert oracle.phase_aligned_distance(U, np.exp(0.7j) * U) < 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_embed_V_is_the_exponential(n):
+    want = scipy.linalg.expm(-1j * (np.pi / 4) * oracle.majorana(n + 1, 2 * n + 1))
+    assert np.max(np.abs(oracle.embed_V(n) - want)) < 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_monomial_permutation_is_the_monomial(n):
+    for mask in range(1 << (2 * n)):
+        J = tuple(a for a in range(2 * n) if mask >> a & 1)
+        perm, d = oracle.monomial_permutation(n, J)
+        assert np.array_equal(oracle.permutation_dense(perm, d), oracle.majorana_monomial(n, J)), J
+
+
+def test_fswap_permutation_is_the_exponential():
+    # The four-term generator of the adjacent swap, exponentiated densely.
+    for n in (2, 3, 4):
+        for a in range(n - 1):
+            h = np.zeros((2 * n, 2 * n))
+            p, q, r, s = range(2 * a, 2 * a + 4)
+            for (j, k), c in (((p, s), np.pi / 4), ((q, r), -np.pi / 4),
+                              ((p, q), -np.pi / 4), ((r, s), -np.pi / 4)):
+                h[j, k], h[k, j] = c, -c
+            want = oracle.exp_quadratic(n, h, np.zeros(2 * n))
+            got = oracle.permutation_dense(*oracle.fswap_permutation(n, a))
+            assert np.max(np.abs(got - want)) < 1e-14

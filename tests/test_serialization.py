@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from dgsim import serialization as ser
+from dgsim import serialization as ser, unitary as un_mod
 from dgsim.simulator import NumericalAdmissibilityError
+
+from helpers import gate_doc, rand_unitary
 
 rng = np.random.default_rng(4711)
 
@@ -56,3 +58,49 @@ def test_non_finite_anywhere_refused(bad, where):
         ser.dumps({"M": a})
     with pytest.raises(NumericalAdmissibilityError):
         ser.dumps(a.ravel())
+
+
+def gate_list_cases():
+    """Gate lists: signed zeros and subnormal angles, every kind, parsed, compiled, empty."""
+    n = 3
+    special = un_mod.GateSequence._from_columns(
+        n, [0, 1, 2, 0, 1, 0], [0, 0, -1, 5, 6, 2], [1, 6, -1, 4, 1, 3], [-1, -1, 1, -1, -1, -1],
+        [-0.0, 0.0, 0.0, 5e-324, -np.pi, 1.0 / 3.0])
+    kinds = ["matchgate"] * 4 + ["line1"] * 2 + ["fswap"] * 3
+    docs = []
+    for kind in rng.permutation(kinds).tolist():
+        if kind == "fswap":
+            docs.append({"kind": kind, "line": int(rng.integers(0, n - 1))})
+        elif kind == "line1":
+            docs.append({"kind": kind, "axes": [int(rng.integers(0, 2)), 2 * n],
+                         "angle": float(rng.uniform(-3, 3))})
+        else:
+            a = 2 * int(rng.integers(0, n - 1))
+            docs.append({"kind": kind, "axes": [a, a + 3], "angle": float(rng.uniform(-3, 3))})
+    circuit = {"schema": ser.SCHEMA_VERSION, "n": n, "input": {"lambdas": [1.0] * n}, "gates": docs}
+    parsed = ser.parse_circuit(circuit)[0].gates
+    compiled = un_mod.compile(rand_unitary(rng, n))
+    return [special, parsed, compiled, un_mod.GateSequence(n, ())]
+
+
+@pytest.mark.parametrize("seq", gate_list_cases(), ids=["special", "parsed", "compiled", "empty"])
+def test_gate_list_bytes_match_gate_docs(seq):
+    want = ser.dumps([gate_doc(g) for g in seq.gates])
+    assert ser.dumps(seq) == want
+    assert ser.dumps({"gates": seq, "n": seq.n}) == ser.dumps(
+        {"gates": [gate_doc(g) for g in seq.gates], "n": seq.n})
+
+
+def test_gate_list_signed_zero_and_kinds_present():
+    special, parsed, _, empty = gate_list_cases()
+    assert ser.dumps(special).startswith('[{"angle":-0,"axes":[0,1],"kind":"matchgate"},')
+    assert set(parsed.kind.tolist()) == {0, 1, 2}
+    assert ser.dumps(empty) == "[]\n"
+
+
+def test_gate_list_non_finite_angle_refused():
+    seq = un_mod.GateSequence._from_columns(2, [0], [0], [1], [-1], [float("nan")])
+    with pytest.raises(NumericalAdmissibilityError, match="non-finite"):
+        ser.dumps({"gates": seq})
+    with pytest.raises(NumericalAdmissibilityError, match="non-finite"):
+        ser.dumps({"gates": [gate_doc(g) for g in seq.gates]})

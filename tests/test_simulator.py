@@ -6,7 +6,15 @@ import pytest
 
 from dgsim import oracle, simulator as sim, state as st_mod, unitary as un_mod
 
-from helpers import dense_product, rand_bloch, rand_pure_state, rand_sequence, rand_state
+from helpers import (
+    dense_product,
+    gate_dense,
+    measurement_cov,
+    rand_bloch,
+    rand_pure_state,
+    rand_sequence,
+    rand_state,
+)
 
 rng = np.random.default_rng(2024)
 
@@ -25,17 +33,17 @@ def test_measurement_op_validation():
 
 
 def test_measurement_cov_canonical_blocks():
-    m = sim.measurement_cov(3, sim.MeasurementOp((0,), (0,)))
+    m = measurement_cov(3, sim.MeasurementOp((0,), (0,)))
     want = np.zeros((6, 6))
     want[0, 1], want[1, 0] = -1.0, 1.0
     assert np.max(np.abs(m - want)) < 1e-12
-    assert np.max(np.abs(sim.measurement_cov(2, sim.MeasurementOp((), ())))) == 0.0
+    assert np.max(np.abs(measurement_cov(2, sim.MeasurementOp((), ())))) == 0.0
 
 
 def test_measurement_cov_dense_projector():
     for n in (2, 3):
         op = sim.MeasurementOp((0, n - 1), (1, 0))
-        Mm = sim.measurement_cov(n, op)
+        Mm = measurement_cov(n, op)
         Me = np.zeros((2 * n + 1, 2 * n + 1))
         Me[: 2 * n, : 2 * n] = Mm
         proj = np.eye(1 << n, dtype=complex)
@@ -105,7 +113,7 @@ def test_run_matches_dense():
             out = sim.run(sim.Circuit(s, seq))
             rho = st_mod.dense(s)
             for g in seq.gates:
-                Ug = un_mod.gate_dense(g, n)
+                Ug = gate_dense(g, n)
                 rho = Ug @ rho @ Ug.conj().T
             assert np.max(np.abs(st_mod.dense(out) - rho)) < 1e-7
 

@@ -5,7 +5,15 @@ import pytest
 
 from dgsim import antisym, oracle, simulator as sim, state as st_mod, unitary as un_mod
 
-from helpers import rand_antisym, rand_sequence, rand_state, rand_unitary
+from helpers import (
+    compose,
+    gate_dense,
+    rand_antisym,
+    rand_sequence,
+    rand_state,
+    rand_unitary,
+    sequence_dense,
+)
 
 rng = np.random.default_rng(99)
 
@@ -67,7 +75,7 @@ def test_conjugate_state_matches_dense():
 def test_compose_matches_dense():
     n = 2
     U1, U2 = rand_unitary(rng, n), rand_unitary(rng, n)
-    U = un_mod.compose(U1, U2)
+    U = compose(U1, U2)
     assert oracle.phase_aligned_distance(U.dense(), U1.dense() @ U2.dense()) < 1e-9
 
 
@@ -97,7 +105,7 @@ def test_gate_rotation_vs_dense():
         g = rand_sequence(rng, n, 1).gates[0]
         R = un_mod.gate_rotation(g, n)
         antisym.check_rotation(R)
-        Ug = un_mod.gate_dense(g, n)
+        Ug = gate_dense(g, n)
         s = rand_state(rng, n)
         evolved = oracle.covariance_from_dense(Ug @ st_mod.dense(s) @ Ug.conj().T)
         assert np.max(np.abs(R @ s.M_ext @ R.T - evolved)) < 1e-9
@@ -156,7 +164,7 @@ def test_sequence_rotation_matches_product():
 
 def test_fswap_gate_dense_is_oracle_fswap():
     g = un_mod.Gate(un_mod.FSWAP, line=1)
-    assert np.max(np.abs(un_mod.gate_dense(g, 3) - oracle.fswap(3, 1, 2))) < 1e-10
+    assert np.max(np.abs(gate_dense(g, 3) - oracle.fswap(3, 1, 2))) < 1e-14
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -173,7 +181,7 @@ def test_compile_dense_projective():
     for n in (2, 3):
         U = rand_unitary(rng, n)
         seq = un_mod.compile(U)
-        assert oracle.phase_aligned_distance(un_mod.sequence_dense(seq), U.dense()) < 1e-7
+        assert oracle.phase_aligned_distance(sequence_dense(seq), U.dense()) < 1e-7
 
 
 def test_compile_even_avoids_extension_axis():
@@ -196,3 +204,42 @@ def test_from_rotation_log_branch_error():
     R = np.diag([-1.0, -1.0, 1.0, 1.0, 1.0])
     with pytest.raises(un_mod.LogBranchError):
         un_mod.DGUnitary.from_rotation(2, R).generator()
+
+
+def alphabet(n):
+    """Every gate the register admits, both axis orders and both angle signs.
+
+    Matchgates in every window, line1 gates on (0, 1), (0, 2n), (1, 2n)
+    and (2n, 0), (2n, 1), and an fswap on every line.
+    """
+    ext = 2 * n
+    pairs = [(j, k) for j in range(ext) for k in range(ext) if j != k and un_mod._in_window(j, k)]
+    gates = [un_mod.Gate(un_mod.MATCHGATE, axes=p, angle=a) for p in pairs for a in (0.7, -2.3)]
+    line1 = [(0, ext), (1, ext), (ext, 0), (ext, 1)] + ([(0, 1), (1, 0)] if n > 1 else [])
+    gates += [un_mod.Gate(un_mod.LINE1, axes=p, angle=a) for p in line1 for a in (1.1, -0.4)]
+    return gates + [un_mod.Gate(un_mod.FSWAP, line=a) for a in range(n - 1)]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_conjugate_dense_matches_exponential_per_gate(n):
+    # Closed form c I + s D against U = exp_quadratic(generator), on a
+    # general complex matrix so that rho D^dag is checked on its own.
+    dim = 1 << n
+    rho = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    gates = alphabet(n)
+    kinds = {"matchgate", "line1", "fswap"} if n > 1 else {"matchgate", "line1"}
+    assert {g.kind for g in gates} == kinds
+    for g in gates:
+        U = gate_dense(g, n)
+        got = un_mod.conjugate_dense(un_mod.GateSequence(n, (g,)), rho)
+        assert np.max(np.abs(got - U @ rho @ U.conj().T)) < 1e-13, g
+
+
+def test_conjugate_dense_sequence_matches_product():
+    n = 4
+    seq = rand_sequence(rng, n, 40)
+    rho = st_mod.dense(rand_state(rng, n))
+    U = np.eye(1 << n, dtype=complex)
+    for g in seq:
+        U = gate_dense(g, n) @ U
+    assert np.max(np.abs(un_mod.conjugate_dense(seq, rho) - U @ rho @ U.conj().T)) < 1e-12
