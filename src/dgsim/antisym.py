@@ -2,7 +2,9 @@
 
 Pfaffians, restrictions, canonical (block-diagonal) forms, matrix
 exponentials into SO(m), and factorizations of special orthogonal
-matrices into plane rotations restricted to an adjacency graph.
+matrices into plane rotations restricted to an adjacency graph.  A
+factorization is returned as arrays, planes (g, 2) and angles (g,);
+no object is made per rotation.
 
 All indices are 0-based.  The canonical form of a real antisymmetric
 matrix M is
@@ -19,7 +21,7 @@ returned negative and ``det R = +1`` is kept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import heapq
 from math import atan2, pi
 
 import numpy as np
@@ -259,31 +261,12 @@ def expm_antisym(h) -> np.ndarray:
     return scipy.linalg.expm(h)
 
 
-@dataclass(frozen=True)
-class PlaneRotation:
-    """Rotation by ``angle`` in the coordinate plane spanned by two axes."""
-
-    axes: tuple[int, int]
-    angle: float
-
-    def __post_init__(self):
-        j, k = self.axes
-        if j == k:
-            raise ValueError("plane rotation needs two distinct axes")
-        a = self.angle
-        a = atan2(np.sin(a), np.cos(a))
-        if a <= -pi:
-            a = pi
-        object.__setattr__(self, "angle", float(a))
-
-    def matrix(self, dim: int) -> np.ndarray:
-        return plane_rotation_matrix(dim, self.axes[0], self.axes[1], self.angle)
-
-
 def wrap_angles(angles) -> np.ndarray:
-    """PlaneRotation's angle normalization applied to each angle, bit for bit.
+    """Each angle normalized into (-pi, pi]: atan2(sin a, cos a), with -pi sent to pi.
 
-    Sines and cosines are taken over the whole array; atan2 is
+    The bits are those of the scalar definition (``np.sin``, ``np.cos``
+    and ``math.atan2`` of one angle), which gate angles have always
+    carried.  Sines and cosines are taken over the whole array; atan2 is
     ``math.atan2`` per angle, because ``np.arctan2`` rounds differently
     in the last bit.  The normalization is not idempotent: a second pass
     changes the last bit of some angles.
@@ -306,15 +289,17 @@ def plane_rotation_matrix(dim: int, j: int, k: int, angle: float) -> np.ndarray:
     return R
 
 
-def _spanning_tree(m: int, adjacency) -> dict[int, list[int]]:
-    """BFS spanning tree of the adjacency graph; raises if disconnected."""
-    neighbors: dict[int, list[int]] = {v: [] for v in range(m)}
-    for j in range(m):
-        for k in range(j + 1, m):
-            if adjacency(j, k) or adjacency(k, j):
-                neighbors[j].append(k)
-                neighbors[k].append(j)
-    tree: dict[int, list[int]] = {v: [] for v in range(m)}
+def _spanning_tree(allowed: np.ndarray) -> list[list[int]]:
+    """BFS spanning tree of the graph of allowed pairs; raises if disconnected.
+
+    ``tree[v]`` lists v's tree neighbors in the order the search met them:
+    its parent first, then its children in ascending order.
+    """
+    m = len(allowed)
+    pairs = allowed | allowed.T
+    np.fill_diagonal(pairs, False)
+    neighbors = [np.flatnonzero(row).tolist() for row in pairs]
+    tree: list[list[int]] = [[] for _ in range(m)]
     seen = {0}
     frontier = [0]
     while frontier:
@@ -332,66 +317,89 @@ def _spanning_tree(m: int, adjacency) -> dict[int, list[int]]:
     return tree
 
 
-def plane_decompose(R, adjacency) -> list[PlaneRotation]:
+def _leaf_order(tree: list[list[int]]) -> list[int]:
+    """Vertices in the order they are pruned: always the smallest current leaf."""
+    degree = [len(t) for t in tree]
+    heap = [v for v, d in enumerate(degree) if d == 1]
+    gone = [False] * len(tree)
+    order: list[int] = []
+    while len(order) < len(tree) - 1:
+        leaf = heapq.heappop(heap)
+        order.append(leaf)
+        gone[leaf] = True
+        (p,) = (u for u in tree[leaf] if not gone[u])
+        degree[p] -= 1
+        if degree[p] == 1:
+            heapq.heappush(heap, p)
+    return order
+
+
+def plane_decompose(R, allowed) -> tuple[np.ndarray, np.ndarray]:
     """Factor a special orthogonal matrix into allowed plane rotations.
 
-    ``adjacency(j, k)`` says whether a rotation in the (j, k) plane is
-    allowed; the allowed pairs must form a connected graph.  The
-    returned rotations satisfy, with ``acc`` starting at the identity
-    and updated as ``acc = rot.matrix(m) @ acc`` in list order,
-    ``acc == R``.  At most one rotation per (column, row) pair plus one
-    sign fix per column is emitted: count <= m^2 (well under the
-    documented C * m^3 envelope with C = 1).
+    ``allowed`` is an (m, m) boolean array: a rotation in the (j, k)
+    plane is allowed if ``allowed[j, k]`` or ``allowed[k, j]`` (the
+    diagonal is ignored), and the allowed pairs must form a connected
+    graph.  Returns ``(axes, angles)``: an (g, 2) int64 array of planes
+    and their g angles in (-pi, pi].  With ``acc`` starting at the
+    identity and updated as ``acc = plane_rotation_matrix(m, j, k, a) @
+    acc`` in order, ``acc == R``.  At most one rotation per (column, row)
+    pair plus one sign fix per column is emitted: count <= m^2 (well
+    under the documented C * m^3 envelope with C = 1).
+
+    The columns are eliminated leaf by leaf of a spanning tree, each by
+    Givens rotations along the tree towards the column's vertex.  The
+    matrix is held as a list of row arrays: a rotation of rows a, b
+    replaces both by new arrays, with no copy and no per-rotation
+    object.  Each angle is normalized as ``wrap_angles`` does, once when
+    the rotation is found and once after it is inverted.
     """
     R = check_rotation(R)
     m = R.shape[0]
-    tree = _spanning_tree(m, adjacency)
-    A = R.copy()
-    applied: list[PlaneRotation] = []
+    allowed = np.asarray(allowed, dtype=bool)
+    if allowed.shape != (m, m):
+        raise DimensionError(f"adjacency of shape {allowed.shape} for a rotation of size {m}")
+    tree = _spanning_tree(allowed)
+    rows = list(R)  # rows are replaced, never written: R is not changed
+    planes: list[tuple[int, int]] = []
+    found: list[float] = []
 
     def rotate(a: int, b: int, angle: float):
-        """Left-multiply A by the (a, b) plane rotation."""
-        c, s = np.cos(angle), np.sin(angle)
-        ra, rb = A[a].copy(), A[b].copy()
-        A[a] = c * ra + s * rb
-        A[b] = -s * ra + c * rb
-        applied.append(PlaneRotation((a, b), angle))
+        """Left-multiply the matrix by the (a, b) plane rotation."""
+        co, si = np.cos(angle), np.sin(angle)
+        ra, rb = rows[a], rows[b]
+        rows[a] = co * ra + si * rb
+        rows[b] = -si * ra + co * rb
+        planes.append((a, b))
+        found.append(angle)
 
-    remaining = set(range(m))
-    order: list[int] = []
-    work = {v: set(n) for v, n in tree.items()}
-    while len(order) < m - 1:
-        leaf = next(v for v in sorted(work) if len(work[v]) == 1)
-        order.append(leaf)
-        (p,) = work[leaf]
-        work[p].discard(leaf)
-        del work[leaf]
-
-    for c in order:
+    remaining = [True] * m
+    for c in _leaf_order(tree):
         # BFS from c over the remaining vertices: parent = next hop to c.
-        parent = {c: None}
-        depth = {c: 0}
+        parent = {c: c}
         frontier = [c]
+        levels = []
         while frontier:
             nxt = []
             for v in frontier:
                 for u in tree[v]:
-                    if u in remaining and u not in parent:
+                    if remaining[u] and u not in parent:
                         parent[u] = v
-                        depth[u] = depth[v] + 1
                         nxt.append(u)
+            levels.append(nxt)
             frontier = nxt
-        for r in sorted(parent, key=lambda v: -depth[v]):
-            if r == c:
-                continue
-            if abs(A[r, c]) < 1e-15:
-                continue
-            p = parent[r]
-            rotate(p, r, atan2(A[r, c], A[p, c]))
-        if A[c, c] < 0:
-            u = min(v for v in tree[c] if v in remaining and v != c)
-            rotate(c, u, pi)
-        remaining.discard(c)
+        for level in reversed(levels):
+            for r in level:
+                x = rows[r][c]
+                if abs(x) < 1e-15:
+                    continue
+                p = parent[r]
+                rotate(p, r, atan2(x, rows[p][c]))
+        if rows[c][c] < 0:
+            rotate(c, min(v for v in tree[c] if remaining[v]), pi)
+        remaining[c] = False
 
-    result = [PlaneRotation(g.axes, -g.angle) for g in reversed(applied)]
-    return [g for g in result if abs(g.angle) > 1e-15]
+    axes = np.array(planes, dtype=np.int64).reshape(-1, 2)[::-1]
+    angles = wrap_angles(-wrap_angles(found)[::-1])
+    keep = np.abs(angles) > 1e-15
+    return axes[keep], angles[keep]

@@ -26,6 +26,7 @@ user-facing constructor of a single gate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -35,7 +36,6 @@ import scipy.linalg
 from . import oracle
 from .antisym import (
     NumericalAdmissibilityError,
-    PlaneRotation,
     bordered,
     check_antisymmetric,
     check_rotation,
@@ -220,8 +220,9 @@ class Gate:
             j, k = self.axes
             if j == k:
                 raise ValueError("gate axes must differ")
-            pr = PlaneRotation((j, k), self.angle)
-            object.__setattr__(self, "angle", pr.angle)
+            if not math.isfinite(self.angle):
+                raise ValueError(f"{self.kind} gate angle {self.angle} is not finite")
+            object.__setattr__(self, "angle", float(wrap_angles([self.angle])[0]))
         elif self.kind == FSWAP:
             if self.line is None or self.axes is not None or self.angle is not None:
                 raise ValueError("fswap gate needs a line index only")
@@ -266,23 +267,27 @@ def _index_column(values) -> np.ndarray:
         raise GateError(i, f"gate index {values[i]} out of range") from None
 
 
-def _check_gates(n: int, kind: np.ndarray, axes: np.ndarray, line: np.ndarray):
+def _check_gates(n: int, kind: np.ndarray, axes: np.ndarray, line: np.ndarray, angle: np.ndarray):
     """Raise GateError for the first gate that does not fit an n-line register.
 
-    The rules, one array step each: a matchgate's axes lie in [0, 2n)
-    inside one window; a line1 gate's axes are among {0, 1, 2n}; an
-    fswap's line a satisfies 0 <= a < n - 1.
+    The rules, one array step each: every angle is finite; a matchgate's
+    axes lie in [0, 2n) inside one window; a line1 gate's axes are among
+    {0, 1, 2n}; an fswap's line a satisfies 0 <= a < n - 1.
     """
     ext = 2 * n
     j, k = axes[:, 0], axes[:, 1]
     match_ok = (j >= 0) & (j < ext) & (k >= 0) & (k < ext) & _in_window(j, k)
     line1_ok = (((axes >= 0) & (axes <= 1)) | (axes == ext)).all(axis=1)
     fswap_ok = (line >= 0) & (line < n - 1)
-    ok = np.where(kind == _MATCHGATE, match_ok, np.where(kind == _LINE1, line1_ok, fswap_ok))
+    finite = np.isfinite(angle)
+    ok = finite & np.where(kind == _MATCHGATE, match_ok,
+                           np.where(kind == _LINE1, line1_ok, fswap_ok))
     if ok.all():
         return
     i = int(np.argmin(ok))
     pair = tuple(axes[i].tolist())
+    if not finite[i]:
+        raise GateError(i, f"{KINDS[kind[i]]} angle {float(angle[i])} is not finite")
     if kind[i] == _MATCHGATE:
         raise GateError(i, f"matchgate axes {pair} outside every window")
     if kind[i] == _LINE1:
@@ -301,22 +306,31 @@ FSWAP_ROTATION4 = scipy.linalg.expm(2 * _FSWAP_H4)
 FSWAP_ROTATION4.flags.writeable = False
 
 
-def _fold_blocks(kind, axes, line, angle) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(rows, Q, Q^T) of every gate: its rotation acts as Q on those axes only.
+def _stacked_blocks(kind, axes, line, angle):
+    """Every gate's fold block, stacked by width: (fswap, rows2, Q2, rows4).
 
-    A plane gate has rows (j, k) and Q = [[c, s], [-s, c]] with c, s the
-    cosine and sine of its angle; an fswap on lines (a, a+1) has rows
-    2a..2a+3 and Q = FSWAP_ROTATION4.  All blocks come from a few array
-    steps; the list holds read-only views into them, and Q^T is the
-    transposed view of Q.
+    ``fswap`` marks the fswaps.  Plane gates, in order, have rows
+    ``rows2`` (p, 2) and Q ``Q2`` (p, 2, 2), [[c, s], [-s, c]] with c, s
+    the cosine and sine of the angle; fswaps on lines (a, a+1) have rows
+    ``rows4`` (f, 4), 2a..2a+3, and Q = FSWAP_ROTATION4.  The arrays are
+    read-only.
     """
     fswap = kind == _FSWAP
     rows2 = axes[~fswap]
     c, s = np.cos(angle[~fswap]), np.sin(angle[~fswap])
     Q2 = np.stack((c, s, -s, c), axis=1).reshape(-1, 2, 2)
     rows4 = 2 * line[fswap, None] + np.arange(4)
-    for a in (rows2, Q2, rows4):
+    for a in (fswap, rows2, Q2, rows4):
         a.flags.writeable = False
+    return fswap, rows2, Q2, rows4
+
+
+def _fold_blocks(fswap, rows2, Q2, rows4) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(rows, Q, Q^T) of every gate: its rotation acts as Q on those rows only.
+
+    Built from the stacked blocks; the list holds read-only views into
+    them, and Q^T is the transposed view of Q.
+    """
     plane = zip(rows2, Q2, Q2.transpose(0, 2, 1))
     swap = ((r, FSWAP_ROTATION4, FSWAP_ROTATION4.T) for r in rows4)
     return [next(swap) if f else next(plane) for f in fswap.tolist()]
@@ -333,8 +347,11 @@ class GateSequence:
     - ``line``: (g,) int64, the lower line a of an fswap on (a, a+1),
       -1 otherwise;
     - ``angle``: (g,) float64 rotation angle in (-pi, pi], 0 for an fswap;
+    - ``stacked``: the fold blocks stacked by width (_stacked_blocks);
     - ``blocks``: per gate the fold block (rows, Q, Q^T) of _fold_blocks,
-      computed once here.
+      views into ``stacked``.
+
+    Both are computed once here.
 
     The arrays are read-only.  ``GateSequence(n, gates)`` takes Gate
     objects and keeps their angles; the parser and the compiler fill the
@@ -374,8 +391,9 @@ class GateSequence:
     def __post_init__(self):
         for a in (self.kind, self.axes, self.line, self.angle):
             a.flags.writeable = False
-        _check_gates(self.n, self.kind, self.axes, self.line)
-        self.blocks = _fold_blocks(self.kind, self.axes, self.line, self.angle)
+        _check_gates(self.n, self.kind, self.axes, self.line, self.angle)
+        self.stacked = _stacked_blocks(self.kind, self.axes, self.line, self.angle)
+        self.blocks = _fold_blocks(*self.stacked)
 
     def __len__(self):
         return len(self.kind)
@@ -402,11 +420,49 @@ def gate_rotation(g: Gate, n: int) -> np.ndarray:
     return R
 
 
+def _layers(seq: GateSequence) -> np.ndarray:
+    """Layer of each gate: the first one after every layer that touched any of its rows."""
+    free = [0] * (2 * seq.n + 1)  # first layer each row is free in
+    layer = []
+    for code, (j, k), a in zip(seq.kind.tolist(), seq.axes.tolist(), seq.line.tolist()):
+        if code == _FSWAP:
+            t = max(free[2 * a:2 * a + 4])
+            free[2 * a:2 * a + 4] = (t + 1,) * 4
+        else:
+            t = max(free[j], free[k])
+            free[j] = free[k] = t + 1
+        layer.append(t)
+    return np.array(layer, dtype=np.int64)
+
+
 def sequence_rotation(seq: GateSequence) -> np.ndarray:
-    """Product rotation of a gate list (gates applied in order)."""
+    """Product rotation of a gate list (gates applied in order).
+
+    The gates are applied in row-disjoint layers (``_layers``): each
+    gate goes in the first layer after the last one that touched any of
+    its rows, so every row meets its gates in sequence order, and gates
+    on disjoint rows commute exactly.  A layer's plane gates, then its
+    fswaps, are one gather of their rows, one stacked matmul by their Q
+    blocks and one scatter.  NumPy's stacked matmul makes, per block, the
+    BLAS call the two-dimensional ``Q @ acc[rows]`` makes, so the product
+    has the bits of the gate-by-gate fold (the fold-reference tests
+    compare them).
+    """
     acc = np.eye(2 * seq.n + 1)
-    for rows, Q, _ in seq.blocks:
-        acc[rows, :] = Q @ acc[rows, :]
+    fswap, rows2, Q2, rows4 = seq.stacked
+    Q4 = np.broadcast_to(FSWAP_ROTATION4, (len(rows4), 4, 4))
+    layer = _layers(seq)
+    bounds = np.arange(layer.max(initial=-1) + 2)
+    stacks = []
+    for rows, Q, at in ((rows2, Q2, layer[~fswap]), (rows4, Q4, layer[fswap])):
+        order = np.argsort(at, kind="stable")
+        stacks.append((rows[order], Q[order], np.searchsorted(at[order], bounds).tolist()))
+    for t in bounds[:-1].tolist():
+        for rows, Q, ends in stacks:
+            lo, hi = ends[t], ends[t + 1]
+            if hi > lo:
+                r = rows[lo:hi]
+                acc[r] = Q[lo:hi] @ acc[r]
     return acc
 
 
@@ -448,34 +504,33 @@ def conjugate_dense(seq: GateSequence, rho) -> np.ndarray:
     return rho
 
 
-def _compile_adjacency(n: int):
+def _compile_adjacency(n: int) -> np.ndarray:
+    """Allowed planes of the compiler: one matchgate window, or within {0, 1, 2n}."""
     ext = 2 * n
-    def allowed(j: int, k: int) -> bool:
-        if {j, k} <= {0, 1, ext}:
-            return True
-        if j == ext or k == ext:
-            return False
-        return _in_window(j, k)
-    return allowed
+    i = np.arange(ext + 1)
+    j, k = i[:, None], i[None, :]
+    line1 = (i <= 1) | (i == ext)
+    return (_in_window(j, k) & (j < ext) & (k < ext)) | (line1[:, None] & line1[None, :])
 
 
 def compile_rotation(R, n: int) -> GateSequence:
     """Factor R in SO(2n+1) into the nearest-neighbor gate alphabet.
 
-    Plane-rotation synthesis over the allowed-axis-pair graph; the
-    emitted sequence multiplies back to R (gates applied in order) and
-    contains at most (2n+1)^2 gates, comfortably inside the documented
-    C * n^3 envelope with C = 9.
+    Plane-rotation synthesis over the allowed-axis-pair graph
+    (``plane_decompose``, which checks R); the emitted sequence
+    multiplies back to R (gates applied in order) and contains at most
+    (2n+1)^2 gates, comfortably inside the documented C * n^3 envelope
+    with C = 9.  A plane that touches the extension axis 2n is a line1
+    gate, any other a matchgate.
     """
-    R = check_rotation(np.asarray(R, dtype=float))
-    if R.shape[0] != 2 * n + 1:
+    R = np.asarray(R, dtype=float)
+    if R.shape != (2 * n + 1, 2 * n + 1):
         raise ValueError("rotation dimension does not match n")
-    planes = plane_decompose(R, _compile_adjacency(n))
-    kind = [_LINE1 if 2 * n in pr.axes else _MATCHGATE for pr in planes]
-    # PlaneRotation normalized each angle once; a Gate normalizes it again.
-    angle = wrap_angles([pr.angle for pr in planes])
-    return GateSequence._from_columns(n, kind, [pr.axes[0] for pr in planes],
-                                      [pr.axes[1] for pr in planes], [-1] * len(planes), angle)
+    axes, angles = plane_decompose(R, _compile_adjacency(n))
+    kind = np.where((axes == 2 * n).any(axis=1), _LINE1, _MATCHGATE)
+    # plane_decompose normalized each angle twice; a Gate normalizes it once more.
+    return GateSequence._from_columns(n, kind, axes[:, 0], axes[:, 1], np.full(len(axes), -1),
+                                      wrap_angles(angles))
 
 
 def compile(U: DGUnitary) -> GateSequence:  # noqa: A001 - established API name

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 
 from dgsim import antisym, oracle, simulator as sim, state as st_mod, unitary as un_mod
@@ -147,6 +150,100 @@ def pfaffian_reference(M):
         return total
 
     return expand(tuple(range(m)))
+
+
+@dataclass(frozen=True)
+class PlaneRotation:
+    """Rotation by ``angle`` in the coordinate plane spanned by two axes.
+
+    The angle is normalized into (-pi, pi] with scalar sine, cosine and
+    atan2 calls: the definition ``antisym.wrap_angles`` and ``Gate``
+    must match bit for bit.
+    """
+
+    axes: tuple[int, int]
+    angle: float
+
+    def __post_init__(self):
+        j, k = self.axes
+        if j == k:
+            raise ValueError("plane rotation needs two distinct axes")
+        a = self.angle
+        a = math.atan2(np.sin(a), np.cos(a))
+        if a <= -math.pi:
+            a = math.pi
+        object.__setattr__(self, "angle", float(a))
+
+
+def plane_decompose_reference(R, adjacency) -> list[PlaneRotation]:
+    """``antisym.plane_decompose`` one rotation object at a time.
+
+    ``adjacency(j, k)`` says whether the (j, k) plane is allowed.  The
+    matrix is updated in place, row pair by row pair, and every rotation
+    is a PlaneRotation (normalized when found, and again when inverted).
+    """
+    R = antisym.check_rotation(R)
+    m = R.shape[0]
+    neighbors = {v: [] for v in range(m)}
+    for j in range(m):
+        for k in range(j + 1, m):
+            if adjacency(j, k) or adjacency(k, j):
+                neighbors[j].append(k)
+                neighbors[k].append(j)
+    tree = {v: [] for v in range(m)}
+    seen, frontier = {0}, [0]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for u in neighbors[v]:
+                if u not in seen:
+                    seen.add(u)
+                    tree[v].append(u)
+                    tree[u].append(v)
+                    nxt.append(u)
+        frontier = nxt
+    if len(seen) != m:
+        raise antisym.DecompositionError("adjacency graph is disconnected")
+    A = R.copy()
+    applied = []
+
+    def rotate(a, b, angle):
+        c, s = np.cos(angle), np.sin(angle)
+        ra, rb = A[a].copy(), A[b].copy()
+        A[a] = c * ra + s * rb
+        A[b] = -s * ra + c * rb
+        applied.append(PlaneRotation((a, b), angle))
+
+    remaining = set(range(m))
+    order = []
+    work = {v: set(t) for v, t in tree.items()}
+    while len(order) < m - 1:
+        leaf = next(v for v in sorted(work) if len(work[v]) == 1)
+        order.append(leaf)
+        (p,) = work[leaf]
+        work[p].discard(leaf)
+        del work[leaf]
+    for c in order:
+        parent, depth, frontier = {c: None}, {c: 0}, [c]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for u in tree[v]:
+                    if u in remaining and u not in parent:
+                        parent[u] = v
+                        depth[u] = depth[v] + 1
+                        nxt.append(u)
+            frontier = nxt
+        for r in sorted(parent, key=lambda v: -depth[v]):
+            if r == c or abs(A[r, c]) < 1e-15:
+                continue
+            p = parent[r]
+            rotate(p, r, math.atan2(A[r, c], A[p, c]))
+        if A[c, c] < 0:
+            rotate(c, min(v for v in tree[c] if v in remaining and v != c), math.pi)
+        remaining.discard(c)
+    result = [PlaneRotation(g.axes, -g.angle) for g in reversed(applied)]
+    return [g for g in result if abs(g.angle) > 1e-15]
 
 
 def measurement_cov(n, m):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from dgsim import antisym
+from dgsim import antisym, unitary as un_mod
 
-from helpers import pfaffian_reference, rand_antisym
+from helpers import pfaffian_reference, plane_decompose_reference, rand_antisym
 
 rng = np.random.default_rng(1234)
 
@@ -135,10 +135,10 @@ def test_expm_antisym_special_orthogonal():
     assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_plane_rotation_normalizes_angle():
-    pr = antisym.PlaneRotation((0, 1), 3 * np.pi)
-    assert -np.pi < pr.angle <= np.pi
-    assert pr.angle == pytest.approx(np.pi)
+def test_wrap_angles_normalizes_angle():
+    (a,) = antisym.wrap_angles([3 * np.pi])
+    assert -np.pi < a <= np.pi
+    assert a == pytest.approx(np.pi)
 
 
 def test_plane_rotation_matrix_convention():
@@ -148,41 +148,107 @@ def test_plane_rotation_matrix_convention():
     antisym.check_rotation(R)
 
 
-def _chain_adjacency(j, k):
-    return abs(j - k) == 1
+def _chain_adjacency(m):
+    i = np.arange(m)
+    return np.abs(i[:, None] - i[None, :]) == 1
+
+
+def _star_adjacency(m):
+    allowed = np.zeros((m, m), dtype=bool)
+    allowed[0] = allowed[:, 0] = True
+    return allowed
+
+
+def _product(m, axes, angles):
+    acc = np.eye(m)
+    for (j, k), a in zip(axes.tolist(), angles.tolist()):
+        acc = antisym.plane_rotation_matrix(m, j, k, a) @ acc
+    return acc
 
 
 @pytest.mark.parametrize("m", [3, 5, 7])
 def test_plane_decompose_roundtrip_chain(m):
+    allowed = _chain_adjacency(m)
     for _ in range(3):
         R = antisym.expm_antisym(rand_antisym(rng, m))
-        gates = antisym.plane_decompose(R, _chain_adjacency)
-        acc = np.eye(m)
-        for g in gates:
-            acc = antisym.plane_rotation_matrix(m, *g.axes, g.angle) @ acc
-        assert np.max(np.abs(acc - R)) < 1e-8
-        for g in gates:
-            assert _chain_adjacency(*g.axes)
+        axes, angles = antisym.plane_decompose(R, allowed)
+        assert np.max(np.abs(_product(m, axes, angles) - R)) < 1e-8
+        assert allowed[axes[:, 0], axes[:, 1]].all()
 
 
 def test_plane_decompose_star_adjacency():
     m = 7
     R = antisym.expm_antisym(rand_antisym(rng, m))
-    gates = antisym.plane_decompose(R, lambda j, k: 0 in (j, k))
-    acc = np.eye(m)
-    for g in gates:
-        acc = antisym.plane_rotation_matrix(m, *g.axes, g.angle) @ acc
-    assert np.max(np.abs(acc - R)) < 1e-8
+    axes, angles = antisym.plane_decompose(R, _star_adjacency(m))
+    assert np.max(np.abs(_product(m, axes, angles) - R)) < 1e-8
 
 
 def test_plane_decompose_count_bound():
     m = 9
     R = antisym.expm_antisym(rand_antisym(rng, m))
-    gates = antisym.plane_decompose(R, _chain_adjacency)
-    assert len(gates) <= m * m
+    axes, angles = antisym.plane_decompose(R, _chain_adjacency(m))
+    assert len(axes) == len(angles) <= m * m
 
 
 def test_plane_decompose_disconnected_adjacency_fails():
     R = antisym.expm_antisym(rand_antisym(rng, 4))
+    allowed = np.zeros((4, 4), dtype=bool)
+    allowed[0, 1] = True
     with pytest.raises(antisym.DecompositionError):
-        antisym.plane_decompose(R, lambda j, k: (j, k) == (0, 1))
+        antisym.plane_decompose(R, allowed)
+
+
+def _haar_rotation(rng, m):
+    Q, r = np.linalg.qr(rng.normal(size=(m, m)))
+    Q = Q * np.sign(np.diag(r))
+    if np.linalg.det(Q) < 0:
+        Q[:, 0] = -Q[:, 0]
+    return Q
+
+
+def _test_rotations(m):
+    """Random and Haar rotations, the identity, exact zeros, negative diagonals."""
+    r = np.random.default_rng(m)
+    sparse = np.eye(m)
+    sparse[np.ix_([0, m - 1], [0, m - 1])] = antisym.plane_rotation_matrix(2, 0, 1, 0.7)
+    flip = np.eye(m)
+    flip[0, 0] = flip[m - 1, m - 1] = -1.0
+    return [antisym.expm_antisym(rand_antisym(r, m, scale=2.0)), _haar_rotation(r, m),
+            np.eye(m), sparse, flip, flip @ _haar_rotation(r, m)]
+
+
+ADJACENCIES = ([("chain", m, _chain_adjacency(m)) for m in (2, 5, 9)]
+               + [("star", m, _star_adjacency(m)) for m in (3, 6)]
+               + [("compile", 2 * n + 1, un_mod._compile_adjacency(n)) for n in range(1, 9)])
+
+
+@pytest.mark.parametrize("name, m, allowed", ADJACENCIES,
+                         ids=[f"{a[0]}-{a[1]}" for a in ADJACENCIES])
+def test_plane_decompose_matches_reference(name, m, allowed):
+    # The same planes, and the same angles bit for bit (signed zeros
+    # included), as the per-rotation reference with its angle objects.
+    for R in _test_rotations(m):
+        axes, angles = antisym.plane_decompose(R, allowed)
+        want = plane_decompose_reference(R, lambda j, k: bool(allowed[j, k]))
+        assert axes.dtype == np.int64 and axes.shape == (len(want), 2)
+        assert axes.tolist() == [list(g.axes) for g in want]
+        assert angles.tobytes() == np.array([g.angle for g in want], dtype=float).tobytes()
+
+
+def test_plane_decompose_sign_fix_and_skip_branches():
+    # A negative diagonal needs pi rotations; exact zeros are skipped.
+    m = 5
+    flip = np.eye(m)
+    flip[0, 0] = flip[m - 1, m - 1] = -1.0
+    axes, angles = antisym.plane_decompose(flip, _chain_adjacency(m))
+    assert len(axes) > 0 and np.allclose(np.abs(angles), np.pi)
+    assert np.array_equal(_product(m, axes, angles).round(12), flip)
+    axes, angles = antisym.plane_decompose(np.eye(m), _chain_adjacency(m))
+    assert axes.shape == (0, 2) and angles.shape == (0,)
+
+
+def test_plane_decompose_checks_its_input():
+    with pytest.raises(ValueError, match="orthogonal"):
+        antisym.plane_decompose(2 * np.eye(3), _chain_adjacency(3))
+    with pytest.raises(antisym.DimensionError):
+        antisym.plane_decompose(np.eye(3), _chain_adjacency(4))

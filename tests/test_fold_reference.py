@@ -11,9 +11,17 @@ without a stored digest of BLAS results, which can differ between CPUs.
 import numpy as np
 import pytest
 
-from dgsim import antisym, serialization as ser, simulator as sim, state as st_mod, unitary as un_mod
+from dgsim import serialization as ser, simulator as sim, state as st_mod, unitary as un_mod
 
-from helpers import rand_bloch, rand_sequence, rand_unitary, reference_rotation, reference_run
+from helpers import (
+    PlaneRotation,
+    plane_decompose_reference,
+    rand_bloch,
+    rand_sequence,
+    rand_unitary,
+    reference_rotation,
+    reference_run,
+)
 
 SIZES = [1, 2, 3, 17, 64, 200]
 
@@ -102,11 +110,60 @@ def test_compiled_gates_match_reference(n):
     R = rand_unitary(rng, n, scale=2.0).rotation()
     seq = un_mod.compile_rotation(R, n)
     ext = 2 * n
+    allowed = un_mod._compile_adjacency(n)
     want = [
         un_mod.Gate(un_mod.LINE1 if ext in pr.axes else un_mod.MATCHGATE, axes=pr.axes, angle=pr.angle)
-        for pr in antisym.plane_decompose(R, un_mod._compile_adjacency(n))
+        for pr in plane_decompose_reference(R, lambda j, k: bool(allowed[j, k]))
     ]
     assert len(seq) == len(want) > 0
     for got, w in zip(seq, want):
         same_gate(got, w)
     assert np.array_equal(un_mod.sequence_rotation(seq), reference_rotation(n, want))
+
+
+def test_gate_angle_is_plane_rotation_angle():
+    # Gate normalizes with wrap_angles; the scalar definition must agree bit for bit.
+    rng = np.random.default_rng(11)
+    angles = np.concatenate([rng.uniform(-40, 40, 2000), rng.normal(size=500) * 1e-8,
+                             [0.0, -0.0, np.pi, -np.pi, 3 * np.pi, 1e300, -1e-300]])
+    for a in angles.tolist():
+        got = un_mod.Gate(un_mod.MATCHGATE, axes=(0, 1), angle=a).angle
+        assert float(got).hex() == PlaneRotation((0, 1), a).angle.hex()
+
+
+def deep_sequence(rng, n, count):
+    """Gates crowded onto the first lines, fswaps among them: long chains on the same rows."""
+    gates = []
+    for i in range(count):
+        if i % 5 == 4:
+            gates.append(un_mod.Gate(un_mod.FSWAP, line=int(rng.integers(0, min(2, n - 1)))))
+        elif i % 5 == 3:
+            axes = tuple(int(a) for a in rng.choice([0, 1, 2 * n], size=2, replace=False))
+            gates.append(un_mod.Gate(un_mod.LINE1, axes=axes, angle=float(rng.uniform(-3, 3))))
+        else:
+            axes = tuple(int(a) for a in rng.choice(4, size=2, replace=False))
+            gates.append(un_mod.Gate(un_mod.MATCHGATE, axes=axes, angle=float(rng.uniform(-3, 3))))
+    return un_mod.GateSequence(n, gates)
+
+
+@pytest.mark.parametrize("n", [3, 8, 40])
+def test_sequence_rotation_layers_match_reference(n):
+    # Many gates on the same rows make deep layers; the spread-out part
+    # makes wide ones.  Either way the layered product is the per-gate fold.
+    rng = np.random.default_rng(500 + n)
+    deep = deep_sequence(rng, n, 300)
+    wide = rand_sequence(rng, n, 12 * n)
+    for seq in (deep, wide, un_mod.GateSequence(n, list(deep) + list(wide) + list(deep))):
+        assert same_bits(un_mod.sequence_rotation(seq), reference_rotation(n, list(seq)))
+    layer = un_mod._layers(deep)
+    assert layer.max() + 1 >= len(deep) // 3
+
+
+@pytest.mark.parametrize("n", [1, 4, 9])
+def test_sequence_rotation_of_compiled_and_empty_sequences(n):
+    rng = np.random.default_rng(900 + n)
+    seq = un_mod.compile(rand_unitary(rng, n, scale=2.0))
+    assert len(seq) > 0
+    assert same_bits(un_mod.sequence_rotation(seq), reference_rotation(n, list(seq)))
+    empty = un_mod.GateSequence(n)
+    assert same_bits(un_mod.sequence_rotation(empty), np.eye(2 * n + 1))

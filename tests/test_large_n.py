@@ -6,6 +6,7 @@ output must satisfy.
 """
 
 import numpy as np
+import scipy.stats
 
 from dgsim import embedding as emb, simulator as sim, state as st_mod, unitary as un_mod
 
@@ -15,6 +16,24 @@ from helpers import rand_pure_state, rand_sequence, rand_unitary
 def pure_product(rng, n):
     v = rng.normal(size=(n, 3))
     return sim.prepare_product(v / np.linalg.norm(v, axis=1, keepdims=True))
+
+
+def benchmark_mix(rng, n, count):
+    """Gates in the benchmark's mix: 60 % matchgate, 30 % fswap, 10 % line1."""
+    gates = []
+    for kind in rng.choice(3, size=count, p=(0.6, 0.3, 0.1)).tolist():
+        a = int(rng.integers(0, n - 1))
+        if kind == 1:
+            gates.append(un_mod.Gate(un_mod.FSWAP, line=a))
+            continue
+        angle = float(rng.uniform(-np.pi, np.pi))
+        if kind == 2:
+            axes = tuple(sorted(int(x) for x in rng.choice([0, 1, 2 * n], 2, replace=False)))
+            gates.append(un_mod.Gate(un_mod.LINE1, axes=axes, angle=angle))
+        else:
+            axes = tuple(sorted(2 * a + int(x) for x in rng.choice(4, 2, replace=False)))
+            gates.append(un_mod.Gate(un_mod.MATCHGATE, axes=axes, angle=angle))
+    return un_mod.GateSequence(n, gates)
 
 
 def test_run_matches_sequence_rotation_at_n500():
@@ -70,3 +89,40 @@ def test_marginal_consistency_at_n500():
         assert abs(p - split) < 1e-12
         total += p
     assert abs(total - 1.0) < 1e-12
+
+
+# Pearson chi^2 of sampled counts: the bound is the 1 - 1e-6 quantile of
+# chi^2 with (bins - 1) degrees of freedom, bins pooled where fewer than
+# MIN_EXPECTED counts are expected.  The bound and the pooling rule were
+# fixed before the test was first run.
+CHI2_TAIL = 1e-6
+MIN_EXPECTED = 5.0
+
+
+def test_sampled_frequencies_match_probabilities_at_n300():
+    # sample draws line by line through conditional updates; expectation
+    # evaluates each outcome's determinant directly.  Their agreement is
+    # checked on all 64 outcomes of 6 lines spread over the register in
+    # adjacent pairs: lines far apart are uncorrelated here (total
+    # variation from the product of marginals 1e-16), pairs are not (1e-2).
+    rng = np.random.default_rng(3000)
+    n, shots = 300, 20000
+    s = st_mod.from_diagonal(rng.uniform(-0.95, 0.95, n))
+    s = sim.run(sim.Circuit(s, benchmark_mix(rng, n, 20 * n)))
+    lines = (0, 1, 150, 151, 298, 299)
+    k = len(lines)
+    outcomes = [tuple((v >> j) & 1 for j in range(k)) for v in range(1 << k)]
+    p = np.array([sim.expectation(s, sim.MeasurementOp(lines, x)) for x in outcomes])
+    assert abs(p.sum() - 1.0) < 1e-12
+    bits = sim.sample(s, lines, shots, 7)
+    observed = np.bincount(bits.astype(np.int64) @ (1 << np.arange(k)), minlength=1 << k)
+    expected = shots * p
+    small = expected < MIN_EXPECTED
+    obs = np.append(observed[~small], observed[small].sum())
+    exp = np.append(expected[~small], expected[small].sum())
+    if exp[-1] < MIN_EXPECTED:  # the pooled bin is too small as well: fold it into the smallest
+        i = int(np.argmin(exp[:-1]))
+        obs[i], exp[i] = obs[i] + obs[-1], exp[i] + exp[-1]
+        obs, exp = obs[:-1], exp[:-1]
+    chi2 = float(((obs - exp) ** 2 / exp).sum())
+    assert chi2 < scipy.stats.chi2.isf(CHI2_TAIL, len(exp) - 1)

@@ -99,7 +99,10 @@ def test_gate_list_signed_zero_and_kinds_present():
 
 
 def test_gate_list_non_finite_angle_refused():
-    seq = un_mod.GateSequence._from_columns(2, [0], [0], [1], [-1], [float("nan")])
+    # A sequence refuses a non-finite angle (GateError), so dumps's own
+    # check is reached through a sequence whose angle column is replaced.
+    seq = un_mod.GateSequence._from_columns(2, [0], [0], [1], [-1], [0.5])
+    seq.angle = np.array([float("nan")])
     with pytest.raises(NumericalAdmissibilityError, match="non-finite"):
         ser.dumps({"gates": seq})
     with pytest.raises(NumericalAdmissibilityError, match="non-finite"):

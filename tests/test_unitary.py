@@ -121,6 +121,29 @@ def test_gate_validation():
     un_mod.Gate(un_mod.LINE1, axes=(0, 6), angle=0.3).validate(3)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_gate_refuses_non_finite_angle(bad):
+    # Refused before the angle is normalized, so no RuntimeWarning and no NaN.
+    with pytest.raises(ValueError, match="matchgate gate angle .* is not finite"):
+        un_mod.Gate(un_mod.MATCHGATE, axes=(0, 1), angle=bad)
+    with pytest.raises(ValueError, match="line1 gate angle .* is not finite"):
+        un_mod.Gate(un_mod.LINE1, axes=(0, 2), angle=bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sequence_refuses_non_finite_angle(bad):
+    # The columns path (parser, compiler) and the Gate path share _check_gates.
+    with pytest.raises(un_mod.GateError) as exc:
+        un_mod.GateSequence._from_columns(2, [0, 1, 0], [0, 0, 2], [1, 4, 3], [-1, -1, -1],
+                                          [0.5, bad, 0.25])
+    assert exc.value.index == 1 and str(exc.value) == f"line1 angle {bad} is not finite"
+    gates = (un_mod.Gate(un_mod.FSWAP, line=0),
+             un_mod._trusted_gate(un_mod.MATCHGATE, (0, 1), bad, None))
+    with pytest.raises(un_mod.GateError) as exc:
+        un_mod.GateSequence(2, gates)
+    assert exc.value.index == 1 and str(exc.value) == f"matchgate angle {bad} is not finite"
+
+
 def test_matchgate_windows_exactly():
     # Windows {4m..4m+3} and {4m+2..4m+5} of [0, 2n); the sequence check
     # accepts a matchgate exactly when both axes lie in one of them.
