@@ -24,6 +24,7 @@ block row-wise reproduces the sequential output exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,6 +93,27 @@ def _outcome_carrier(m: MeasurementOp) -> np.ndarray:
     return canonical_matrix(np.where(m.x, 1.0, -1.0), 2 * len(m.K))
 
 
+def _scaled_sqrt_det(A: np.ndarray, k: int, negative: str) -> float:
+    """2^{-k} sqrt(det A), finite wherever that number is.
+
+    det A is taken by LU and scaled by math.ldexp, which is exact.  det A
+    itself overflows once k passes about 511 (a certain outcome has
+    det A = 4^k); then the result is exp(log|det A| / 2 - k ln 2) from
+    slogdet.  A determinant below -DET_CLAMP raises
+    NumericalAdmissibilityError with the message ``negative``, formatted
+    with the determinant.
+    """
+    with np.errstate(over="ignore"):
+        det = float(np.real(np.linalg.det(A)))
+    if not math.isfinite(det):
+        sign, logdet = np.linalg.slogdet(A)
+        if sign > 0:
+            return math.exp(0.5 * float(logdet) - k * math.log(2))
+    if det < -DET_CLAMP:
+        raise NumericalAdmissibilityError(negative.format(det))
+    return math.ldexp(math.sqrt(max(det, 0.0)), -k)
+
+
 def _expectation_from_M(M: np.ndarray, m: MeasurementOp) -> float:
     k = len(m.K)
     if k == 0:
@@ -100,12 +122,8 @@ def _expectation_from_M(M: np.ndarray, m: MeasurementOp) -> float:
     # det(I - M_rho M_meas) = det(I_{2k} - S C) with S the compression
     # of M_rho onto the measured axes.
     S = M[np.ix_(idx, idx)]
-    det = float(np.real(np.linalg.det(np.eye(2 * k) - S @ _outcome_carrier(m))))
-    if det < -DET_CLAMP:
-        raise NumericalAdmissibilityError(
-            f"measurement determinant {det} is negative beyond tolerance"
-        )
-    return float(np.sqrt(max(det, 0.0))) / (1 << k)
+    return _scaled_sqrt_det(np.eye(2 * k) - S @ _outcome_carrier(m), k,
+                            "measurement determinant {} is negative beyond tolerance")
 
 
 def expectation(s: DGaussState, m: MeasurementOp) -> float:
@@ -124,10 +142,8 @@ def overlap(rho: DGaussState, sigma: DGaussState) -> float:
         raise ValueError("overlap inputs have different sizes")
     if not sigma.is_even:
         raise ValueError("overlap requires the second state to be even")
-    det = float(np.real(np.linalg.det(np.eye(2 * rho.n) - rho.M @ sigma.M)))
-    if det < -DET_CLAMP:
-        raise NumericalAdmissibilityError(f"overlap determinant {det} negative")
-    return float(np.sqrt(max(det, 0.0))) / (1 << rho.n)
+    return _scaled_sqrt_det(np.eye(2 * rho.n) - rho.M @ sigma.M, rho.n,
+                            "overlap determinant {} negative")
 
 
 # ---------------------------------------------------------------------------
@@ -234,27 +250,40 @@ def run(c: Circuit) -> DGaussState:
     """Fold the circuit's gates over a copy of its input state.
 
     The extended carrier is a fresh copy of the held input's, updated in
-    place.  Each gate's fold block (rows, Q, Q^T) was computed when its
-    sequence was built (see GateSequence): the gate multiplies its two
-    or four rows by Q and the matching columns by Q^T, so the loop
-    builds no per-gate object.  Gates were validated when their sequence
-    was built, and the output carrier is antisymmetric by construction,
-    so neither is checked again here.
+    place.  Each gate's fold block (slice, rows, Q) comes with its
+    sequence (see GateSequence): the gate multiplies its two or four rows
+    by Q and the matching columns by Q^T, so the loop builds no per-gate
+    object.  The rows are a slice view, evenly strided, that BLAS reads
+    in place; the columns are the same rows of the transposed view,
+    gathered and scattered back.  With OpenBLAS's 2x2 and 4x4 products
+    both give the bits of the gathered forms Q @ Me[rows, :] and
+    Me[:, rows] @ Q^T, signed zeros included (the fold-reference tests
+    pin this).  A column slice, strided in both dimensions, would be
+    multiplied by numpy's own loop instead of BLAS: slower, and not the
+    call those tests pin.  Gates were validated when their sequence was
+    built, and the output carrier is antisymmetric by construction, so
+    neither is checked again here.
 
     The carrier is then replaced by (Me - Me^T) / 2 in place, a pair of
-    SYMMETRIZE_BLOCK-square blocks at a time, both computed before
-    either is written: the same bits as the whole-matrix expression,
-    with peak memory at the held input plus one carrier.
+    SYMMETRIZE_BLOCK-square blocks at a time: one block's difference goes
+    to a scratch block and the other's is written in place, so both read
+    old values.  These are the bits of the whole-matrix expression, with
+    peak memory at the held input plus one carrier.
     """
     Me = c.input_state().M_ext
-    for rows, Q, QT in c.gates.blocks:
-        Me[rows, :] = Q @ Me[rows, :]
-        Me[:, rows] = Me[:, rows] @ QT
+    MT = Me.T
+    for sl, rows, Q in c.gates.blocks:
+        Me[sl] = Q @ Me[sl]
+        MT[rows] = Q @ MT[rows]
     b = SYMMETRIZE_BLOCK
+    scratch = np.empty((min(b, len(Me)),) * 2)
     for i in range(0, len(Me), b):
         for j in range(i, len(Me), b):
-            I, J = slice(i, i + b), slice(j, j + b)
-            Me[I, J], Me[J, I] = (Me[I, J] - Me[J, I].T) / 2, (Me[J, I] - Me[I, J].T) / 2
+            X, Y = Me[i:i + b, j:j + b], Me[j:j + b, i:i + b]
+            upper = np.subtract(X, Y.T, out=scratch[:len(X), :len(Y)])
+            if j > i:
+                np.divide(np.subtract(Y, X.T, out=Y), 2, out=Y)
+            np.divide(upper, 2, out=X)
     m = 2 * c.n
     return DGaussState(c.n, Me[:m, :m], Me[:m, m], check=False)
 

@@ -17,15 +17,16 @@ exp(theta/2 g_j g_k) rotates the (j,k) plane by theta):
 - ``fswap``: fermionic swap of adjacent qubit lines (a, a+1).
 
 A gate list is a GateSequence, held as arrays rather than Gate objects:
-kind codes, axes, fswap lines and angles, one entry per gate, plus each
-gate's fold block (the rows it touches and its small rotation Q), all
-computed in array steps when the sequence is built.  The register rules
+kind codes, axes, fswap lines and angles, one entry per gate, plus the
+gates' fold blocks (the rows each touches and its small rotation Q),
+stacked in array steps when the sequence is built.  The register rules
 are checked there, one array step per rule.  ``Gate`` stays the
 user-facing constructor of a single gate.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -325,14 +326,20 @@ def _stacked_blocks(kind, axes, line, angle):
     return fswap, rows2, Q2, rows4
 
 
-def _fold_blocks(fswap, rows2, Q2, rows4) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(rows, Q, Q^T) of every gate: its rotation acts as Q on those rows only.
+def _fold_blocks(fswap, rows2, Q2, rows4) -> list[tuple[slice, np.ndarray, np.ndarray]]:
+    """(rows as a slice, rows, Q) of every gate: its rotation acts as Q on those rows only.
 
-    Built from the stacked blocks; the list holds read-only views into
-    them, and Q^T is the transposed view of Q.
+    The slice picks the same rows in the same order: slice(j, k +- 1,
+    k - j) for a plane gate on (j, k), either order and the extension
+    axis 2n included, and slice(2a, 2a + 4) for an fswap on (a, a + 1).
+    Indexing a carrier with it gives a view, not a gathered copy, and
+    the view's rows are evenly strided, so matmul hands it to BLAS as it
+    is.  ``rows`` and Q are read-only views into the stacked blocks.
     """
-    plane = zip(rows2, Q2, Q2.transpose(0, 2, 1))
-    swap = ((r, FSWAP_ROTATION4, FSWAP_ROTATION4.T) for r in rows4)
+    j, k = rows2.T.tolist()
+    plane = zip((slice(a, b + 1 if b > a else (b - 1 if b else None), b - a) for a, b in zip(j, k)),
+                rows2, Q2)
+    swap = ((slice(a, a + 4), r, FSWAP_ROTATION4) for a, r in zip(rows4[:, 0].tolist(), rows4))
     return [next(swap) if f else next(plane) for f in fswap.tolist()]
 
 
@@ -347,11 +354,13 @@ class GateSequence:
     - ``line``: (g,) int64, the lower line a of an fswap on (a, a+1),
       -1 otherwise;
     - ``angle``: (g,) float64 rotation angle in (-pi, pi], 0 for an fswap;
-    - ``stacked``: the fold blocks stacked by width (_stacked_blocks);
-    - ``blocks``: per gate the fold block (rows, Q, Q^T) of _fold_blocks,
-      views into ``stacked``.
-
-    Both are computed once here.
+    - ``stacked``: the fold blocks stacked by width (_stacked_blocks),
+      computed once here;
+    - ``blocks``: per gate the fold block (slice, rows, Q) of
+      _fold_blocks, views into ``stacked``.  Only simulator.run folds
+      gate by gate, so the list is built on first access: a compiled
+      sequence, which goes to sequence_rotation and dumps, never builds
+      it.
 
     The arrays are read-only.  ``GateSequence(n, gates)`` takes Gate
     objects and keeps their angles; the parser and the compiler fill the
@@ -393,7 +402,10 @@ class GateSequence:
             a.flags.writeable = False
         _check_gates(self.n, self.kind, self.axes, self.line, self.angle)
         self.stacked = _stacked_blocks(self.kind, self.axes, self.line, self.angle)
-        self.blocks = _fold_blocks(*self.stacked)
+
+    @functools.cached_property
+    def blocks(self) -> list[tuple[slice, np.ndarray, np.ndarray]]:
+        return _fold_blocks(*self.stacked)
 
     def __len__(self):
         return len(self.kind)
@@ -414,7 +426,7 @@ class GateSequence:
 
 def gate_rotation(g: Gate, n: int) -> np.ndarray:
     """Full (2n+1)-dimensional rotation effected by the gate."""
-    rows, Q, _ = GateSequence(n, (g,)).blocks[0]
+    _, rows, Q = GateSequence(n, (g,)).blocks[0]
     R = np.eye(2 * n + 1)
     R[np.ix_(rows, rows)] = Q
     return R

@@ -113,6 +113,30 @@ def reference_run(M_ext, gates):
     return Me[:m, :m], Me[:m, m]
 
 
+def gather_run(c):
+    """(M, mu) of ``simulator.run`` as it was before slice views: the bit reference.
+
+    Each gate gathers its rows and columns by fancy indexing, multiplies
+    them by Q and Q^T and scatters them back; the carrier is then
+    symmetrized a pair of SYMMETRIZE_BLOCK-square blocks at a time, both
+    computed into temporaries before either is written.
+    """
+    Me = c.input_state().M_ext
+    fswap, rows2, Q2, rows4 = c.gates.stacked
+    plane, swap = iter(zip(rows2, Q2)), iter(rows4)
+    for f in fswap.tolist():
+        rows, Q = (next(swap), un_mod.FSWAP_ROTATION4) if f else next(plane)
+        Me[rows, :] = Q @ Me[rows, :]
+        Me[:, rows] = Me[:, rows] @ Q.T
+    b = sim.SYMMETRIZE_BLOCK
+    for i in range(0, len(Me), b):
+        for j in range(i, len(Me), b):
+            I, J = slice(i, i + b), slice(j, j + b)
+            Me[I, J], Me[J, I] = (Me[I, J] - Me[J, I].T) / 2, (Me[J, I] - Me[I, J].T) / 2
+    m = 2 * c.n
+    return Me[:m, :m], Me[:m, m]
+
+
 def reference_rotation(n, gates):
     """Product rotation of ``gates`` (applied in order), one row update each."""
     acc = np.eye(2 * n + 1)

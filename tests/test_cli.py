@@ -1,5 +1,7 @@
+import argparse
 import collections
 import json
+import math
 
 import numpy as np
 import pytest
@@ -390,7 +392,7 @@ def test_oracle_verify_catches_corruption(tmp_path, capsys, monkeypatch):
     real = un_mod._fold_blocks
 
     def crooked(*columns):
-        return [(rows, QT, Q) for rows, Q, QT in real(*columns)]
+        return [(sl, rows, Q.T) for sl, rows, Q in real(*columns)]
 
     monkeypatch.setattr(un_mod, "_fold_blocks", crooked)
     gates = [{"kind": "matchgate", "axes": [0, 2], "angle": 0.9}]
@@ -411,6 +413,60 @@ def counted(monkeypatch, module, name, calls):
     for mod in (cli, ser, simulator, st_mod, un_mod, oracle):
         if getattr(mod, name, None) is real:
             monkeypatch.setattr(mod, name, wrapper)
+
+
+def test_compile_builds_no_fold_blocks(tmp_path, capsys, monkeypatch):
+    # Only run folds gate by gate; a compiled sequence never builds the list.
+    calls = collections.Counter()
+    counted(monkeypatch, un_mod, "_fold_blocks", calls)
+    n = 2
+    doc = {"schema": ser.SCHEMA_VERSION, "n": n,
+           "h": rand_antisym(np.random.default_rng(5), 2 * n).tolist(), "d": [0.1] * (2 * n)}
+    assert run_cli(capsys, ["compile", write_doc(tmp_path, "h.json", doc)])[0] == 0
+    assert calls["_fold_blocks"] == 0
+    gates = [{"kind": "matchgate", "axes": [0, 1], "angle": 0.5}, {"kind": "fswap", "line": 0}]
+    assert run_cli(capsys, ["run", write_doc(tmp_path, "c.json", circuit_doc(2, [0.5, 0.5], gates))])[0] == 0
+    assert calls["_fold_blocks"] == 1
+
+
+@pytest.mark.parametrize("n, lam, want", [(600, 1.0, 1.0), (1100, 1.0, 1.0), (1100, 0.5, 0.75**1100)])
+def test_run_probability_past_float_range(tmp_path, capsys, n, lam, want):
+    # det(I - S C) = 4^k p^2 overflows a float from k = 512 measured lines
+    # on, and 2^k overflows one from k = 1024 on.
+    doc = circuit_doc(n, [lam] * n, measure={"lines": list(range(n)), "x": [0] * n})
+    code = cli.main(["run", write_doc(tmp_path, "c.json", doc)])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    value = json.loads(captured.out)["value"]
+    assert math.isfinite(value) and value == pytest.approx(want, rel=1e-9)
+
+
+def test_parser_built_once(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if kwargs.get("prog") == "dgsim":
+            built.append(self)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    try:
+        assert run_cli(capsys, ["version"])[0] == 0
+        assert run_cli(capsys, ["version"])[0] == 0
+    finally:
+        cli.build_parser.cache_clear()
+    assert len(built) == 1
+
+
+def test_command_looked_up_when_it_runs(capsys, monkeypatch):
+    # The parser is cached; a command replaced after it was built still runs.
+    assert run_cli(capsys, ["version"])[0] == 0
+    calls = []
+    monkeypatch.setattr(cli, "cmd_version", lambda args: calls.append(args.verb) or 7)
+    assert run_cli(capsys, ["version"])[0] == 7
+    assert calls == ["version"]
 
 
 def test_oracle_verify_builds_input_once(tmp_path, capsys, monkeypatch):

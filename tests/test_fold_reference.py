@@ -2,7 +2,8 @@
 
 ``simulator.run`` and ``unitary.sequence_rotation`` must give exactly the
 carriers and rotations of folding one ``Gate`` at a time (see
-``helpers.reference_run``), and the angles a parsed or compiled gate
+``helpers.reference_run``) and of the gathering fold ``run`` replaced
+(``helpers.gather_run``), and the angles a parsed or compiled gate
 carries must be exactly those ``Gate(...)`` holds.  Comparing with the
 reference on the machine that runs the tests pins byte-identical output
 without a stored digest of BLAS results, which can differ between CPUs.
@@ -15,6 +16,7 @@ from dgsim import serialization as ser, simulator as sim, state as st_mod, unita
 
 from helpers import (
     PlaneRotation,
+    gather_run,
     plane_decompose_reference,
     rand_bloch,
     rand_sequence,
@@ -167,3 +169,84 @@ def test_sequence_rotation_of_compiled_and_empty_sequences(n):
     assert same_bits(un_mod.sequence_rotation(seq), reference_rotation(n, list(seq)))
     empty = un_mod.GateSequence(n)
     assert same_bits(un_mod.sequence_rotation(empty), np.eye(2 * n + 1))
+
+
+def one_gate_block(n, gate):
+    """(slice, rows, Q) of one gate, as run folds it."""
+    return un_mod.GateSequence(n, (gate,)).blocks[0]
+
+
+def block_gates(n):
+    """Plane gates on ascending and descending axes, (0, 2n), (2n, 1), (2n, 0), and fswaps."""
+    ext = 2 * n
+    planes = [(un_mod.LINE1, axes) for axes in [(0, ext), (ext, 1), (ext, 0), (1, ext), (1, 0)]]
+    if n > 1:
+        planes += [(un_mod.MATCHGATE, axes) for axes in [(0, 1), (0, 3), (3, 0), (2, 5), (5, 2),
+                                                         (ext - 4, ext - 1), (ext - 1, ext - 3)]]
+    gates = [un_mod.Gate(kind, axes=axes, angle=0.3 + 0.4 * i) for i, (kind, axes) in enumerate(planes)]
+    gates += [un_mod.Gate(un_mod.FSWAP, line=a) for a in sorted({0, (n - 1) // 2, n - 2}) if n > 1]
+    return gates
+
+
+@pytest.mark.parametrize("n", [1, 3, 128, 1003])
+def test_slice_views_keep_gather_bits(n):
+    # run updates a gate's rows through a basic-slice view and its columns
+    # as the same rows of the transposed carrier; both must give the bits of
+    # the gathering forms Q @ Me[rows, :] and Me[:, rows] @ Q^T.
+    rng = np.random.default_rng(n)
+    Me = rng.normal(size=(2 * n + 1, 2 * n + 1))
+    Me[rng.random(Me.shape) < 0.2] = 0.0
+    Me[rng.random(Me.shape) < 0.1] = -0.0
+    gates = block_gates(n)
+    assert {len(one_gate_block(n, g)[1]) for g in gates} == ({2, 4} if n > 1 else {2})
+    for g in gates:
+        sl, rows, Q = one_gate_block(n, g)
+        assert np.arange(2 * n + 1)[sl].tolist() == rows.tolist()
+        want = Me.copy()
+        want[rows, :] = Q @ want[rows, :]
+        got = Me.copy()
+        got[sl] = Q @ got[sl]
+        assert same_bits(got, want), (g, "rows")
+        want[:, rows] = want[:, rows] @ Q.T
+        got.T[rows] = Q @ got.T[rows]
+        assert same_bits(got, want), (g, "columns")
+
+
+def signed_zero_sequence(rng, n, count):
+    """Random gates, a third with angles 0, pi, -pi/2 or -3pi/4, which turn zeros into -0.0."""
+    gates = list(rand_sequence(rng, n, count))
+    for i in range(0, count, 3):
+        if gates[i].kind != un_mod.FSWAP:
+            angle = float(rng.choice([0.0, np.pi, -np.pi / 2, -3 * np.pi / 4]))
+            gates[i] = un_mod.Gate(gates[i].kind, axes=gates[i].axes, angle=angle)
+    return un_mod.GateSequence(n, gates)
+
+
+@pytest.mark.parametrize("kind", ["lambdas", "bloch", "covariance"])
+@pytest.mark.parametrize("n", [1, 2, 5, 40, 128, 300])
+def test_run_matches_gather_fold(n, kind):
+    # Deep circuits reach every entry; shallow ones leave some input
+    # entries as they were, so the -0.0 planted in a lambdas input's upper
+    # triangle reaches the output through the symmetrization.
+    rng = np.random.default_rng(3000 + n + len(kind))
+    if kind == "lambdas":
+        lambdas = rng.uniform(-1, 1, n)
+        lambdas[rng.random(n) < 0.3] = 0.0
+        M = st_mod.from_diagonal(lambdas).M
+        M[np.triu(M == 0, 1)] = -0.0
+        state = st_mod.DGaussState(n, M, np.zeros(2 * n))
+    elif kind == "bloch":
+        state = sim.prepare_product([rand_bloch(rng, pure=True) for _ in range(n)])
+    else:
+        doc = input_doc(rng, n, "covariance")["covariance"]
+        state = st_mod.DGaussState(n, np.array(doc["M"]), np.array(doc["mu"]))
+    deep = signed_zero_sequence(rng, n, 4 * n + 12)
+    if n > 1:
+        assert set(deep.kind.tolist()) == {0, 1, 2}
+    for seq in (deep, signed_zero_sequence(rng, n, n // 4 + 1)):
+        c = sim.Circuit(state, seq)
+        out = sim.run(c)
+        M, mu = gather_run(c)
+        assert same_bits(out.M, M) and same_bits(out.mu, mu)
+    if kind == "lambdas" and n > 2:
+        assert (np.signbit(out.M) & (out.M == 0)).any()  # the comparison sees signed zeros

@@ -1,5 +1,6 @@
 import collections
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -103,6 +104,31 @@ def test_overlap_requires_even_second():
     b = rand_state(rng, 2, scale=0.5)
     with pytest.raises(ValueError):
         sim.overlap(a, b)
+
+
+@pytest.mark.parametrize("n", [600, 1100])
+def test_overlap_finite_past_float_range(n):
+    # det(I - M M) = 4^n overflows a float from n = 512 on, and 2^n from n = 1024 on.
+    s = st_mod.from_diagonal([1.0] * n)
+    value = sim.overlap(s, s)
+    assert math.isfinite(value) and value == pytest.approx(1.0, abs=1e-9)
+
+
+def test_probability_scaling_keeps_bits():
+    # Where sqrt(det) / 2^k is finite, the ldexp scaling gives its bits.
+    rng = np.random.default_rng(512)
+    for _ in range(200):
+        n = int(rng.integers(1, 30))
+        s = rand_state(rng, n)
+        K = tuple(sorted(rng.choice(n, int(rng.integers(1, n + 1)), replace=False).tolist()))
+        m = sim.MeasurementOp(K, tuple(rng.integers(0, 2, len(K)).tolist()))
+        idx = sim._measured_axes(K)
+        A = np.eye(2 * len(K)) - s.M[np.ix_(idx, idx)] @ sim._outcome_carrier(m)
+        det = float(np.real(np.linalg.det(A)))
+        assert sim.expectation(s, m).hex() == (float(np.sqrt(max(det, 0.0))) / (1 << len(K))).hex()
+        even = st_mod.DGaussState(n, s.M, np.zeros(2 * n))
+        det = float(np.real(np.linalg.det(np.eye(2 * n) - s.M @ even.M)))
+        assert sim.overlap(s, even).hex() == (float(np.sqrt(max(det, 0.0))) / (1 << n)).hex()
 
 
 def test_run_matches_dense():
