@@ -6,13 +6,18 @@ Usage:
 
 ``record`` builds every document of the three benchmark workloads
 (``perfbench/workloads.py``, written by ``perfbench/run.py``'s
-``write_docs``) and runs each through ``dgsim.cli.main`` imported from
-SRC, in this one process.  It stores, per document, the exit code, what
-went to stderr and the sha256 of the output file and of stdout.  The
-documents come from this checkout's perfbench, so two records of the same
-seed see the same documents.  They are written under WORK in the current
-directory, the same path for both records, since an error message may
-name a document's path; the directory is removed afterwards.
+``write_docs``) and runs them through ``dgsim.cli.main`` imported from
+SRC, in this one process, with the benchmark worker's own loop
+(``worker.run_pass``) and output hash (``worker._hash``).  It stores, per
+document, the exit code, what went to stderr (its last 2000 characters,
+as the worker keeps them) and the sha256 of the output file; with
+``--out`` given, the CLI writes nothing to stdout.  A document that
+raises is recorded with its traceback, which names SRC's paths, so a
+crash at either tree shows as a difference.  The documents come from this
+checkout's perfbench, so two records of the same seed see the same
+documents.  They are written under WORK in the current directory, the
+same path for both records, since an error message may name a document's
+path; the directory is removed afterwards.
 
 ``compare`` exits 1 if the records differ anywhere, and names the first
 differing document.  With GITHUB_STEP_SUMMARY set it appends the verdict
@@ -22,9 +27,6 @@ there too.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import hashlib
-import io
 import json
 import os
 import shutil
@@ -32,29 +34,8 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("state-out", "measured", "synth-verify")
-FIELDS = ("exit", "stderr", "sha256", "stdout_sha256")
+FIELDS = ("exit", "stderr", "sha256")
 WORK = "output-bytes-work"
-
-
-def _sha256(data: bytes | None) -> str | None:
-    return None if data is None else hashlib.sha256(data).hexdigest()
-
-
-def _call(cli, argv):
-    """(exit code, stderr, stdout) of one in-process CLI call.
-
-    An exception that escapes main is recorded as its type and message,
-    where a command-line run would print a traceback and exit 1.
-    """
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
-        except Exception as exc:  # noqa: BLE001 - recorded, and compared as output
-            code = f"raised {type(exc).__name__}: {exc}"
-    return code, err.getvalue(), out.getvalue()
 
 
 def record(src: str, out_path: str, seed: int) -> int:
@@ -63,8 +44,10 @@ def record(src: str, out_path: str, seed: int) -> int:
     sys.path.insert(0, src)
     import workloads
     from run import write_docs
+    from worker import _hash, run_pass
     from dgsim import cli
 
+    # worker.py makes the same check inside its main, which also times and traces.
     if not os.path.abspath(cli.__file__).startswith(src + os.sep):
         print(f"error: dgsim imported from {cli.__file__}, not from {src}", file=sys.stderr)
         return 2
@@ -73,16 +56,10 @@ def record(src: str, out_path: str, seed: int) -> int:
     for name in WORKLOADS:
         reqs = workloads.build(name, seed)
         argvs, _ = write_docs(reqs, os.path.join(WORK, name), "d")
-        for i, (r, argv) in enumerate(zip(reqs, argvs)):
-            code, err, out = _call(cli, argv)
-            try:
-                with open(argv[3], "rb") as fh:
-                    data = fh.read()
-            except OSError:
-                data = None
+        _, _, codes, errs = run_pass(cli, argvs)
+        for i, (r, argv, code, err) in enumerate(zip(reqs, argvs, codes, errs)):
             docs.append({"workload": name, "index": i, "verb": r.verb, "n": r.n, "exit": code,
-                         "stderr": err, "sha256": _sha256(data),
-                         "stdout_sha256": _sha256(out.encode())})
+                         "stderr": err, "sha256": _hash(argv[argv.index("--out") + 1])})
     shutil.rmtree(WORK, ignore_errors=True)
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump({"seed": seed, "docs": docs}, fh, indent=1)

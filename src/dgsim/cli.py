@@ -9,7 +9,6 @@ documents (see serialization).  Exit codes: 0 ok, 1 verdict-negative,
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import sys
 
@@ -252,50 +251,44 @@ def cmd_version(args) -> int:
     return EXIT_OK
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process.
-
-    A verb's command is looked up when it runs (``main``), not bound
-    here, so a later replacement of a ``cmd_*`` function takes effect.
-    """
     parser = argparse.ArgumentParser(
         prog="dgsim",
         description="Polynomial-time simulator for displaced fermionic Gaussian circuits.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add(name, needs_file=True):
+    def add(name, func, needs_file=True):
         p = sub.add_parser(name)
         if needs_file:
             p.add_argument("file", help="input document (JSON)")
         p.add_argument("--out", default=None, help="write the result document here")
+        p.set_defaults(func=func)
         return p
 
     def add_tol(p):
         p.add_argument("--tol", type=float, default=None, help="tolerance")
 
-    run = add("run")
+    run = add("run", cmd_run)
     run.add_argument("--shots", type=int, default=None, help="override the measure block's shots")
     run.add_argument("--seed", type=int, default=None, help="override the measure block's seed")
-    add("compile")
-    add("embed")
-    add_tol(add("test-state"))
-    add_tol(add("test-unitary"))
-    verify = add("oracle-verify")
+    add("compile", cmd_compile)
+    add("embed", cmd_embed)
+    add_tol(add("test-state", cmd_test_state))
+    add_tol(add("test-unitary", cmd_test_unitary))
+    verify = add("oracle-verify", cmd_oracle_verify)
     add_tol(verify)
     verify.add_argument("--n-max", type=int, default=None, dest="n_max",
                         help="refuse circuits wider than this (at most the oracle cap)")
-    add("version", needs_file=False)
+    add("version", cmd_version, needs_file=False)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    command = globals()["cmd_" + args.verb.replace("-", "_")]
     try:
         _check_flags(args)
-        return command(args)
+        return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

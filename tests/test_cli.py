@@ -1,4 +1,3 @@
-import argparse
 import collections
 import json
 import math
@@ -439,34 +438,6 @@ def test_run_probability_past_float_range(tmp_path, capsys, n, lam, want):
     assert code == 0 and captured.err == ""
     value = json.loads(captured.out)["value"]
     assert math.isfinite(value) and value == pytest.approx(want, rel=1e-9)
-
-
-def test_parser_built_once(capsys, monkeypatch):
-    built = []
-    init = argparse.ArgumentParser.__init__
-
-    def counting_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        if kwargs.get("prog") == "dgsim":
-            built.append(self)
-
-    cli.build_parser.cache_clear()
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    try:
-        assert run_cli(capsys, ["version"])[0] == 0
-        assert run_cli(capsys, ["version"])[0] == 0
-    finally:
-        cli.build_parser.cache_clear()
-    assert len(built) == 1
-
-
-def test_command_looked_up_when_it_runs(capsys, monkeypatch):
-    # The parser is cached; a command replaced after it was built still runs.
-    assert run_cli(capsys, ["version"])[0] == 0
-    calls = []
-    monkeypatch.setattr(cli, "cmd_version", lambda args: calls.append(args.verb) or 7)
-    assert run_cli(capsys, ["version"])[0] == 7
-    assert calls == ["version"]
 
 
 def test_oracle_verify_builds_input_once(tmp_path, capsys, monkeypatch):
