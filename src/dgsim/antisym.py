@@ -106,7 +106,6 @@ def pfaffian(M) -> complex | float:
     if m == 0:
         return 1.0
     A = M.astype(complex) if np.iscomplexobj(M) else M.astype(float)
-    A = A.copy()
     val = 1.0 + 0j if np.iscomplexobj(A) else 1.0
     for k in range(0, m - 1, 2):
         kp = k + 1 + int(np.abs(A[k + 1:, k]).argmax())
@@ -278,17 +277,6 @@ def wrap_angles(angles) -> np.ndarray:
     return out
 
 
-def plane_rotation_matrix(dim: int, j: int, k: int, angle: float) -> np.ndarray:
-    """exp(angle * s_jk) with s_jk = |j><k| - |k><j|."""
-    R = np.eye(dim)
-    c, s = np.cos(angle), np.sin(angle)
-    R[j, j] = c
-    R[k, k] = c
-    R[j, k] = s
-    R[k, j] = -s
-    return R
-
-
 def _spanning_tree(allowed: np.ndarray) -> list[list[int]]:
     """BFS spanning tree of the graph of allowed pairs; raises if disconnected.
 
@@ -342,10 +330,11 @@ def plane_decompose(R, allowed) -> tuple[np.ndarray, np.ndarray]:
     diagonal is ignored), and the allowed pairs must form a connected
     graph.  Returns ``(axes, angles)``: an (g, 2) int64 array of planes
     and their g angles in (-pi, pi].  With ``acc`` starting at the
-    identity and updated as ``acc = plane_rotation_matrix(m, j, k, a) @
-    acc`` in order, ``acc == R``.  At most one rotation per (column, row)
-    pair plus one sign fix per column is emitted: count <= m^2 (well
-    under the documented C * m^3 envelope with C = 1).
+    identity and left-multiplied in order by exp(a * s_jk), s_jk =
+    |j><k| - |k><j|, for each plane (j, k) and angle a, ``acc == R``.
+    At most one rotation per (column, row) pair plus one sign fix per
+    column is emitted: count <= m^2 (well under the documented C * m^3
+    envelope with C = 1).
 
     The columns are eliminated leaf by leaf of a spanning tree, each by
     Givens rotations along the tree towards the column's vertex.  The

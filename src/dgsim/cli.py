@@ -175,37 +175,28 @@ def _dense_input(args) -> np.ndarray:
     return st_mod.dense(simulator.run(circuit))
 
 
-def cmd_test_state(args) -> int:
-    rho = _dense_input(args)
+def _verdict(args, test: str, check, operand) -> int:
+    """Write the verdict of ``check(operand, tol=--tol)``; exit 1 when it is negative."""
     tol = args.tol if args.tol is not None else embedding.GAUSSIAN_TOL
-    verdict, deviation = embedding.displaced_state_test(rho, tol=tol)
-    doc = {
-        "schema": ser.SCHEMA_VERSION,
-        "test": "displaced-gaussian-state",
-        "verdict": bool(verdict),
-        "deviation": float(deviation),
-    }
+    verdict, deviation = check(operand, tol=tol)
+    doc = {"schema": ser.SCHEMA_VERSION, "test": test, "verdict": bool(verdict),
+           "deviation": float(deviation)}
     _write(doc, args.out)
     return EXIT_OK if verdict else EXIT_NEGATIVE
+
+
+def cmd_test_state(args) -> int:
+    return _verdict(args, "displaced-gaussian-state", embedding.displaced_state_test,
+                    _dense_input(args))
 
 
 def cmd_test_unitary(args) -> int:
-    doc_in = _read_doc(args.file)
-    if "matrix" in doc_in:
-        U = ser.parse_dense_operator(doc_in)
+    doc = _read_doc(args.file)
+    if "matrix" in doc:
+        U = ser.parse_dense_operator(doc)
     else:
-        n, h, d = ser.parse_hamiltonian(doc_in)
-        U = oracle.exp_quadratic(n, h, d)
-    tol = args.tol if args.tol is not None else embedding.GAUSSIAN_TOL
-    verdict, deviation = embedding.displaced_unitary_test(U, tol=tol)
-    doc = {
-        "schema": ser.SCHEMA_VERSION,
-        "test": "displaced-gaussian-unitary",
-        "verdict": bool(verdict),
-        "deviation": float(deviation),
-    }
-    _write(doc, args.out)
-    return EXIT_OK if verdict else EXIT_NEGATIVE
+        U = oracle.exp_quadratic(*ser.parse_hamiltonian(doc))
+    return _verdict(args, "displaced-gaussian-unitary", embedding.displaced_unitary_test, U)
 
 
 def cmd_oracle_verify(args) -> int:

@@ -20,7 +20,6 @@ from . import antisym, oracle
 from .state import DGaussState
 from .unitary import DGUnitary
 
-EVEN_TOL = 1e-10
 GAUSSIAN_TOL = 1e-7
 
 
@@ -112,73 +111,6 @@ def embed_unitary(U: DGUnitary) -> DGUnitary:
     return DGUnitary.from_generator(U.n + 1, h, np.zeros(m + 2))
 
 
-@dataclass(frozen=True)
-class ElementaryGate:
-    """Named qubit gate for the elementary decomposition of V.
-
-    ``name`` is one of "A" (the single-qubit operator H S^dagger, which
-    maps Y to Z by conjugation), "A_dg", "S", "CX"; ``lines`` holds the
-    target line, preceded by the control line for "CX".
-    """
-
-    name: str
-    lines: tuple[int, ...]
-
-    def dense(self, n_total: int) -> np.ndarray:
-        H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-        Sp = np.diag([1, 1j]).astype(complex)
-        if self.name == "A":
-            return _one_qubit(n_total, self.lines[0], H @ Sp.conj().T)
-        if self.name == "A_dg":
-            return _one_qubit(n_total, self.lines[0], Sp @ H)
-        if self.name == "S":
-            return _one_qubit(n_total, self.lines[0], Sp)
-        if self.name == "CX":
-            return _cx(n_total, self.lines[0], self.lines[1])
-        raise ValueError(f"unknown elementary gate {self.name!r}")
-
-
-def _one_qubit(n: int, line: int, u: np.ndarray) -> np.ndarray:
-    out = np.eye(1, dtype=complex)
-    for q in range(n):
-        out = np.kron(out, u if q == line else np.eye(2))
-    return out
-
-
-def _cx(n: int, control: int, target: int) -> np.ndarray:
-    dim = 1 << n
-    out = np.zeros((dim, dim), dtype=complex)
-    for row in range(dim):
-        cbit = (row >> (n - 1 - control)) & 1
-        out[row, row ^ (cbit << (n - 1 - target))] = 1
-    return out
-
-
-def embed_v_gates(n: int) -> tuple[ElementaryGate, ...]:
-    """Elementary-gate decomposition of the embedding unitary V on n+1 lines.
-
-    Sequence: A = S^dagger H on the ancilla line n, a CX fan-in from
-    every data line into the ancilla, a phase gate S on the ancilla,
-    the mirrored fan-out, and A^dagger.  The dense product equals
-    embed_V(n) up to global phase.
-    """
-    anc = n
-    seq = [ElementaryGate("A", (anc,))]
-    seq += [ElementaryGate("CX", (j, anc)) for j in range(n)]
-    seq.append(ElementaryGate("S", (anc,)))
-    seq += [ElementaryGate("CX", (j, anc)) for j in reversed(range(n))]
-    seq.append(ElementaryGate("A_dg", (anc,)))
-    return tuple(seq)
-
-
-def elementary_dense(gates, n_total: int) -> np.ndarray:
-    """Dense product of an elementary gate sequence (first gate acts first)."""
-    out = np.eye(1 << n_total, dtype=complex)
-    for g in gates:
-        out = g.dense(n_total) @ out
-    return out
-
-
 def embed_dense(rho: np.ndarray) -> np.ndarray:
     """Dense even embedding E(rho) = V (rho x |+><+|) V^dagger."""
     rho = oracle.check_state(rho)
@@ -209,8 +141,7 @@ def gaussian_state_test(psi: np.ndarray, tol: float = GAUSSIAN_TOL):
 
 def gaussian_mixed_test(rho: np.ndarray, tol: float = GAUSSIAN_TOL):
     """Wick-consistency Gaussianity check; works for mixed even states."""
-    verdict, dev = oracle.is_gaussian(rho, tol=tol)
-    return verdict, dev
+    return oracle.is_gaussian(rho, tol=tol)
 
 
 def gaussian_unitary_test(U: np.ndarray, tol: float = GAUSSIAN_TOL):

@@ -1,9 +1,10 @@
 """Exact dense reference implementation at small qubit counts.
 
 Everything here is brute force on 2^n x 2^n complex matrices: Majorana
-operators, Majorana moments, general quadratic-Hamiltonian exponentials
+operators, Majorana moments (a plain array of length 4^n indexed by the
+bitmask of J), general quadratic-Hamiltonian exponentials
 (``exp_quadratic``, for the convolution unitary and arbitrary
-generators), the embedding unitary, fermionic swaps, Born
+generators), the embedding unitary, the adjacent fermionic swap, Born
 probabilities, and a moment-based Gaussianity check.  It exists to
 validate the polynomial-time covariance-matrix paths, so sizes are
 hard-capped (n <= 6 for single-register operators, n <= 4 for the
@@ -116,12 +117,6 @@ def monomial_string(n: int, J) -> tuple[complex, tuple[int, ...]]:
     return phase, tuple(codes)
 
 
-def majorana_monomial(n: int, J) -> np.ndarray:
-    """Dense ordered product gamma_J."""
-    phase, codes = monomial_string(n, J)
-    return phase * _pauli_string_dense(codes)
-
-
 def monomial_permutation(n: int, J) -> tuple[np.ndarray, np.ndarray]:
     """Ordered Majorana product gamma_J as a signed permutation (perm, d).
 
@@ -138,13 +133,6 @@ def monomial_permutation(n: int, J) -> tuple[np.ndarray, np.ndarray]:
     perm = np.arange(1 << n) ^ int((1 << shift[(codes == 1) | (codes == 2)]).sum())
     odd = ((perm[:, None] >> shift[codes >= 2]) & 1).sum(axis=1) & 1
     return perm, phase * (1, 1j, -1, -1j)[int((codes == 2).sum()) % 4] * (1.0 - 2.0 * odd)
-
-
-def permutation_dense(perm: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Dense matrix D of a signed permutation: D[y, perm[y]] = d[y], zero elsewhere."""
-    D = np.zeros((len(perm), len(perm)), dtype=complex)
-    D[np.arange(len(perm)), perm] = d
-    return D
 
 
 def pauli_tensor(A: np.ndarray) -> np.ndarray:
@@ -220,37 +208,13 @@ def _monomial_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     return index, phase
 
 
-class MomentTable:
-    """All Majorana moments A_J = Tr(gamma_J^dag A) of an n-line operator.
+def moments(A: np.ndarray) -> np.ndarray:
+    """All Majorana moments A_J = Tr(gamma_J^dag A) of a dense n-line operator.
 
-    Stored as a complex array of length 4^n indexed by the bitmask of J
-    over the 2n Majorana indices.
-    """
-
-    def __init__(self, n: int, values: np.ndarray):
-        self.n = n
-        self.values = values
-
-    def __getitem__(self, J) -> complex:
-        mask = 0
-        for a in J:
-            bit = 1 << int(a)
-            if not 0 <= int(a) < 2 * self.n or mask & bit:
-                raise IndexError(f"bad moment index tuple {tuple(J)}")
-            mask |= bit
-        return complex(self.values[mask])
-
-    def items(self):
-        for mask in range(len(self.values)):
-            J = tuple(a for a in range(2 * self.n) if mask >> a & 1)
-            yield J, complex(self.values[mask])
-
-
-def moments(A: np.ndarray) -> MomentTable:
-    """Moment table of a dense operator via its Pauli coefficients.
-
-    A_J = conj(phase_J) * 2^n * c_P for gamma_J = phase_J * P: one
-    Pauli transform and one gather through the monomial table, O(n 4^n).
+    Returns a complex array of length 4^n indexed by the bitmask of J
+    over the 2n Majorana indices.  A_J = conj(phase_J) * 2^n * c_P for
+    gamma_J = phase_J * P: one Pauli transform and one gather through
+    the monomial table, O(n 4^n).
     """
     n = int(A.shape[0]).bit_length() - 1
     if A.shape != (1 << n, 1 << n):
@@ -259,7 +223,7 @@ def moments(A: np.ndarray) -> MomentTable:
     index, phase = _monomial_table(n)
     values = np.conj(phase) * (1 << n) * C[index]
     values[0] = np.trace(A)
-    return MomentTable(n, values)
+    return values
 
 
 def wick_moment_array(M_ext: np.ndarray) -> np.ndarray:
@@ -267,7 +231,7 @@ def wick_moment_array(M_ext: np.ndarray) -> np.ndarray:
 
     ``M_ext`` is (2n+1)x(2n+1) real antisymmetric holding the covariance
     block M and mean column mu (extended covariance = i * M_ext).
-    Returns the length-4^n moment array in MomentTable layout: an even
+    Returns the length-4^n moment array in the layout of ``moments``: an even
     |J| reads i^{|J|/2} Pf(M_J), an odd |J| reads
     -i * i^{(|J|+1)/2} Pf(M_{J + mean axis}).
     """
@@ -309,8 +273,8 @@ def covariance_from_dense(A: np.ndarray) -> np.ndarray:
 
     mu_j = Re rho_{(j)} and, for j < k, M_jk = Im rho_{(j,k)}.
     """
-    table = moments(A)
-    values, bits = table.values, 1 << np.arange(2 * table.n)
+    values = moments(A)
+    bits = 1 << np.arange(len(values).bit_length() - 1)
     upper = np.triu(values[bits[:, None] | bits].imag, 1)
     return bordered(upper - upper.T, values[bits].real)
 
@@ -322,9 +286,8 @@ def is_gaussian(A: np.ndarray, tol: float = 1e-7) -> tuple[bool, float]:
     the Wick reconstruction from A's own first and second moments.
     Returns (verdict, max deviation).
     """
-    table = moments(A)
     wick = wick_moment_array(covariance_from_dense(A))
-    dev = float(np.abs(table.values - wick).max())
+    dev = float(np.abs(moments(A) - wick).max())
     return dev <= tol, dev
 
 
@@ -426,20 +389,6 @@ def fswap_permutation(n: int, a: int) -> tuple[np.ndarray, np.ndarray]:
     return perm, np.where(hi & lo, 1j, -1j)
 
 
-def fswap(n: int, a: int, b: int) -> np.ndarray:
-    """Dense fermionic swap of lines a and b (0-based, a < b).
-
-    Adjacent swaps are ``fswap_permutation``; non-adjacent swaps are
-    built by conjugation with adjacent ones.
-    """
-    if not 0 <= a < b < n:
-        raise ValueError("need 0 <= a < b < n")
-    if b > a + 1:
-        S1 = fswap(n, a, a + 1)
-        return S1 @ fswap(n, a + 1, b) @ S1
-    return permutation_dense(*fswap_permutation(n, a))
-
-
 def embed_V(n: int) -> np.ndarray:
     """Embedding unitary exp(-i (pi/4) gamma_{2n+1}) on n+1 lines (0-based index).
 
@@ -484,10 +433,3 @@ def born_probability(rho: np.ndarray, K, x) -> float:
         z = (np.arange(1 << n) >> (n - 1 - line)) & 1
         diag *= (z == bit)
     return float(np.real(np.sum(diag * np.diag(rho))))
-
-
-def phase_aligned_distance(U: np.ndarray, V: np.ndarray) -> float:
-    """Max-entry distance between U and V after optimal global-phase alignment."""
-    tr = np.trace(U.conj().T @ V)
-    phase = tr / abs(tr) if abs(tr) > 1e-12 else 1.0
-    return float(np.abs(U * phase - V).max())

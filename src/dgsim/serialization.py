@@ -98,9 +98,16 @@ def _complex_matrix(value, loc):
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def complex_matrix_doc(A: np.ndarray):
-    A = np.asarray(A, dtype=complex)
-    return np.stack([A.real, A.imag], axis=-1).tolist()
+def _covariance(obj, n: int, loc: str) -> tuple[np.ndarray, np.ndarray]:
+    """(M, mu) of a covariance object at ``loc``: M 2n x 2n, mu of length 2n.
+
+    Errors name ``loc.M``, ``loc.mu``, or ``loc`` for a shape that does not fit.
+    """
+    M = _real_matrix(obj["M"], f"{loc}.M")
+    mu = _real_matrix(obj["mu"], f"{loc}.mu")
+    if M.shape != (2 * n, 2 * n) or mu.shape != (2 * n,):
+        raise SchemaError("M must be 2n x 2n and mu length 2n", loc)
+    return M, mu
 
 
 def _is_int(value) -> bool:
@@ -204,11 +211,7 @@ def parse_circuit(obj) -> tuple[Circuit, dict]:
         build = partial(prepare_product, bl)
     else:
         cov = _take(inp["covariance"], {"M", "mu"}, set(), "$.input.covariance")
-        M = _real_matrix(cov["M"], "$.input.covariance.M")
-        mu = _real_matrix(cov["mu"], "$.input.covariance.mu")
-        if M.shape != (2 * n, 2 * n) or mu.shape != (2 * n,):
-            raise SchemaError("M must be 2n x 2n and mu length 2n", "$.input.covariance")
-        build = partial(DGaussState, n, M, mu)
+        build = partial(DGaussState, n, *_covariance(cov, n, "$.input.covariance"))
 
     seq = _parse_gates(obj["gates"], n)
 
@@ -267,11 +270,7 @@ def parse_state(obj) -> DGaussState:
     _take(obj, {"schema", "n", "M", "mu"}, set(), "$")
     _check_schema(obj)
     n = _size(obj)
-    M = _real_matrix(obj["M"], "$.M")
-    mu = _real_matrix(obj["mu"], "$.mu")
-    if M.shape != (2 * n, 2 * n) or mu.shape != (2 * n,):
-        raise SchemaError("M must be 2n x 2n and mu length 2n", "$")
-    return DGaussState(n, M, mu)
+    return DGaussState(n, *_covariance(obj, n, "$"))
 
 
 def parse_dense_operator(obj) -> np.ndarray:

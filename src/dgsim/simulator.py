@@ -31,7 +31,7 @@ import numpy as np
 
 from .antisym import NumericalAdmissibilityError, canonical_matrix
 from .state import DGaussState
-from .unitary import GateSequence
+from .unitary import GateSequence, as_index
 
 
 DET_CLAMP = 1e-10
@@ -54,7 +54,7 @@ SYMMETRIZE_BLOCK = 256
 
 def _check_lines(K, n: int | None = None) -> tuple[int, ...]:
     """Measured lines K as ints: strictly increasing and, given n, in [0, n)."""
-    K = tuple(int(q) for q in K)
+    K = tuple(as_index(q, "measured line") for q in K)
     if any(b <= a for a, b in zip(K, K[1:])):
         raise ValueError("measured lines must be strictly increasing")
     if n is not None:
@@ -72,13 +72,12 @@ class MeasurementOp:
     x: tuple[int, ...]
 
     def __post_init__(self):
-        K = tuple(int(k) for k in self.K)
-        x = tuple(int(b) for b in self.x)
+        K = _check_lines(self.K)
+        x = tuple(as_index(b, "outcome bit") for b in self.x)
         if len(K) != len(x):
             raise ValueError("line subset and outcome lengths differ")
         if any(b not in (0, 1) for b in x):
             raise ValueError("outcome bits must be 0 or 1")
-        _check_lines(K)
         object.__setattr__(self, "K", K)
         object.__setattr__(self, "x", x)
 

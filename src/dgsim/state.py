@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import oracle
-from .antisym import block_diagonalize, bordered, canonical_matrix, check_antisymmetric, pfaffian_restricted
+from .antisym import KERNEL_TOL, bordered, canonical_matrix, check_antisymmetric, pfaffian_restricted
 
 ADMISSIBILITY_TOL = 1e-9
 SATURATION_TOL = 1e-9
@@ -42,6 +42,20 @@ class SaturationError(ValueError):
         )
 
 
+def _canonical_values(M_ext) -> list[float]:
+    """Canonical values of an odd-dimensional real antisymmetric carrier, descending.
+
+    They are the eigenvalues of the Hermitian i*M_ext above the kernel
+    cut KERNEL_TOL * scale: the lambdas of ``block_diagonalize``, read
+    from one ``eigvalsh`` without building its rotation.
+    """
+    M_ext = check_antisymmetric(np.asarray(M_ext, dtype=float))
+    if M_ext.shape[0] % 2 == 0:
+        raise ValueError("extended carrier must have odd dimension")
+    cut = KERNEL_TOL * max(1.0, float(np.abs(M_ext).max()))
+    return [lam for lam in np.linalg.eigvalsh(1j * M_ext)[::-1].tolist() if lam > cut]
+
+
 def validate(M_ext):
     """Check a real extended carrier for admissibility.
 
@@ -49,12 +63,9 @@ def validate(M_ext):
     M_ext sorted descending; valid iff all of them are at most
     1 + ADMISSIBILITY_TOL.  The matrix rank (2 * number of nonzero
     lambdas) is implied by the returned list but deliberately not
-    enforced.  Antisymmetry is checked by block_diagonalize.
+    enforced.
     """
-    M_ext = np.asarray(M_ext, dtype=float)
-    _, lambdas = block_diagonalize(M_ext)
-    if M_ext.shape[0] % 2 == 0:
-        raise ValueError("extended carrier must have odd dimension")
+    lambdas = _canonical_values(M_ext)
     return all(lam <= 1.0 + ADMISSIBILITY_TOL for lam in lambdas), lambdas
 
 
@@ -100,7 +111,7 @@ class DGaussState:
 
     def canonical_lambdas(self) -> list[float]:
         """Canonical values of the extended carrier, padded to n entries."""
-        _, lambdas = block_diagonalize(self.M_ext)
+        lambdas = _canonical_values(self.M_ext)
         return lambdas + [0.0] * (self.n - len(lambdas))
 
 
@@ -181,10 +192,3 @@ def dense(state: DGaussState) -> np.ndarray:
             f"dense() capped at {oracle.ORACLE_MAX_QUBITS} qubits, got n={state.n}"
         )
     return oracle.gaussian_dense(state.M_ext)
-
-
-def from_dense(A: np.ndarray) -> DGaussState:
-    """Covariance data of a dense state (moments of degree <= 2)."""
-    M_ext = oracle.covariance_from_dense(oracle.check_state(A))
-    m = M_ext.shape[0] - 1
-    return DGaussState(m // 2, M_ext[:m, :m], M_ext[:m, m])

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -196,6 +197,16 @@ KINDS = (MATCHGATE, LINE1, FSWAP)
 _MATCHGATE, _LINE1, _FSWAP = range(3)
 
 
+def as_index(value, what: str) -> int:
+    """``value`` as an int: a Python or numpy integer, never a bool or a float."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 def _in_window(j, k):
     """Whether axes j, k >= 0 sit inside one matchgate Majorana window.
 
@@ -218,15 +229,17 @@ class Gate:
         if self.kind in (MATCHGATE, LINE1):
             if self.axes is None or self.angle is None or self.line is not None:
                 raise ValueError(f"{self.kind} gate needs axes and angle only")
-            j, k = self.axes
+            j, k = (as_index(a, "gate axis") for a in self.axes)
             if j == k:
                 raise ValueError("gate axes must differ")
+            object.__setattr__(self, "axes", (j, k))
             if not math.isfinite(self.angle):
                 raise ValueError(f"{self.kind} gate angle {self.angle} is not finite")
             object.__setattr__(self, "angle", float(wrap_angles([self.angle])[0]))
         elif self.kind == FSWAP:
             if self.line is None or self.axes is not None or self.angle is not None:
                 raise ValueError("fswap gate needs a line index only")
+            object.__setattr__(self, "line", as_index(self.line, "fswap line"))
         else:
             raise ValueError(f"unknown gate kind {self.kind!r}")
 
@@ -422,14 +435,6 @@ class GateSequence:
     @property
     def gates(self) -> tuple[Gate, ...]:
         return tuple(self)
-
-
-def gate_rotation(g: Gate, n: int) -> np.ndarray:
-    """Full (2n+1)-dimensional rotation effected by the gate."""
-    _, rows, Q = GateSequence(n, (g,)).blocks[0]
-    R = np.eye(2 * n + 1)
-    R[np.ix_(rows, rows)] = Q
-    return R
 
 
 def _layers(seq: GateSequence) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -82,7 +83,7 @@ def ghz4():
 
 def quartic_unitary():
     """exp(i pi/4 g0 g1 g2 g3) on 2 qubits: even but not Gaussian."""
-    quart = oracle.majorana_monomial(2, (0, 1, 2, 3))
+    quart = majorana_monomial(2, (0, 1, 2, 3))
     return np.cos(np.pi / 4) * np.eye(4, dtype=complex) + 1j * np.sin(np.pi / 4) * quart
 
 
@@ -328,3 +329,119 @@ def gate_dense(g, n):
     for (j, k), c in terms:
         h[j, k], h[k, j] = c, -c
     return oracle.exp_quadratic(n, h, d)
+
+
+def gate_rotation(g, n):
+    """Full (2n+1)-dimensional rotation effected by one gate."""
+    rows, Q = reference_block(g)
+    R = np.eye(2 * n + 1)
+    R[np.ix_(rows, rows)] = Q
+    return R
+
+
+def plane_rotation_matrix(dim, j, k, angle):
+    """exp(angle * s_jk) with s_jk = |j><k| - |k><j|."""
+    R = np.eye(dim)
+    R[[j, k], [j, k]] = np.cos(angle)
+    R[j, k], R[k, j] = np.sin(angle), -np.sin(angle)
+    return R
+
+
+def mask(J):
+    """Bitmask of the Majorana index set J: the index of gamma_J's moment."""
+    return sum(1 << a for a in J)
+
+
+def state_from_dense(A):
+    """Covariance state read off a dense state's moments of degree <= 2."""
+    M_ext = oracle.covariance_from_dense(oracle.check_state(A))
+    m = M_ext.shape[0] - 1
+    return st_mod.DGaussState(m // 2, M_ext[:m, :m], M_ext[:m, m])
+
+
+def complex_matrix_doc(A):
+    """A dense matrix as a document's [[ [re, im], ... ], ...]."""
+    A = np.asarray(A, dtype=complex)
+    return np.stack([A.real, A.imag], axis=-1).tolist()
+
+
+# ---------------------------------------------------------------------------
+# Dense references: Majorana monomials, fermionic swaps, phase alignment.
+
+def majorana_monomial(n, J):
+    """Dense ordered product gamma_J."""
+    phase, codes = oracle.monomial_string(n, J)
+    return phase * oracle._pauli_string_dense(codes)
+
+
+def permutation_dense(perm, d):
+    """Dense matrix D of a signed permutation: D[y, perm[y]] = d[y], zero elsewhere."""
+    D = np.zeros((len(perm), len(perm)), dtype=complex)
+    D[np.arange(len(perm)), perm] = d
+    return D
+
+
+def fswap(n, a, b):
+    """Dense fermionic swap of lines a < b: adjacent swaps, conjugated outwards."""
+    if not 0 <= a < b < n:
+        raise ValueError("need 0 <= a < b < n")
+    if b > a + 1:
+        S1 = fswap(n, a, a + 1)
+        return S1 @ fswap(n, a + 1, b) @ S1
+    return permutation_dense(*oracle.fswap_permutation(n, a))
+
+
+def phase_aligned_distance(U, V):
+    """Max-entry distance between U and V after optimal global-phase alignment."""
+    tr = np.trace(U.conj().T @ V)
+    phase = tr / abs(tr) if abs(tr) > 1e-12 else 1.0
+    return float(np.abs(U * phase - V).max())
+
+
+# ---------------------------------------------------------------------------
+# Elementary-gate decomposition of the embedding unitary V.
+
+_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+_S = np.diag([1, 1j])
+# "A" is H S^dagger, which maps Y to Z by conjugation.
+ONE_QUBIT = {"A": _H @ _S.conj().T, "A_dg": _S @ _H, "S": _S}
+
+
+@dataclass(frozen=True)
+class ElementaryGate:
+    """Named qubit gate: "A", "A_dg" or "S" on line ``lines[0]``, or "CX"
+    with control ``lines[0]`` and target ``lines[1]``."""
+
+    name: str
+    lines: tuple[int, ...]
+
+    def dense(self, n_total):
+        if self.name != "CX":
+            ops = [ONE_QUBIT[self.name] if q == self.lines[0] else np.eye(2) for q in range(n_total)]
+            return functools.reduce(np.kron, ops)
+        control, target = self.lines
+        rows = np.arange(1 << n_total)
+        out = np.zeros((len(rows), len(rows)), dtype=complex)
+        out[rows, rows ^ (((rows >> (n_total - 1 - control)) & 1) << (n_total - 1 - target))] = 1
+        return out
+
+
+def embed_v_gates(n):
+    """Elementary gates of the embedding unitary V on n+1 lines, first gate first.
+
+    A = H S^dagger on the ancilla line n, a CX fan-in from every data line
+    into the ancilla, a phase gate S on the ancilla, the mirrored fan-out,
+    and A^dagger.  The dense product equals oracle.embed_V(n) up to global
+    phase.
+    """
+    fan_in = [ElementaryGate("CX", (j, n)) for j in range(n)]
+    return (ElementaryGate("A", (n,)), *fan_in, ElementaryGate("S", (n,)), *fan_in[::-1],
+            ElementaryGate("A_dg", (n,)))
+
+
+def elementary_dense(gates, n_total):
+    """Dense product of an elementary gate sequence (first gate acts first)."""
+    out = np.eye(1 << n_total, dtype=complex)
+    for g in gates:
+        out = g.dense(n_total) @ out
+    return out

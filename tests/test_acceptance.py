@@ -15,7 +15,11 @@ from dgsim import antisym, embedding as emb, oracle, simulator, state as st_mod,
 
 from helpers import (
     dense_product,
+    elementary_dense,
+    embed_v_gates,
     ghz4,
+    mask,
+    phase_aligned_distance,
     quartic_unitary,
     rand_antisym,
     rand_bloch,
@@ -44,9 +48,9 @@ def test_acceptance_1_wick_moments():
     for trial in range(50):
         n = 1 + trial % 3
         s = rand_state(rng, n) if trial % 2 else rand_pure_state(rng, n)
-        table = oracle.moments(st_mod.dense(s))
+        values = oracle.moments(st_mod.dense(s))
         for J in _all_index_sets(2 * n):
-            worst = max(worst, abs(st_mod.wick_moment(s, J) - table[J]))
+            worst = max(worst, abs(st_mod.wick_moment(s, J) - values[mask(J)]))
     elapsed = time.perf_counter() - t0
     _verdict(
         1,
@@ -144,7 +148,7 @@ def test_acceptance_4_compiler():
             U = un_mod.DGUnitary.from_rotation(n, R)
             dense_dev = max(
                 dense_dev,
-                oracle.phase_aligned_distance(sequence_dense(seq), U.dense()),
+                phase_aligned_distance(sequence_dense(seq), U.dense()),
             )
     elapsed = time.perf_counter() - t0
     ok = worst_res < 1e-7 and dense_dev < 1e-7 and elapsed < 120
@@ -228,8 +232,8 @@ def test_acceptance_6_embedding():
 
     v_dev = 0.0
     for n in (1, 2, 3):
-        prod = emb.elementary_dense(emb.embed_v_gates(n), n + 1)
-        v_dev = max(v_dev, oracle.phase_aligned_distance(prod, oracle.embed_V(n)))
+        prod = elementary_dense(embed_v_gates(n), n + 1)
+        v_dev = max(v_dev, phase_aligned_distance(prod, oracle.embed_V(n)))
 
     elapsed = time.perf_counter() - t0
     ok = cov_dev < 1e-8 and purity_dev < 1e-8 and compat_dev < 1e-8 and v_dev < 1e-10 and elapsed < 60

@@ -3,7 +3,7 @@ import pytest
 
 from dgsim import antisym, unitary as un_mod
 
-from helpers import pfaffian_reference, plane_decompose_reference, rand_antisym
+from helpers import pfaffian_reference, plane_decompose_reference, plane_rotation_matrix, rand_antisym
 
 rng = np.random.default_rng(1234)
 
@@ -142,7 +142,7 @@ def test_wrap_angles_normalizes_angle():
 
 
 def test_plane_rotation_matrix_convention():
-    R = antisym.plane_rotation_matrix(3, 0, 2, 0.3)
+    R = plane_rotation_matrix(3, 0, 2, 0.3)
     assert R[0, 2] == pytest.approx(np.sin(0.3))
     assert R[2, 0] == pytest.approx(-np.sin(0.3))
     antisym.check_rotation(R)
@@ -162,7 +162,7 @@ def _star_adjacency(m):
 def _product(m, axes, angles):
     acc = np.eye(m)
     for (j, k), a in zip(axes.tolist(), angles.tolist()):
-        acc = antisym.plane_rotation_matrix(m, j, k, a) @ acc
+        acc = plane_rotation_matrix(m, j, k, a) @ acc
     return acc
 
 
@@ -210,7 +210,7 @@ def _test_rotations(m):
     """Random and Haar rotations, the identity, exact zeros, negative diagonals."""
     r = np.random.default_rng(m)
     sparse = np.eye(m)
-    sparse[np.ix_([0, m - 1], [0, m - 1])] = antisym.plane_rotation_matrix(2, 0, 1, 0.7)
+    sparse[np.ix_([0, m - 1], [0, m - 1])] = plane_rotation_matrix(2, 0, 1, 0.7)
     flip = np.eye(m)
     flip[0, 0] = flip[m - 1, m - 1] = -1.0
     return [antisym.expm_antisym(rand_antisym(r, m, scale=2.0)), _haar_rotation(r, m),

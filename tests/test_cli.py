@@ -9,7 +9,7 @@ import scipy.linalg
 from dgsim import antisym, cli, embedding, oracle, serialization as ser, simulator
 from dgsim import state as st_mod, unitary as un_mod
 
-from helpers import gate_doc, ghz4, rand_antisym
+from helpers import complex_matrix_doc, gate_doc, ghz4, rand_antisym
 
 rng = np.random.default_rng(90210)
 
@@ -193,6 +193,25 @@ def test_non_number_float_field_located(tmp_path, capsys, verb, doc, loc):
 
 
 @pytest.mark.parametrize(
+    "verb, doc, loc",
+    [
+        ("embed", {"schema": ser.SCHEMA_VERSION, "n": 2, "M": COV_M, "mu": [0.0] * 4}, "$"),
+        ("embed", {"schema": ser.SCHEMA_VERSION, "n": 1, "M": COV_M, "mu": [0.0] * 3}, "$"),
+        ("run", {**circuit_doc(2, [0.5, 0.5]), "input": {"covariance": {"M": COV_M, "mu": [0.0] * 4}}},
+         "$.input.covariance"),
+        ("run", {**circuit_doc(1, [0.5]), "input": {"covariance": {"M": COV_M, "mu": [[0.0, 0.0]]}}},
+         "$.input.covariance"),
+    ],
+)
+def test_covariance_shape_located(tmp_path, capsys, verb, doc, loc):
+    # parse_state and a circuit's covariance input share one parser and keep their locations.
+    code = cli.main([verb, write_doc(tmp_path, "d.json", doc)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"parse error: {loc}: M must be 2n x 2n and mu length 2n\n"
+
+
+@pytest.mark.parametrize(
     "argv, flag",
     [
         (["oracle-verify", "--tol", "nan"], "--tol"),
@@ -333,6 +352,20 @@ def test_embed_computes_embedding_once(tmp_path, capsys, monkeypatch):
     assert pfaffians == [(4, 4)]  # one bordered Pfaffian, not 2n+1 minors
 
 
+def test_embed_makes_no_canonical_form(tmp_path, capsys, monkeypatch):
+    # Admissibility reads the canonical values alone; no rotation is built.
+    calls = collections.Counter()
+    counted(monkeypatch, antisym, "block_diagonalize", calls)
+    doc = {"schema": ser.SCHEMA_VERSION, "n": 2, "mu": [0.3, 0.0, -0.2, 0.1],
+           "M": [[0.0, -0.6, 0.1, 0.0], [0.6, 0.0, 0.0, 0.2],
+                 [-0.1, 0.0, 0.0, 0.4], [0.0, -0.2, -0.4, 0.0]]}
+    code, out = run_cli(capsys, ["embed", write_doc(tmp_path, "s.json", doc)])
+    assert code == 0 and json.loads(out)["n"] == 3
+    assert calls == {}
+    antisym.block_diagonalize(np.zeros((3, 3)))  # the counter is in place
+    assert calls == {"block_diagonalize": 1}
+
+
 def test_test_state_verdicts(tmp_path, capsys):
     path = write_doc(tmp_path, "c.json", circuit_doc(2, [1.0, 0.4]))
     code, out = run_cli(capsys, ["test-state", path])
@@ -341,7 +374,7 @@ def test_test_state_verdicts(tmp_path, capsys):
     doc = {
         "schema": ser.SCHEMA_VERSION,
         "n": 4,
-        "matrix": ser.complex_matrix_doc(ghz4()),
+        "matrix": complex_matrix_doc(ghz4()),
     }
     path = write_doc(tmp_path, "ghz.json", doc)
     code, out = run_cli(capsys, ["test-state", path])
@@ -365,7 +398,7 @@ def test_test_unitary_verdicts(tmp_path, capsys):
     for b in range(8):
         if (b >> 2) & 1 and b & 1:
             cz[b, b] = -1
-    doc = {"schema": ser.SCHEMA_VERSION, "n": 3, "matrix": ser.complex_matrix_doc(cz)}
+    doc = {"schema": ser.SCHEMA_VERSION, "n": 3, "matrix": complex_matrix_doc(cz)}
     path = write_doc(tmp_path, "cz.json", doc)
     code, out = run_cli(capsys, ["test-unitary", path])
     assert code == 1 and json.loads(out)["verdict"] is False
@@ -409,7 +442,7 @@ def counted(monkeypatch, module, name, calls):
         calls[name] += 1
         return real(*args, **kwargs)
 
-    for mod in (cli, ser, simulator, st_mod, un_mod, oracle):
+    for mod in (cli, ser, simulator, st_mod, un_mod, oracle, antisym, embedding):
         if getattr(mod, name, None) is real:
             monkeypatch.setattr(mod, name, wrapper)
 

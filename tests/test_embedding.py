@@ -5,7 +5,10 @@ from dgsim import antisym, embedding as emb, oracle, state as st_mod, unitary as
 
 from helpers import (
     dense_product,
+    elementary_dense,
+    embed_v_gates,
     ghz4,
+    phase_aligned_distance,
     quartic_unitary,
     rand_antisym,
     rand_bloch,
@@ -133,19 +136,19 @@ def test_embed_unitary_dense_projective():
         V = oracle.embed_V(n)
         W = V @ np.kron(U.dense(), np.eye(2)) @ V.conj().T
         Vt = oracle.exp_quadratic(n + 1, Ut.h, np.zeros(2 * n + 2))
-        assert oracle.phase_aligned_distance(W, Vt) < 1e-8
+        assert phase_aligned_distance(W, Vt) < 1e-8
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_embed_v_gates(n):
-    gates = emb.embed_v_gates(n)
+    gates = embed_v_gates(n)
     assert len(gates) == 2 * n + 3
-    prod = emb.elementary_dense(gates, n + 1)
-    assert oracle.phase_aligned_distance(prod, oracle.embed_V(n)) < 1e-10
+    prod = elementary_dense(gates, n + 1)
+    assert phase_aligned_distance(prod, oracle.embed_V(n)) < 1e-10
 
 
 def test_embed_v_gates_shape():
-    kinds = [g.name for g in emb.embed_v_gates(3)]
+    kinds = [g.name for g in embed_v_gates(3)]
     assert kinds == ["A", "CX", "CX", "CX", "S", "CX", "CX", "CX", "A_dg"]
 
 

@@ -46,7 +46,7 @@ def _outputs(inputs: dict[str, np.ndarray], n: int) -> dict[str, np.ndarray]:
     out = {
         f"n{n}_A_pauli_tensor": oracle.pauli_tensor(A),
         f"n{n}_A_from_pauli_tensor": oracle.from_pauli_tensor(A.reshape((4,) * n)),
-        f"n{n}_A_moments": oracle.moments(A).values,
+        f"n{n}_A_moments": oracle.moments(A),
         f"n{n}_K_pf": antisym.pfaffian_all_restrictions(inputs[f"n{n}_K"]),
     }
     for name in ("carrier", "diag"):

@@ -33,6 +33,19 @@ def test_measurement_op_validation():
     sim.MeasurementOp((0, 2), (1, 0))
 
 
+@pytest.mark.parametrize("K, x", [((0.7, 2.2), (0, 1)), ((0, 2), (0.4, 1.9)),
+                                  ((True, 2), (0, 1)), ((0, 2), (False, 1)), (("0",), (0,))])
+def test_measurement_op_refuses_non_integers(K, x):
+    # int() would truncate these to valid-looking lines and bits.
+    with pytest.raises(ValueError, match="must be an integer"):
+        sim.MeasurementOp(K, x)
+
+
+def test_measurement_op_takes_numpy_integers():
+    op = sim.MeasurementOp(np.array([0, 2]), (np.int64(1), np.uint8(0)))
+    assert op.K == (0, 2) and op.x == (1, 0) and type(op.K[0]) is int
+
+
 def test_measurement_cov_canonical_blocks():
     m = measurement_cov(3, sim.MeasurementOp((0,), (0,)))
     want = np.zeros((6, 6))
@@ -226,6 +239,13 @@ def test_sample_validates_lines_and_shots():
     with pytest.raises(ValueError, match="shot"):
         sim.sample(s, (0,), shots=0, seed=0)
     assert sim.sample(s, (), shots=4, seed=0).shape == (4, 0)
+
+
+@pytest.mark.parametrize("K", [(0.9, 1.5), (True, 2), (0, 2.0)])
+def test_sample_refuses_non_integer_lines(K):
+    s = st_mod.from_diagonal([0.2, -0.4, 0.6])
+    with pytest.raises(ValueError, match="measured line must be an integer"):
+        sim.sample(s, K, shots=3, seed=0)
 
 
 @pytest.mark.parametrize("bad", [-1.5, float("nan")])

@@ -2,10 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from dgsim import oracle, state as st_mod
+from dgsim import antisym, oracle, state as st_mod
 
-from helpers import rand_antisym, rand_pure_state, rand_state
+from helpers import mask, rand_antisym, rand_pure_state, rand_state, state_from_dense
 
 rng = np.random.default_rng(404)
 
@@ -55,10 +56,10 @@ def test_wick_moments_match_oracle():
     for n in (1, 2, 3):
         for _ in range(4):
             s = rand_state(rng, n)
-            table = oracle.moments(oracle.gaussian_dense(s.M_ext))
+            values = oracle.moments(oracle.gaussian_dense(s.M_ext))
             for size in range(1, 2 * n + 1):
                 for J in itertools.combinations(range(2 * n), size):
-                    want = table[J]
+                    want = values[mask(J)]
                     got = st_mod.wick_moment(s, J)
                     assert abs(got - want) < 1e-8, (n, J)
 
@@ -111,7 +112,7 @@ def test_to_thermal_saturation():
 def test_dense_roundtrip():
     for n in (1, 2, 3):
         s = rand_state(rng, n)
-        s2 = st_mod.from_dense(st_mod.dense(s))
+        s2 = state_from_dense(st_mod.dense(s))
         assert np.max(np.abs(s.M - s2.M)) < 1e-9
         assert np.max(np.abs(s.mu - s2.mu)) < 1e-9
 
@@ -121,6 +122,58 @@ def test_canonical_lambdas_padded():
     lam = s.canonical_lambdas()
     assert len(lam) == 3
     assert sorted(lam, reverse=True) == pytest.approx([0.7, 0.2, 0.0], abs=1e-10)
+
+
+def _kernel_rich(rng, m):
+    """Random rotation of a carrier whose canonical values are half zeros, half in (0, 1]."""
+    lams = rng.uniform(0.1, 1.0, size=m // 2)
+    lams[rng.permutation(m // 2)[: m // 4]] = 0.0
+    R = scipy.linalg.expm(rand_antisym(rng, m))
+    M = R @ antisym.canonical_matrix(lams, m) @ R.T
+    return (M - M.T) / 2
+
+
+@pytest.mark.parametrize("m", [1, 3, 5, 7, 9, 13, 17, 33, 49, 65, 101, 151, 201])
+def test_canonical_values_match_block_diagonalize(m):
+    # The values read from eigvalsh alone are the canonical form's lambdas.
+    n = m // 2
+    r = np.random.default_rng(m)
+    carriers = [_kernel_rich(r, m)]
+    if n:
+        carriers += [rand_state(r, n).M_ext, rand_pure_state(r, n).M_ext]
+    for M_ext in carriers:
+        _, want = antisym.block_diagonalize(M_ext)
+        valid, got = st_mod.validate(M_ext)
+        scale = max(1.0, float(np.abs(M_ext).max()))
+        assert valid and len(got) == len(want) and got == sorted(got, reverse=True)
+        assert np.max(np.abs(np.subtract(got, want)), initial=0.0) <= 1e-12 * scale
+        if n:
+            padded = st_mod.DGaussState(n, M_ext[:-1, :-1], M_ext[:-1, -1]).canonical_lambdas()
+            assert padded == got + [0.0] * (n - len(got))
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_admissibility_boundary(n):
+    # Canonical values up to 1 + ADMISSIBILITY_TOL pass; beyond it they are refused.
+    R = scipy.linalg.expm(rand_antisym(rng, 2 * n + 1))
+    for lam, ok in ((1 + 5e-10, True), (1 + 2e-9, False)):
+        M_ext = R @ antisym.canonical_matrix([lam] + [0.5] * (n - 1), 2 * n + 1) @ R.T
+        M_ext = (M_ext - M_ext.T) / 2
+        assert st_mod.validate(M_ext)[0] is ok
+        if ok:
+            st_mod.DGaussState(n, M_ext[:-1, :-1], M_ext[:-1, -1])
+        else:
+            with pytest.raises(st_mod.AdmissibilityError, match=r"canonical values exceed 1: \[1\.00000000"):
+                st_mod.DGaussState(n, M_ext[:-1, :-1], M_ext[:-1, -1])
+
+
+def test_validate_checks_shape_before_the_spectrum():
+    with pytest.raises(ValueError, match="odd dimension"):
+        st_mod.validate(np.zeros((4, 4)))
+    with pytest.raises(ValueError, match="not antisymmetric"):
+        st_mod.validate(np.eye(3))
+    with pytest.raises(antisym.DimensionError):
+        st_mod.validate(np.zeros((3, 2)))
 
 
 def test_is_even():

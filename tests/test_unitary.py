@@ -7,7 +7,11 @@ from dgsim import antisym, oracle, simulator as sim, state as st_mod, unitary as
 
 from helpers import (
     compose,
+    fswap,
     gate_dense,
+    gate_rotation,
+    majorana_monomial,
+    phase_aligned_distance,
     rand_antisym,
     rand_sequence,
     rand_state,
@@ -56,7 +60,7 @@ def test_dense_matches_exp_quadratic():
     for n in (1, 2, 3):
         U = rand_unitary(rng, n)
         assert (
-            oracle.phase_aligned_distance(U.dense(), oracle.exp_quadratic(n, U.h, U.d))
+            phase_aligned_distance(U.dense(), oracle.exp_quadratic(n, U.h, U.d))
             < 1e-10
         )
 
@@ -76,7 +80,7 @@ def test_compose_matches_dense():
     n = 2
     U1, U2 = rand_unitary(rng, n), rand_unitary(rng, n)
     U = compose(U1, U2)
-    assert oracle.phase_aligned_distance(U.dense(), U1.dense() @ U2.dense()) < 1e-9
+    assert phase_aligned_distance(U.dense(), U1.dense() @ U2.dense()) < 1e-9
 
 
 def test_conjugate_monomial_matches_dense():
@@ -88,8 +92,8 @@ def test_conjugate_monomial_matches_dense():
                 terms = un_mod.conjugate_monomial(U, J)
                 got = np.zeros_like(Ud)
                 for K, coeff in terms.items():
-                    got = got + coeff * oracle.majorana_monomial(n, K)
-                want = Ud @ oracle.majorana_monomial(n, J) @ Ud.conj().T
+                    got = got + coeff * majorana_monomial(n, K)
+                want = Ud @ majorana_monomial(n, J) @ Ud.conj().T
                 assert np.max(np.abs(got - want)) < 1e-8, (n, J)
 
 
@@ -103,7 +107,7 @@ def test_gate_rotation_vs_dense():
     n = 2
     for _ in range(20):
         g = rand_sequence(rng, n, 1).gates[0]
-        R = un_mod.gate_rotation(g, n)
+        R = gate_rotation(g, n)
         antisym.check_rotation(R)
         Ug = gate_dense(g, n)
         s = rand_state(rng, n)
@@ -119,6 +123,29 @@ def test_gate_validation():
     with pytest.raises(ValueError):
         un_mod.Gate(un_mod.FSWAP, line=2).validate(2)
     un_mod.Gate(un_mod.LINE1, axes=(0, 6), angle=0.3).validate(3)
+
+
+@pytest.mark.parametrize("fields", [
+    dict(kind=un_mod.FSWAP, line=1.7),
+    dict(kind=un_mod.FSWAP, line=True),
+    dict(kind=un_mod.MATCHGATE, axes=(0.9, 2.2), angle=0.3),
+    dict(kind=un_mod.MATCHGATE, axes=(True, 2), angle=0.3),
+    dict(kind=un_mod.LINE1, axes=(0, 6.0), angle=0.3),
+])
+def test_gate_refuses_non_integer_indices(fields):
+    # A cast to int64 would truncate these to valid-looking lines and axes.
+    with pytest.raises(ValueError, match="must be an integer"):
+        un_mod.Gate(**fields)
+    with pytest.raises(ValueError, match="must be an integer"):
+        un_mod.GateSequence(3, (un_mod.Gate(**fields),))
+
+
+def test_gate_stores_numpy_indices_as_ints():
+    g = un_mod.Gate(un_mod.MATCHGATE, axes=np.array([0, 2]), angle=0.3)
+    f = un_mod.Gate(un_mod.FSWAP, line=np.int32(1))
+    assert g.axes == (0, 2) and type(g.axes[0]) is int
+    assert f.line == 1 and type(f.line) is int
+    assert un_mod.GateSequence(3, (g, f)).line.tolist() == [-1, 1]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -181,13 +208,13 @@ def test_sequence_rotation_matches_product():
     R = un_mod.sequence_rotation(seq)
     acc = np.eye(2 * n + 1)
     for g in seq.gates:
-        acc = un_mod.gate_rotation(g, n) @ acc
+        acc = gate_rotation(g, n) @ acc
     assert np.max(np.abs(R - acc)) < 1e-10
 
 
 def test_fswap_gate_dense_is_oracle_fswap():
     g = un_mod.Gate(un_mod.FSWAP, line=1)
-    assert np.max(np.abs(gate_dense(g, 3) - oracle.fswap(3, 1, 2))) < 1e-14
+    assert np.max(np.abs(gate_dense(g, 3) - fswap(3, 1, 2))) < 1e-14
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -204,7 +231,7 @@ def test_compile_dense_projective():
     for n in (2, 3):
         U = rand_unitary(rng, n)
         seq = un_mod.compile(U)
-        assert oracle.phase_aligned_distance(sequence_dense(seq), U.dense()) < 1e-7
+        assert phase_aligned_distance(sequence_dense(seq), U.dense()) < 1e-7
 
 
 def test_compile_even_avoids_extension_axis():
