@@ -22,6 +22,7 @@ returned negative and ``det R = +1`` is kept.
 from __future__ import annotations
 
 import heapq
+import operator
 from math import atan2, pi
 
 import numpy as np
@@ -44,6 +45,26 @@ class DecompositionError(RuntimeError):
 class NumericalAdmissibilityError(RuntimeError):
     """A computed quantity is not admissible: a determinant below the
     clamping tolerance, or a result that is not finite."""
+
+
+def as_index(value, what: str) -> int:
+    """``value`` as an int: a Python or numpy integer, never a bool or a float."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def as_bits(x, k: int) -> tuple[int, ...]:
+    """Outcome bits x of k measured lines as ints, each 0 or 1."""
+    x = tuple(as_index(b, "outcome bit") for b in x)
+    if len(x) != k:
+        raise ValueError("line subset and outcome lengths differ")
+    if any(b not in (0, 1) for b in x):
+        raise ValueError("outcome bits must be 0 or 1")
+    return x
 
 
 def check_antisymmetric(M) -> np.ndarray:
@@ -130,7 +151,7 @@ def pfaffian_restricted(M, J) -> complex | float:
     the empty restriction has Pfaffian 1.
     """
     M = check_antisymmetric(M)
-    J = tuple(int(j) for j in J)
+    J = tuple(as_index(j, "restriction index") for j in J)
     if len(J) % 2:
         raise DimensionError("restriction must have even size")
     if any(b <= a for a, b in zip(J, J[1:])):

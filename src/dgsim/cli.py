@@ -65,12 +65,14 @@ def _write(doc, out_path: str | None):
 
 def _check_flags(args):
     """Refuse out-of-range flag values (exit 2) before any document is read."""
-    shots, seed = getattr(args, "shots", None), getattr(args, "seed", None)
+    for name in simulator.SAMPLING_LEAST:
+        value = getattr(args, name, None)
+        if value is not None:
+            try:
+                simulator.sampling_arg(name, value)
+            except ValueError as exc:
+                raise CliError(f"--{name}: {exc}", EXIT_PARSE) from None
     tol, n_max = getattr(args, "tol", None), getattr(args, "n_max", None)
-    if shots is not None and shots < 1:
-        raise CliError("--shots must be at least 1", EXIT_PARSE)
-    if seed is not None and seed < 0:
-        raise CliError("--seed must be non-negative", EXIT_PARSE)
     if tol is not None and not (np.isfinite(tol) and tol >= 0):
         raise CliError("--tol must be a finite number of at least 0", EXIT_PARSE)
     if n_max is not None and n_max < 1:
@@ -78,13 +80,13 @@ def _check_flags(args):
 
 
 def _measure_override(measure, args):
-    if args.shots is not None or args.seed is not None:
-        if measure is None or "x" in measure:
+    """The measurement with --shots and --seed, where given, in place of the document's."""
+    flags = {name: getattr(args, name) for name in simulator.SAMPLING_LEAST
+             if getattr(args, name) is not None}
+    if flags:
+        if not isinstance(measure, simulator.Sampling):
             raise CliError("--shots/--seed need a sampling measure block", EXIT_PARSE)
-        if args.shots is not None:
-            measure["shots"] = args.shots
-        if args.seed is not None:
-            measure["seed"] = args.seed
+        measure = measure._replace(**flags)
     return measure
 
 
@@ -115,32 +117,29 @@ def cmd_run(args) -> int:
         doc["mode"] = "state"
         doc["M"] = out_state.M
         doc["mu"] = out_state.mu
-    elif measure["mode"] == "expectation":
-        op = simulator.MeasurementOp(tuple(measure["lines"]), tuple(measure["x"]))
+    elif isinstance(measure, simulator.MeasurementOp):
         doc["mode"] = "expectation"
-        doc["value"] = simulator.expectation(out_state, op)
+        doc["value"] = simulator.expectation(out_state, measure)
     else:
-        bits = simulator.sample(out_state, measure["lines"], measure["shots"], measure["seed"])
         doc["mode"] = "sample"
-        doc["shots"] = measure["shots"]
-        doc["seed"] = measure["seed"]
-        doc["counts"] = _counts(bits)
+        doc["shots"] = measure.shots
+        doc["seed"] = measure.seed
+        doc["counts"] = _counts(simulator.sample(out_state, *measure))
     _write(doc, args.out)
     return EXIT_OK
 
 
 def cmd_compile(args) -> int:
-    n, h, d = ser.parse_hamiltonian(_read_doc(args.file))
-    U = un_mod.DGUnitary.from_generator(n, h, d)
+    U = ser.parse_hamiltonian(_read_doc(args.file))
     seq = un_mod.compile(U)
     residual = float(np.max(np.abs(un_mod.sequence_rotation(seq) - U.rotation())))
     count = len(seq)
     doc = {
         "schema": ser.SCHEMA_VERSION,
-        "n": n,
+        "n": U.n,
         "gates": seq,
         "gate_count": count,
-        "cubic_constant": count / n**3,
+        "cubic_constant": count / U.n**3,
         "residual": residual,
     }
     _write(doc, args.out)
@@ -163,15 +162,18 @@ def cmd_embed(args) -> int:
     return EXIT_OK
 
 
-def _dense_input(args) -> np.ndarray:
+def _dense_operand(args, parse, dense) -> np.ndarray:
+    """The operator of a ``matrix`` document, or ``dense(parse(doc))`` of the other kind."""
     doc = _read_doc(args.file)
     if "matrix" in doc:
         return ser.parse_dense_operator(doc)
-    circuit, _ = ser.parse_circuit(doc)
-    if circuit.n > oracle.ORACLE_MAX_QUBITS:  # refused before the circuit is evolved
-        raise OracleCapError(
-            f"circuit size {circuit.n} exceeds the oracle cap {oracle.ORACLE_MAX_QUBITS}"
-        )
+    return dense(parse(doc))
+
+
+def _evolved_dense(parsed) -> np.ndarray:
+    """The dense output state of a parsed circuit, refused past the oracle cap before evolving."""
+    circuit, _ = parsed
+    oracle._check_cap(circuit.n)
     return st_mod.dense(simulator.run(circuit))
 
 
@@ -187,16 +189,12 @@ def _verdict(args, test: str, check, operand) -> int:
 
 def cmd_test_state(args) -> int:
     return _verdict(args, "displaced-gaussian-state", embedding.displaced_state_test,
-                    _dense_input(args))
+                    _dense_operand(args, ser.parse_circuit, _evolved_dense))
 
 
 def cmd_test_unitary(args) -> int:
-    doc = _read_doc(args.file)
-    if "matrix" in doc:
-        U = ser.parse_dense_operator(doc)
-    else:
-        U = oracle.exp_quadratic(*ser.parse_hamiltonian(doc))
-    return _verdict(args, "displaced-gaussian-unitary", embedding.displaced_unitary_test, U)
+    return _verdict(args, "displaced-gaussian-unitary", embedding.displaced_unitary_test,
+                    _dense_operand(args, ser.parse_hamiltonian, un_mod.DGUnitary.dense))
 
 
 def cmd_oracle_verify(args) -> int:
@@ -217,11 +215,11 @@ def cmd_oracle_verify(args) -> int:
     )
     checkpoints = {"post_state_carrier": sigma_dev}
     if measure is not None:
-        lines = measure["lines"]
+        lines = measure.K
         prob_dev = 0.0
         for xv in range(1 << len(lines)):
             x = tuple((xv >> (len(lines) - 1 - i)) & 1 for i in range(len(lines)))
-            p = simulator.expectation(out_state, simulator.MeasurementOp(tuple(lines), x))
+            p = simulator.expectation(out_state, simulator.MeasurementOp(lines, x))
             pb = oracle.born_probability(rho, lines, x)
             prob_dev = max(prob_dev, abs(p - pb))
         checkpoints["measurement_probabilities"] = prob_dev

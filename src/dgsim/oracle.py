@@ -38,7 +38,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .antisym import _popcounts, bordered, check_antisymmetric, pfaffian_all_restrictions
+from .antisym import (_popcounts, as_bits, as_index, bordered, check_antisymmetric,
+                      pfaffian_all_restrictions)
 
 ORACLE_MAX_QUBITS = 6
 ORACLE_MAX_PAIRED = 4
@@ -422,10 +423,8 @@ def max_entangled(n: int) -> np.ndarray:
 def born_probability(rho: np.ndarray, K, x) -> float:
     """Probability of outcome bits x on lines K, computed densely."""
     n = int(rho.shape[0]).bit_length() - 1
-    K = tuple(int(k) for k in K)
-    x = tuple(int(b) for b in x)
-    if len(K) != len(x):
-        raise ValueError("line subset and bitstring lengths differ")
+    K = tuple(as_index(k, "measured line") for k in K)
+    x = as_bits(x, len(K))
     diag = np.ones(1 << n)
     for line, bit in zip(K, x):
         if not 0 <= line < n:

@@ -5,7 +5,9 @@ unknown fields are rejected with their location; integer fields
 (``n``, gate lines and axes, measured lines, outcome bits, ``shots``,
 ``seed``) must be JSON integers, and float fields (``lambdas``,
 ``bloch``, ``M``, ``mu``, ``h``, ``d``, ``matrix``, gate angles) JSON
-numbers, never booleans or strings.  Serialization is
+numbers, never booleans or strings.  The parsers return checked library
+objects; the measure block's rules (lines, outcome bits, shots, seed)
+are the simulator's, located here at their field.  Serialization is
 byte-deterministic -- keys are emitted in sorted order and floats with
 17 significant digits -- so fixture files are diffable and stable.
 
@@ -28,9 +30,10 @@ from math import isfinite
 import numpy as np
 
 from .antisym import wrap_angles
-from .simulator import Circuit, NumericalAdmissibilityError, prepare_product
+from .simulator import (Circuit, MeasurementOp, NumericalAdmissibilityError, Sampling, _check_lines,
+                        prepare_product, sampling_arg)
 from .state import DGaussState, from_diagonal
-from .unitary import FSWAP, KINDS, LINE1, MATCHGATE, GateError, GateSequence
+from .unitary import FSWAP, KINDS, LINE1, MATCHGATE, DGUnitary, GateError, GateSequence
 
 SCHEMA_VERSION = "dgsim/1"
 
@@ -54,13 +57,6 @@ def _take(obj, required, optional, loc):
     if missing:
         raise SchemaError(f"missing field(s) {sorted(missing)}", loc)
     return obj
-
-
-def _check_schema(obj, loc="$"):
-    if obj.get("schema") != SCHEMA_VERSION:
-        raise SchemaError(
-            f"schema field must be {SCHEMA_VERSION!r}, got {obj.get('schema')!r}", loc
-        )
 
 
 def _is_number(value) -> bool:
@@ -115,8 +111,15 @@ def _is_int(value) -> bool:
     return type(value) is int or isinstance(value, np.integer)
 
 
-def _size(obj) -> int:
-    """The document's qubit count ``n``: a positive integer (errors at $.n)."""
+def _header(obj, fields, optional=()) -> int:
+    """The size ``n`` of a document with these fields besides schema and n.
+
+    Errors name ``$`` for the keys and the schema, ``$.n`` for the size,
+    a positive integer.
+    """
+    _take(obj, {"schema", "n", *fields}, optional, "$")
+    if obj["schema"] != SCHEMA_VERSION:
+        raise SchemaError(f"schema field must be {SCHEMA_VERSION!r}, got {obj['schema']!r}", "$")
     n = obj["n"]
     if not _is_int(n):
         raise SchemaError("n must be an integer", "$.n")
@@ -184,16 +187,39 @@ def _parse_gates(docs, n: int) -> GateSequence:
         raise SchemaError(str(exc), f"$.gates[{exc.index}]") from None
 
 
-def parse_circuit(obj) -> tuple[Circuit, dict]:
-    """Parse a circuit document into (Circuit, measure-spec dict).
+def _located(loc: str, check, *args):
+    """``check(*args)``, its ValueError or IndexError raised as a SchemaError at ``loc``."""
+    try:
+        return check(*args)
+    except (ValueError, IndexError) as exc:
+        raise SchemaError(str(exc), loc) from None
+
+
+def _parse_measure(obj, n: int) -> MeasurementOp | Sampling:
+    """The measure block as a MeasurementOp or a Sampling request, by the simulator's rules."""
+    ms = _take(obj, {"lines"}, {"x", "shots", "seed"}, "$.measure")
+    if not isinstance(ms["lines"], list):
+        raise SchemaError("lines must be a list", "$.measure.lines")
+    K = _located("$.measure.lines", _check_lines, ms["lines"], n)
+    if "x" in ms:
+        if "shots" in ms or "seed" in ms:
+            raise SchemaError("x excludes shots/seed", "$.measure")
+        if not isinstance(ms["x"], list):
+            raise SchemaError("x must be a list", "$.measure.x")
+        return _located("$.measure.x", MeasurementOp, K, ms["x"])
+    if "shots" not in ms or "seed" not in ms:
+        raise SchemaError("measure needs x, or shots and seed", "$.measure")
+    return Sampling(K, *(_located(f"$.measure.{name}", sampling_arg, name, ms[name])
+                         for name in ("shots", "seed")))
+
+
+def parse_circuit(obj) -> tuple[Circuit, MeasurementOp | Sampling | None]:
+    """Parse a circuit document into (Circuit, its measurement or None).
 
     The input state is built, and checked, once: after every schema
     check of the document, so a schema error anywhere comes first.
     """
-    _take(obj, {"schema", "n", "input", "gates"}, {"measure"}, "$")
-    _check_schema(obj)
-    n = _size(obj)
-
+    n = _header(obj, {"input", "gates"}, {"measure"})
     inp = _take(obj["input"], set(), {"lambdas", "bloch", "covariance"}, "$.input")
     if len(inp) != 1:
         raise SchemaError(
@@ -212,48 +238,14 @@ def parse_circuit(obj) -> tuple[Circuit, dict]:
     else:
         cov = _take(inp["covariance"], {"M", "mu"}, set(), "$.input.covariance")
         build = partial(DGaussState, n, *_covariance(cov, n, "$.input.covariance"))
-
     seq = _parse_gates(obj["gates"], n)
-
-    measure = None
-    if "measure" in obj:
-        ms = _take(obj["measure"], {"lines"}, {"x", "shots", "seed"}, "$.measure")
-        lines = ms["lines"]
-        if not isinstance(lines, list):
-            raise SchemaError("lines must be a list", "$.measure.lines")
-        if not all(_is_int(v) for v in lines):
-            raise SchemaError("lines must be integers", "$.measure.lines")
-        lines = [int(v) for v in lines]
-        if any(not 0 <= v < n for v in lines) or sorted(set(lines)) != lines:
-            raise SchemaError(
-                "lines must be strictly increasing and within range", "$.measure.lines"
-            )
-        if "x" in ms:
-            if "shots" in ms or "seed" in ms:
-                raise SchemaError("x excludes shots/seed", "$.measure")
-            x = ms["x"]
-            if (not isinstance(x, list) or len(x) != len(lines)
-                    or not all(_is_int(b) and b in (0, 1) for b in x)):
-                raise SchemaError("x must be integer bits matching lines", "$.measure.x")
-            measure = {"mode": "expectation", "lines": lines, "x": [int(b) for b in x]}
-        elif "shots" in ms and "seed" in ms:
-            shots, seed = ms["shots"], ms["seed"]
-            if not (_is_int(shots) and shots >= 1):
-                raise SchemaError("shots must be an integer of at least 1", "$.measure.shots")
-            if not (_is_int(seed) and seed >= 0):
-                raise SchemaError("seed must be a non-negative integer", "$.measure.seed")
-            measure = {"mode": "sample", "lines": lines, "shots": int(shots), "seed": int(seed)}
-        else:
-            raise SchemaError("measure needs x, or shots and seed", "$.measure")
-
+    measure = _parse_measure(obj["measure"], n) if "measure" in obj else None
     return Circuit(build(), seq), measure
 
 
-def parse_hamiltonian(obj) -> tuple[int, np.ndarray, np.ndarray]:
-    """Parse a generator document into (n, h, d)."""
-    _take(obj, {"schema", "n", "h"}, {"d"}, "$")
-    _check_schema(obj)
-    n = _size(obj)
+def parse_hamiltonian(obj) -> DGUnitary:
+    """Parse a generator document into its DGUnitary."""
+    n = _header(obj, {"h"}, {"d"})
     h = _real_matrix(obj["h"], "$.h")
     if h.shape != (2 * n, 2 * n):
         raise SchemaError("h must be 2n x 2n", "$.h")
@@ -262,22 +254,18 @@ def parse_hamiltonian(obj) -> tuple[int, np.ndarray, np.ndarray]:
     d = _real_matrix(obj["d"], "$.d") if "d" in obj else np.zeros(2 * n)
     if d.shape != (2 * n,):
         raise SchemaError("d must have length 2n", "$.d")
-    return n, h, d
+    return DGUnitary.from_generator(n, h, d)
 
 
 def parse_state(obj) -> DGaussState:
     """Parse a covariance state document."""
-    _take(obj, {"schema", "n", "M", "mu"}, set(), "$")
-    _check_schema(obj)
-    n = _size(obj)
+    n = _header(obj, {"M", "mu"})
     return DGaussState(n, *_covariance(obj, n, "$"))
 
 
 def parse_dense_operator(obj) -> np.ndarray:
     """Parse a dense operator document (state or unitary matrix)."""
-    _take(obj, {"schema", "n", "matrix"}, set(), "$")
-    _check_schema(obj)
-    n = _size(obj)
+    n = _header(obj, {"matrix"})
     A = _complex_matrix(obj["matrix"], "$.matrix")
     if A.shape != (1 << n, 1 << n):
         raise SchemaError("matrix must be 2^n x 2^n", "$.matrix")

@@ -26,12 +26,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .antisym import NumericalAdmissibilityError, canonical_matrix
+from .antisym import NumericalAdmissibilityError, as_bits, as_index, canonical_matrix
 from .state import DGaussState
-from .unitary import GateSequence, as_index
+from .unitary import GateSequence
 
 
 DET_CLAMP = 1e-10
@@ -73,13 +74,27 @@ class MeasurementOp:
 
     def __post_init__(self):
         K = _check_lines(self.K)
-        x = tuple(as_index(b, "outcome bit") for b in self.x)
-        if len(K) != len(x):
-            raise ValueError("line subset and outcome lengths differ")
-        if any(b not in (0, 1) for b in x):
-            raise ValueError("outcome bits must be 0 or 1")
         object.__setattr__(self, "K", K)
-        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "x", as_bits(self.x, len(K)))
+
+
+SAMPLING_LEAST = {"shots": 1, "seed": 0}
+
+
+def sampling_arg(name: str, value) -> int:
+    """Sampling argument ``name`` ("shots" or "seed") as an int of at least SAMPLING_LEAST[name]."""
+    value = as_index(value, name)
+    if value < SAMPLING_LEAST[name]:
+        raise ValueError(f"{name} must be at least {SAMPLING_LEAST[name]}, got {value}")
+    return value
+
+
+class Sampling(NamedTuple):
+    """A sampling request: ``sample(state, K, shots, seed)`` of a run's output state."""
+
+    K: tuple[int, ...]
+    shots: int
+    seed: int
 
 
 def _measured_axes(K) -> list[int]:
@@ -332,8 +347,7 @@ def sample(s: DGaussState, K, shots: int, seed: int) -> np.ndarray:
     """
     K = _check_lines(K, s.n)
     k = len(K)
-    if shots < 1:
-        raise ValueError("need at least one shot")
+    shots, seed = sampling_arg("shots", shots), sampling_arg("seed", seed)
     out = np.empty((shots, k), dtype=np.uint8)
     if k == 0:
         return out

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import oracle
-from .antisym import KERNEL_TOL, bordered, canonical_matrix, check_antisymmetric, pfaffian_restricted
+from .antisym import KERNEL_TOL, as_index, bordered, canonical_matrix, check_antisymmetric, pfaffian_restricted
 
 ADMISSIBILITY_TOL = 1e-9
 SATURATION_TOL = 1e-9
@@ -134,7 +134,7 @@ def wick_moment(state: DGaussState, J) -> complex:
     extension index 2n and multiply by -i (the alpha prefactor for odd
     moments), giving -i * i^{(|J|+1)/2} * Pf(M_ext restricted).
     """
-    J = tuple(int(j) for j in J)
+    J = tuple(as_index(j, "moment index") for j in J)
     if any(not 0 <= j < 2 * state.n for j in J):
         raise IndexError(f"moment index out of range in {J}")
     if len(J) % 2 == 0:
@@ -187,8 +187,5 @@ def to_thermal(state: DGaussState) -> tuple[np.ndarray, np.ndarray]:
 
 def dense(state: DGaussState) -> np.ndarray:
     """Exact dense density matrix via the Wick expansion (oracle-capped)."""
-    if state.n > oracle.ORACLE_MAX_QUBITS:
-        raise oracle.OracleCapError(
-            f"dense() capped at {oracle.ORACLE_MAX_QUBITS} qubits, got n={state.n}"
-        )
+    oracle._check_cap(state.n)
     return oracle.gaussian_dense(state.M_ext)

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -38,6 +37,7 @@ import scipy.linalg
 from . import oracle
 from .antisym import (
     NumericalAdmissibilityError,
+    as_index,
     bordered,
     check_antisymmetric,
     check_rotation,
@@ -157,7 +157,7 @@ def conjugate_monomial(U: DGUnitary, J, max_terms: int | None = None) -> dict:
     phase i^{|K|-|J|} from the extension-axis bookkeeping (pinned
     against dense conjugation in the test suite).
     """
-    J = tuple(sorted(int(j) for j in J))
+    J = tuple(sorted(as_index(j, "monomial index") for j in J))
     ext = 2 * U.n
     if any(not 0 <= j < ext for j in J):
         raise IndexError(f"monomial index out of range in {J}")
@@ -195,16 +195,6 @@ FSWAP = "fswap"
 # GateSequence.kind holds codes into this tuple.
 KINDS = (MATCHGATE, LINE1, FSWAP)
 _MATCHGATE, _LINE1, _FSWAP = range(3)
-
-
-def as_index(value, what: str) -> int:
-    """``value`` as an int: a Python or numpy integer, never a bool or a float."""
-    if not isinstance(value, (bool, np.bool_)):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def _in_window(j, k):

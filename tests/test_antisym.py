@@ -61,6 +61,24 @@ def test_pfaffian_restricted():
         antisym.pfaffian_restricted(M, [2, 0, 1, 5])
 
 
+@pytest.mark.parametrize("bad", [0.7, True])
+def test_pfaffian_restricted_refuses_non_integer_indices(bad):
+    # int() would truncate 0.7 to 0 and take True as 1.
+    M = rand_antisym(rng, 4)
+    with pytest.raises(ValueError, match="must be an integer"):
+        antisym.pfaffian_restricted(M, (bad, 2))
+
+
+def test_pfaffian_restricted_takes_numpy_integers():
+    M = rand_antisym(rng, 4)
+    assert antisym.pfaffian_restricted(M, (np.int64(1), np.int64(3))) == M[1, 3]
+
+
+def test_as_index_is_shared():
+    # One index rule, importable from unitary as before.
+    assert un_mod.as_index is antisym.as_index
+
+
 def test_pfaffian_all_restrictions():
     M = rand_antisym(rng, 8)
     table = antisym.pfaffian_all_restrictions(M)

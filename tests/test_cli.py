@@ -1,6 +1,7 @@
 import collections
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -151,6 +152,55 @@ def test_non_integer_field_located(tmp_path, capsys, edit, loc):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert loc in captured.err
+
+
+# One rule, two entry points: each value goes through the library call
+# and through a `dgsim run` document, which must both accept or both
+# refuse it; a refused document names the field and the library's message.
+RULE_N = 3
+RULE_TABLE = [
+    pytest.param(field, value, id=f"{field}={value!r}")
+    for field, values in (
+        ("lines", ([], [RULE_N - 1], [RULE_N], [-1], [1, 0], [0, 0], [0.5], [True])),
+        ("x", ([2], [-1], [True], [1.0])),
+        ("shots", (0, 1, 2.5, True)),
+        ("seed", (-1, 0, 1.5)),
+    )
+    for value in values
+]
+
+
+@pytest.mark.parametrize("field, value", RULE_TABLE)
+def test_one_rule_two_entry_points(tmp_path, capsys, field, value):
+    lam = [0.6, -0.2, 0.4]
+    s = st_mod.from_diagonal(lam)
+    if field == "x":
+        measure = {"lines": [0], "x": value}
+        library = partial(simulator.MeasurementOp, (0,), value)
+    else:
+        measure = {"lines": [0], "shots": 3, "seed": 1, field: value}
+        library = partial(simulator.sample, s, measure["lines"], measure["shots"], measure["seed"])
+    try:
+        library()
+        message = None
+    except (ValueError, IndexError) as exc:
+        message = str(exc)
+    code = cli.main(["run", write_doc(tmp_path, "c.json", circuit_doc(RULE_N, lam, measure=measure))])
+    captured = capsys.readouterr()
+    if message is None:
+        assert code == 0 and captured.err == ""
+    else:
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"parse error: $.measure.{field}: {message}\n"
+    if field in ("shots", "seed") and type(value) is int:
+        # The --shots and --seed flags are checked by the same rule.
+        doc = circuit_doc(RULE_N, lam, measure={"lines": [0], "shots": 3, "seed": 1})
+        code = cli.main(["run", write_doc(tmp_path, "f.json", doc), f"--{field}", str(value)])
+        captured = capsys.readouterr()
+        if message is None:
+            assert code == 0 and captured.err == ""
+        else:
+            assert code == 2 and captured.err == f"error: --{field}: {message}\n"
 
 
 COV_M = [[0.0, -1.0], [1.0, 0.0]]

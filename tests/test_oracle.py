@@ -193,6 +193,28 @@ def test_born_probability_product():
         assert p0 == pytest.approx((1 + blochs[line][2]) / 2, abs=1e-12)
 
 
+@pytest.mark.parametrize("K, x", [([0.7], [0]), ([True], [0]), ([0], [0.4]), ([0], [True])])
+def test_born_probability_refuses_non_integers(K, x):
+    # int() would truncate 0.7 and 0.4 to 0 and take True as 1.
+    rho = st_mod.dense(st_mod.from_diagonal([0.5, 0.2]))
+    with pytest.raises(ValueError, match="must be an integer"):
+        oracle.born_probability(rho, K, x)
+
+
+def test_born_probability_takes_numpy_integers():
+    rho = st_mod.dense(st_mod.from_diagonal([0.5, 0.2]))
+    got = oracle.born_probability(rho, [np.int64(1)], [np.uint8(1)])
+    assert got == oracle.born_probability(rho, [1], [1])
+
+
+@pytest.mark.parametrize("bit", [2, -1])
+def test_born_probability_refuses_bits_outside_0_1(bit):
+    # A bit of 2 matched no basis state and gave probability 0.
+    rho = st_mod.dense(st_mod.from_diagonal([0.5, 0.2]))
+    with pytest.raises(ValueError, match="outcome bits must be 0 or 1"):
+        oracle.born_probability(rho, [0], [bit])
+
+
 def test_oracle_cap():
     with pytest.raises(oracle.OracleCapError):
         oracle.majorana(2 * oracle.ORACLE_MAX_PAIRED + 1, 0)

@@ -248,6 +248,29 @@ def test_sample_refuses_non_integer_lines(K):
         sim.sample(s, K, shots=3, seed=0)
 
 
+@pytest.mark.parametrize("shots, seed, message", [
+    (2.5, 1, "shots must be an integer, got 2.5"),
+    (True, 1, "shots must be an integer, got True"),
+    (-2, 1, "shots must be at least 1, got -2"),
+    (2, -1, "seed must be at least 0, got -1"),
+    (2, 1.5, "seed must be an integer, got 1.5"),
+    (2, True, "seed must be an integer, got True"),
+])
+def test_sample_refuses_bad_shots_and_seed(shots, seed, message):
+    # The shots/seed rule of the parser and the CLI flags, not numpy's errors.
+    s = st_mod.from_diagonal([0.2, -0.4])
+    for K in ((0,), ()):
+        with pytest.raises(ValueError) as exc:
+            sim.sample(s, K, shots, seed)
+        assert str(exc.value) == message
+
+
+def test_sample_takes_numpy_shots_and_seed():
+    s = st_mod.from_diagonal([0.2, -0.4])
+    got = sim.sample(s, (0, 1), np.int64(7), np.uint8(3))
+    assert np.array_equal(got, sim.sample(s, (0, 1), 7, 3))
+
+
 @pytest.mark.parametrize("bad", [-1.5, float("nan")])
 def test_sample_rejects_inadmissible_conditional(bad):
     M = np.zeros((4, 4))

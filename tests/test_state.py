@@ -64,6 +64,19 @@ def test_wick_moments_match_oracle():
                     assert abs(got - want) < 1e-8, (n, J)
 
 
+@pytest.mark.parametrize("bad", [0.7, True])
+def test_wick_moment_refuses_non_integer_indices(bad):
+    # int() would truncate 0.7 to 0 and take True as 1.
+    s = st_mod.from_diagonal([0.5, 0.2])
+    with pytest.raises(ValueError, match="must be an integer"):
+        st_mod.wick_moment(s, (bad, 2))
+
+
+def test_wick_moment_takes_numpy_integers():
+    s = st_mod.from_diagonal([0.5, 0.2])
+    assert st_mod.wick_moment(s, (np.int64(0), np.int64(1))) == st_mod.wick_moment(s, (0, 1))
+
+
 def test_purity_matches_dense():
     for n in (1, 2, 3):
         s = rand_state(rng, n)

@@ -103,6 +103,18 @@ def test_conjugate_monomial_term_budget():
         un_mod.conjugate_monomial(U, (0, 1), max_terms=1)
 
 
+@pytest.mark.parametrize("bad", [0.5, True])
+def test_conjugate_monomial_refuses_non_integer_indices(bad):
+    # int() would truncate 0.5 to 0 and take True as 1.
+    with pytest.raises(ValueError, match="must be an integer"):
+        un_mod.conjugate_monomial(un_mod.DGUnitary.identity(2), (bad, 2))
+
+
+def test_conjugate_monomial_takes_numpy_integers():
+    U = un_mod.DGUnitary.identity(2)
+    assert un_mod.conjugate_monomial(U, (np.int64(0), np.int64(1))) == {(0, 1): 1}
+
+
 def test_gate_rotation_vs_dense():
     n = 2
     for _ in range(20):
