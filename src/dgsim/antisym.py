@@ -42,6 +42,10 @@ class DecompositionError(RuntimeError):
     """A requested factorization does not exist for the given input."""
 
 
+class IndexRuleError(ValueError, IndexError):
+    """An index tuple is not strictly increasing, or an entry is out of range."""
+
+
 class NumericalAdmissibilityError(RuntimeError):
     """A computed quantity is not admissible: a determinant below the
     clamping tolerance, or a result that is not finite."""
@@ -55,6 +59,21 @@ def as_index(value, what: str) -> int:
         except TypeError:
             pass
     raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def as_indices(J, m: int | None, what: str) -> tuple[int, ...]:
+    """Index tuple ``J`` as ints (see ``as_index``): strictly increasing and, given m, in [0, m).
+
+    Lines and Majorana indices follow this one rule; an order or range
+    error raises IndexRuleError.
+    """
+    J = tuple(as_index(j, what) for j in J)
+    if any(b <= a for a, b in zip(J, J[1:])):
+        raise IndexRuleError(f"{what.replace('index', 'indice')}s must be strictly increasing")
+    bad = [j for j in J if m is not None and not 0 <= j < m]
+    if bad:
+        raise IndexRuleError(f"{what} {bad[0]} out of range")
+    return J
 
 
 def as_bits(x, k: int) -> tuple[int, ...]:
@@ -147,17 +166,13 @@ def pfaffian(M) -> complex | float:
 def pfaffian_restricted(M, J) -> complex | float:
     """Pfaffian of the restriction of ``M`` to the index tuple ``J``.
 
-    ``J`` must be strictly increasing with an even number of entries;
+    ``J`` follows ``as_indices`` and must have an even number of entries;
     the empty restriction has Pfaffian 1.
     """
     M = check_antisymmetric(M)
-    J = tuple(as_index(j, "restriction index") for j in J)
+    J = as_indices(J, M.shape[0], "restriction index")
     if len(J) % 2:
         raise DimensionError("restriction must have even size")
-    if any(b <= a for a, b in zip(J, J[1:])):
-        raise IndexError("restriction indices must be strictly increasing")
-    if J and (J[0] < 0 or J[-1] >= M.shape[0]):
-        raise IndexError("restriction index out of range")
     if not J:
         return 1.0
     return pfaffian(M[np.ix_(J, J)])

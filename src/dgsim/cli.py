@@ -9,6 +9,7 @@ documents (see serialization).  Exit codes: 0 ok, 1 verdict-negative,
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 
@@ -217,8 +218,7 @@ def cmd_oracle_verify(args) -> int:
     if measure is not None:
         lines = measure.K
         prob_dev = 0.0
-        for xv in range(1 << len(lines)):
-            x = tuple((xv >> (len(lines) - 1 - i)) & 1 for i in range(len(lines)))
+        for x in itertools.product((0, 1), repeat=len(lines)):
             p = simulator.expectation(out_state, simulator.MeasurementOp(lines, x))
             pb = oracle.born_probability(rho, lines, x)
             prob_dev = max(prob_dev, abs(p - pb))

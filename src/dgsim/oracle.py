@@ -38,7 +38,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .antisym import (_popcounts, as_bits, as_index, bordered, check_antisymmetric,
+from .antisym import (_popcounts, as_bits, as_indices, bordered, check_antisymmetric,
                       pfaffian_all_restrictions)
 
 ORACLE_MAX_QUBITS = 6
@@ -423,12 +423,10 @@ def max_entangled(n: int) -> np.ndarray:
 def born_probability(rho: np.ndarray, K, x) -> float:
     """Probability of outcome bits x on lines K, computed densely."""
     n = int(rho.shape[0]).bit_length() - 1
-    K = tuple(as_index(k, "measured line") for k in K)
+    K = as_indices(K, n, "measured line")
     x = as_bits(x, len(K))
     diag = np.ones(1 << n)
     for line, bit in zip(K, x):
-        if not 0 <= line < n:
-            raise IndexError(f"line {line} out of range")
         z = (np.arange(1 << n) >> (n - 1 - line)) & 1
         diag *= (z == bit)
     return float(np.real(np.sum(diag * np.diag(rho))))

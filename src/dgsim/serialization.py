@@ -6,14 +6,16 @@ unknown fields are rejected with their location; integer fields
 ``seed``) must be JSON integers, and float fields (``lambdas``,
 ``bloch``, ``M``, ``mu``, ``h``, ``d``, ``matrix``, gate angles) JSON
 numbers, never booleans or strings.  The parsers return checked library
-objects; the measure block's rules (lines, outcome bits, shots, seed)
-are the simulator's, located here at their field.  Serialization is
+objects; the measure block's rules are the library's (its lines follow
+``antisym.as_indices``), located here at their field.  Serialization is
 byte-deterministic -- keys are emitted in sorted order and floats with
 17 significant digits -- so fixture files are diffable and stable.
 
-A float ndarray (a carrier, a mean vector) is checked for NaN and
-infinities once, with one ``np.isfinite``, and then written one row at a
-time: each row of its last axis is a single ``%`` formatting call over
+A result that holds a NaN or an infinity raises
+NumericalAdmissibilityError (exit 3) from one check,
+``_refuse_non_finite``.  A float ndarray (a carrier, a mean vector) is
+checked with one ``np.isfinite`` and then written one row at a time:
+each row of its last axis is a single ``%`` formatting call over
 ``row.tolist()``.  The bytes are those of formatting each element on its
 own.  A GateSequence (``compile``'s gate list) is written from its
 columns, one ``%`` call per gate, with the bytes of emitting each gate's
@@ -29,9 +31,8 @@ from math import isfinite
 
 import numpy as np
 
-from .antisym import wrap_angles
-from .simulator import (Circuit, MeasurementOp, NumericalAdmissibilityError, Sampling, _check_lines,
-                        prepare_product, sampling_arg)
+from .antisym import as_indices, wrap_angles
+from .simulator import Circuit, MeasurementOp, NumericalAdmissibilityError, Sampling, prepare_product, sampling_arg
 from .state import DGaussState, from_diagonal
 from .unitary import FSWAP, KINDS, LINE1, MATCHGATE, DGUnitary, GateError, GateSequence
 
@@ -200,7 +201,7 @@ def _parse_measure(obj, n: int) -> MeasurementOp | Sampling:
     ms = _take(obj, {"lines"}, {"x", "shots", "seed"}, "$.measure")
     if not isinstance(ms["lines"], list):
         raise SchemaError("lines must be a list", "$.measure.lines")
-    K = _located("$.measure.lines", _check_lines, ms["lines"], n)
+    K = _located("$.measure.lines", as_indices, ms["lines"], n, "measured line")
     if "x" in ms:
         if "shots" in ms or "seed" in ms:
             raise SchemaError("x excludes shots/seed", "$.measure")
@@ -289,20 +290,23 @@ def _emit_floats(a: np.ndarray, out):
     out.append("]")
 
 
+def _refuse_non_finite(a):
+    """Raise NumericalAdmissibilityError at the first NaN or infinity of ``a``, an array or a float."""
+    finite = np.isfinite(a)
+    if not finite.all():
+        raise NumericalAdmissibilityError(f"result holds the non-finite number {np.asarray(a)[~finite][0]}")
+
+
 def _emit(value, out):
     if isinstance(value, np.ndarray) and value.dtype.kind == "f" and value.ndim:
-        finite = np.isfinite(value)
-        if not finite.all():
-            bad = value[~finite][0]
-            raise NumericalAdmissibilityError(f"result holds the non-finite number {bad}")
+        _refuse_non_finite(value)
         _emit_floats(value, out)
     elif value is None or isinstance(value, bool):
         out.append(json.dumps(value))
     elif isinstance(value, (int, np.integer)):
         out.append(str(int(value)))
     elif isinstance(value, (float, np.floating)):
-        if not isfinite(value):
-            raise NumericalAdmissibilityError(f"result holds the non-finite number {value}")
+        _refuse_non_finite(value)
         out.append(format(float(value), ".17g"))
     elif isinstance(value, str):
         out.append(json.dumps(value))
@@ -342,10 +346,7 @@ def _emit_gates(seq: GateSequence, out):
     {"kind", "line"}, a plane gate {"angle", "axes", "kind"}: the bytes
     of emitting each gate's dict.
     """
-    finite = np.isfinite(seq.angle)
-    if not finite.all():
-        bad = seq.angle[~finite][0]
-        raise NumericalAdmissibilityError(f"result holds the non-finite number {bad}")
+    _refuse_non_finite(seq.angle)
     columns = zip(seq.kind.tolist(), seq.axes.tolist(), seq.line.tolist(), seq.angle.tolist())
     out.append("[" + ",".join([
         _GATE_TEMPLATES[code] % ((line,) if code == _FSWAP_CODE else (angle, j, k))

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .antisym import NumericalAdmissibilityError, as_bits, as_index, canonical_matrix
+from .antisym import NumericalAdmissibilityError, as_bits, as_index, as_indices, canonical_matrix
 from .state import DGaussState
 from .unitary import GateSequence
 
@@ -53,18 +53,6 @@ SAMPLE_CHUNK_BYTES = 8 << 20
 SYMMETRIZE_BLOCK = 256
 
 
-def _check_lines(K, n: int | None = None) -> tuple[int, ...]:
-    """Measured lines K as ints: strictly increasing and, given n, in [0, n)."""
-    K = tuple(as_index(q, "measured line") for q in K)
-    if any(b <= a for a, b in zip(K, K[1:])):
-        raise ValueError("measured lines must be strictly increasing")
-    if n is not None:
-        for line in K:
-            if not 0 <= line < n:
-                raise IndexError(f"measured line {line} out of range")
-    return K
-
-
 @dataclass(frozen=True)
 class MeasurementOp:
     """Computational-basis projector data: outcome bits x on lines K."""
@@ -73,7 +61,7 @@ class MeasurementOp:
     x: tuple[int, ...]
 
     def __post_init__(self):
-        K = _check_lines(self.K)
+        K = as_indices(self.K, None, "measured line")
         object.__setattr__(self, "K", K)
         object.__setattr__(self, "x", as_bits(self.x, len(K)))
 
@@ -142,7 +130,7 @@ def _expectation_from_M(M: np.ndarray, m: MeasurementOp) -> float:
 
 def expectation(s: DGaussState, m: MeasurementOp) -> float:
     """Probability Tr[O(K,x) rho] via the determinant formula."""
-    _check_lines(m.K, s.n)
+    as_indices(m.K, s.n, "measured line")
     return _expectation_from_M(s.M, m)
 
 
@@ -345,7 +333,7 @@ def sample(s: DGaussState, K, shots: int, seed: int) -> np.ndarray:
     line takes the likelier bit instead.  Deterministic for a given
     seed (see the module docstring for the exact RNG contract).
     """
-    K = _check_lines(K, s.n)
+    K = as_indices(K, s.n, "measured line")
     k = len(K)
     shots, seed = sampling_arg("shots", shots), sampling_arg("seed", seed)
     out = np.empty((shots, k), dtype=np.uint8)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import oracle
-from .antisym import KERNEL_TOL, as_index, bordered, canonical_matrix, check_antisymmetric, pfaffian_restricted
+from .antisym import KERNEL_TOL, as_indices, bordered, canonical_matrix, check_antisymmetric, pfaffian_restricted
 
 ADMISSIBILITY_TOL = 1e-9
 SATURATION_TOL = 1e-9
@@ -134,9 +134,7 @@ def wick_moment(state: DGaussState, J) -> complex:
     extension index 2n and multiply by -i (the alpha prefactor for odd
     moments), giving -i * i^{(|J|+1)/2} * Pf(M_ext restricted).
     """
-    J = tuple(as_index(j, "moment index") for j in J)
-    if any(not 0 <= j < 2 * state.n for j in J):
-        raise IndexError(f"moment index out of range in {J}")
+    J = as_indices(J, 2 * state.n, "moment index")
     if len(J) % 2 == 0:
         return (1j) ** (len(J) // 2) * pfaffian_restricted(state.M_ext, J)
     Jt = J + (2 * state.n,)

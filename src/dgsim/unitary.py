@@ -38,6 +38,7 @@ from . import oracle
 from .antisym import (
     NumericalAdmissibilityError,
     as_index,
+    as_indices,
     bordered,
     check_antisymmetric,
     check_rotation,
@@ -142,46 +143,32 @@ def conjugate_state(U: DGUnitary, s: DGaussState) -> DGaussState:
     return DGaussState(s.n, (Me[:m, :m] - Me[:m, :m].T) / 2, Me[:m, m], check=False)
 
 
-def _extend(J, ext: int):
-    return J if len(J) % 2 == 0 else tuple(J) + (ext,)
-
-
 def conjugate_monomial(U: DGUnitary, J, max_terms: int | None = None) -> dict:
     """Expansion of U gamma_J U^dag as {K: coefficient} over monomials gamma_K.
 
-    Coefficients are antisymmetrized minors det(R[K~, J~]) of the
-    extended rotation, where X~ appends the extension axis 2n to
-    odd-degree index sets.  K runs over subsets of [2n] whose extension
-    has the same size as J~, i.e. |K| = |J~| and |K| = |J~| - 1.  For
-    the class whose parity differs from |J| the minor acquires the
-    phase i^{|K|-|J|} from the extension-axis bookkeeping (pinned
-    against dense conjugation in the test suite).
+    ``J`` follows ``as_indices``.  Coefficients are antisymmetrized
+    minors det(R[K~, J~]) of the extended rotation, where X~ appends the
+    extension axis 2n to odd-degree index sets.  K~ runs over the
+    subsets of the 2n+1 extended axes of size |J~|, comb(2n+1, |J~|)
+    of them, and K is K~ without the axis 2n.  For the class whose
+    parity differs from |J| the minor acquires the phase i^{|K|-|J|}
+    from the extension-axis bookkeeping (pinned against dense
+    conjugation in the test suite).
     """
-    J = tuple(sorted(as_index(j, "monomial index") for j in J))
     ext = 2 * U.n
-    if any(not 0 <= j < ext for j in J):
-        raise IndexError(f"monomial index out of range in {J}")
-    R = U.rotation()
-    Jt = _extend(J, ext)
-    mt = len(Jt)
-    terms = sum(1 for _ in combinations(range(ext), mt))
-    terms += sum(1 for _ in combinations(range(ext), mt - 1)) if mt else 0
+    J = as_indices(J, ext, "monomial index")
+    Jt = J + (ext,) if len(J) % 2 else J
+    terms = math.comb(ext + 1, len(Jt))
     if max_terms is not None and terms > max_terms:
         raise ValueError(f"expansion needs {terms} coefficients, budget {max_terms}")
+    R = U.rotation()
     out: dict[tuple[int, ...], complex] = {}
-    cols = np.array(Jt, dtype=int)
-    for size in (mt, mt - 1):
-        if size < 0:
+    for Kt in combinations(range(ext + 1), len(Jt)):
+        minor = np.linalg.det(R[np.ix_(Kt, Jt)]) if Jt else 1.0
+        if abs(minor) < 1e-14:
             continue
-        for K in combinations(range(ext), size):
-            Kt = _extend(K, ext)
-            if len(Kt) != mt:
-                continue
-            minor = np.linalg.det(R[np.ix_(np.array(Kt, dtype=int), cols)]) if mt else 1.0
-            if abs(minor) < 1e-14:
-                continue
-            phase = (1j) ** ((len(K) - len(J)) % 4)
-            out[K] = phase * minor
+        K = Kt[:-1] if ext in Kt else Kt
+        out[K] = (1j) ** ((len(K) - len(J)) % 4) * minor
     return out
 
 

@@ -278,7 +278,7 @@ def measurement_cov(n, m):
     the canonical block with parameter -(-1)^b there (<Z_q> = (-1)^b
     and the carrier convention is M[2q, 2q+1] = -<Z_q>).
     """
-    sim._check_lines(m.K, n)
+    antisym.as_indices(m.K, n, "measured line")
     M = np.zeros((2 * n, 2 * n))
     idx = sim._measured_axes(m.K)
     M[np.ix_(idx, idx)] = sim._outcome_carrier(m)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dgsim import antisym, unitary as un_mod
+from dgsim import antisym, oracle, simulator as sim, state as st_mod, unitary as un_mod
 
 from helpers import pfaffian_reference, plane_decompose_reference, plane_rotation_matrix, rand_antisym
 
@@ -72,6 +72,46 @@ def test_pfaffian_restricted_refuses_non_integer_indices(bad):
 def test_pfaffian_restricted_takes_numpy_integers():
     M = rand_antisym(rng, 4)
     assert antisym.pfaffian_restricted(M, (np.int64(1), np.int64(3))) == M[1, 3]
+
+
+# Every library function that takes lines or Majorana indices, with the
+# range bound m of its indices, on a 2-line state s.
+INDEX_RULE_USERS = {
+    "expectation": (2, lambda s, J: sim.expectation(s, sim.MeasurementOp(J, (0,) * len(J)))),
+    "sample": (2, lambda s, J: sim.sample(s, J, 2, 0)),
+    "pfaffian_restricted": (4, lambda s, J: antisym.pfaffian_restricted(s.M, J)),
+    "wick_moment": (4, lambda s, J: st_mod.wick_moment(s, J)),
+    "conjugate_monomial": (4, lambda s, J: un_mod.conjugate_monomial(un_mod.DGUnitary.identity(2), J)),
+    "born_probability": (2, lambda s, J: oracle.born_probability(st_mod.dense(s), J, (0,) * len(J))),
+}
+
+
+@pytest.mark.parametrize("user", sorted(INDEX_RULE_USERS))
+@pytest.mark.parametrize("J, verdict", [
+    ((1, 0), "order"),
+    ((0, 0), "order"),
+    ((-1,), "range"),
+    ("m", "range"),
+    ((0.5,), "must be an integer"),
+    ((True,), "must be an integer"),
+    ((np.int64(0), np.int64(1)), None),
+])
+def test_one_index_rule_at_every_entry_point(user, J, verdict):
+    # Before the rule was shared, conjugate_monomial sorted (1, 0) and
+    # (0, 0), and born_probability took (0, 0) as the line 0 twice.
+    m, call = INDEX_RULE_USERS[user]
+    J = (m,) if J == "m" else J
+    s = st_mod.from_diagonal([0.5, 0.2])
+    if verdict is None:
+        call(s, J)
+    elif verdict == "must be an integer":
+        with pytest.raises(ValueError, match=verdict):
+            call(s, J)
+    else:
+        with pytest.raises(antisym.IndexRuleError, match="strictly increasing" if verdict == "order"
+                           else "out of range") as exc:
+            call(s, J)
+        assert isinstance(exc.value, ValueError) and isinstance(exc.value, IndexError)
 
 
 def test_as_index_is_shared():

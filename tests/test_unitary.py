@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -101,6 +102,19 @@ def test_conjugate_monomial_term_budget():
     U = rand_unitary(rng, 2)
     with pytest.raises(ValueError):
         un_mod.conjugate_monomial(U, (0, 1), max_terms=1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_conjugate_monomial_term_budget_boundary(n):
+    # The expansion runs over the subsets of size |J~| of the 2n+1
+    # extended axes: that many terms pass the budget, one less does not.
+    U = rand_unitary(rng, n)
+    for size in range(2 * n + 1):
+        J = tuple(range(size))
+        terms = math.comb(2 * n + 1, size + size % 2)
+        assert len(un_mod.conjugate_monomial(U, J, max_terms=terms)) <= terms
+        with pytest.raises(ValueError, match=f"needs {terms} coefficients, budget {terms - 1}"):
+            un_mod.conjugate_monomial(U, J, max_terms=terms - 1)
 
 
 @pytest.mark.parametrize("bad", [0.5, True])
