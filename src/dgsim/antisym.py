@@ -17,13 +17,17 @@ full-rank input with negative Pfaffian no such form exists with all
 ``l_j`` nonnegative and ``det R = +1`` simultaneously (the Pfaffian
 sign is an SO-conjugation invariant); in that case the last ``l`` is
 returned negative and ``det R = +1`` is kept.
+
+NumericalAdmissibilityError is the root of every numerical fault in
+dgsim (the CLI exits 3 on each).  NonFiniteError, a NaN or an infinity
+refused by check_antisymmetric and check_rotation, is one and a ValueError.
 """
 
 from __future__ import annotations
 
 import heapq
 import operator
-from math import atan2, pi
+from math import atan2, isfinite, pi
 
 import numpy as np
 import scipy.linalg
@@ -38,17 +42,21 @@ class DimensionError(ValueError):
     """Operation requires a different matrix dimension (e.g. even size)."""
 
 
-class DecompositionError(RuntimeError):
-    """A requested factorization does not exist for the given input."""
-
-
 class IndexRuleError(ValueError, IndexError):
     """An index tuple is not strictly increasing, or an entry is out of range."""
 
 
 class NumericalAdmissibilityError(RuntimeError):
-    """A computed quantity is not admissible: a determinant below the
-    clamping tolerance, or a result that is not finite."""
+    """Not admissible: data that describes no state, a determinant below the clamping
+    tolerance, a result that is not finite.  The root of every such fault (CLI exit 3)."""
+
+
+class DecompositionError(NumericalAdmissibilityError):
+    """A requested factorization does not exist for the given input."""
+
+
+class NonFiniteError(ValueError, NumericalAdmissibilityError):
+    """A matrix or vector holds a NaN or an infinity."""
 
 
 def as_index(value, what: str) -> int:
@@ -87,13 +95,15 @@ def as_bits(x, k: int) -> tuple[int, ...]:
 
 
 def check_antisymmetric(M) -> np.ndarray:
-    """Validate and return ``M`` as a square antisymmetric ndarray."""
+    """Validate and return ``M`` as a finite (else NonFiniteError), square, antisymmetric ndarray."""
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {M.shape}")
     if M.size:
-        scale = max(1.0, float(np.abs(M).max()))
-        if np.abs(M + M.T).max() > ANTISYM_TOL * scale:
+        top = float(np.abs(M).max())
+        if not isfinite(top):
+            raise NonFiniteError("matrix has non-finite entries")
+        if np.abs(M + M.T).max() > ANTISYM_TOL * max(1.0, top):
             raise ValueError("matrix is not antisymmetric within tolerance")
     return M
 
@@ -104,7 +114,7 @@ def check_rotation(R) -> np.ndarray:
     if R.ndim != 2 or R.shape[0] != R.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {R.shape}")
     if not np.isfinite(R).all():
-        raise ValueError("matrix has non-finite entries")
+        raise NonFiniteError("matrix has non-finite entries")
     m = R.shape[0]
     if np.abs(R.T @ R - np.eye(m)).max() > ORTHO_TOL:
         raise ValueError("matrix is not orthogonal within tolerance")

@@ -4,6 +4,9 @@ Subcommands: run, compile, embed, test-state, test-unitary,
 oracle-verify, version.  Results are emitted as deterministic JSON
 documents (see serialization).  Exit codes: 0 ok, 1 verdict-negative,
 2 parse error, 3 numerical error, 4 oracle cap exceeded.
+
+An error's class alone picks its code, by the one map FAILURES; every
+antisym.NumericalAdmissibilityError, whatever its route, exits 3.
 """
 
 from __future__ import annotations
@@ -16,10 +19,8 @@ import sys
 import numpy as np
 
 from . import __version__, embedding, oracle, serialization as ser, simulator, state as st_mod, unitary as un_mod
+from .antisym import NumericalAdmissibilityError
 from .oracle import OracleCapError
-from .simulator import NumericalAdmissibilityError
-from .state import AdmissibilityError, SaturationError
-from .unitary import LogBranchError
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -29,9 +30,17 @@ EXIT_CAP = 4
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
+    """A bad flag or an unreadable file."""
+
+
+# The failure map: the first class an error is an instance of picks its exit code and stderr prefix.
+FAILURES = (
+    (CliError, EXIT_PARSE, "error"),
+    (ser.SchemaError, EXIT_PARSE, "parse error"),
+    (OracleCapError, EXIT_CAP, "cap error"),
+    (NumericalAdmissibilityError, EXIT_NUMERIC, "numerical error"),
+    (ValueError, EXIT_PARSE, "parse error"),
+)
 
 
 def _read_doc(path: str):
@@ -39,7 +48,7 @@ def _read_doc(path: str):
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}", EXIT_PARSE) from None
+        raise CliError(f"cannot read {path}: {exc}") from None
     return ser.loads(text)
 
 
@@ -72,12 +81,12 @@ def _check_flags(args):
             try:
                 simulator.sampling_arg(name, value)
             except ValueError as exc:
-                raise CliError(f"--{name}: {exc}", EXIT_PARSE) from None
+                raise CliError(f"--{name}: {exc}") from None
     tol, n_max = getattr(args, "tol", None), getattr(args, "n_max", None)
     if tol is not None and not (np.isfinite(tol) and tol >= 0):
-        raise CliError("--tol must be a finite number of at least 0", EXIT_PARSE)
+        raise CliError("--tol must be a finite number of at least 0")
     if n_max is not None and n_max < 1:
-        raise CliError("--n-max must be at least 1", EXIT_PARSE)
+        raise CliError("--n-max must be at least 1")
 
 
 def _measure_override(measure, args):
@@ -86,7 +95,7 @@ def _measure_override(measure, args):
              if getattr(args, name) is not None}
     if flags:
         if not isinstance(measure, simulator.Sampling):
-            raise CliError("--shots/--seed need a sampling measure block", EXIT_PARSE)
+            raise CliError("--shots/--seed need a sampling measure block")
         measure = measure._replace(**flags)
     return measure
 
@@ -164,18 +173,17 @@ def cmd_embed(args) -> int:
 
 
 def _dense_operand(args, parse, dense) -> np.ndarray:
-    """The operator of a ``matrix`` document, or ``dense(parse(doc))`` of the other kind."""
+    """A ``matrix`` document's operator, or ``dense(parse(doc))``; refused past the oracle cap before dense work."""
     doc = _read_doc(args.file)
-    if "matrix" in doc:
-        return ser.parse_dense_operator(doc)
-    return dense(parse(doc))
+    matrix = isinstance(doc, dict) and "matrix" in doc
+    operand = (ser.parse_dense_operator if matrix else parse)(doc)
+    oracle._check_cap(doc["n"])
+    return operand if matrix else dense(operand)
 
 
 def _evolved_dense(parsed) -> np.ndarray:
-    """The dense output state of a parsed circuit, refused past the oracle cap before evolving."""
-    circuit, _ = parsed
-    oracle._check_cap(circuit.n)
-    return st_mod.dense(simulator.run(circuit))
+    """The dense output state of a parsed circuit."""
+    return st_mod.dense(simulator.run(parsed[0]))
 
 
 def _verdict(args, test: str, check, operand) -> int:
@@ -201,12 +209,8 @@ def cmd_test_unitary(args) -> int:
 def cmd_oracle_verify(args) -> int:
     circuit, measure = ser.parse_circuit(_read_doc(args.file))
     n_max = args.n_max if args.n_max is not None else oracle.ORACLE_MAX_QUBITS
-    if n_max > oracle.ORACLE_MAX_QUBITS:
-        raise OracleCapError(
-            f"--n-max {n_max} exceeds the oracle cap {oracle.ORACLE_MAX_QUBITS}"
-        )
-    if circuit.n > n_max:
-        raise OracleCapError(f"circuit size {circuit.n} exceeds --n-max {n_max}")
+    oracle._check_cap(n_max)
+    oracle._check_cap(circuit.n, n_max)
     tol = args.tol if args.tol is not None else 1e-7
 
     out_state = simulator.run(circuit)
@@ -278,27 +282,10 @@ def main(argv=None) -> int:
     try:
         _check_flags(args)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except ser.SchemaError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except OracleCapError as exc:
-        print(f"cap error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except (
-        NumericalAdmissibilityError,
-        AdmissibilityError,
-        SaturationError,
-        LogBranchError,
-        simulator.NonGaussianProductError,
-    ) as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ValueError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    except (CliError, ValueError, NumericalAdmissibilityError) as exc:
+        code, prefix = next((code, prefix) for cls, code, prefix in FAILURES if isinstance(exc, cls))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

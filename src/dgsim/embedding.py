@@ -18,7 +18,7 @@ import numpy as np
 
 from . import antisym, oracle
 from .state import DGaussState
-from .unitary import DGUnitary
+from .unitary import UNITARY_TOL, DGUnitary
 
 GAUSSIAN_TOL = 1e-7
 
@@ -153,7 +153,7 @@ def gaussian_unitary_test(U: np.ndarray, tol: float = GAUSSIAN_TOL):
     """
     U = np.asarray(U, dtype=complex)
     dim = U.shape[0]
-    if U.shape != (dim, dim) or np.max(np.abs(U @ U.conj().T - np.eye(dim))) > 1e-8:
+    if U.shape != (dim, dim) or np.max(np.abs(U @ U.conj().T - np.eye(dim))) > UNITARY_TOL:
         raise ValueError("input is not unitary")
     n = dim.bit_length() - 1
     rho_E = oracle.max_entangled(n)

@@ -38,7 +38,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .antisym import (_popcounts, as_bits, as_indices, bordered, check_antisymmetric,
+from .antisym import (_popcounts, as_bits, as_index, as_indices, bordered, check_antisymmetric,
                       pfaffian_all_restrictions)
 
 ORACLE_MAX_QUBITS = 6
@@ -89,7 +89,8 @@ def _pauli_string_dense(codes) -> np.ndarray:
 
 
 def _majorana_codes(n: int, a: int) -> tuple[int, ...]:
-    """Pauli-string codes of Majorana operator ``a`` on ``n`` lines."""
+    """Pauli-string codes of Majorana operator ``a`` (``as_index``) on ``n`` lines."""
+    a = as_index(a, "Majorana index")
     if not 0 <= a < 2 * n:
         raise IndexError(f"Majorana index {a} out of range for n={n}")
     q = a // 2
@@ -382,6 +383,7 @@ def fswap_permutation(n: int, a: int) -> tuple[np.ndarray, np.ndarray]:
     phase -i: D[y, perm[y]] = d[y] as in ``monomial_permutation``.
     """
     _check_cap(n, 2 * ORACLE_MAX_PAIRED)
+    a = as_index(a, "fswap line")
     if not 0 <= a < n - 1:
         raise ValueError("need 0 <= a < n - 1")
     y = np.arange(1 << n)

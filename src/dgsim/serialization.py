@@ -250,12 +250,10 @@ def parse_hamiltonian(obj) -> DGUnitary:
     h = _real_matrix(obj["h"], "$.h")
     if h.shape != (2 * n, 2 * n):
         raise SchemaError("h must be 2n x 2n", "$.h")
-    if np.max(np.abs(h + h.T)) > 1e-12:
-        raise SchemaError("h must be antisymmetric", "$.h")
     d = _real_matrix(obj["d"], "$.d") if "d" in obj else np.zeros(2 * n)
     if d.shape != (2 * n,):
         raise SchemaError("d must have length 2n", "$.d")
-    return DGUnitary.from_generator(n, h, d)
+    return _located("$.h", DGUnitary.from_generator, n, h, d)
 
 
 def parse_state(obj) -> DGaussState:

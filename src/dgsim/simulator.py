@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .antisym import NumericalAdmissibilityError, as_bits, as_index, as_indices, canonical_matrix
-from .state import DGaussState
+from .state import AdmissibilityError, DGaussState
 from .unitary import GateSequence
 
 
@@ -184,7 +184,7 @@ def product_covariance(blochs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return M, mu
 
 
-class NonGaussianProductError(ValueError):
+class NonGaussianProductError(AdmissibilityError):
     """Product state requested that no displaced Gaussian state represents."""
 
 
@@ -217,7 +217,7 @@ def prepare_product(blochs) -> DGaussState:
         raise ValueError("each Bloch vector needs three components")
     long = np.linalg.norm(blochs, axis=1) > 1.0 + 1e-9
     if long.any():
-        raise ValueError(f"Bloch vector {blochs[long][0]} is longer than 1")
+        raise AdmissibilityError(f"Bloch vector {blochs[long][0]} is longer than 1")
     if not product_is_gaussian(blochs):
         raise NonGaussianProductError(
             "a qubit after the first mixed one is transversely displaced; "

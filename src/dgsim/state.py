@@ -21,17 +21,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import oracle
-from .antisym import KERNEL_TOL, as_indices, bordered, canonical_matrix, check_antisymmetric, pfaffian_restricted
+from .antisym import (KERNEL_TOL, NumericalAdmissibilityError, as_indices, bordered, canonical_matrix,
+                      check_antisymmetric, pfaffian_restricted)
 
 ADMISSIBILITY_TOL = 1e-9
 SATURATION_TOL = 1e-9
 
 
-class AdmissibilityError(ValueError):
-    """Covariance data does not describe a quantum state."""
+class AdmissibilityError(ValueError, NumericalAdmissibilityError):
+    """Input data does not describe a quantum state."""
 
 
-class SaturationError(ValueError):
+class SaturationError(ValueError, NumericalAdmissibilityError):
     """Thermal parameters diverge because some modes are (nearly) pure."""
 
     def __init__(self, modes):
@@ -92,8 +93,6 @@ class DGaussState:
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "mu", mu)
         if self.check:
-            if not (np.isfinite(M).all() and np.isfinite(mu).all()):
-                raise ValueError("covariance data must be finite")
             valid, lambdas = validate(self.M_ext)
             if not valid:
                 raise AdmissibilityError(
@@ -122,7 +121,7 @@ def from_diagonal(lambdas) -> DGaussState:
     """
     lams = np.asarray(lambdas, dtype=float)
     if not (np.abs(lams) <= 1.0 + 1e-12).all():
-        raise ValueError("diagonal parameters must lie in [-1, 1]")
+        raise AdmissibilityError("diagonal parameters must lie in [-1, 1]")
     n = len(lams)
     return DGaussState(n, canonical_matrix(-lams, 2 * n), np.zeros(2 * n), check=False)
 

@@ -48,8 +48,11 @@ from .antisym import (
 )
 from .state import DGaussState
 
+# Largest entry of U U^dag - I that still counts as unitary.
+UNITARY_TOL = 1e-8
 
-class LogBranchError(RuntimeError):
+
+class LogBranchError(NumericalAdmissibilityError):
     """The matrix logarithm of a rotation sits on the branch cut."""
 
 
@@ -103,12 +106,13 @@ class DGUnitary:
         return cls(n, h=np.zeros((2 * n, 2 * n)), d=np.zeros(2 * n))
 
     def rotation(self) -> np.ndarray:
+        """The rotation; a computed one failing check_rotation raises NumericalAdmissibilityError."""
         if self.R is None:
             R = expm_antisym(lie_embed(self.h, self.d))
-            if not np.isfinite(R).all():
-                raise NumericalAdmissibilityError(
-                    "the rotation exp(lie_embed(h, d)) is not finite: the generator overflows"
-                )
+            try:
+                check_rotation(R)
+            except ValueError as exc:
+                raise NumericalAdmissibilityError(f"the rotation exp(lie_embed(h, d)) is refused: {exc}") from None
             object.__setattr__(self, "R", R)
         return self.R
 
@@ -129,8 +133,12 @@ class DGUnitary:
         return G[:m, :m] / 2, G[m, :m] / 2
 
     def dense(self) -> np.ndarray:
+        """Dense unitary (oracle-capped); NumericalAdmissibilityError unless unitary within UNITARY_TOL."""
         h, d = self.generator()
-        return oracle.exp_quadratic(self.n, h, d)
+        U = oracle.exp_quadratic(self.n, h, d)
+        if not np.abs(U @ U.conj().T - np.eye(len(U))).max() <= UNITARY_TOL:  # NaN included
+            raise NumericalAdmissibilityError("the dense unitary exp(quadratic(h, d)) is not unitary")
+        return U
 
 
 def conjugate_state(U: DGUnitary, s: DGaussState) -> DGaussState:

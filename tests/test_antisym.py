@@ -186,6 +186,31 @@ def test_check_rotation_rejects_non_finite(bad):
         antisym.check_rotation(R)
 
 
+# Every exit-3 class derives from NumericalAdmissibilityError and keeps
+# its ValueError or RuntimeError base.
+@pytest.mark.parametrize("cls, base", [
+    (antisym.DecompositionError, RuntimeError),
+    (antisym.NonFiniteError, ValueError),
+    (st_mod.AdmissibilityError, ValueError),
+    (st_mod.SaturationError, ValueError),
+    (un_mod.LogBranchError, RuntimeError),
+    (sim.NonGaussianProductError, st_mod.AdmissibilityError),
+])
+def test_exit_3_classes(cls, base):
+    assert issubclass(cls, antisym.NumericalAdmissibilityError) and issubclass(cls, base)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_refused_by_every_check(bad):
+    M = np.array([[0.0, bad], [-bad, 0.0]])
+    checks = [lambda: antisym.check_antisymmetric(M), lambda: antisym.check_rotation(M),
+              lambda: st_mod.DGaussState(1, M, [0.0, 0.0]),
+              lambda: st_mod.DGaussState(1, np.zeros((2, 2)), [bad, 0.0])]
+    for check in checks:
+        with pytest.raises(antisym.NonFiniteError, match="non-finite"):
+            check()
+
+
 def test_expm_antisym_special_orthogonal():
     h = rand_antisym(rng, 5)
     R = antisym.expm_antisym(h)

@@ -755,6 +755,81 @@ def test_non_finite_residual_is_numeric_error(tmp_path, capsys):
     assert "rotation" in captured.err and "result holds" not in captured.err
 
 
+# One row per exit path: argv (FILE stands for the document's path), the
+# document, the exit code and the start of stderr.  An error's class alone
+# picks the code, whatever the route that raised it.
+def _generator_doc(n, h, d=None):
+    doc = {"schema": ser.SCHEMA_VERSION, "n": n, "h": np.asarray(h).tolist()}
+    if d is not None:
+        doc["d"] = np.asarray(d).tolist()
+    return doc
+
+
+def _scaled_generator(n, scale):
+    g = np.random.default_rng(0)
+    h = g.normal(size=(2 * n, 2 * n))
+    return _generator_doc(n, (h - h.T) * scale, g.normal(size=2 * n) * scale)
+
+
+def _matrix_doc(n, A):
+    return {"schema": ser.SCHEMA_VERSION, "n": n, "matrix": complex_matrix_doc(A)}
+
+
+def _input_doc(n, **inp):
+    return {**circuit_doc(n, []), "input": inp}
+
+
+N_CAP = oracle.ORACLE_MAX_QUBITS + 1
+KET0 = np.zeros((1 << N_CAP, 1 << N_CAP))
+KET0[0, 0] = 1.0
+EXIT_TABLE = {
+    "version": (["version"], None, 0, ""),
+    "negative-verdict": (["test-state", "FILE"], _matrix_doc(4, ghz4()), 1, ""),
+    "unreadable-file": (["run", "missing.json"], None, 2, "error: cannot read"),
+    "bad-flag-value": (["test-state", "FILE", "--tol", "-1"], circuit_doc(1, [1.0]), 2, "error: --tol"),
+    "unknown-field": (["run", "FILE"], {**circuit_doc(1, [1.0]), "extra": 1}, 2, "parse error: $"),
+    "gate-outside-register": (["run", "FILE"], circuit_doc(1, [1.0], [{"kind": "fswap", "line": 0}]),
+                              2, "parse error: $.gates[0]"),
+    "non-object-document": (["test-state", "FILE"], 5, 2, "parse error: $"),
+    # check_antisymmetric's rule, scaled by max|h| = 1e3: 1e-9 of asymmetry is allowed.
+    "h-asymmetric-beyond-rule": (["compile", "FILE"], _generator_doc(1, [[0, 1e3], [-1e3 + 1e-8, 0]]),
+                                 2, "parse error: $.h"),
+    "h-asymmetric-within-rule": (["compile", "FILE"], _generator_doc(1, [[0, 1e3], [-1e3 + 1e-10, 0]]),
+                                 0, ""),
+    "lambdas-above-1": (["run", "FILE"], circuit_doc(1, [1.5]), 3, "numerical error: diagonal parameters"),
+    "bloch-longer-than-1": (["run", "FILE"], _input_doc(1, bloch=[[0, 0, 1.5]]),
+                            3, "numerical error: Bloch vector"),
+    "inadmissible-covariance": (["run", "FILE"], _input_doc(1, covariance={"M": [[0, -1.5], [1.5, 0]],
+                                                                          "mu": [0, 0]}),
+                                3, "numerical error: canonical values"),
+    "compile-rotation-lost": (["compile", "FILE"], _scaled_generator(3, 1e5), 3, "numerical error: the rotation"),
+    "test-unitary-dense-lost": (["test-unitary", "FILE"], _scaled_generator(2, 1e8),
+                                3, "numerical error: the dense unitary"),
+    "compile-huge-h": (["compile", "FILE"], _generator_doc(1, HUGE_H), 3, "numerical error: the rotation"),
+    "test-unitary-huge-h": (["test-unitary", "FILE"], _generator_doc(1, HUGE_H, [1e300, 0]),
+                            3, "numerical error: "),
+    "test-state-mixed-past-cap": (["test-state", "FILE"], _matrix_doc(N_CAP, np.eye(1 << N_CAP) / (1 << N_CAP)),
+                                  4, "cap error: "),
+    "test-state-ket0-past-cap": (["test-state", "FILE"], _matrix_doc(N_CAP, KET0), 4, "cap error: "),
+    "test-unitary-matrix-past-cap": (["test-unitary", "FILE"], _matrix_doc(N_CAP, np.eye(1 << N_CAP)),
+                                     4, "cap error: "),
+    "oracle-verify-past-n-max": (["oracle-verify", "FILE", "--n-max", "1"], circuit_doc(2, [1.0, 1.0]),
+                                 4, "cap error: "),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("argv, doc, code, prefix", EXIT_TABLE.values(), ids=EXIT_TABLE)
+def test_exit_code_table(tmp_path, capsys, monkeypatch, argv, doc, code, prefix):
+    monkeypatch.chdir(tmp_path)
+    if doc is not None:
+        argv = [write_doc(tmp_path, "doc.json", doc) if a == "FILE" else a for a in argv]
+    got = cli.main(argv)
+    captured = capsys.readouterr()
+    assert got == code and captured.err.startswith(prefix)
+    assert (captured.out == "") == (code > 1)
+
+
 def test_version(capsys):
     code, out = run_cli(capsys, ["version"])
     assert code == 0

@@ -253,3 +253,18 @@ def test_fswap_permutation_is_the_exponential():
             want = oracle.exp_quadratic(n, h, np.zeros(2 * n))
             got = permutation_dense(*oracle.fswap_permutation(n, a))
             assert np.max(np.abs(got - want)) < 1e-14
+
+
+@pytest.mark.parametrize("bad", [True, 0.5, np.float64(1.0)])
+def test_operator_builders_follow_the_index_rule(bad):
+    builders = [lambda: oracle.majorana(2, bad), lambda: oracle.monomial_string(2, (bad,)),
+                lambda: oracle.monomial_permutation(2, (bad,)), lambda: oracle.fswap_permutation(3, bad)]
+    for build in builders:
+        with pytest.raises(ValueError, match="must be an integer"):
+            build()
+
+
+def test_operator_builders_take_numpy_integers():
+    assert np.array_equal(oracle.majorana(2, np.int64(1)), oracle.majorana(2, 1))
+    for got, want in zip(oracle.fswap_permutation(3, np.int64(1)), oracle.fswap_permutation(3, 1)):
+        assert np.array_equal(got, want)

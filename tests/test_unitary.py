@@ -49,6 +49,20 @@ def test_rotation_of_overflowing_generator_refused():
     assert sim.NumericalAdmissibilityError is antisym.NumericalAdmissibilityError
 
 
+def test_computed_rotation_and_dense_unitary_checked():
+    # A finite generator whose exponentials lose orthogonality and unitarity
+    # to round-off: refused where they are computed, with the exit-3 class.
+    g = np.random.default_rng(0)
+    U = un_mod.DGUnitary.from_generator(3, rand_antisym(g, 6, 1e5), g.normal(size=6) * 1e5)
+    with pytest.raises(antisym.NumericalAdmissibilityError, match="not orthogonal"):
+        U.rotation()
+    V = un_mod.DGUnitary.from_generator(2, rand_antisym(g, 4, 1e8), g.normal(size=4) * 1e8)
+    with pytest.raises(antisym.NumericalAdmissibilityError, match="not unitary"):
+        V.dense()
+    W = un_mod.DGUnitary.from_generator(2, rand_antisym(g, 4), g.normal(size=4))
+    assert np.max(np.abs(W.dense() @ W.dense().conj().T - np.eye(4))) < 1e-12
+
+
 def test_generator_roundtrip():
     U = rand_unitary(rng, 2)
     V = un_mod.DGUnitary.from_rotation(2, U.rotation())
