@@ -172,12 +172,12 @@ def cmd_embed(args) -> int:
     return EXIT_OK
 
 
-def _dense_operand(args, parse, dense) -> np.ndarray:
-    """A ``matrix`` document's operator, or ``dense(parse(doc))``; refused past the oracle cap before dense work."""
+def _dense_operand(args, parse, dense, limit=oracle.ORACLE_MAX_QUBITS) -> np.ndarray:
+    """A ``matrix`` document's operator, or ``dense(parse(doc))``; refused past ``limit`` qubits before dense work."""
     doc = _read_doc(args.file)
     matrix = isinstance(doc, dict) and "matrix" in doc
     operand = (ser.parse_dense_operator if matrix else parse)(doc)
-    oracle._check_cap(doc["n"])
+    oracle._check_cap(doc["n"], limit)
     return operand if matrix else dense(operand)
 
 
@@ -203,7 +203,8 @@ def cmd_test_state(args) -> int:
 
 def cmd_test_unitary(args) -> int:
     return _verdict(args, "displaced-gaussian-unitary", embedding.displaced_unitary_test,
-                    _dense_operand(args, ser.parse_hamiltonian, un_mod.DGUnitary.dense))
+                    _dense_operand(args, ser.parse_hamiltonian, un_mod.DGUnitary.dense,
+                                   embedding.UNITARY_TEST_MAX_QUBITS))
 
 
 def cmd_oracle_verify(args) -> int:

@@ -21,6 +21,8 @@ from .state import DGaussState
 from .unitary import UNITARY_TOL, DGUnitary
 
 GAUSSIAN_TOL = 1e-7
+# displaced_unitary_test on n lines runs the Choi-state test on max_entangled(n + 1).
+UNITARY_TEST_MAX_QUBITS = oracle.ORACLE_MAX_PAIRED - 1
 
 
 @dataclass(frozen=True)
@@ -184,11 +186,13 @@ def displaced_unitary_test(U: np.ndarray, tol: float = GAUSSIAN_TOL):
 
     Conjugates U (x) I with the embedding unitary to obtain an even
     candidate and runs the Choi-state test on it.  Returns
-    ``(verdict, deviation)``.
+    ``(verdict, deviation)``.  U on more than UNITARY_TEST_MAX_QUBITS
+    lines raises OracleCapError before any dense work.
     """
     U = np.asarray(U, dtype=complex)
     dim = U.shape[0]
     n = dim.bit_length() - 1
+    oracle._check_cap(n, UNITARY_TEST_MAX_QUBITS)
     V = oracle.embed_V(n)
     W = V @ np.kron(U, np.eye(2, dtype=complex)) @ V.conj().T
     return gaussian_unitary_test(W, tol=tol)

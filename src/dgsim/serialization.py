@@ -5,7 +5,8 @@ unknown fields are rejected with their location; integer fields
 (``n``, gate lines and axes, measured lines, outcome bits, ``shots``,
 ``seed``) must be JSON integers, and float fields (``lambdas``,
 ``bloch``, ``M``, ``mu``, ``h``, ``d``, ``matrix``, gate angles) JSON
-numbers, never booleans or strings.  The parsers return checked library
+numbers, never booleans or strings (``antisym.is_number``, the rule
+``Gate`` applies to its angle).  The parsers return checked library
 objects; the measure block's rules are the library's (its lines follow
 ``antisym.as_indices``), located here at their field.  Serialization is
 byte-deterministic -- keys are emitted in sorted order and floats with
@@ -31,7 +32,7 @@ from math import isfinite
 
 import numpy as np
 
-from .antisym import as_indices, wrap_angles
+from .antisym import as_indices, is_number, wrap_angles
 from .simulator import Circuit, MeasurementOp, NumericalAdmissibilityError, Sampling, prepare_product, sampling_arg
 from .state import DGaussState, from_diagonal
 from .unitary import FSWAP, KINDS, LINE1, MATCHGATE, DGUnitary, GateError, GateSequence
@@ -60,11 +61,6 @@ def _take(obj, required, optional, loc):
     return obj
 
 
-def _is_number(value) -> bool:
-    """Whether a document value is a number: int or float (numpy's too), never ``bool``."""
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-
-
 def _check_numbers(value, loc):
     """Refuse anything but a number or nested lists of numbers (errors at ``loc``).
 
@@ -75,7 +71,7 @@ def _check_numbers(value, loc):
         if not set(map(type, value)) <= {int, float}:
             for v in value:
                 _check_numbers(v, loc)
-    elif not _is_number(value):
+    elif not is_number(value):
         raise SchemaError("entries must be JSON numbers", loc)
 
 
@@ -162,7 +158,7 @@ def _parse_gate(obj, i: int):
         raise SchemaError("axes must be integers", f"$.gates[{i}].axes")
     if j == k:
         raise SchemaError("gate axes must differ", f"$.gates[{i}]")
-    if not _is_number(angle):
+    if type(angle) not in (int, float) and not is_number(angle):  # plain numbers need no call
         raise SchemaError("angle must be a number", f"$.gates[{i}].angle")
     try:
         angle = float(angle)

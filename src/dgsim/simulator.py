@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .antisym import NumericalAdmissibilityError, as_bits, as_index, as_indices, canonical_matrix
-from .state import AdmissibilityError, DGaussState
+from .state import ADMISSIBILITY_TOL, AdmissibilityError, DGaussState
 from .unitary import GateSequence
 
 
@@ -215,7 +215,7 @@ def prepare_product(blochs) -> DGaussState:
     blochs = np.asarray(blochs, dtype=float)
     if blochs.ndim != 2 or blochs.shape[1] != 3:
         raise ValueError("each Bloch vector needs three components")
-    long = np.linalg.norm(blochs, axis=1) > 1.0 + 1e-9
+    long = np.linalg.norm(blochs, axis=1) > 1.0 + ADMISSIBILITY_TOL
     if long.any():
         raise AdmissibilityError(f"Bloch vector {blochs[long][0]} is longer than 1")
     if not product_is_gaussian(blochs):

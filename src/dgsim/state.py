@@ -117,10 +117,11 @@ class DGaussState:
 def from_diagonal(lambdas) -> DGaussState:
     """Diagonal product state tensor of (1 + lambda_q Z)/2.
 
-    M[2q, 2q+1] = -lambda_q and mu = 0; every lambda_q must lie in [-1, 1].
+    M[2q, 2q+1] = -lambda_q and mu = 0; every lambda_q must lie in [-1, 1]
+    within ADMISSIBILITY_TOL, the tolerance of every input form.
     """
     lams = np.asarray(lambdas, dtype=float)
-    if not (np.abs(lams) <= 1.0 + 1e-12).all():
+    if not (np.abs(lams) <= 1.0 + ADMISSIBILITY_TOL).all():
         raise AdmissibilityError("diagonal parameters must lie in [-1, 1]")
     n = len(lams)
     return DGaussState(n, canonical_matrix(-lams, 2 * n), np.zeros(2 * n), check=False)

@@ -20,8 +20,9 @@ A gate list is a GateSequence, held as arrays rather than Gate objects:
 kind codes, axes, fswap lines and angles, one entry per gate, plus the
 gates' fold blocks (the rows each touches and its small rotation Q),
 stacked in array steps when the sequence is built.  The register rules
-are checked there, one array step per rule.  ``Gate`` stays the
-user-facing constructor of a single gate.
+are checked there, one array step per rule, and a sequence is read
+through those arrays.  ``Gate`` builds a single gate, its angle by the
+documents' rule (``antisym.is_number``).
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .antisym import (
     check_antisymmetric,
     check_rotation,
     expm_antisym,
+    is_number,
     plane_decompose,
     wrap_angles,
 )
@@ -212,12 +214,14 @@ class Gate:
 
     def __post_init__(self):
         if self.kind in (MATCHGATE, LINE1):
-            if self.axes is None or self.angle is None or self.line is not None:
+            if self.axes is None or self.line is not None:
                 raise ValueError(f"{self.kind} gate needs axes and angle only")
             j, k = (as_index(a, "gate axis") for a in self.axes)
             if j == k:
                 raise ValueError("gate axes must differ")
             object.__setattr__(self, "axes", (j, k))
+            if not is_number(self.angle):
+                raise ValueError(f"{self.kind} gate angle must be a number, got {self.angle!r}")
             if not math.isfinite(self.angle):
                 raise ValueError(f"{self.kind} gate angle {self.angle} is not finite")
             object.__setattr__(self, "angle", float(wrap_angles([self.angle])[0]))
@@ -231,18 +235,6 @@ class Gate:
     def validate(self, n: int):
         """Raise ValueError unless the gate fits an n-line register (GateSequence's check)."""
         GateSequence(n, (self,))
-
-
-def _trusted_gate(kind: str, axes, angle, line) -> Gate:
-    """A Gate holding exactly these fields, which are already checked.
-
-    ``Gate(...)`` would normalize the angle once more, and the
-    normalization is not idempotent.
-    """
-    g = object.__new__(Gate)
-    for name, value in (("kind", kind), ("axes", axes), ("angle", angle), ("line", line)):
-        object.__setattr__(g, name, value)
-    return g
 
 
 class GateError(ValueError):
@@ -360,12 +352,12 @@ class GateSequence:
       sequence, which goes to sequence_rotation and dumps, never builds
       it.
 
-    The arrays are read-only.  ``GateSequence(n, gates)`` takes Gate
+    The arrays are read-only, and they are how a sequence is read: it
+    yields no Gate objects.  ``GateSequence(n, gates)`` takes Gate
     objects and keeps their angles; the parser and the compiler fill the
     columns directly (``_from_columns``).  This is the one place gates
     are checked against the register, by one array step per rule; the
-    functions that take a sequence trust it.  Iteration yields Gate
-    objects that carry exactly the stored angles.
+    functions that take a sequence trust it.
     """
 
     def __init__(self, n: int, gates=()):
@@ -407,19 +399,6 @@ class GateSequence:
 
     def __len__(self):
         return len(self.kind)
-
-    def __iter__(self):
-        columns = zip(self.kind.tolist(), self.axes.tolist(), self.line.tolist(),
-                      self.angle.tolist())
-        for code, (j, k), line, angle in columns:
-            if code == _FSWAP:
-                yield _trusted_gate(FSWAP, None, None, line)
-            else:
-                yield _trusted_gate(KINDS[code], (j, k), angle, None)
-
-    @property
-    def gates(self) -> tuple[Gate, ...]:
-        return tuple(self)
 
 
 def _layers(seq: GateSequence) -> np.ndarray:

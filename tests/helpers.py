@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,6 +49,23 @@ def rand_gate(rng, n):
 
 def rand_sequence(rng, n, count):
     return un_mod.GateSequence(n, tuple(rand_gate(rng, n) for _ in range(count)))
+
+
+class GateRow(NamedTuple):
+    """One gate of a sequence as its columns hold it, with Gate's fields."""
+
+    kind: str
+    axes: tuple[int, int] | None
+    angle: float | None
+    line: int | None
+
+
+def gate_rows(seq):
+    """The gates of a sequence, read from its columns kind, axes, line and angle."""
+    columns = zip(seq.kind.tolist(), seq.axes.tolist(), seq.line.tolist(), seq.angle.tolist())
+    return [GateRow(un_mod.FSWAP, None, None, line) if un_mod.KINDS[code] == un_mod.FSWAP
+            else GateRow(un_mod.KINDS[code], (j, k), angle, None)
+            for code, (j, k), line, angle in columns]
 
 
 def rand_bloch(rng, pure=False):
@@ -295,7 +313,7 @@ def compose(U1, U2):
 def sequence_dense(seq):
     """Dense product unitary of a gate list (applied in order)."""
     acc = np.eye(1 << seq.n, dtype=complex)
-    for g in seq:
+    for g in gate_rows(seq):
         acc = gate_dense(g, seq.n) @ acc
     return acc
 

@@ -143,7 +143,7 @@ def test_acceptance_4_compiler():
         R = scipy.linalg.expm(rand_antisym(rng, m))
         seq = un_mod.compile_rotation(R, n)
         worst_res = max(worst_res, float(np.max(np.abs(un_mod.sequence_rotation(seq) - R))))
-        constant = max(constant, len(seq.gates) / n**3)
+        constant = max(constant, len(seq) / n**3)
         if n <= 3:
             U = un_mod.DGUnitary.from_rotation(n, R)
             dense_dev = max(

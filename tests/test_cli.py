@@ -1,6 +1,7 @@
 import collections
 import json
 import math
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -10,7 +11,7 @@ import scipy.linalg
 from dgsim import antisym, cli, embedding, oracle, serialization as ser, simulator
 from dgsim import state as st_mod, unitary as un_mod
 
-from helpers import complex_matrix_doc, gate_doc, ghz4, rand_antisym
+from helpers import complex_matrix_doc, gate_doc, gate_rows, ghz4, rand_antisym
 
 rng = np.random.default_rng(90210)
 
@@ -359,7 +360,7 @@ def test_compile(tmp_path, capsys):
     U = un_mod.DGUnitary.from_generator(n, np.array(doc["h"]), np.array(doc["d"]))
     seq = un_mod.compile(U)
     assert out == ser.dumps({
-        "schema": ser.SCHEMA_VERSION, "n": n, "gates": [gate_doc(g) for g in seq.gates],
+        "schema": ser.SCHEMA_VERSION, "n": n, "gates": [gate_doc(g) for g in gate_rows(seq)],
         "gate_count": len(seq), "cubic_constant": len(seq) / n**3,
         "residual": float(np.max(np.abs(un_mod.sequence_rotation(seq) - U.rotation()))),
     })
@@ -828,6 +829,126 @@ def test_exit_code_table(tmp_path, capsys, monkeypatch, argv, doc, code, prefix)
     captured = capsys.readouterr()
     assert got == code and captured.err.startswith(prefix)
     assert (captured.out == "") == (code > 1)
+
+
+# test-unitary runs the Choi-state test on max_entangled(n + 1), so it
+# reaches n = 3; a wider document exits 4 naming its own n, before any
+# dense matrix is built.
+@pytest.mark.parametrize("doc", [_scaled_generator(4, 1.0), _scaled_generator(6, 1.0),
+                                 _matrix_doc(4, np.eye(16))], ids=["generator-4", "generator-6", "matrix-4"])
+def test_test_unitary_cap_before_dense_work(tmp_path, capsys, monkeypatch, doc):
+    assert embedding.UNITARY_TEST_MAX_QUBITS == 3
+    calls = collections.Counter()
+    for name in ("exp_quadratic", "embed_V"):
+        counted(monkeypatch, oracle, name, calls)
+    code = cli.main(["test-unitary", write_doc(tmp_path, "u.json", doc)])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err == f"cap error: dense oracle capped at 3 qubits, got {doc['n']}\n"
+    assert calls == {}
+    code = cli.main(["test-unitary", write_doc(tmp_path, "u3.json", _scaled_generator(3, 1.0))])
+    assert code == 0 and calls == {"exp_quadratic": 1, "embed_V": 1}
+
+
+# A gate angle follows one rule, antisym.is_number, whether it reaches a
+# Gate or a document: an int or a float, never a bool.
+@pytest.mark.parametrize("angle", [True, np.True_, "0.5", None, Fraction(1, 3)],
+                         ids=["bool", "numpy-bool", "string", "none", "fraction"])
+def test_gate_angle_follows_document_rule(tmp_path, capsys, angle):
+    with pytest.raises(ValueError, match="matchgate gate angle must be a number"):
+        un_mod.Gate(un_mod.MATCHGATE, axes=(0, 1), angle=angle)
+    doc = circuit_doc(2, [0.5, 0.5], [{"kind": "matchgate", "axes": [0, 1], "angle": angle}])
+    with pytest.raises(ser.SchemaError, match=r"^\$\.gates\[0\]\.angle: angle must be a number$"):
+        ser.parse_circuit(doc)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc, default=str))  # np.True_ and Fraction as strings
+    code = cli.main(["run", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == "parse error: $.gates[0].angle: angle must be a number\n"
+
+
+def test_gate_angle_accepts_numbers():
+    for angle in (1, 0.5, np.int64(1), np.float32(0.5)):
+        un_mod.Gate(un_mod.MATCHGATE, axes=(0, 1), angle=angle)
+        ser.parse_circuit(circuit_doc(2, [0.5, 0.5], [{"kind": "matchgate", "axes": [0, 1], "angle": angle}]))
+
+
+# Every schema rule of the document boundary, one document each: the verb,
+# the document (a string is written as it is), and the start of stderr.
+def _edit(**fields):
+    return {**circuit_doc(1, [1.0]), **fields}
+
+
+def _gate(gate):
+    return circuit_doc(2, [1.0, 1.0], [{"kind": "fswap", "line": 0}, gate])
+
+
+def _measure(measure):
+    return _edit(measure=measure)
+
+
+SCHEMA_TABLE = {
+    "invalid-json": ("run", "{nope", "$: invalid JSON: line 1 column 2"),
+    "nan-constant": ("run", '{"n": NaN}', "$: non-finite number NaN is not allowed"),
+    "overflowing-float": ("run", '{"n": 1e999}', "$: number 1e999 overflows a double"),
+    "missing-header-fields": ("run", {"schema": ser.SCHEMA_VERSION, "n": 1},
+                              "$: missing field(s) ['gates', 'input']"),
+    "wrong-schema": ("run", _edit(schema="dgsim/2"), "$: schema field must be 'dgsim/1', got 'dgsim/2'"),
+    "n-not-positive": ("run", _edit(n=0), "$.n: n must be positive"),
+    "input-not-object": ("run", _edit(input=[1.0]), "$.input: expected an object, got list"),
+    "input-none-of": ("run", _edit(input={}), "$.input: input needs exactly one of"),
+    "input-two-of": ("run", _edit(input={"lambdas": [1.0], "bloch": [[0, 0, 1]]}),
+                     "$.input: input needs exactly one of"),
+    "lambdas-shape": ("run", _edit(input={"lambdas": [1.0, 1.0]}), "$.input.lambdas: expected 1 entries"),
+    "bloch-shape": ("run", _edit(input={"bloch": [[0, 0]]}), "$.input.bloch: expected 1 3-vectors"),
+    "bloch-ragged": ("run", _edit(input={"bloch": [[0, 0, 1], [0]]}), "$.input.bloch: not a numeric array"),
+    "covariance-keys": ("run", _edit(input={"covariance": {"M": COV_M}}),
+                        "$.input.covariance: missing field(s) ['mu']"),
+    "covariance-shape": ("run", _edit(input={"covariance": {"M": COV_M, "mu": [0.0]}}),
+                         "$.input.covariance: M must be 2n x 2n and mu length 2n"),
+    "gates-not-list": ("run", _edit(gates={}), "$.gates: gates must be a list"),
+    "gate-not-object": ("run", _gate(5), "$.gates[1]: expected an object, got int"),
+    "gate-kind-missing": ("run", _gate({"axes": [0, 1], "angle": 0.1}), "$.gates[1]: missing field(s) ['kind']"),
+    "gate-kind-unknown": ("run", _gate({"kind": "toffoli"}), "$.gates[1]: unknown gate kind 'toffoli'"),
+    "gate-kind-not-string": ("run", _gate({"kind": 3, "line": 0}), "$.gates[1]: unknown gate kind 3"),
+    "gate-unknown-key": ("run", _gate({"kind": "fswap", "line": 0, "spin": 1}),
+                         "$.gates[1]: unknown field(s) ['spin']"),
+    "gate-key-of-other-kind": ("run", _gate({"kind": "fswap", "line": 0, "angle": 0.1}),
+                               "$.gates[1]: unknown field(s) ['angle']"),
+    "gate-key-missing": ("run", _gate({"kind": "matchgate", "axes": [0, 1]}),
+                         "$.gates[1]: missing field(s) ['angle']"),
+    "axes-not-list": ("run", _gate({"kind": "matchgate", "axes": 0, "angle": 0.1}),
+                      "$.gates[1].axes: axes must be a pair"),
+    "axes-three": ("run", _gate({"kind": "line1", "axes": [0, 1, 4], "angle": 0.1}),
+                   "$.gates[1].axes: axes must be a pair"),
+    "axes-equal": ("run", _gate({"kind": "matchgate", "axes": [1, 1], "angle": 0.1}),
+                   "$.gates[1]: gate axes must differ"),
+    "measure-not-object": ("run", _measure([0]), "$.measure: expected an object, got list"),
+    "measure-unknown-key": ("run", _measure({"lines": [0], "x": [0], "y": 1}), "$.measure: unknown field(s) ['y']"),
+    "measure-lines-not-list": ("run", _measure({"lines": 0, "x": [0]}), "$.measure.lines: lines must be a list"),
+    "measure-x-and-shots": ("run", _measure({"lines": [0], "x": [0], "shots": 5}),
+                            "$.measure: x excludes shots/seed"),
+    "measure-x-not-list": ("run", _measure({"lines": [0], "x": 0}), "$.measure.x: x must be a list"),
+    "measure-shots-without-seed": ("run", _measure({"lines": [0], "shots": 5}),
+                                   "$.measure: measure needs x, or shots and seed"),
+    "h-shape": ("compile", _generator_doc(1, np.zeros((3, 3))), "$.h: h must be 2n x 2n"),
+    "d-shape": ("compile", _generator_doc(1, np.zeros((2, 2)), [0.0]), "$.d: d must have length 2n"),
+    "state-shape": ("embed", {"schema": ser.SCHEMA_VERSION, "n": 1, "M": COV_M, "mu": [0.0]},
+                    "$: M must be 2n x 2n and mu length 2n"),
+    "matrix-shape": ("test-state", _matrix_doc(1, np.eye(4) / 4), "$.matrix: matrix must be 2^n x 2^n"),
+    "matrix-not-re-im": ("test-unitary", {"schema": ser.SCHEMA_VERSION, "n": 1, "matrix": np.eye(2).tolist()},
+                         "$.matrix: complex matrix must be [[ [re, im], ... ], ...]"),
+}
+
+
+@pytest.mark.parametrize("verb, doc, start", SCHEMA_TABLE.values(), ids=SCHEMA_TABLE)
+def test_schema_rule_table(tmp_path, capsys, verb, doc, start):
+    path = tmp_path / "doc.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    code = cli.main([verb, str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"parse error: {start}"), captured.err
 
 
 def test_version(capsys):

@@ -222,3 +222,15 @@ def test_displaced_unitary_test():
             cz[b, b] = -1
     verdict, dev = emb.displaced_unitary_test(cz)
     assert not verdict and dev > 1e-3  # non-adjacent CZ leaves the class
+
+
+def test_displaced_unitary_test_cap_before_dense_work(monkeypatch):
+    # The Choi-state test needs max_entangled(n + 1): n = 4 is refused
+    # before the embedding unitary V or W is built.
+    def never(*args):
+        raise AssertionError("dense work past the cap")
+
+    monkeypatch.setattr(oracle, "embed_V", never)
+    n = emb.UNITARY_TEST_MAX_QUBITS + 1
+    with pytest.raises(oracle.OracleCapError, match=f"^dense oracle capped at 3 qubits, got {n}$"):
+        emb.displaced_unitary_test(np.eye(1 << n))

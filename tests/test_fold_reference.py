@@ -16,9 +16,11 @@ from dgsim import serialization as ser, simulator as sim, state as st_mod, unita
 
 from helpers import (
     PlaneRotation,
+    gate_rows,
     gather_run,
     plane_decompose_reference,
     rand_bloch,
+    rand_gate,
     rand_sequence,
     rand_unitary,
     reference_rotation,
@@ -49,18 +51,16 @@ def gate_of(doc):
     return un_mod.Gate(doc["kind"], axes=tuple(doc["axes"]), angle=doc["angle"])
 
 
-def same_gate(got, want):
-    """Equal fields, with the angles compared bit for bit."""
-    assert (got.kind, got.axes, got.line) == (want.kind, want.axes, want.line)
-    if want.angle is None:
-        assert got.angle is None
-    else:
-        assert float(got.angle).hex() == float(want.angle).hex()
-
-
 def same_bits(a, b):
     """Equal arrays with equal bits: a -0.0 differs from a 0.0."""
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def same_gates(seq, want):
+    """``seq`` holds exactly the Gates ``want``: equal columns, the angles compared bit for bit."""
+    ref = un_mod.GateSequence(seq.n, want)
+    for got, w in ((seq.kind, ref.kind), (seq.axes, ref.axes), (seq.line, ref.line), (seq.angle, ref.angle)):
+        assert same_bits(got, w)
 
 
 def input_doc(rng, n, kind):
@@ -85,9 +85,7 @@ def test_parsed_run_matches_reference(n, kind):
            "gates": gate_docs}
     c, _ = ser.parse_circuit(doc)
     want = [gate_of(g) for g in gate_docs]
-    assert len(c.gates) == len(want)
-    for got, w in zip(c.gates, want):
-        same_gate(got, w)
+    same_gates(c.gates, want)
     out = sim.run(c)
     M, mu = reference_run(c.input_state().M_ext, want)
     assert same_bits(out.M, M) and same_bits(out.mu, mu)
@@ -97,8 +95,8 @@ def test_parsed_run_matches_reference(n, kind):
 @pytest.mark.parametrize("n", SIZES)
 def test_gate_sequence_run_matches_reference(n):
     rng = np.random.default_rng(n)
-    seq = rand_sequence(rng, n, 4 * n + 12)
-    gates = list(seq)
+    gates = [rand_gate(rng, n) for _ in range(4 * n + 12)]
+    seq = un_mod.GateSequence(n, gates)
     c = sim.Circuit(st_mod.from_diagonal(rng.uniform(-1, 1, n)), seq)
     out = sim.run(c)
     M, mu = reference_run(c.input_state().M_ext, gates)
@@ -118,8 +116,7 @@ def test_compiled_gates_match_reference(n):
         for pr in plane_decompose_reference(R, lambda j, k: bool(allowed[j, k]))
     ]
     assert len(seq) == len(want) > 0
-    for got, w in zip(seq, want):
-        same_gate(got, w)
+    same_gates(seq, want)
     assert np.array_equal(un_mod.sequence_rotation(seq), reference_rotation(n, want))
 
 
@@ -133,7 +130,7 @@ def test_gate_angle_is_plane_rotation_angle():
         assert float(got).hex() == PlaneRotation((0, 1), a).angle.hex()
 
 
-def deep_sequence(rng, n, count):
+def deep_gates(rng, n, count):
     """Gates crowded onto the first lines, fswaps among them: long chains on the same rows."""
     gates = []
     for i in range(count):
@@ -145,7 +142,7 @@ def deep_sequence(rng, n, count):
         else:
             axes = tuple(int(a) for a in rng.choice(4, size=2, replace=False))
             gates.append(un_mod.Gate(un_mod.MATCHGATE, axes=axes, angle=float(rng.uniform(-3, 3))))
-    return un_mod.GateSequence(n, gates)
+    return gates
 
 
 @pytest.mark.parametrize("n", [3, 8, 40])
@@ -153,11 +150,12 @@ def test_sequence_rotation_layers_match_reference(n):
     # Many gates on the same rows make deep layers; the spread-out part
     # makes wide ones.  Either way the layered product is the per-gate fold.
     rng = np.random.default_rng(500 + n)
-    deep = deep_sequence(rng, n, 300)
-    wide = rand_sequence(rng, n, 12 * n)
-    for seq in (deep, wide, un_mod.GateSequence(n, list(deep) + list(wide) + list(deep))):
-        assert same_bits(un_mod.sequence_rotation(seq), reference_rotation(n, list(seq)))
-    layer = un_mod._layers(deep)
+    deep = deep_gates(rng, n, 300)
+    wide = [rand_gate(rng, n) for _ in range(12 * n)]
+    for gates in (deep, wide, deep + wide + deep):
+        seq = un_mod.GateSequence(n, gates)
+        assert same_bits(un_mod.sequence_rotation(seq), reference_rotation(n, gates))
+    layer = un_mod._layers(un_mod.GateSequence(n, deep))
     assert layer.max() + 1 >= len(deep) // 3
 
 
@@ -166,7 +164,7 @@ def test_sequence_rotation_of_compiled_and_empty_sequences(n):
     rng = np.random.default_rng(900 + n)
     seq = un_mod.compile(rand_unitary(rng, n, scale=2.0))
     assert len(seq) > 0
-    assert same_bits(un_mod.sequence_rotation(seq), reference_rotation(n, list(seq)))
+    assert same_bits(un_mod.sequence_rotation(seq), reference_rotation(n, gate_rows(seq)))
     empty = un_mod.GateSequence(n)
     assert same_bits(un_mod.sequence_rotation(empty), np.eye(2 * n + 1))
 
@@ -214,7 +212,7 @@ def test_slice_views_keep_gather_bits(n):
 
 def signed_zero_sequence(rng, n, count):
     """Random gates, a third with angles 0, pi, -pi/2 or -3pi/4, which turn zeros into -0.0."""
-    gates = list(rand_sequence(rng, n, count))
+    gates = [rand_gate(rng, n) for _ in range(count)]
     for i in range(0, count, 3):
         if gates[i].kind != un_mod.FSWAP:
             angle = float(rng.choice([0.0, np.pi, -np.pi / 2, -3 * np.pi / 4]))

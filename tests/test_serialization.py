@@ -4,7 +4,7 @@ import pytest
 from dgsim import serialization as ser, unitary as un_mod
 from dgsim.simulator import NumericalAdmissibilityError
 
-from helpers import gate_doc, rand_unitary
+from helpers import gate_doc, gate_rows, rand_unitary
 
 rng = np.random.default_rng(4711)
 
@@ -85,10 +85,9 @@ def gate_list_cases():
 
 @pytest.mark.parametrize("seq", gate_list_cases(), ids=["special", "parsed", "compiled", "empty"])
 def test_gate_list_bytes_match_gate_docs(seq):
-    want = ser.dumps([gate_doc(g) for g in seq.gates])
-    assert ser.dumps(seq) == want
-    assert ser.dumps({"gates": seq, "n": seq.n}) == ser.dumps(
-        {"gates": [gate_doc(g) for g in seq.gates], "n": seq.n})
+    docs = [gate_doc(g) for g in gate_rows(seq)]
+    assert ser.dumps(seq) == ser.dumps(docs)
+    assert ser.dumps({"gates": seq, "n": seq.n}) == ser.dumps({"gates": docs, "n": seq.n})
 
 
 def test_gate_list_signed_zero_and_kinds_present():
@@ -106,4 +105,4 @@ def test_gate_list_non_finite_angle_refused():
     with pytest.raises(NumericalAdmissibilityError, match="non-finite"):
         ser.dumps({"gates": seq})
     with pytest.raises(NumericalAdmissibilityError, match="non-finite"):
-        ser.dumps({"gates": [gate_doc(g) for g in seq.gates]})
+        ser.dumps({"gates": [gate_doc(g) for g in gate_rows(seq)]})

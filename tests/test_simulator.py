@@ -10,6 +10,7 @@ from dgsim import oracle, simulator as sim, state as st_mod, unitary as un_mod
 from helpers import (
     dense_product,
     gate_dense,
+    gate_rows,
     measurement_cov,
     rand_bloch,
     rand_pure_state,
@@ -151,7 +152,7 @@ def test_run_matches_dense():
             seq = rand_sequence(rng, n, 40)
             out = sim.run(sim.Circuit(s, seq))
             rho = st_mod.dense(s)
-            for g in seq.gates:
+            for g in gate_rows(seq):
                 Ug = gate_dense(g, n)
                 rho = Ug @ rho @ Ug.conj().T
             assert np.max(np.abs(st_mod.dense(out) - rho)) < 1e-7

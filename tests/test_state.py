@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from dgsim import antisym, oracle, state as st_mod
+from dgsim import antisym, oracle, simulator as sim, state as st_mod
 
 from helpers import mask, rand_antisym, rand_pure_state, rand_state, state_from_dense
 
@@ -167,17 +167,26 @@ def test_canonical_values_match_block_diagonalize(m):
 
 @pytest.mark.parametrize("n", [1, 4])
 def test_admissibility_boundary(n):
-    # Canonical values up to 1 + ADMISSIBILITY_TOL pass; beyond it they are refused.
+    # Canonical values up to 1 + ADMISSIBILITY_TOL pass; beyond it they are
+    # refused, in every input form: covariance, lambdas and Bloch vectors.
     R = scipy.linalg.expm(rand_antisym(rng, 2 * n + 1))
     for lam, ok in ((1 + 5e-10, True), (1 + 2e-9, False)):
         M_ext = R @ antisym.canonical_matrix([lam] + [0.5] * (n - 1), 2 * n + 1) @ R.T
         M_ext = (M_ext - M_ext.T) / 2
         assert st_mod.validate(M_ext)[0] is ok
+        lambdas = [0.5] * (n - 1) + [-lam]
+        blochs = [[0.0, 0.0, 0.5]] * (n - 1) + [[0.0, 0.0, lam]]
         if ok:
             st_mod.DGaussState(n, M_ext[:-1, :-1], M_ext[:-1, -1])
+            st_mod.from_diagonal(lambdas)
+            sim.prepare_product(blochs)
         else:
             with pytest.raises(st_mod.AdmissibilityError, match=r"canonical values exceed 1: \[1\.00000000"):
                 st_mod.DGaussState(n, M_ext[:-1, :-1], M_ext[:-1, -1])
+            with pytest.raises(st_mod.AdmissibilityError, match="diagonal parameters"):
+                st_mod.from_diagonal(lambdas)
+            with pytest.raises(st_mod.AdmissibilityError, match="Bloch vector"):
+                sim.prepare_product(blochs)
 
 
 def test_validate_checks_shape_before_the_spectrum():
