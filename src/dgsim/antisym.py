@@ -69,7 +69,7 @@ def as_index(value, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
-def is_number(value) -> bool:
+def _is_number(value) -> bool:
     """Whether ``value`` is a real number: an int or a float, numpy's too, never a bool."""
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 

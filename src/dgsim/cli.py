@@ -172,7 +172,7 @@ def cmd_embed(args) -> int:
     return EXIT_OK
 
 
-def _dense_operand(args, parse, dense, limit=oracle.ORACLE_MAX_QUBITS) -> np.ndarray:
+def _dense_operand(args, parse, dense, limit: int) -> np.ndarray:
     """A ``matrix`` document's operator, or ``dense(parse(doc))``; refused past ``limit`` qubits before dense work."""
     doc = _read_doc(args.file)
     matrix = isinstance(doc, dict) and "matrix" in doc
@@ -198,7 +198,7 @@ def _verdict(args, test: str, check, operand) -> int:
 
 def cmd_test_state(args) -> int:
     return _verdict(args, "displaced-gaussian-state", embedding.displaced_state_test,
-                    _dense_operand(args, ser.parse_circuit, _evolved_dense))
+                    _dense_operand(args, ser.parse_circuit, _evolved_dense, oracle.ORACLE_MAX_QUBITS))
 
 
 def cmd_test_unitary(args) -> int:

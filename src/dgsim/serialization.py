@@ -5,7 +5,7 @@ unknown fields are rejected with their location; integer fields
 (``n``, gate lines and axes, measured lines, outcome bits, ``shots``,
 ``seed``) must be JSON integers, and float fields (``lambdas``,
 ``bloch``, ``M``, ``mu``, ``h``, ``d``, ``matrix``, gate angles) JSON
-numbers, never booleans or strings (``antisym.is_number``, the rule
+numbers, never booleans or strings (``antisym._is_number``, the rule
 ``Gate`` applies to its angle).  The parsers return checked library
 objects; the measure block's rules are the library's (its lines follow
 ``antisym.as_indices``), located here at their field.  Serialization is
@@ -32,7 +32,7 @@ from math import isfinite
 
 import numpy as np
 
-from .antisym import as_indices, is_number, wrap_angles
+from .antisym import _is_number, as_indices, wrap_angles
 from .simulator import Circuit, MeasurementOp, NumericalAdmissibilityError, Sampling, prepare_product, sampling_arg
 from .state import DGaussState, from_diagonal
 from .unitary import FSWAP, KINDS, LINE1, MATCHGATE, DGUnitary, GateError, GateSequence
@@ -71,7 +71,7 @@ def _check_numbers(value, loc):
         if not set(map(type, value)) <= {int, float}:
             for v in value:
                 _check_numbers(v, loc)
-    elif not is_number(value):
+    elif not _is_number(value):
         raise SchemaError("entries must be JSON numbers", loc)
 
 
@@ -158,7 +158,7 @@ def _parse_gate(obj, i: int):
         raise SchemaError("axes must be integers", f"$.gates[{i}].axes")
     if j == k:
         raise SchemaError("gate axes must differ", f"$.gates[{i}]")
-    if type(angle) not in (int, float) and not is_number(angle):  # plain numbers need no call
+    if not _is_number(angle):
         raise SchemaError("angle must be a number", f"$.gates[{i}].angle")
     try:
         angle = float(angle)

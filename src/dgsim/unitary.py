@@ -22,7 +22,7 @@ gates' fold blocks (the rows each touches and its small rotation Q),
 stacked in array steps when the sequence is built.  The register rules
 are checked there, one array step per rule, and a sequence is read
 through those arrays.  ``Gate`` builds a single gate, its angle by the
-documents' rule (``antisym.is_number``).
+documents' rule (``antisym._is_number``).
 """
 
 from __future__ import annotations
@@ -38,13 +38,13 @@ import scipy.linalg
 from . import oracle
 from .antisym import (
     NumericalAdmissibilityError,
+    _is_number,
     as_index,
     as_indices,
     bordered,
     check_antisymmetric,
     check_rotation,
     expm_antisym,
-    is_number,
     plane_decompose,
     wrap_angles,
 )
@@ -220,11 +220,15 @@ class Gate:
             if j == k:
                 raise ValueError("gate axes must differ")
             object.__setattr__(self, "axes", (j, k))
-            if not is_number(self.angle):
+            if not _is_number(self.angle):
                 raise ValueError(f"{self.kind} gate angle must be a number, got {self.angle!r}")
-            if not math.isfinite(self.angle):
-                raise ValueError(f"{self.kind} gate angle {self.angle} is not finite")
-            object.__setattr__(self, "angle", float(wrap_angles([self.angle])[0]))
+            try:
+                angle = float(self.angle)
+            except OverflowError as exc:
+                raise ValueError(f"{self.kind} gate angle: {exc}") from None
+            if not math.isfinite(angle):
+                raise ValueError(f"{self.kind} gate angle {angle} is not finite")
+            object.__setattr__(self, "angle", float(wrap_angles([angle])[0]))
         elif self.kind == FSWAP:
             if self.line is None or self.axes is not None or self.angle is not None:
                 raise ValueError("fswap gate needs a line index only")

@@ -850,7 +850,7 @@ def test_test_unitary_cap_before_dense_work(tmp_path, capsys, monkeypatch, doc):
     assert code == 0 and calls == {"exp_quadratic": 1, "embed_V": 1}
 
 
-# A gate angle follows one rule, antisym.is_number, whether it reaches a
+# A gate angle follows one rule, antisym._is_number, whether it reaches a
 # Gate or a document: an int or a float, never a bool.
 @pytest.mark.parametrize("angle", [True, np.True_, "0.5", None, Fraction(1, 3)],
                          ids=["bool", "numpy-bool", "string", "none", "fraction"])
@@ -865,6 +865,17 @@ def test_gate_angle_follows_document_rule(tmp_path, capsys, angle):
     code = cli.main(["run", str(path)])
     captured = capsys.readouterr()
     assert code == 2 and captured.err == "parse error: $.gates[0].angle: angle must be a number\n"
+
+
+def test_gate_angle_past_double_range(tmp_path, capsys):
+    # An int the double range cannot hold is a ValueError on both routes.
+    with pytest.raises(ValueError, match="^matchgate gate angle: int too large to convert to float$"):
+        un_mod.Gate(un_mod.MATCHGATE, axes=(0, 1), angle=10**400)
+    doc = circuit_doc(2, [0.5, 0.5], [{"kind": "matchgate", "axes": [0, 1], "angle": 10**400}])
+    code = cli.main(["run", write_doc(tmp_path, "c.json", doc)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "parse error: $.gates[0].angle: int too large to convert to float\n"
 
 
 def test_gate_angle_accepts_numbers():
