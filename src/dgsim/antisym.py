@@ -30,7 +30,6 @@ import operator
 from math import atan2, isfinite, pi
 
 import numpy as np
-import scipy.linalg
 
 ANTISYM_TOL = 1e-12
 ORTHO_TOL = 1e-10
@@ -307,6 +306,8 @@ def canonical_matrix(lambdas, dim: int) -> np.ndarray:
 
 def expm_antisym(h) -> np.ndarray:
     """Matrix exponential of a real antisymmetric matrix (lands in SO)."""
+    import scipy.linalg  # imported on use, so `dgsim run` never loads SciPy (README, Install)
+
     h = check_antisymmetric(np.asarray(h, dtype=float))
     return scipy.linalg.expm(h)
 

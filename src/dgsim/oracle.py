@@ -36,7 +36,6 @@ this convention i*gamma_0*gamma_1 = -Z on line 0, so a state with
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .antisym import (_popcounts, as_bits, as_index, as_indices, bordered, check_antisymmetric,
                       pfaffian_all_restrictions)
@@ -308,6 +307,8 @@ def exp_quadratic(n: int, h, d) -> np.ndarray:
         for k in range(j + 1, 2 * n):
             if h[j, k]:
                 H += h[j, k] * (gammas[j] @ gammas[k])
+    import scipy.linalg  # imported on use, so `dgsim run` never loads SciPy (README, Install)
+
     return scipy.linalg.expm(H)
 
 

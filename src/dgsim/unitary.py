@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
-import scipy.linalg
 
 from . import oracle
 from .antisym import (
@@ -129,6 +128,8 @@ class DGUnitary:
                 "rotation has eigenvalue -1; the principal matrix logarithm "
                 "is ambiguous (the rotation form remains valid)"
             )
+        import scipy.linalg  # imported on use, so `dgsim run` never loads SciPy (README, Install)
+
         G = np.real(scipy.linalg.logm(R))
         G = (G - G.T) / 2
         m = 2 * self.n
@@ -290,14 +291,14 @@ def _check_gates(n: int, kind: np.ndarray, axes: np.ndarray, line: np.ndarray, a
     raise GateError(i, f"fswap line {int(line[i])} out of range")
 
 
-# Local 4x4 rotation of the adjacent fermionic swap: exponential of twice
-# its quadratic generator restricted to the four Majorana axes involved.
-_FSWAP_H4 = np.zeros((4, 4))
-for (_j, _k), _c in (((0, 3), np.pi / 4), ((1, 2), -np.pi / 4),
-                     ((0, 1), -np.pi / 4), ((2, 3), -np.pi / 4)):
-    _FSWAP_H4[_j, _k] = _c
-    _FSWAP_H4[_k, _j] = -_c
-FSWAP_ROTATION4 = scipy.linalg.expm(2 * _FSWAP_H4)
+# The adjacent fermionic swap's 4x4 rotation on its four Majorana axes: the output of
+# scipy.linalg.expm(2 * H4), H4 its generator, frozen as a literal that a test pins.
+FSWAP_ROTATION4 = np.array([
+    [0.0, -2.1107242779036858e-16, 0.9999999999999999, 2.1655851635769996e-16],
+    [1.1102230246251565e-16, 0.0, -5.357004419700457e-18, 0.9999999999999998],
+    [1.0, 2.220446049250313e-16, 1.1102230246251565e-16, -1.1102230246251565e-16],
+    [-1.7896731706608828e-16, 1.0, 2.2809200106419876e-16, 0.0],
+])
 FSWAP_ROTATION4.flags.writeable = False
 
 

@@ -110,6 +110,19 @@ def quartic_unitary():
 # each gate are built exactly as the per-gate evolution built them, so a
 # fold over precomputed blocks must reproduce these carriers bit for bit.
 
+def fswap_generator4():
+    """H4: the adjacent fermionic swap's quadratic generator on its four Majorana axes.
+
+    ``unitary.FSWAP_ROTATION4`` is the literal of scipy.linalg.expm(2 * H4).
+    """
+    H4 = np.zeros((4, 4))
+    for (j, k), c in (((0, 3), np.pi / 4), ((1, 2), -np.pi / 4),
+                      ((0, 1), -np.pi / 4), ((2, 3), -np.pi / 4)):
+        H4[j, k] = c
+        H4[k, j] = -c
+    return H4
+
+
 def reference_block(g):
     """(rows, Q): the gate's rotation acts as Q on the listed axes only."""
     if g.kind == un_mod.FSWAP:

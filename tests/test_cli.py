@@ -1,6 +1,9 @@
 import collections
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from functools import partial
 
@@ -579,6 +582,49 @@ def test_oracle_verify_makes_no_exponential(tmp_path, capsys, monkeypatch):
     code, out = run_cli(capsys, ["oracle-verify", write_doc(tmp_path, "c.json", doc)])
     assert code == 0 and json.loads(out)["ok"] is True
     assert calls == {}
+
+
+# Run in a fresh interpreter (this one holds SciPy): after importing dgsim
+# and its CLI, calls cli.main on each (verb, path) of argv[1] in turn and
+# prints, per call, its exit code and whether SciPy is then loaded.
+_FOOTPRINT = """
+import contextlib, io, json, sys
+import dgsim, dgsim.cli
+report = []
+for verb, path in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = dgsim.cli.main([verb, path])
+    report.append([verb, code, "scipy" in sys.modules])
+print(json.dumps(report))
+"""
+
+
+def test_simulation_verbs_never_import_scipy(tmp_path):
+    # run, embed, test-state and oracle-verify need NumPy alone; compile
+    # (the matrix logarithm) is the first call that loads SciPy.
+    gates = [{"kind": "matchgate", "axes": [1, 2], "angle": 0.7},
+             {"kind": "line1", "axes": [0, 6], "angle": -0.4},
+             {"kind": "fswap", "line": 1}, {"kind": "fswap", "line": 0}]
+    lam = [0.6, -0.3, 0.9]
+    docs = [
+        ("run", circuit_doc(3, lam, gates)),
+        ("run", circuit_doc(3, lam, gates, measure={"lines": [0, 2], "x": [1, 0]})),
+        ("run", circuit_doc(3, lam, gates, measure={"lines": [0, 2], "shots": 20, "seed": 1})),
+        ("embed", {"schema": ser.SCHEMA_VERSION, "n": 1, "M": [[0.0, -0.6], [0.6, 0.0]],
+                   "mu": [0.3, 0.0]}),
+        ("test-state", circuit_doc(3, lam, gates)),
+        ("oracle-verify", circuit_doc(3, lam, gates, measure={"lines": [1], "x": [0]})),
+        ("compile", {"schema": ser.SCHEMA_VERSION, "n": 2, "h": rand_antisym(rng, 4).tolist()}),
+    ]
+    calls = [(verb, write_doc(tmp_path, f"{i}.json", doc)) for i, (verb, doc) in enumerate(docs)]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT, json.dumps(calls)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert [verb for verb, _, _ in report] == [verb for verb, _ in docs]
+    assert [code for _, code, _ in report] == [0] * len(docs)
+    assert [loaded for _, _, loaded in report] == [False] * (len(docs) - 1) + [True]
 
 
 def test_test_state_cap_before_evolution(tmp_path, capsys, monkeypatch):

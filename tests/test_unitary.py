@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dgsim import antisym, oracle, simulator as sim, state as st_mod, unitary as un_mod
 
 from helpers import (
     compose,
     fswap,
+    fswap_generator4,
     gate_dense,
     gate_rotation,
     gate_rows,
@@ -258,6 +260,16 @@ def test_sequence_rotation_matches_product():
 def test_fswap_gate_dense_is_oracle_fswap():
     g = un_mod.Gate(un_mod.FSWAP, line=1)
     assert np.max(np.abs(gate_dense(g, 3) - fswap(3, 1, 2))) < 1e-14
+
+
+def test_fswap_rotation_literal_is_expm():
+    # The fold's fswap block is a literal, so output bytes do not hang on the
+    # installed SciPy.  If this fails on a platform, that platform's expm
+    # already gave other doubles, and so other bytes, before the literal.
+    want = scipy.linalg.expm(2 * fswap_generator4())
+    assert un_mod.FSWAP_ROTATION4.dtype == want.dtype and un_mod.FSWAP_ROTATION4.shape == (4, 4)
+    assert un_mod.FSWAP_ROTATION4.tobytes() == want.tobytes()
+    assert not un_mod.FSWAP_ROTATION4.flags.writeable
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
