@@ -73,6 +73,24 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
+def _is_int(value) -> bool:
+    """Whether a document value is an integer: ``int`` or ``np.integer``, never ``bool``."""
+    return type(value) is int or isinstance(value, np.integer)
+
+
+def _check_fields(obj, required, optional, error):
+    """``obj``, a dict with every required field and no others but optional ones; else raise ``error(message)``."""
+    if not isinstance(obj, dict):
+        raise error(f"expected an object, got {type(obj).__name__}")
+    unknown = set(obj) - set(required) - set(optional)
+    if unknown:
+        raise error(f"unknown field(s) {sorted(unknown)}")
+    missing = set(required) - set(obj)
+    if missing:
+        raise error(f"missing field(s) {sorted(missing)}")
+    return obj
+
+
 def as_indices(J, m: int | None, what: str) -> tuple[int, ...]:
     """Index tuple ``J`` as ints (see ``as_index``): strictly increasing and, given m, in [0, m).
 

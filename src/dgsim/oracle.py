@@ -270,11 +270,12 @@ def gaussian_dense(M_ext: np.ndarray) -> np.ndarray:
 
 
 def covariance_from_dense(A: np.ndarray) -> np.ndarray:
-    """Real extended carrier (M and mu) read off a dense state's moments.
+    """Real extended carrier (M and mu) read off a dense state's moments."""
+    return _carrier_from_moments(moments(A))
 
-    mu_j = Re rho_{(j)} and, for j < k, M_jk = Im rho_{(j,k)}.
-    """
-    values = moments(A)
+
+def _carrier_from_moments(values: np.ndarray) -> np.ndarray:
+    """The carrier of a moment array: mu_j = Re rho_{(j)} and, for j < k, M_jk = Im rho_{(j,k)}."""
     bits = 1 << np.arange(len(values).bit_length() - 1)
     upper = np.triu(values[bits[:, None] | bits].imag, 1)
     return bordered(upper - upper.T, values[bits].real)
@@ -287,8 +288,8 @@ def is_gaussian(A: np.ndarray, tol: float = 1e-7) -> tuple[bool, float]:
     the Wick reconstruction from A's own first and second moments.
     Returns (verdict, max deviation).
     """
-    wick = wick_moment_array(covariance_from_dense(A))
-    dev = float(np.abs(moments(A) - wick).max())
+    values = moments(A)
+    dev = float(np.abs(values - wick_moment_array(_carrier_from_moments(values))).max())
     return dev <= tol, dev
 
 

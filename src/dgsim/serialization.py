@@ -5,10 +5,11 @@ unknown fields are rejected with their location; integer fields
 (``n``, gate lines and axes, measured lines, outcome bits, ``shots``,
 ``seed``) must be JSON integers, and float fields (``lambdas``,
 ``bloch``, ``M``, ``mu``, ``h``, ``d``, ``matrix``, gate angles) JSON
-numbers, never booleans or strings (``antisym._is_number``, the rule
-``Gate`` applies to its angle).  The parsers return checked library
-objects; the measure block's rules are the library's (its lines follow
-``antisym.as_indices``), located here at their field.  Serialization is
+numbers, never booleans or strings (``antisym._is_int`` and
+``_is_number``).  The parsers return checked library objects, by the
+library's rules located here at their field: a gate's fields follow
+``unitary._gate_row``, the rule a ``Gate`` follows, and the measure
+block's lines ``antisym.as_indices``.  Serialization is
 byte-deterministic -- keys are emitted in sorted order and floats with
 17 significant digits -- so fixture files are diffable and stable.
 
@@ -32,10 +33,10 @@ from math import isfinite
 
 import numpy as np
 
-from .antisym import _is_number, as_indices, wrap_angles
+from .antisym import _check_fields, _is_int, _is_number, as_indices, wrap_angles
 from .simulator import Circuit, MeasurementOp, NumericalAdmissibilityError, Sampling, prepare_product, sampling_arg
 from .state import DGaussState, from_diagonal
-from .unitary import FSWAP, KINDS, LINE1, MATCHGATE, DGUnitary, GateError, GateSequence
+from .unitary import _FSWAP, FSWAP, KINDS, DGUnitary, GateError, GateSequence, _gate_row
 
 SCHEMA_VERSION = "dgsim/1"
 
@@ -50,15 +51,7 @@ class SchemaError(ValueError):
 
 def _take(obj, required, optional, loc):
     """Validate a JSON object's keys and return it; reject unknowns."""
-    if not isinstance(obj, dict):
-        raise SchemaError(f"expected an object, got {type(obj).__name__}", loc)
-    unknown = set(obj) - set(required) - set(optional)
-    if unknown:
-        raise SchemaError(f"unknown field(s) {sorted(unknown)}", loc)
-    missing = set(required) - set(obj)
-    if missing:
-        raise SchemaError(f"missing field(s) {sorted(missing)}", loc)
-    return obj
+    return _check_fields(obj, required, optional, lambda message: SchemaError(message, loc))
 
 
 def _check_numbers(value, loc):
@@ -103,11 +96,6 @@ def _covariance(obj, n: int, loc: str) -> tuple[np.ndarray, np.ndarray]:
     return M, mu
 
 
-def _is_int(value) -> bool:
-    """Whether a document value is an integer: ``int`` or ``np.integer``, never ``bool``."""
-    return type(value) is int or isinstance(value, np.integer)
-
-
 def _header(obj, fields, optional=()) -> int:
     """The size ``n`` of a document with these fields besides schema and n.
 
@@ -125,48 +113,6 @@ def _header(obj, fields, optional=()) -> int:
     return int(n)
 
 
-_GATE_KEYS = {FSWAP: {"kind", "line"}, MATCHGATE: {"kind", "axes", "angle"},
-              LINE1: {"kind", "axes", "angle"}}
-_KIND_CODES = {kind: code for code, kind in enumerate(KINDS)}
-_FSWAP_CODE = _KIND_CODES[FSWAP]
-
-
-def _parse_gate(obj, i: int):
-    """(kind code, j, k, line, angle) of gate document i; the angle is not yet normalized.
-
-    Errors name ``$.gates[i]``.  Only the document's structure and types
-    are checked here; the register rules are GateSequence's.
-    """
-    kind = obj.get("kind") if isinstance(obj, dict) else None
-    keys = _GATE_KEYS.get(kind) if isinstance(kind, str) else None
-    if keys is None or obj.keys() != keys:
-        loc = f"$.gates[{i}]"
-        _take(obj, {"kind"}, {"axes", "angle", "line"}, loc)
-        if keys is None:
-            raise SchemaError(f"unknown gate kind {kind!r}", loc)
-        _take(obj, keys, set(), loc)
-    if kind == FSWAP:
-        line = obj["line"]
-        if not _is_int(line):
-            raise SchemaError("line must be an integer", f"$.gates[{i}].line")
-        return _KIND_CODES[kind], -1, -1, line, 0.0
-    axes, angle = obj["axes"], obj["angle"]
-    if not (isinstance(axes, list) and len(axes) == 2):
-        raise SchemaError("axes must be a pair", f"$.gates[{i}].axes")
-    j, k = axes
-    if not (_is_int(j) and _is_int(k)):
-        raise SchemaError("axes must be integers", f"$.gates[{i}].axes")
-    if j == k:
-        raise SchemaError("gate axes must differ", f"$.gates[{i}]")
-    if not _is_number(angle):
-        raise SchemaError("angle must be a number", f"$.gates[{i}].angle")
-    try:
-        angle = float(angle)
-    except OverflowError as exc:
-        raise SchemaError(str(exc), f"$.gates[{i}].angle") from None
-    return _KIND_CODES[kind], j, k, -1, angle
-
-
 def _parse_gates(docs, n: int) -> GateSequence:
     """The gate list as a GateSequence: one pass over the dicts, then array steps.
 
@@ -176,12 +122,13 @@ def _parse_gates(docs, n: int) -> GateSequence:
     """
     if not isinstance(docs, list):
         raise SchemaError("gates must be a list", "$.gates")
-    rows = [_parse_gate(obj, i) for i, obj in enumerate(docs)]
-    kind, j, k, line, angle = zip(*rows) if rows else ((),) * 5
     try:
+        rows = [_gate_row(obj, i) for i, obj in enumerate(docs)]
+        kind, j, k, line, angle = zip(*rows) if rows else ((),) * 5
         return GateSequence._from_columns(n, kind, j, k, line, wrap_angles(angle))
     except GateError as exc:
-        raise SchemaError(str(exc), f"$.gates[{exc.index}]") from None
+        field = f".{exc.field}" if exc.field else ""
+        raise SchemaError(str(exc), f"$.gates[{exc.index}]{field}") from None
 
 
 def _located(loc: str, check, *args):
@@ -343,7 +290,7 @@ def _emit_gates(seq: GateSequence, out):
     _refuse_non_finite(seq.angle)
     columns = zip(seq.kind.tolist(), seq.axes.tolist(), seq.line.tolist(), seq.angle.tolist())
     out.append("[" + ",".join([
-        _GATE_TEMPLATES[code] % ((line,) if code == _FSWAP_CODE else (angle, j, k))
+        _GATE_TEMPLATES[code] % ((line,) if code == _FSWAP else (angle, j, k))
         for code, (j, k), line, angle in columns
     ]) + "]")
 

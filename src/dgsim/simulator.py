@@ -118,8 +118,6 @@ def _scaled_sqrt_det(A: np.ndarray, k: int, negative: str) -> float:
 
 def _expectation_from_M(M: np.ndarray, m: MeasurementOp) -> float:
     k = len(m.K)
-    if k == 0:
-        return 1.0
     idx = _measured_axes(m.K)
     # det(I - M_rho M_meas) = det(I_{2k} - S C) with S the compression
     # of M_rho onto the measured axes.

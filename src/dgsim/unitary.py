@@ -21,8 +21,8 @@ kind codes, axes, fswap lines and angles, one entry per gate, plus the
 gates' fold blocks (the rows each touches and its small rotation Q),
 stacked in array steps when the sequence is built.  The register rules
 are checked there, one array step per rule, and a sequence is read
-through those arrays.  ``Gate`` builds a single gate, its angle by the
-documents' rule (``antisym._is_number``).
+through those arrays.  A gate's fields follow one rule, ``_gate_row``,
+whether they come as a ``Gate`` or as a gate document.
 """
 
 from __future__ import annotations
@@ -37,8 +37,10 @@ import numpy as np
 from . import oracle
 from .antisym import (
     NumericalAdmissibilityError,
+    _check_fields,
+    _is_int,
     _is_number,
-    as_index,
+    as_index,  # noqa: F401 - the one index rule, importable from here too
     as_indices,
     bordered,
     check_antisymmetric,
@@ -204,9 +206,57 @@ def _in_window(j, k):
     return (j // 4 == k // 4) | ((j - 2) // 4 == (k - 2) // 4)
 
 
+# A gate's fields by kind: the one table for a Gate and a gate document.
+_GATE_FIELDS = {MATCHGATE: {"kind", "axes", "angle"}, LINE1: {"kind", "axes", "angle"}, FSWAP: {"kind", "line"}}
+
+
+class GateError(ValueError):
+    """Gate ``index`` of a sequence breaks a gate rule; ``field`` names the field at fault, if one does."""
+
+    def __init__(self, index: int, message: str, field: str | None = None):
+        super().__init__(message)
+        self.index = index
+        self.field = field
+
+
+def _gate_row(doc, i: int):
+    """(kind code, j, k, line, angle) of gate ``i`` from the dict of its fields: the one field rule.
+
+    A Gate and a gate document both pass here.  A breach raises GateError
+    naming the field at fault, if one is.  The angle is not yet normalized.
+    """
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    keys = _GATE_FIELDS.get(kind) if isinstance(kind, str) else None
+    if keys is None or doc.keys() != keys:
+        error = functools.partial(GateError, i)
+        _check_fields(doc, {"kind"}, {"axes", "angle", "line"}, error)
+        if keys is None:
+            raise error(f"unknown gate kind {kind!r}")
+        _check_fields(doc, keys, (), error)
+    if kind == FSWAP:
+        if not _is_int(doc["line"]):
+            raise GateError(i, "line must be an integer", "line")
+        return _FSWAP, -1, -1, doc["line"], 0.0
+    axes, angle = doc["axes"], doc["angle"]
+    # A document's axes are a list, tested first; a Gate's may also be a tuple or an array.
+    if not ((isinstance(axes, list) or isinstance(axes, (tuple, np.ndarray))) and len(axes) == 2):
+        raise GateError(i, "axes must be a pair", "axes")
+    j, k = axes
+    if not (_is_int(j) and _is_int(k)):
+        raise GateError(i, "axes must be integers", "axes")
+    if j == k:
+        raise GateError(i, "gate axes must differ")
+    if not _is_number(angle):
+        raise GateError(i, "angle must be a number", "angle")
+    try:
+        return _MATCHGATE if kind == MATCHGATE else _LINE1, j, k, -1, float(angle)
+    except OverflowError as exc:
+        raise GateError(i, str(exc), "angle") from None
+
+
 @dataclass(frozen=True)
 class Gate:
-    """One element of the compiler's alphabet; see the module docstring."""
+    """One element of the compiler's alphabet (module docstring); its fields follow ``_gate_row``."""
 
     kind: str
     axes: tuple[int, int] | None = None
@@ -214,40 +264,20 @@ class Gate:
     line: int | None = None
 
     def __post_init__(self):
-        if self.kind in (MATCHGATE, LINE1):
-            if self.axes is None or self.line is not None:
-                raise ValueError(f"{self.kind} gate needs axes and angle only")
-            j, k = (as_index(a, "gate axis") for a in self.axes)
-            if j == k:
-                raise ValueError("gate axes must differ")
-            object.__setattr__(self, "axes", (j, k))
-            if not _is_number(self.angle):
-                raise ValueError(f"{self.kind} gate angle must be a number, got {self.angle!r}")
-            try:
-                angle = float(self.angle)
-            except OverflowError as exc:
-                raise ValueError(f"{self.kind} gate angle: {exc}") from None
-            if not math.isfinite(angle):
-                raise ValueError(f"{self.kind} gate angle {angle} is not finite")
-            object.__setattr__(self, "angle", float(wrap_angles([angle])[0]))
-        elif self.kind == FSWAP:
-            if self.line is None or self.axes is not None or self.angle is not None:
-                raise ValueError("fswap gate needs a line index only")
-            object.__setattr__(self, "line", as_index(self.line, "fswap line"))
-        else:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
+        keys = _GATE_FIELDS.get(self.kind, ()) if isinstance(self.kind, str) else ()
+        _, j, k, line, angle = _gate_row(
+            {f: v for f, v in vars(self).items() if f == "kind" or f in keys or v is not None}, 0)
+        if self.kind == FSWAP:
+            object.__setattr__(self, "line", int(line))
+            return
+        if not math.isfinite(angle):
+            raise GateError(0, f"{self.kind} gate angle {angle} is not finite", "angle")
+        object.__setattr__(self, "axes", (int(j), int(k)))
+        object.__setattr__(self, "angle", float(wrap_angles([angle])[0]))
 
     def validate(self, n: int):
         """Raise ValueError unless the gate fits an n-line register (GateSequence's check)."""
         GateSequence(n, (self,))
-
-
-class GateError(ValueError):
-    """Gate ``index`` of a sequence does not fit the register."""
-
-    def __init__(self, index: int, message: str):
-        super().__init__(message)
-        self.index = index
 
 
 def _index_column(values) -> np.ndarray:
@@ -376,9 +406,8 @@ class GateSequence:
     def _from_columns(cls, n: int, kind, j, k, line, angle) -> "GateSequence":
         """A sequence from per-gate columns: kind codes, axes j and k, lines, angles.
 
-        The caller has checked each gate's structure (a plane gate's two
-        axes differ) and normalized its angle; the register rules are
-        checked here.
+        The caller has checked each gate's fields (``_gate_row``) and
+        normalized its angle; the register rules are checked here.
         """
         seq = cls.__new__(cls)
         seq._fill(n, kind, j, k, line, angle)

@@ -65,6 +65,13 @@ def test_run_expectation_trivial(tmp_path, capsys):
     assert json.loads(out)["value"] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_run_expectation_of_no_lines(tmp_path, capsys):
+    path = write_doc(tmp_path, "c.json", circuit_doc(2, [0.5, -0.2], measure={"lines": [], "x": []}))
+    code, out = run_cli(capsys, ["run", path])
+    assert code == 0
+    assert out == '{"mode":"expectation","n":2,"schema":"dgsim/1","value":1}\n'
+
+
 def test_run_state_mode(tmp_path, capsys):
     gates = [{"kind": "matchgate", "axes": [0, 1], "angle": 0.3}]
     path = write_doc(tmp_path, "c.json", circuit_doc(2, [0.5, -0.2], gates))
@@ -896,12 +903,12 @@ def test_test_unitary_cap_before_dense_work(tmp_path, capsys, monkeypatch, doc):
     assert code == 0 and calls == {"exp_quadratic": 1, "embed_V": 1}
 
 
-# A gate angle follows one rule, antisym._is_number, whether it reaches a
-# Gate or a document: an int or a float, never a bool.
+# A gate angle follows one rule, unitary._gate_row, whether it reaches a
+# Gate or a document: an int or a float, never a bool, refused in the same words.
 @pytest.mark.parametrize("angle", [True, np.True_, "0.5", None, Fraction(1, 3)],
                          ids=["bool", "numpy-bool", "string", "none", "fraction"])
 def test_gate_angle_follows_document_rule(tmp_path, capsys, angle):
-    with pytest.raises(ValueError, match="matchgate gate angle must be a number"):
+    with pytest.raises(un_mod.GateError, match="^angle must be a number$"):
         un_mod.Gate(un_mod.MATCHGATE, axes=(0, 1), angle=angle)
     doc = circuit_doc(2, [0.5, 0.5], [{"kind": "matchgate", "axes": [0, 1], "angle": angle}])
     with pytest.raises(ser.SchemaError, match=r"^\$\.gates\[0\]\.angle: angle must be a number$"):
@@ -915,7 +922,7 @@ def test_gate_angle_follows_document_rule(tmp_path, capsys, angle):
 
 def test_gate_angle_past_double_range(tmp_path, capsys):
     # An int the double range cannot hold is a ValueError on both routes.
-    with pytest.raises(ValueError, match="^matchgate gate angle: int too large to convert to float$"):
+    with pytest.raises(un_mod.GateError, match="^int too large to convert to float$"):
         un_mod.Gate(un_mod.MATCHGATE, axes=(0, 1), angle=10**400)
     doc = circuit_doc(2, [0.5, 0.5], [{"kind": "matchgate", "axes": [0, 1], "angle": 10**400}])
     code = cli.main(["run", write_doc(tmp_path, "c.json", doc)])

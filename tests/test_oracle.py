@@ -98,6 +98,18 @@ def test_is_gaussian_labels():
     assert not verdict and dev > 1e-3
 
 
+def test_is_gaussian_reads_moments_once(monkeypatch):
+    # The carrier and the deviation come from one moment array.
+    calls = []
+    real = oracle.moments
+    monkeypatch.setattr(oracle, "moments", lambda A: calls.append(A) or real(A))
+    s = rand_state(rng, 3)
+    for A in (oracle.gaussian_dense(s.M_ext), ghz4()):
+        calls.clear()
+        oracle.is_gaussian(A)
+        assert len(calls) == 1
+
+
 def test_is_even():
     assert oracle.is_even(ghz4())
     s = rand_state(rng, 2)

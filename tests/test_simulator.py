@@ -81,6 +81,12 @@ def test_expectation_matches_born():
                 assert p == pytest.approx(oracle.born_probability(rho, K, x), abs=1e-8)
 
 
+def test_expectation_of_no_lines_is_one():
+    # The determinant of the empty 0 x 0 matrix is 1, so no line measured has probability 1.
+    s = rand_state(rng, 3)
+    assert sim.expectation(s, sim.MeasurementOp((), ())) == 1.0
+
+
 def test_expectation_rejects_negative_line():
     s = st_mod.from_diagonal([1.0, 0.5, -1.0])
     with pytest.raises(IndexError, match="measured line -1 out of range"):
