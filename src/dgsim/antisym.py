@@ -26,7 +26,6 @@ refused by check_antisymmetric and check_rotation, is one and a ValueError.
 from __future__ import annotations
 
 import heapq
-import operator
 from math import atan2, isfinite, pi
 
 import numpy as np
@@ -58,24 +57,21 @@ class NonFiniteError(ValueError, NumericalAdmissibilityError):
     """A matrix or vector holds a NaN or an infinity."""
 
 
+def _is_int(value) -> bool:
+    """Whether a value is an integer: ``int`` or ``np.integer``, never ``bool``; the one integer rule."""
+    return type(value) is int or isinstance(value, np.integer)
+
+
 def as_index(value, what: str) -> int:
-    """``value`` as an int: a Python or numpy integer, never a bool or a float."""
-    if not isinstance(value, (bool, np.bool_)):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
+    """``value`` as an int if ``_is_int(value)``; else ValueError."""
+    if _is_int(value):
+        return int(value)
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def _is_number(value) -> bool:
     """Whether ``value`` is a real number: an int or a float, numpy's too, never a bool."""
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-
-
-def _is_int(value) -> bool:
-    """Whether a document value is an integer: ``int`` or ``np.integer``, never ``bool``."""
-    return type(value) is int or isinstance(value, np.integer)
 
 
 def _check_fields(obj, required, optional, error):
@@ -143,6 +139,23 @@ def check_rotation(R) -> np.ndarray:
     if abs(np.linalg.det(R) - 1.0) > 1e-8:
         raise ValueError("matrix has determinant != +1")
     return R
+
+
+def _check_carrier(M_ext) -> np.ndarray:
+    """``M_ext`` as a float extended carrier: antisymmetric (``check_antisymmetric``), odd dimension."""
+    M_ext = check_antisymmetric(np.asarray(M_ext, dtype=float))
+    if M_ext.shape[0] % 2 == 0:
+        raise ValueError("extended carrier must have odd dimension")
+    return M_ext
+
+
+def _check_generator(n: int, h, d) -> tuple[np.ndarray, np.ndarray]:
+    """Generator (h, d) on n lines as float arrays: h antisymmetric 2n x 2n, d of length 2n."""
+    h = check_antisymmetric(np.asarray(h, dtype=float))
+    d = np.asarray(d, dtype=float)
+    if h.shape != (2 * n, 2 * n) or d.shape != (2 * n,):
+        raise ValueError("generator dimensions do not match n")
+    return h, d
 
 
 def bordered(A, v) -> np.ndarray:

@@ -30,7 +30,7 @@ EXIT_CAP = 4
 
 
 class CliError(Exception):
-    """A bad flag or an unreadable file."""
+    """A bad flag, an unreadable file or an unwritable ``--out`` path."""
 
 
 # The failure map: the first class an error is an instance of picks its exit code and stderr prefix.
@@ -61,14 +61,17 @@ def _write(doc, out_path: str | None):
     A crash then leaves a missing, short or complete file, never new
     bytes mixed with old ones.  Symlinks, devices and FIFOs are written
     through.  The document is formatted first, so a refused result
-    leaves the old file as it was.
+    leaves the old file as it was.  An unwritable path is a CliError.
     """
     text = ser.dumps(doc)
     if out_path:
-        if os.path.isfile(out_path) and not os.path.islink(out_path):
-            os.unlink(out_path)
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            if os.path.isfile(out_path) and not os.path.islink(out_path):
+                os.unlink(out_path)
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write {out_path}: {exc}") from None
     else:
         sys.stdout.write(text)
 

@@ -21,6 +21,8 @@ from .state import DGaussState
 from .unitary import UNITARY_TOL, DGUnitary
 
 GAUSSIAN_TOL = 1e-7
+# A dense state is pure when |Tr(rho^2) - 1| is below this.
+PURITY_TOL = 1e-8
 # displaced_unitary_test on n lines runs the Choi-state test on max_entangled(n + 1).
 UNITARY_TEST_MAX_QUBITS = oracle.ORACLE_MAX_PAIRED - 1
 
@@ -115,8 +117,8 @@ def embed_unitary(U: DGUnitary) -> DGUnitary:
 
 def embed_dense(rho: np.ndarray) -> np.ndarray:
     """Dense even embedding E(rho) = V (rho x |+><+|) V^dagger."""
+    n = oracle._operator_lines(np.asarray(rho))
     rho = oracle.check_state(rho)
-    n = int(rho.shape[0]).bit_length() - 1
     V = oracle.embed_V(n)
     plus = np.full((2, 2), 0.5, dtype=complex)
     return V @ np.kron(rho, plus) @ V.conj().T
@@ -132,9 +134,7 @@ def gaussian_state_test(psi: np.ndarray, tol: float = GAUSSIAN_TOL):
     Gaussian inputs.
     """
     psi = oracle.check_state(psi)
-    if not oracle.is_even(psi):
-        raise ValueError("the convolution overlap test needs an even state")
-    if abs(float(np.real(np.trace(psi @ psi))) - 1.0) > 1e-8:
+    if abs(float(np.real(np.trace(psi @ psi))) - 1.0) > PURITY_TOL:
         raise ValueError("the convolution overlap test needs a pure state")
     conv = oracle.fermionic_convolution(psi, psi)
     overlap = float(np.real(np.trace(psi @ conv)))
@@ -154,12 +154,11 @@ def gaussian_unitary_test(U: np.ndarray, tol: float = GAUSSIAN_TOL):
     ``(verdict, deviation)``.
     """
     U = np.asarray(U, dtype=complex)
-    dim = U.shape[0]
-    if U.shape != (dim, dim) or np.max(np.abs(U @ U.conj().T - np.eye(dim))) > UNITARY_TOL:
+    n = oracle._operator_lines(U)
+    if np.max(np.abs(U @ U.conj().T - np.eye(len(U)))) > UNITARY_TOL:
         raise ValueError("input is not unitary")
-    n = dim.bit_length() - 1
     rho_E = oracle.max_entangled(n)
-    W = np.kron(U, np.eye(dim, dtype=complex))
+    W = np.kron(U, np.eye(len(U), dtype=complex))
     return gaussian_mixed_test(W @ rho_E @ W.conj().T, tol=tol)
 
 
@@ -176,7 +175,7 @@ def displaced_state_test(rho: np.ndarray, tol: float = GAUSSIAN_TOL):
     ``(verdict, deviation)``.
     """
     rho = oracle.check_state(rho)
-    if abs(float(np.real(np.trace(rho @ rho))) - 1.0) < 1e-8:
+    if abs(float(np.real(np.trace(rho @ rho))) - 1.0) < PURITY_TOL:
         return gaussian_mixed_test(embed_dense(rho), tol=tol)
     return gaussian_mixed_test(rho, tol=tol)
 
@@ -190,8 +189,7 @@ def displaced_unitary_test(U: np.ndarray, tol: float = GAUSSIAN_TOL):
     lines raises OracleCapError before any dense work.
     """
     U = np.asarray(U, dtype=complex)
-    dim = U.shape[0]
-    n = dim.bit_length() - 1
+    n = oracle._operator_lines(U)
     oracle._check_cap(n, UNITARY_TEST_MAX_QUBITS)
     V = oracle.embed_V(n)
     W = V @ np.kron(U, np.eye(2, dtype=complex)) @ V.conj().T

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .antisym import (_popcounts, as_bits, as_index, as_indices, bordered, check_antisymmetric,
+from .antisym import (_check_carrier, _check_generator, _popcounts, as_bits, as_index, as_indices, bordered,
                       pfaffian_all_restrictions)
 
 ORACLE_MAX_QUBITS = 6
@@ -57,6 +57,14 @@ def _check_cap(n: int, limit: int = ORACLE_MAX_QUBITS):
         raise ValueError("qubit count must be positive")
     if n > limit:
         raise OracleCapError(f"dense oracle capped at {limit} qubits, got {n}")
+
+
+def _operator_lines(A) -> int:
+    """n of a 2^n x 2^n operator A, the one size rule of the dense entry points; else ValueError."""
+    n = max(A.shape, default=0).bit_length() - 1
+    if A.shape != (2**n, 2**n):
+        raise ValueError("operator dimension is not a power of two")
+    return n
 
 
 PAULIS = (
@@ -88,10 +96,7 @@ def _pauli_string_dense(codes) -> np.ndarray:
 
 
 def _majorana_codes(n: int, a: int) -> tuple[int, ...]:
-    """Pauli-string codes of Majorana operator ``a`` (``as_index``) on ``n`` lines."""
-    a = as_index(a, "Majorana index")
-    if not 0 <= a < 2 * n:
-        raise IndexError(f"Majorana index {a} out of range for n={n}")
+    """Pauli-string codes of Majorana operator ``a`` on ``n`` lines; ``a`` is a checked int in [0, 2n)."""
     q = a // 2
     return (3,) * q + (1 if a % 2 == 0 else 2,) + (0,) * (n - q - 1)
 
@@ -99,18 +104,15 @@ def _majorana_codes(n: int, a: int) -> tuple[int, ...]:
 def majorana(n: int, a: int) -> np.ndarray:
     """Dense Majorana operator: Z-string, then X (even a) or Y (odd a)."""
     _check_cap(n, 2 * ORACLE_MAX_PAIRED)
+    (a,) = as_indices((a,), 2 * n, "Majorana index")
     return _pauli_string_dense(_majorana_codes(n, a))
 
 
 def monomial_string(n: int, J) -> tuple[complex, tuple[int, ...]]:
-    """Ordered Majorana product gamma_J as (phase, Pauli-string codes)."""
+    """Ordered Majorana product gamma_J as (phase, Pauli-string codes); J follows ``as_indices``."""
     codes = [0] * n
     phase = 1.0 + 0j
-    prev = -1
-    for a in J:
-        if a <= prev:
-            raise IndexError("monomial indices must be strictly increasing")
-        prev = a
+    for a in as_indices(J, 2 * n, "monomial index"):
         for q, c in enumerate(_majorana_codes(n, a)):
             if c:
                 phase *= _MUL_PHASE[codes[q], c]
@@ -145,7 +147,7 @@ def pauli_tensor(A: np.ndarray) -> np.ndarray:
     ((b00+b11)/2, (b01+b10)/2, i(b01-b10)/2, (b00-b11)/2).  n whole-array
     steps, O(n 4^n) arithmetic.
     """
-    n = int(A.shape[0]).bit_length() - 1
+    n = _operator_lines(A)
     X = A.reshape(1, 1 << n, 1 << n)
     for q in range(n):
         h = 1 << (n - q - 1)
@@ -217,9 +219,7 @@ def moments(A: np.ndarray) -> np.ndarray:
     gamma_J = phase_J * P: one Pauli transform and one gather through
     the monomial table, O(n 4^n).
     """
-    n = int(A.shape[0]).bit_length() - 1
-    if A.shape != (1 << n, 1 << n):
-        raise ValueError("operator dimension is not a power of two")
+    n = _operator_lines(A)
     C = pauli_tensor(A).reshape(-1)
     index, phase = _monomial_table(n)
     values = np.conj(phase) * (1 << n) * C[index]
@@ -236,11 +236,8 @@ def wick_moment_array(M_ext: np.ndarray) -> np.ndarray:
     |J| reads i^{|J|/2} Pf(M_J), an odd |J| reads
     -i * i^{(|J|+1)/2} Pf(M_{J + mean axis}).
     """
-    M_ext = check_antisymmetric(np.asarray(M_ext, dtype=float))
-    m = M_ext.shape[0]
-    if m % 2 == 0:
-        raise ValueError("extended carrier must have odd dimension")
-    nmaj = m - 1
+    M_ext = _check_carrier(M_ext)
+    nmaj = M_ext.shape[0] - 1
     pf = pfaffian_all_restrictions(M_ext)
     size = _popcounts(nmaj)
     coef = np.array([
@@ -296,10 +293,7 @@ def is_gaussian(A: np.ndarray, tol: float = 1e-7) -> tuple[bool, float]:
 def exp_quadratic(n: int, h, d) -> np.ndarray:
     """Dense displaced Gaussian unitary exp(1/2 gamma^T h gamma + i d^T gamma)."""
     _check_cap(n, 2 * ORACLE_MAX_PAIRED)
-    h = check_antisymmetric(np.asarray(h, dtype=float))
-    d = np.asarray(d, dtype=float)
-    if h.shape != (2 * n, 2 * n) or d.shape != (2 * n,):
-        raise ValueError("generator dimensions do not match n")
+    h, d = _check_generator(n, h, d)
     H = np.zeros((1 << n, 1 << n), dtype=complex)
     gammas = [majorana(n, a) for a in range(2 * n)]
     for j in range(2 * n):
@@ -336,7 +330,7 @@ def conv_unitary(n: int) -> np.ndarray:
 
 def is_even(A: np.ndarray) -> bool:
     """True iff A commutes with the total parity operator Z...Z."""
-    n = int(A.shape[0]).bit_length() - 1
+    n = _operator_lines(A)
     par = _pauli_string_dense((3,) * n)
     return bool(np.abs(par @ A @ par - A).max() <= PARITY_TOL * max(1.0, np.abs(A).max()))
 
@@ -363,7 +357,7 @@ def partial_trace_second(A: np.ndarray, n_keep: int) -> np.ndarray:
 
 def fermionic_convolution(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Even-state convolution Tr_2[W (rho tensor sigma) W^dag]."""
-    n = int(rho.shape[0]).bit_length() - 1
+    n = _operator_lines(rho)
     _check_cap(n, ORACLE_MAX_PAIRED)
     if rho.shape != sigma.shape:
         raise ValueError("convolution inputs must have equal dimension")
@@ -426,7 +420,7 @@ def max_entangled(n: int) -> np.ndarray:
 
 def born_probability(rho: np.ndarray, K, x) -> float:
     """Probability of outcome bits x on lines K, computed densely."""
-    n = int(rho.shape[0]).bit_length() - 1
+    n = _operator_lines(rho)
     K = as_indices(K, n, "measured line")
     x = as_bits(x, len(K))
     diag = np.ones(1 << n)

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import oracle
-from .antisym import (KERNEL_TOL, NumericalAdmissibilityError, as_indices, bordered, canonical_matrix,
-                      check_antisymmetric, pfaffian_restricted)
+from .antisym import (KERNEL_TOL, NumericalAdmissibilityError, _check_carrier, as_indices, bordered,
+                      canonical_matrix, check_antisymmetric, pfaffian_restricted)
 
 ADMISSIBILITY_TOL = 1e-9
 SATURATION_TOL = 1e-9
@@ -50,9 +50,7 @@ def _canonical_values(M_ext) -> list[float]:
     cut KERNEL_TOL * scale: the lambdas of ``block_diagonalize``, read
     from one ``eigvalsh`` without building its rotation.
     """
-    M_ext = check_antisymmetric(np.asarray(M_ext, dtype=float))
-    if M_ext.shape[0] % 2 == 0:
-        raise ValueError("extended carrier must have odd dimension")
+    M_ext = _check_carrier(M_ext)
     cut = KERNEL_TOL * max(1.0, float(np.abs(M_ext).max()))
     return [lam for lam in np.linalg.eigvalsh(1j * M_ext)[::-1].tolist() if lam > cut]
 

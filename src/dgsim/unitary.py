@@ -38,9 +38,9 @@ from . import oracle
 from .antisym import (
     NumericalAdmissibilityError,
     _check_fields,
+    _check_generator,
     _is_int,
     _is_number,
-    as_index,  # noqa: F401 - the one index rule, importable from here too
     as_indices,
     bordered,
     check_antisymmetric,
@@ -84,10 +84,7 @@ class DGUnitary:
         if self.h is None and self.R is None:
             raise ValueError("need a generator or a rotation")
         if self.h is not None:
-            h = check_antisymmetric(np.asarray(self.h, dtype=float))
-            d = np.zeros(2 * self.n) if self.d is None else np.asarray(self.d, dtype=float)
-            if h.shape != (2 * self.n, 2 * self.n) or d.shape != (2 * self.n,):
-                raise ValueError("generator dimensions do not match n")
+            h, d = _check_generator(self.n, self.h, np.zeros(2 * self.n) if self.d is None else self.d)
             object.__setattr__(self, "h", h)
             object.__setattr__(self, "d", d)
         if self.R is not None:
@@ -528,8 +525,8 @@ def _compile_adjacency(n: int) -> np.ndarray:
     return (_in_window(j, k) & (j < ext) & (k < ext)) | (line1[:, None] & line1[None, :])
 
 
-def compile_rotation(R, n: int) -> GateSequence:
-    """Factor R in SO(2n+1) into the nearest-neighbor gate alphabet.
+def compile(U: DGUnitary) -> GateSequence:  # noqa: A001 - established API name
+    """Factor U's rotation R in SO(2n+1) into the nearest-neighbor gate alphabet.
 
     Plane-rotation synthesis over the allowed-axis-pair graph
     (``plane_decompose``, which checks R); the emitted sequence
@@ -538,15 +535,14 @@ def compile_rotation(R, n: int) -> GateSequence:
     with C = 9.  A plane that touches the extension axis 2n is a line1
     gate, any other a matchgate.
     """
-    R = np.asarray(R, dtype=float)
-    if R.shape != (2 * n + 1, 2 * n + 1):
-        raise ValueError("rotation dimension does not match n")
-    axes, angles = plane_decompose(R, _compile_adjacency(n))
+    n = U.n
+    axes, angles = plane_decompose(U.rotation(), _compile_adjacency(n))
     kind = np.where((axes == 2 * n).any(axis=1), _LINE1, _MATCHGATE)
     # plane_decompose normalized each angle twice; a Gate normalizes it once more.
     return GateSequence._from_columns(n, kind, axes[:, 0], axes[:, 1], np.full(len(axes), -1),
                                       wrap_angles(angles))
 
 
-def compile(U: DGUnitary) -> GateSequence:  # noqa: A001 - established API name
-    return compile_rotation(U.rotation(), U.n)
+def compile_rotation(R, n: int) -> GateSequence:
+    """``compile`` of the unitary with rotation R on n lines (``DGUnitary`` checks R)."""
+    return compile(DGUnitary.from_rotation(n, R))

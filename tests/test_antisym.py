@@ -1,3 +1,5 @@
+import enum
+
 import numpy as np
 import pytest
 
@@ -114,9 +116,26 @@ def test_one_index_rule_at_every_entry_point(user, J, verdict):
         assert isinstance(exc.value, ValueError) and isinstance(exc.value, IndexError)
 
 
-def test_as_index_is_shared():
-    # One index rule, importable from unitary as before.
-    assert un_mod.as_index is antisym.as_index
+class _Line(enum.IntEnum):
+    FIRST = 1
+
+
+class _Indexable:
+    def __index__(self):
+        return 1
+
+
+@pytest.mark.parametrize("value", [1, np.int64(1), np.uint8(1), True, np.True_, 1.0, np.float64(1),
+                                   np.array(1), _Line.FIRST, _Indexable()],
+                         ids=["int", "int64", "uint8", "bool", "np.True_", "float", "float64", "0-d array",
+                              "IntEnum", "__index__"])
+def test_as_index_follows_the_integer_rule(value):
+    # One integer rule: as_index takes a value exactly when _is_int does.
+    if antisym._is_int(value):
+        assert antisym.as_index(value, "x") == 1 and type(antisym.as_index(value, "x")) is int
+    else:
+        with pytest.raises(ValueError, match="^x must be an integer, got "):
+            antisym.as_index(value, "x")
 
 
 def test_pfaffian_all_restrictions():

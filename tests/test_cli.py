@@ -350,6 +350,16 @@ def test_run_out_dev_null(tmp_path, capsys):
     assert code == 0 and out == ""
 
 
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_run_out_unwritable_exits_2(tmp_path, capsys, where):
+    path = write_doc(tmp_path, "c.json", circuit_doc(1, [1.0]))
+    out_path = tmp_path / "missing" / "x.json" if where == "missing directory" else tmp_path
+    code = cli.main(["run", path, "--out", str(out_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out_path}: ")
+
+
 def test_compile(tmp_path, capsys):
     n = 3
     h = rand_antisym(rng, 2 * n)

@@ -10,7 +10,7 @@ import re
 import numpy as np
 import pytest
 
-from dgsim import antisym, cli, oracle, serialization as ser, simulator as sim
+from dgsim import antisym, cli, embedding, oracle, serialization as ser, simulator as sim
 from dgsim import state as st_mod, unitary as un_mod
 
 G = un_mod.Gate
@@ -33,9 +33,11 @@ REFUSALS = {
                                      antisym.DimensionError, "all-restrictions table limited to m <= 20"),
     # oracle
     "majorana-no-lines": (lambda: oracle.majorana(0, 0), ValueError, "qubit count must be positive"),
-    "majorana-index": (lambda: oracle.majorana(2, 4), IndexError, "Majorana index 4 out of range for n=2"),
+    "majorana-index": (lambda: oracle.majorana(2, 4), IndexError, "Majorana index 4 out of range"),
     "monomial_string-order": (lambda: oracle.monomial_string(2, (1, 0)), IndexError,
                               "monomial indices must be strictly increasing"),
+    "monomial_string-range": (lambda: oracle.monomial_string(2, (0, 9)), IndexError,
+                              "monomial index 9 out of range"),
     "moments-dimension": (lambda: oracle.moments(np.eye(3)), ValueError,
                           "operator dimension is not a power of two"),
     "wick_moment_array-even": (lambda: oracle.wick_moment_array(np.zeros((4, 4))), ValueError,
@@ -89,6 +91,25 @@ REFUSALS = {
 def test_refusal(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+DENSE_ENTRY_POINTS = {
+    "moments": oracle.moments,
+    "pauli_tensor": oracle.pauli_tensor,
+    "is_even": oracle.is_even,
+    "fermionic_convolution": lambda A: oracle.fermionic_convolution(A, A),
+    "born_probability": lambda A: oracle.born_probability(A, (0,), (0,)),
+    "embed_dense": embedding.embed_dense,
+    "gaussian_unitary_test": embedding.gaussian_unitary_test,
+    "displaced_unitary_test": embedding.displaced_unitary_test,
+}
+
+
+@pytest.mark.parametrize("A", [np.eye(3) / 3, np.full((4, 2), 0.25), np.array(1.0)], ids=["3x3", "4x2", "0-d"])
+@pytest.mark.parametrize("call", DENSE_ENTRY_POINTS.values(), ids=DENSE_ENTRY_POINTS.keys())
+def test_dense_entry_points_share_the_size_rule(call, A):
+    with pytest.raises(ValueError, match="^operator dimension is not a power of two$"):
+        call(A)
 
 
 def test_gate_error_names_its_field():
