@@ -6,7 +6,8 @@ Usage:
 
 ``record`` builds every document of the three benchmark workloads
 (``perfbench/workloads.py``, written by ``perfbench/run.py``'s
-``write_docs``) and runs them through ``dgsim.cli.main`` imported from
+``write_docs``), and a fixed set of edge documents (``edge_requests``),
+and runs them through ``dgsim.cli.main`` imported from
 SRC, in this one process, with the benchmark worker's own loop
 (``worker.run_pass``) and output hash (``worker._hash``).  It stores, per
 document, the exit code, what went to stderr (its last 2000 characters,
@@ -38,6 +39,39 @@ FIELDS = ("exit", "stderr", "sha256")
 WORK = "output-bytes-work"
 
 
+def edge_requests(workloads):
+    """Documents whose output takes the writer's rarer paths; the same for every seed.
+
+    State runs whose carrier holds -0 (lambda = 0 puts -0 in the input
+    carrier; four of the six outputs keep one), an n = 4 covariance input
+    with subnormal entries (with and without gates), a state run at n = 300
+    (a carrier of several panels), a dense carrier at n = 300 (a
+    random-rotation covariance input), and two ``embed`` documents.
+    """
+    import numpy as np
+
+    rng = np.random.default_rng(2026)
+    docs = []
+    for gates in (0, 1, 2, 3, 4, 6):
+        lambdas = [0.0, float(rng.uniform(-1, 1)), 0.0]
+        docs.append(workloads.circuit(3, {"lambdas": lambdas}, workloads.random_gates(rng, 3, gates)))
+    for gates in (0, 8):
+        M = np.zeros((8, 8))
+        M[[0, 2, 4, 6], [1, 3, 5, 7]] = [0.5, -0.3, 0.9, 0.0]
+        M += np.triu(rng.normal(size=(8, 8)) * 1e-310, 1)
+        cov = {"M": (M - M.T).tolist(), "mu": (rng.normal(size=8) * 1e-315).tolist()}
+        docs.append(workloads.circuit(4, {"covariance": cov}, workloads.random_gates(rng, 4, gates)))
+    docs.append(workloads.circuit(300, {"lambdas": workloads.random_lambdas(rng, 300)},
+                                  workloads.random_gates(rng, 300, 1200)))
+    M, mu, _ = workloads.random_state(rng, 300, pure=False)
+    docs.append(workloads.circuit(300, {"covariance": {"M": M, "mu": mu}}, workloads.random_gates(rng, 300, 40)))
+    reqs = [workloads.run_request(doc) for doc in docs]
+    for n in (6, 3):
+        M, mu, _ = workloads.random_state(rng, n, pure=n == 3)
+        reqs.append(workloads.Request("embed", {"schema": workloads.SCHEMA, "n": n, "M": M, "mu": mu}, n=n))
+    return reqs
+
+
 def record(src: str, out_path: str, seed: int) -> int:
     src = os.path.abspath(src)
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -53,8 +87,8 @@ def record(src: str, out_path: str, seed: int) -> int:
         return 2
     shutil.rmtree(WORK, ignore_errors=True)
     docs = []
-    for name in WORKLOADS:
-        reqs = workloads.build(name, seed)
+    for name in WORKLOADS + ("edge",):
+        reqs = edge_requests(workloads) if name == "edge" else workloads.build(name, seed)
         argvs, _ = write_docs(reqs, os.path.join(WORK, name), "d")
         _, _, codes, errs = run_pass(cli, argvs)
         for i, (r, argv, code, err) in enumerate(zip(reqs, argvs, codes, errs)):

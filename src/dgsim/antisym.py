@@ -405,7 +405,7 @@ def _leaf_order(tree: list[list[int]]) -> list[int]:
     return order
 
 
-def plane_decompose(R, allowed) -> tuple[np.ndarray, np.ndarray]:
+def plane_decompose(R, allowed, *, checked: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Factor a special orthogonal matrix into allowed plane rotations.
 
     ``allowed`` is an (m, m) boolean array: a rotation in the (j, k)
@@ -424,9 +424,10 @@ def plane_decompose(R, allowed) -> tuple[np.ndarray, np.ndarray]:
     matrix is held as a list of row arrays: a rotation of rows a, b
     replaces both by new arrays, with no copy and no per-rotation
     object.  Each angle is normalized as ``wrap_angles`` does, once when
-    the rotation is found and once after it is inverted.
+    the rotation is found and once after it is inverted.  ``checked``
+    skips ``check_rotation`` for an R it returned (``compile``'s).
     """
-    R = check_rotation(R)
+    R = R if checked else check_rotation(R)
     m = R.shape[0]
     allowed = np.asarray(allowed, dtype=bool)
     if allowed.shape != (m, m):

@@ -15,14 +15,10 @@ byte-deterministic -- keys are emitted in sorted order and floats with
 
 A result that holds a NaN or an infinity raises
 NumericalAdmissibilityError (exit 3) from one check,
-``_refuse_non_finite``.  A float ndarray (a carrier, a mean vector) is
-checked with one ``np.isfinite`` and then written one row at a time:
-each row of its last axis is a single ``%`` formatting call over
-``row.tolist()``.  The bytes are those of formatting each element on its
-own.  A GateSequence (``compile``'s gate list) is written from its
-columns, one ``%`` call per gate, with the bytes of emitting each gate's
-document as a dict.  Every other value (lists, dicts, integer arrays,
-scalars) takes the per-element path.
+``_refuse_non_finite``.  A float ndarray of one or two axes (a carrier,
+a mean vector) is written by ``_emit_floats`` and a GateSequence by
+``_emit_gates``, both with the bytes of the per-element path, which
+every other value takes (an empty array too; a 0-d one as its scalar).
 """
 
 from __future__ import annotations
@@ -214,21 +210,47 @@ def parse_dense_operator(obj) -> np.ndarray:
     return A
 
 
-def _emit_floats(a: np.ndarray, out):
-    """A finite float array, one ``%`` call per row of its last axis.
+# Entries per panel of rows, which bounds its object arrays and its template.
+_PANEL = 1 << 16
+# Template tokens, NUL-padded, by code: sign bit + 2 * (entry != 0) + 4 at a row's end.
+_TOKENS = np.array([b"0,", b"-0,", b"%s,", b"-%s,", b"0],[", b"-0],[", b"%s],[", b"-%s],["])
 
-    ``"%.17g" % x`` and ``format(x, ".17g")`` share one formatter, so
-    the bytes are those of the per-element path.
+
+def _emit_floats(a: np.ndarray, out):
+    """A finite nonempty 1-D or 2-D float array, one panel of rows at a time.
+
+    A panel is a ``%`` template of its entries' tokens, a zero written in
+    it as ``0`` or ``-0`` by its sign bit, filled with the magnitudes of
+    the nonzeros, which one ``%`` call formats.  A matrix equal to minus
+    its transpose formats its upper triangle alone: an entry below takes
+    its mirror's magnitude, held in ``pending`` until its panel comes.
+    For a finite x != 0, ``"%.17g" % x`` is ``"%.17g" % abs(x)`` behind a
+    ``-`` when x < 0, so the bytes are those of formatting each element on
+    its own.
     """
-    if a.ndim == 1:
-        out.append(("[" + ",".join(["%.17g"] * len(a)) + "]") % tuple(a.tolist()))
-        return
-    out.append("[")
-    for i, row in enumerate(a):
-        if i:
-            out.append(",")
-        _emit_floats(row, out)
-    out.append("]")
+    rows = a if a.ndim == 2 else a[None]  # a vector is one row, without the outer brackets
+    m = rows.shape[1]
+    b = max(1, _PANEL // m)
+    mirror = a.ndim == 2 and len(a) == m and all((a[r:r + b] == -a[:, r:r + b].T).all() for r in range(0, m, b))
+    pending: dict[int, list] = {}
+    out.append("[" if a.ndim == 2 else "")
+    for r0 in range(0, len(rows), b):
+        panel = rows[r0:r0 + b]
+        nz = panel != 0
+        up = np.triu(nz, r0 + 1) if mirror else nz  # a mirror formats right of the diagonal
+        vals = np.abs(panel[up])
+        mags = np.empty(panel.shape, dtype=object)
+        mags[up] = ("%.17g," * len(vals) % tuple(vals.tolist())).split(",")[:-1]
+        if mirror:
+            for c0 in range(r0, m, b):
+                pending.setdefault(c0, []).append((r0, mags[:, c0:c0 + b][up[:, c0:c0 + b]]))
+            for p0, above in pending.pop(r0):  # where ``up`` of panel p0 was, transposed
+                mags[:, p0:p0 + b].T[np.triu(a[p0:p0 + b, r0:r0 + b] != 0, p0 - r0 + 1)] = above
+        code = np.signbit(panel) + 2 * nz
+        code[:, -1] += 4
+        template = _TOKENS[code].tobytes().translate(None, b"\0").decode()[:-3]  # less the last "],["
+        out.extend(("," if r0 else "", "[", template % tuple(mags[nz].tolist()), "]"))
+    out.append("]" if a.ndim == 2 else "")
 
 
 def _refuse_non_finite(a):
@@ -239,11 +261,13 @@ def _refuse_non_finite(a):
 
 
 def _emit(value, out):
-    if isinstance(value, np.ndarray) and value.dtype.kind == "f" and value.ndim:
+    if isinstance(value, np.ndarray) and not value.ndim:
+        value = value[()]  # a 0-d array is written as its scalar
+    if isinstance(value, np.ndarray) and value.dtype.kind == "f" and value.size and value.ndim <= 2:
         _refuse_non_finite(value)
         _emit_floats(value, out)
-    elif value is None or isinstance(value, bool):
-        out.append(json.dumps(value))
+    elif value is None or isinstance(value, (bool, np.bool_)):
+        out.append("null" if value is None else "true" if value else "false")
     elif isinstance(value, (int, np.integer)):
         out.append(str(int(value)))
     elif isinstance(value, (float, np.floating)):
@@ -303,7 +327,8 @@ def dumps(doc) -> str:
     """
     out: list[str] = []
     _emit(doc, out)
-    return "".join(out) + "\n"
+    out.append("\n")
+    return "".join(out)
 
 
 def _reject_constant(token: str):

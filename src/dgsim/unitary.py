@@ -529,14 +529,14 @@ def compile(U: DGUnitary) -> GateSequence:  # noqa: A001 - established API name
     """Factor U's rotation R in SO(2n+1) into the nearest-neighbor gate alphabet.
 
     Plane-rotation synthesis over the allowed-axis-pair graph
-    (``plane_decompose``, which checks R); the emitted sequence
-    multiplies back to R (gates applied in order) and contains at most
-    (2n+1)^2 gates, comfortably inside the documented C * n^3 envelope
-    with C = 9.  A plane that touches the extension axis 2n is a line1
-    gate, any other a matchgate.
+    (``plane_decompose`` of R, which ``DGUnitary`` has checked); the
+    emitted sequence multiplies back to R (gates applied in order) and
+    contains at most (2n+1)^2 gates, comfortably inside the documented
+    C * n^3 envelope with C = 9.  A plane that touches the extension
+    axis 2n is a line1 gate, any other a matchgate.
     """
     n = U.n
-    axes, angles = plane_decompose(U.rotation(), _compile_adjacency(n))
+    axes, angles = plane_decompose(U.rotation(), _compile_adjacency(n), checked=True)
     kind = np.where((axes == 2 * n).any(axis=1), _LINE1, _MATCHGATE)
     # plane_decompose normalized each angle twice; a Gate normalizes it once more.
     return GateSequence._from_columns(n, kind, axes[:, 0], axes[:, 1], np.full(len(axes), -1),

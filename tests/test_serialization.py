@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from dgsim import serialization as ser, unitary as un_mod
+from dgsim import serialization as ser, simulator as sim, state as st_mod, unitary as un_mod
 from dgsim.simulator import NumericalAdmissibilityError
 
-from helpers import gate_doc, gate_rows, rand_unitary
+from helpers import gate_doc, gate_rows, rand_antisym, rand_sequence, rand_unitary
 
 rng = np.random.default_rng(4711)
 
@@ -43,6 +43,104 @@ def test_float_array_shapes(shape):
 def test_float32_array():
     a = rng.normal(size=(3, 4)).astype(np.float32)
     assert ser.dumps(a) == per_element(a) + "\n"
+
+
+def sparse_antisym(g, m):
+    """An antisymmetric m x m matrix, about 70 % zeros, a third of them -0 (on the diagonal too)."""
+    a = np.triu(g.normal(size=(m, m)) * (g.random((m, m)) < 0.3), 1)
+    a = a - a.T
+    a[(a == 0) & (g.random((m, m)) < 0.3)] = -0.0
+    return a
+
+
+def special_antisym():
+    """SPECIAL above the diagonal in row 0, below it in row 8, each entry's mirror its negation."""
+    a = np.zeros((9, 9))
+    for k, v in enumerate(SPECIAL, start=1):
+        a[0, k], a[k, 0] = v, -v
+        a[8, k], a[k, 8] = v, -v
+    a[4, 4] = -0.0
+    return a
+
+
+def one_ulp_off(g):
+    a = rand_antisym(g, 12)
+    a[3, 7] = np.nextafter(a[3, 7], np.inf)
+    return a
+
+
+ANTISYMMETRIC = {
+    "special": special_antisym(),
+    **{f"zeros {z}{w}": np.array([[0.0, float(f"{z}0")], [float(f"{w}0"), -0.0]])
+       for z in "+-" for w in "+-"},
+    "m=0": np.zeros((0, 0)),
+    "m=1": np.array([[-0.0]]),
+    "m=2": rand_antisym(rng, 2),
+    "dense": rand_antisym(rng, 60),
+    "float32": rand_antisym(rng, 30).astype(np.float32),
+    "sparse": sparse_antisym(rng, 40),
+    "one ulp off": one_ulp_off(rng),
+}
+
+
+@pytest.mark.parametrize("a", ANTISYMMETRIC.values(), ids=ANTISYMMETRIC.keys())
+def test_antisymmetric_bytes_match_per_element(a):
+    assert ser.dumps(a) == per_element(a) + "\n"
+    assert ser.dumps({"M": a}) == ser.dumps({"M": a.tolist()})
+
+
+def test_antisymmetric_cases_are_what_they_say():
+    for name, a in ANTISYMMETRIC.items():
+        assert (a == -a.T).all() == (name != "one ulp off"), name
+    zeros = [np.signbit(ANTISYMMETRIC[f"zeros {z}{w}"][[0, 1], [1, 0]]).tolist() for z in "+-" for w in "+-"]
+    assert zeros == [[False, False], [False, True], [True, False], [True, True]]
+    assert (np.signbit(ANTISYMMETRIC["sparse"]) & (ANTISYMMETRIC["sparse"] == 0)).any()
+
+
+@pytest.mark.parametrize("m, panel", [(400, None), (13, 1), (13, 40), (30, 200), (31, 200)])
+def test_antisymmetric_across_panels(monkeypatch, m, panel):
+    # The default panel splits m = 400 in three; the smaller ones give
+    # one-row panels and a short last panel.
+    if panel is not None:
+        monkeypatch.setattr(ser, "_PANEL", panel)
+    g = np.random.default_rng(m)
+    a = sparse_antisym(g, m)
+    assert ser.dumps(a) == per_element(a) + "\n"
+    a = rand_antisym(g, m)
+    assert ser.dumps(a) == per_element(a) + "\n"
+    assert ser.dumps(np.vstack([a, a[:1]])) == per_element(np.vstack([a, a[:1]])) + "\n"
+    assert ser.dumps(a[0]) == per_element(a[0]) + "\n"
+
+
+def test_run_carrier_with_negative_zero():
+    # A seeded search for a run whose output carrier holds -0: a lambda
+    # of exactly 0 puts -0 in the input carrier, which gates may keep.
+    g = np.random.default_rng(7)
+    for _ in range(100):
+        lambdas = np.where(g.random(3) < 0.5, 0.0, g.uniform(-1, 1, 3))
+        out = sim.run(sim.Circuit(st_mod.from_diagonal(lambdas), rand_sequence(g, 3, 3)))
+        if (np.signbit(out.M) & (out.M == 0)).any():
+            break
+    text = ser.dumps({"M": out.M, "mu": out.mu})
+    assert "-0" in text.replace("[", ",").replace("]", ",").split(",")
+    assert text == '{"M":' + per_element(out.M) + ',"mu":' + per_element(out.mu) + "}\n"
+
+
+@pytest.mark.parametrize("value, text", [
+    (np.array(1.0), "1"),
+    (np.array(-0.0), "-0"),
+    (np.array(2), "2"),
+    (np.array([True]), "[true]"),
+    (np.bool_(False), "false"),
+    ({"ok": np.array(True)}, '{"ok":true}'),
+], ids=["0-d float", "0-d -0", "0-d int", "bool array", "numpy bool", "0-d bool"])
+def test_scalar_like_values(value, text):
+    assert ser.dumps(value) == text + "\n"
+
+
+def test_0d_non_finite_refused():
+    with pytest.raises(NumericalAdmissibilityError, match="non-finite number inf"):
+        ser.dumps({"x": np.array(np.inf)})
 
 
 def test_integer_array_keeps_integers():

@@ -298,6 +298,28 @@ def test_compile_even_avoids_extension_axis():
     assert len(seq) > 0 and not (seq.axes == 2 * n).any()
 
 
+def test_compile_checks_its_rotation_once(monkeypatch):
+    # DGUnitary checks the rotation it is given or computes; plane_decompose,
+    # called by compile, does not check it again.
+    calls, check = [], antisym.check_rotation
+
+    def counted(R):
+        calls.append(R.shape)
+        return check(R)
+
+    monkeypatch.setattr(antisym, "check_rotation", counted)
+    monkeypatch.setattr(un_mod, "check_rotation", counted)
+    U = rand_unitary(rng, 2)
+    seq = un_mod.compile(U)
+    assert calls == [(5, 5)]
+    calls.clear()
+    assert un_mod.compile_rotation(U.rotation(), 2).axes.tolist() == seq.axes.tolist()
+    assert calls == [(5, 5)]
+    calls.clear()
+    antisym.plane_decompose(U.rotation(), np.ones((5, 5), dtype=bool))
+    assert calls == [(5, 5)]
+
+
 def test_compile_identity_empty():
     U = un_mod.DGUnitary.identity(3)
     assert len(un_mod.compile(U)) == 0
