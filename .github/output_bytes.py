@@ -47,6 +47,9 @@ def edge_requests(workloads):
     with subnormal entries (with and without gates), a state run at n = 300
     (a carrier of several panels), a dense carrier at n = 300 (a
     random-rotation covariance input), and two ``embed`` documents.
+    Last, measured runs, expectation and sampling each, of ``bloch`` and
+    ``covariance`` inputs and of lambda = 0 inputs (-0 carriers), on
+    lines that include 0 and n - 1, on every line of n = 1, and on no line.
     """
     import numpy as np
 
@@ -69,6 +72,18 @@ def edge_requests(workloads):
     for n in (6, 3):
         M, mu, _ = workloads.random_state(rng, n, pure=n == 3)
         reqs.append(workloads.Request("embed", {"schema": workloads.SCHEMA, "n": n, "M": M, "mu": mu}, n=n))
+    inputs = [(5, {"bloch": workloads.random_pure_blochs(rng, 5)}),
+              (6, {"covariance": dict(zip(("M", "mu"), workloads.random_state(rng, 6, pure=False)[:2]))}),
+              (4, {"lambdas": [0.0, 0.0, 0.5, 0.0]}), (1, {"lambdas": [0.0]})]
+    for n, inp in inputs:
+        for gates in (0, 3 * n):
+            for lines in ([0, n - 1] if n > 1 else [0], []):
+                x = [int(b) for b in rng.integers(0, 2, len(lines))]
+                doc = workloads.circuit(n, inp, workloads.random_gates(rng, n, gates), {"lines": lines, "x": x})
+                reqs.append(workloads.run_request(doc))
+                measure = {"lines": lines, "shots": 300, "seed": int(rng.integers(0, 2**31))}
+                doc = workloads.circuit(n, inp, workloads.random_gates(rng, n, gates), measure)
+                reqs.append(workloads.run_request(doc, shots=300, lines=len(lines)))
     return reqs
 
 

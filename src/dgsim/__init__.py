@@ -8,8 +8,9 @@ Submodules:
   only for testing and verification at small n.
 - ``state``: the displaced Gaussian state (covariance + mean carrier).
 - ``unitary``: displaced Gaussian unitaries, the gate alphabet, and
-  the cubic-cost compiler.
-- ``simulator``: circuit execution, measurement, and sampling.
+  the compiler (n(2n+1) gates, in time about n^2).
+- ``simulator``: circuit execution on one carrier (a measured run's
+  output reduced to its lines), measurement, and sampling.
 - ``embedding``: the even embedding and dense Gaussianity tests.
 - ``serialization`` / ``cli``: structured text formats and the
   command-line front end.

@@ -12,6 +12,7 @@ antisym.NumericalAdmissibilityError, whatever its route, exits 3.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import os
 import sys
@@ -123,21 +124,24 @@ def _counts(bits: np.ndarray) -> dict[str, int]:
 def cmd_run(args) -> int:
     circuit, measure = ser.parse_circuit(_read_doc(args.file))
     measure = _measure_override(measure, args)
+    doc = {"schema": ser.SCHEMA_VERSION, "n": circuit.n}
+    if measure is not None:  # run returns the output on the measured lines, renumbered 0..k-1
+        circuit = dataclasses.replace(circuit, lines=measure.K)
     out_state = simulator.run(circuit)
-    del circuit  # its input carrier would stay alive while the result is formatted
-    doc = {"schema": ser.SCHEMA_VERSION, "n": out_state.n}
+    del circuit  # its input state would stay alive while the result is formatted
+    lines = range(out_state.n)
     if measure is None:
         doc["mode"] = "state"
         doc["M"] = out_state.M
         doc["mu"] = out_state.mu
     elif isinstance(measure, simulator.MeasurementOp):
         doc["mode"] = "expectation"
-        doc["value"] = simulator.expectation(out_state, measure)
+        doc["value"] = simulator.expectation(out_state, simulator.MeasurementOp(lines, measure.x))
     else:
         doc["mode"] = "sample"
         doc["shots"] = measure.shots
         doc["seed"] = measure.seed
-        doc["counts"] = _counts(simulator.sample(out_state, *measure))
+        doc["counts"] = _counts(simulator.sample(out_state, lines, measure.shots, measure.seed))
     _write(doc, args.out)
     return EXIT_OK
 

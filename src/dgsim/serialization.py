@@ -31,7 +31,7 @@ import numpy as np
 
 from .antisym import _check_fields, _is_int, _is_number, as_indices, wrap_angles
 from .simulator import Circuit, MeasurementOp, NumericalAdmissibilityError, Sampling, prepare_product, sampling_arg
-from .state import DGaussState, from_diagonal
+from .state import DGaussState
 from .unitary import _FSWAP, FSWAP, KINDS, DGUnitary, GateError, GateSequence, _gate_row
 
 SCHEMA_VERSION = "dgsim/1"
@@ -156,8 +156,10 @@ def _parse_measure(obj, n: int) -> MeasurementOp | Sampling:
 def parse_circuit(obj) -> tuple[Circuit, MeasurementOp | Sampling | None]:
     """Parse a circuit document into (Circuit, its measurement or None).
 
-    The input state is built, and checked, once: after every schema
-    check of the document, so a schema error anywhere comes first.
+    The input is checked once, after every schema check of the
+    document, so a schema error anywhere comes first.  A ``lambdas``
+    input stays a vector, checked by ``Circuit``; the other forms are
+    built into their state.
     """
     n = _header(obj, {"input", "gates"}, {"measure"})
     inp = _take(obj["input"], set(), {"lambdas", "bloch", "covariance"}, "$.input")
@@ -169,7 +171,7 @@ def parse_circuit(obj) -> tuple[Circuit, MeasurementOp | Sampling | None]:
         lam = _real_matrix(inp["lambdas"], "$.input.lambdas")
         if lam.shape != (n,):
             raise SchemaError(f"expected {n} entries", "$.input.lambdas")
-        build = partial(from_diagonal, lam)
+        build = lam.view  # the vector itself, which Circuit checks
     elif "bloch" in inp:
         bl = _real_matrix(inp["bloch"], "$.input.bloch")
         if bl.shape != (n, 3):

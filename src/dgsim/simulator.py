@@ -1,9 +1,12 @@
 """End-to-end circuit execution on the covariance representation.
 
-A circuit is a checked input state and an ordered gate list.
-Evolution updates a copy of the real extended carrier M_ext in place;
-each gate touches at most four rows and columns, so a g-gate circuit
-costs O(g n) plus O(n^2) bookkeeping, never more than O(n^2) memory.
+A circuit is a checked input, an ordered gate list and, optionally,
+the lines to be measured.  Evolution updates one real extended carrier
+M_ext in place; each gate touches at most four rows and columns, so a
+g-gate circuit costs O(g n) plus O(n^2) bookkeeping, and one carrier of
+memory beyond the held input (a diagonal input holds its lambdas alone).
+With measured lines K, ``run`` returns the output reduced to K: the
+compression that measurement reads, the rest left unsymmetrized.
 
 Measurement uses the determinant formula: the probability of outcome
 bits x on lines K is 2^{-|K|} sqrt(det(I - M_rho M_{K,x})), evaluated
@@ -31,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .antisym import NumericalAdmissibilityError, as_bits, as_index, as_indices, canonical_matrix
-from .state import ADMISSIBILITY_TOL, AdmissibilityError, DGaussState
+from .state import ADMISSIBILITY_TOL, AdmissibilityError, DGaussState, diagonal_parameters, from_diagonal
 from .unitary import GateSequence
 
 
@@ -78,7 +81,7 @@ def sampling_arg(name: str, value) -> int:
 
 
 class Sampling(NamedTuple):
-    """A sampling request: ``sample(state, K, shots, seed)`` of a run's output state."""
+    """A sampling request: ``sample(state, K, shots, seed)`` of a run's output state on lines K."""
 
     K: tuple[int, ...]
     shots: int
@@ -116,12 +119,27 @@ def _scaled_sqrt_det(A: np.ndarray, k: int, negative: str) -> float:
     return math.ldexp(math.sqrt(max(det, 0.0)), -k)
 
 
+def _refuse_long_lines(M: np.ndarray):
+    """Raise AdmissibilityError where some |M[2j, 2j+1]| exceeds 1 + ADMISSIBILITY_TOL.
+
+    No entry of an admissible carrier exceeds 1 (its canonical values
+    bound its norm).  This O(k) test catches a line whose sqrt(det)
+    factor (1 - lambda)/2 is negative, which the determinant would hide.
+    """
+    line = np.abs(np.diagonal(M, 1)[::2])
+    if (line > 1.0 + ADMISSIBILITY_TOL).any():
+        raise AdmissibilityError(
+            f"a line's covariance entry has magnitude {line.max()} above 1: not an admissible state"
+        )
+
+
 def _expectation_from_M(M: np.ndarray, m: MeasurementOp) -> float:
     k = len(m.K)
     idx = _measured_axes(m.K)
     # det(I - M_rho M_meas) = det(I_{2k} - S C) with S the compression
     # of M_rho onto the measured axes.
     S = M[np.ix_(idx, idx)]
+    _refuse_long_lines(S)
     return _scaled_sqrt_det(np.eye(2 * k) - S @ _outcome_carrier(m), k,
                             "measurement determinant {} is negative beyond tolerance")
 
@@ -137,11 +155,14 @@ def overlap(rho: DGaussState, sigma: DGaussState) -> float:
 
     Even-degree moments of a displaced state involve only its
     covariance block, so rho's mean never enters; sigma must be even.
+    Both covariances pass ``_refuse_long_lines``, as in measurement.
     """
     if rho.n != sigma.n:
         raise ValueError("overlap inputs have different sizes")
     if not sigma.is_even:
         raise ValueError("overlap requires the second state to be even")
+    _refuse_long_lines(rho.M)
+    _refuse_long_lines(sigma.M)
     return _scaled_sqrt_det(np.eye(2 * rho.n) - rho.M @ sigma.M, rho.n,
                             "overlap determinant {} negative")
 
@@ -229,28 +250,50 @@ def prepare_product(blochs) -> DGaussState:
 
 @dataclass(frozen=True)
 class Circuit:
-    """A checked input state and the gate sequence that acts on it; callers handle measurement."""
+    """A checked input, the gates that act on it, and the lines a caller will measure (None: all).
 
-    state: DGaussState
+    The input is a DGaussState, or the lambdas of ``from_diagonal``, held
+    as that checked vector alone.  ``run`` returns the output on ``lines``.
+    """
+
+    state: DGaussState | np.ndarray
     gates: GateSequence
+    lines: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.gates.n != self.state.n:
+        if isinstance(self.state, DGaussState):
+            size = self.state.n
+        else:
+            object.__setattr__(self, "state", diagonal_parameters(self.state))
+            size = len(self.state)
+        if self.gates.n != size:
             raise ValueError("gate list size differs from circuit size")
+        if self.lines is not None:
+            object.__setattr__(self, "lines", as_indices(self.lines, self.n, "measured line"))
 
     @property
     def n(self) -> int:
-        return self.state.n
+        return self.gates.n
 
     def input_state(self) -> DGaussState:
-        return self.state
+        """The input as a DGaussState; a diagonal input's is built on each call."""
+        return self.state if isinstance(self.state, DGaussState) else from_diagonal(self.state)
+
+    def input_carrier(self) -> np.ndarray:
+        """A fresh, writable M_ext of the input; from lambdas, that of ``from_diagonal`` (bottom row -0)."""
+        if isinstance(self.state, DGaussState):
+            return self.input_state().M_ext
+        m = 2 * self.n
+        Me = canonical_matrix(-self.state, m + 1)
+        Me[m, :m] = -0.0
+        return Me
 
 
 def run(c: Circuit) -> DGaussState:
-    """Fold the circuit's gates over a copy of its input state.
+    """Fold the circuit's gates over its input's carrier; the output state, or its reduction to c.lines.
 
-    The extended carrier is a fresh copy of the held input's, updated in
-    place.  Each gate's fold block (slice, rows, Q) comes with its
+    The one extended carrier is ``c.input_carrier()``, fresh and updated
+    in place.  Each gate's fold block (slice, rows, Q) comes with its
     sequence (see GateSequence): the gate multiplies its two or four rows
     by Q and the matching columns by Q^T, so the loop builds no per-gate
     object.  The rows are a slice view, evenly strided, that BLAS reads
@@ -264,17 +307,26 @@ def run(c: Circuit) -> DGaussState:
     built, and the output carrier is antisymmetric by construction, so
     neither is checked again here.
 
-    The carrier is then replaced by (Me - Me^T) / 2 in place, a pair of
-    SYMMETRIZE_BLOCK-square blocks at a time: one block's difference goes
-    to a scratch block and the other's is written in place, so both read
-    old values.  These are the bits of the whole-matrix expression, with
-    peak memory at the held input plus one carrier.
+    With ``c.lines`` = K, the output is reduced to K, line K[j] renumbered
+    j: (S - S^T) / 2 of the raw compression S onto K's Majorana axes, and
+    the matching symmetrized mean entries, the bits of the full output's.
+
+    Otherwise the carrier is replaced by (Me - Me^T) / 2 in place, a pair
+    of SYMMETRIZE_BLOCK-square blocks at a time: one block's difference
+    goes to a scratch block and the other's is written in place, so both
+    read old values.  These are the bits of the whole-matrix expression,
+    with peak memory at the held input plus one carrier.
     """
-    Me = c.input_state().M_ext
+    Me = c.input_carrier()
     MT = Me.T
     for sl, rows, Q in c.gates.blocks:
         Me[sl] = Q @ Me[sl]
         MT[rows] = Q @ MT[rows]
+    m = 2 * c.n
+    if c.lines is not None:
+        idx = _measured_axes(c.lines)
+        S = Me[np.ix_(idx, idx)]
+        return DGaussState(len(c.lines), (S - S.T) / 2, (Me[idx, m] - Me[m, idx]) / 2, check=False)
     b = SYMMETRIZE_BLOCK
     scratch = np.empty((min(b, len(Me)),) * 2)
     for i in range(0, len(Me), b):
@@ -284,7 +336,6 @@ def run(c: Circuit) -> DGaussState:
             if j > i:
                 np.divide(np.subtract(Y, X.T, out=Y), 2, out=Y)
             np.divide(upper, 2, out=X)
-    m = 2 * c.n
     return DGaussState(c.n, Me[:m, :m], Me[:m, m], check=False)
 
 

@@ -112,15 +112,27 @@ class DGaussState:
         return lambdas + [0.0] * (self.n - len(lambdas))
 
 
+def diagonal_parameters(lambdas) -> np.ndarray:
+    """The parameters lambda_q of ``from_diagonal`` as a checked float vector, a copy of ``lambdas``.
+
+    Every lambda_q must lie in [-1, 1] within ADMISSIBILITY_TOL, the
+    tolerance of every input form.
+    """
+    lams = np.array(lambdas, dtype=float)
+    if lams.ndim != 1:
+        raise ValueError("diagonal parameters must form a vector")
+    if not (np.abs(lams) <= 1.0 + ADMISSIBILITY_TOL).all():
+        raise AdmissibilityError("diagonal parameters must lie in [-1, 1]")
+    return lams
+
+
 def from_diagonal(lambdas) -> DGaussState:
     """Diagonal product state tensor of (1 + lambda_q Z)/2.
 
-    M[2q, 2q+1] = -lambda_q and mu = 0; every lambda_q must lie in [-1, 1]
-    within ADMISSIBILITY_TOL, the tolerance of every input form.
+    M[2q, 2q+1] = -lambda_q and mu = 0, the lambdas checked by
+    ``diagonal_parameters``.
     """
-    lams = np.asarray(lambdas, dtype=float)
-    if not (np.abs(lams) <= 1.0 + ADMISSIBILITY_TOL).all():
-        raise AdmissibilityError("diagonal parameters must lie in [-1, 1]")
+    lams = diagonal_parameters(lambdas)
     n = len(lams)
     return DGaussState(n, canonical_matrix(-lams, 2 * n), np.zeros(2 * n), check=False)
 
