@@ -50,6 +50,9 @@ def edge_requests(workloads):
     Last, measured runs, expectation and sampling each, of ``bloch`` and
     ``covariance`` inputs and of lambda = 0 inputs (-0 carriers), on
     lines that include 0 and n - 1, on every line of n = 1, and on no line.
+    Then a lambda input at n = 300 measured on 150 lines, expectation and
+    50-shot sampling, whose gathered (301-square) carrier spans two
+    symmetrization blocks, and a ``bloch`` state run at n = 120.
     """
     import numpy as np
 
@@ -84,6 +87,16 @@ def edge_requests(workloads):
                 measure = {"lines": lines, "shots": 300, "seed": int(rng.integers(0, 2**31))}
                 doc = workloads.circuit(n, inp, workloads.random_gates(rng, n, gates), measure)
                 reqs.append(workloads.run_request(doc, shots=300, lines=len(lines)))
+    lambdas, lines = workloads.random_lambdas(rng, 300), list(range(0, 300, 2))
+    measure = {"lines": lines, "x": [int(b) for b in rng.integers(0, 2, len(lines))]}
+    doc = workloads.circuit(300, {"lambdas": lambdas}, workloads.random_gates(rng, 300, 600), measure)
+    reqs.append(workloads.run_request(doc))
+    measure = {"lines": lines, "shots": 50, "seed": int(rng.integers(0, 2**31))}
+    doc = workloads.circuit(300, {"lambdas": lambdas}, workloads.random_gates(rng, 300, 600), measure)
+    reqs.append(workloads.run_request(doc, shots=50, lines=len(lines)))
+    blochs = workloads.random_pure_blochs(rng, 120)
+    doc = workloads.circuit(120, {"bloch": blochs}, workloads.random_gates(rng, 120, 480))
+    reqs.append(workloads.run_request(doc))
     return reqs
 
 

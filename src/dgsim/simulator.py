@@ -5,8 +5,8 @@ the lines to be measured.  Evolution updates one real extended carrier
 M_ext in place; each gate touches at most four rows and columns, so a
 g-gate circuit costs O(g n) plus O(n^2) bookkeeping, and one carrier of
 memory beyond the held input (a diagonal input holds its lambdas alone).
-With measured lines K, ``run`` returns the output reduced to K: the
-compression that measurement reads, the rest left unsymmetrized.
+With measured lines K, ``run`` returns the output reduced to K, the
+compression that measurement reads.  Both leave via ``carrier_state``.
 
 Measurement uses the determinant formula: the probability of outcome
 bits x on lines K is 2^{-|K|} sqrt(det(I - M_rho M_{K,x})), evaluated
@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .antisym import NumericalAdmissibilityError, as_bits, as_index, as_indices, canonical_matrix
-from .state import ADMISSIBILITY_TOL, AdmissibilityError, DGaussState, diagonal_parameters, from_diagonal
+from .state import ADMISSIBILITY_TOL, AdmissibilityError, DGaussState, carrier_state, diagonal_parameters, from_diagonal
 from .unitary import GateSequence
 
 
@@ -51,9 +51,6 @@ PRODUCT_TOL = 1e-9
 # Working-set budget of one sampling chunk: the (rows, 2|K|, 2|K|) stack
 # of conditioned compressions.
 SAMPLE_CHUNK_BYTES = 8 << 20
-
-# Side of the square blocks in which run symmetrizes its carrier in place.
-SYMMETRIZE_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -119,8 +116,8 @@ def _scaled_sqrt_det(A: np.ndarray, k: int, negative: str) -> float:
     return math.ldexp(math.sqrt(max(det, 0.0)), -k)
 
 
-def _refuse_long_lines(M: np.ndarray):
-    """Raise AdmissibilityError where some |M[2j, 2j+1]| exceeds 1 + ADMISSIBILITY_TOL.
+def _refuse_long_lines(M: np.ndarray) -> np.ndarray:
+    """Return M, or raise AdmissibilityError where some |M[2j, 2j+1]| exceeds 1 + ADMISSIBILITY_TOL.
 
     No entry of an admissible carrier exceeds 1 (its canonical values
     bound its norm).  This O(k) test catches a line whose sqrt(det)
@@ -131,6 +128,7 @@ def _refuse_long_lines(M: np.ndarray):
         raise AdmissibilityError(
             f"a line's covariance entry has magnitude {line.max()} above 1: not an admissible state"
         )
+    return M
 
 
 def _expectation_from_M(M: np.ndarray, m: MeasurementOp) -> float:
@@ -138,8 +136,7 @@ def _expectation_from_M(M: np.ndarray, m: MeasurementOp) -> float:
     idx = _measured_axes(m.K)
     # det(I - M_rho M_meas) = det(I_{2k} - S C) with S the compression
     # of M_rho onto the measured axes.
-    S = M[np.ix_(idx, idx)]
-    _refuse_long_lines(S)
+    S = _refuse_long_lines(M[np.ix_(idx, idx)])
     return _scaled_sqrt_det(np.eye(2 * k) - S @ _outcome_carrier(m), k,
                             "measurement determinant {} is negative beyond tolerance")
 
@@ -228,13 +225,17 @@ def prepare_product(blochs) -> DGaussState:
     """Displaced Gaussian state of a tensor product of single-qubit states.
 
     The Bloch vectors are checked once, as an (n, 3) array that
-    product_is_gaussian and product_covariance take as it is.  Products
-    outside the Gaussian class raise NonGaussianProductError.
+    product_is_gaussian and product_covariance take as it is; products
+    outside the Gaussian class raise NonGaussianProductError.  Lengths
+    at most 1 are the canonical values, so this O(n) rule is the one
+    check.  Longer ones raise the largest by up to about n times their
+    excess, so past ADMISSIBILITY_TOL (or NaN) ``DGaussState`` checks too.
     """
     blochs = np.asarray(blochs, dtype=float)
     if blochs.ndim != 2 or blochs.shape[1] != 3:
         raise ValueError("each Bloch vector needs three components")
-    long = np.linalg.norm(blochs, axis=1) > 1.0 + ADMISSIBILITY_TOL
+    norms = np.linalg.norm(blochs, axis=1)
+    long = norms > 1.0 + ADMISSIBILITY_TOL
     if long.any():
         raise AdmissibilityError(f"Bloch vector {blochs[long][0]} is longer than 1")
     if not product_is_gaussian(blochs):
@@ -242,7 +243,8 @@ def prepare_product(blochs) -> DGaussState:
             "a qubit after the first mixed one is transversely displaced; "
             "this product state is not a displaced Gaussian state"
         )
-    return DGaussState(len(blochs), *product_covariance(blochs))
+    check = not len(blochs) * (norms.max(initial=1.0) - 1.0) <= ADMISSIBILITY_TOL  # NaN included
+    return DGaussState(len(blochs), *product_covariance(blochs), check=check)
 
 
 # ---------------------------------------------------------------------------
@@ -304,39 +306,21 @@ def run(c: Circuit) -> DGaussState:
     pin this).  A column slice, strided in both dimensions, would be
     multiplied by numpy's own loop instead of BLAS: slower, and not the
     call those tests pin.  Gates were validated when their sequence was
-    built, and the output carrier is antisymmetric by construction, so
-    neither is checked again here.
+    built, so they are not checked again here.
 
-    With ``c.lines`` = K, the output is reduced to K, line K[j] renumbered
-    j: (S - S^T) / 2 of the raw compression S onto K's Majorana axes, and
-    the matching symmetrized mean entries, the bits of the full output's.
-
-    Otherwise the carrier is replaced by (Me - Me^T) / 2 in place, a pair
-    of SYMMETRIZE_BLOCK-square blocks at a time: one block's difference
-    goes to a scratch block and the other's is written in place, so both
-    read old values.  These are the bits of the whole-matrix expression,
-    with peak memory at the held input plus one carrier.
+    The carrier leaves through ``carrier_state``.  With ``c.lines`` = K
+    it is first gathered onto K's Majorana axes and axis 2n: the output
+    reduced to K, line K[j] renumbered j, with the full output's bits.
     """
     Me = c.input_carrier()
     MT = Me.T
     for sl, rows, Q in c.gates.blocks:
         Me[sl] = Q @ Me[sl]
         MT[rows] = Q @ MT[rows]
-    m = 2 * c.n
     if c.lines is not None:
-        idx = _measured_axes(c.lines)
-        S = Me[np.ix_(idx, idx)]
-        return DGaussState(len(c.lines), (S - S.T) / 2, (Me[idx, m] - Me[m, idx]) / 2, check=False)
-    b = SYMMETRIZE_BLOCK
-    scratch = np.empty((min(b, len(Me)),) * 2)
-    for i in range(0, len(Me), b):
-        for j in range(i, len(Me), b):
-            X, Y = Me[i:i + b, j:j + b], Me[j:j + b, i:i + b]
-            upper = np.subtract(X, Y.T, out=scratch[:len(X), :len(Y)])
-            if j > i:
-                np.divide(np.subtract(Y, X.T, out=Y), 2, out=Y)
-            np.divide(upper, 2, out=X)
-    return DGaussState(c.n, Me[:m, :m], Me[:m, m], check=False)
+        ext = _measured_axes(c.lines) + [2 * c.n]
+        Me = Me[np.ix_(ext, ext)]
+    return carrier_state(Me)
 
 
 def _uniform_chunks(seed: int, shots: int, k: int, rows: int):
@@ -373,7 +357,7 @@ def sample(s: DGaussState, K, shots: int, seed: int) -> np.ndarray:
     i, column j the bit of line K[j].
 
     Every shot of a chunk carries its own copy of the 2|K| x 2|K|
-    compression of the carrier onto the measured axes.  Line j reads
+    compression, once it passes ``_refuse_long_lines``.  Line j reads
     p0 = (1 - S[0, 1]) / 2 from the conditioned compression, draws bit 0
     when the shot's uniform is below p0, and conditions on the bit by a
     rank-2 Schur update (_condition).  That is O(|K|^2) per line per
@@ -389,7 +373,7 @@ def sample(s: DGaussState, K, shots: int, seed: int) -> np.ndarray:
     if k == 0:
         return out
     idx = _measured_axes(K)
-    S0 = s.M[np.ix_(idx, idx)]
+    S0 = _refuse_long_lines(s.M[np.ix_(idx, idx)])
     rows = max(1, SAMPLE_CHUNK_BYTES // S0.nbytes)
     start = 0
     for u in _uniform_chunks(seed, shots, k, rows):

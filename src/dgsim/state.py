@@ -27,6 +27,9 @@ from .antisym import (KERNEL_TOL, NumericalAdmissibilityError, _check_carrier, a
 ADMISSIBILITY_TOL = 1e-9
 SATURATION_TOL = 1e-9
 
+# Side of the square blocks in which carrier_state symmetrizes a carrier in place.
+SYMMETRIZE_BLOCK = 256
+
 
 class AdmissibilityError(ValueError, NumericalAdmissibilityError):
     """Input data does not describe a quantum state."""
@@ -72,10 +75,10 @@ def validate(M_ext):
 class DGaussState:
     """Displaced Gaussian state (n, M, mu); immutable after construction.
 
-    With ``check`` (the default) the data is checked once for
-    finiteness, antisymmetry and admissibility.  Internal constructors
-    whose carrier is antisymmetric by construction pass ``check=False``,
-    which checks the shapes only.
+    ``check`` (the default) builds [[M, mu], [-mu^T, 0]], checks it once for
+    finiteness, antisymmetry and admissibility, and keeps views of it.
+    ``check=False`` checks the shapes only and keeps the arrays given, for
+    exactly antisymmetric data such as ``carrier_state``'s.
     """
 
     n: int
@@ -84,18 +87,19 @@ class DGaussState:
     check: bool = field(default=True, compare=False)
 
     def __post_init__(self):
-        M = np.asarray(self.M, dtype=float)
-        mu = np.asarray(self.mu, dtype=float)
+        M, mu = np.asarray(self.M, dtype=float), np.asarray(self.mu, dtype=float)
         if M.shape != (2 * self.n, 2 * self.n) or mu.shape != (2 * self.n,):
             raise ValueError("covariance dimensions do not match n")
-        object.__setattr__(self, "M", M)
-        object.__setattr__(self, "mu", mu)
         if self.check:
-            valid, lambdas = validate(self.M_ext)
+            M_ext = bordered(M, mu)
+            valid, lambdas = validate(M_ext)
             if not valid:
                 raise AdmissibilityError(
                     f"canonical values exceed 1: {[l for l in lambdas if l > 1 + ADMISSIBILITY_TOL]}"
                 )
+            M, mu = M_ext[:-1, :-1], M_ext[:-1, -1]
+        object.__setattr__(self, "M", M)
+        object.__setattr__(self, "mu", mu)
 
     @property
     def M_ext(self) -> np.ndarray:
@@ -110,6 +114,26 @@ class DGaussState:
         """Canonical values of the extended carrier, padded to n entries."""
         lambdas = _canonical_values(self.M_ext)
         return lambdas + [0.0] * (self.n - len(lambdas))
+
+
+def carrier_state(E: np.ndarray) -> DGaussState:
+    """The unchecked state on views of a computed (2k+1)-square carrier E, symmetrized in place.
+
+    E becomes (E - E^T) / 2 a pair of SYMMETRIZE_BLOCK-square blocks at
+    a time: one block's difference goes to a scratch block and the
+    other's is written in place, so both read old values.  These are the
+    bits of the whole-matrix expression, with no second carrier.
+    """
+    b = SYMMETRIZE_BLOCK
+    scratch = np.empty((min(b, len(E)),) * 2)
+    for i in range(0, len(E), b):
+        for j in range(i, len(E), b):
+            X, Y = E[i:i + b, j:j + b], E[j:j + b, i:i + b]
+            upper = np.subtract(X, Y.T, out=scratch[:len(X), :len(Y)])
+            if j > i:
+                np.divide(np.subtract(Y, X.T, out=Y), 2, out=Y)
+            np.divide(upper, 2, out=X)
+    return DGaussState(len(E) // 2, E[:-1, :-1], E[:-1, -1], check=False)
 
 
 def diagonal_parameters(lambdas) -> np.ndarray:
@@ -177,9 +201,7 @@ def from_thermal(h, d) -> DGaussState:
     M_ext = i*tanh(i*G) for the extended carrier G = [[h, d], [-d^T, 0]].
     """
     G = bordered(check_antisymmetric(np.asarray(h, dtype=float)), d)
-    M_ext = _odd_function(G, np.tanh)
-    m = G.shape[0] - 1
-    return DGaussState(m // 2, M_ext[:m, :m], M_ext[:m, m], check=False)
+    return carrier_state(_odd_function(G, np.tanh))
 
 
 def to_thermal(state: DGaussState) -> tuple[np.ndarray, np.ndarray]:

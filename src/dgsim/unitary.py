@@ -49,7 +49,7 @@ from .antisym import (
     plane_decompose,
     wrap_angles,
 )
-from .state import DGaussState
+from .state import DGaussState, carrier_state
 
 # Largest entry of U U^dag - I that still counts as unitary.
 UNITARY_TOL = 1e-8
@@ -144,13 +144,11 @@ class DGUnitary:
 
 
 def conjugate_state(U: DGUnitary, s: DGaussState) -> DGaussState:
-    """Covariance update of U rho U^dag: M_ext -> R M_ext R^T."""
+    """Covariance update of U rho U^dag: M_ext -> R M_ext R^T, through ``carrier_state``."""
     if U.n != s.n:
         raise ValueError("unitary and state sizes differ")
     R = U.rotation()
-    Me = R @ s.M_ext @ R.T
-    m = 2 * s.n
-    return DGaussState(s.n, (Me[:m, :m] - Me[:m, :m].T) / 2, Me[:m, m], check=False)
+    return carrier_state(R @ s.M_ext @ R.T)
 
 
 def conjugate_monomial(U: DGUnitary, J, max_terms: int | None = None) -> dict:
@@ -541,8 +539,3 @@ def compile(U: DGUnitary) -> GateSequence:  # noqa: A001 - established API name
     # plane_decompose normalized each angle twice; a Gate normalizes it once more.
     return GateSequence._from_columns(n, kind, axes[:, 0], axes[:, 1], np.full(len(axes), -1),
                                       wrap_angles(angles))
-
-
-def compile_rotation(R, n: int) -> GateSequence:
-    """``compile`` of the unitary with rotation R on n lines (``DGUnitary`` checks R)."""
-    return compile(DGUnitary.from_rotation(n, R))

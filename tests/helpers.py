@@ -145,13 +145,12 @@ def reference_run(M_ext, gates):
     return Me[:m, :m], Me[:m, m]
 
 
-def gather_run(c):
-    """(M, mu) of ``simulator.run`` as it was before slice views: the bit reference.
+def gather_fold(c):
+    """The carrier ``simulator.run`` folds, as it folded before slice views: the bit reference.
 
     Each gate gathers its rows and columns by fancy indexing, multiplies
-    them by Q and Q^T and scatters them back; the carrier is then
-    symmetrized a pair of SYMMETRIZE_BLOCK-square blocks at a time, both
-    computed into temporaries before either is written.
+    them by Q and Q^T and scatters them back.  The result is not
+    symmetrized.
     """
     Me = c.input_state().M_ext
     fswap, rows2, Q2, rows4 = c.gates.stacked
@@ -160,13 +159,35 @@ def gather_run(c):
         rows, Q = (next(swap), un_mod.FSWAP_ROTATION4) if f else next(plane)
         Me[rows, :] = Q @ Me[rows, :]
         Me[:, rows] = Me[:, rows] @ Q.T
-    b = sim.SYMMETRIZE_BLOCK
+    return Me
+
+
+def gather_run(c):
+    """(M, mu) of ``gather_fold(c)`` symmetrized, the bit reference of ``simulator.run``.
+
+    The carrier is symmetrized a pair of SYMMETRIZE_BLOCK-square blocks
+    at a time, both computed into temporaries before either is written.
+    """
+    Me = gather_fold(c)
+    b = st_mod.SYMMETRIZE_BLOCK
     for i in range(0, len(Me), b):
         for j in range(i, len(Me), b):
             I, J = slice(i, i + b), slice(j, j + b)
             Me[I, J], Me[J, I] = (Me[I, J] - Me[J, I].T) / 2, (Me[J, I] - Me[I, J].T) / 2
     m = 2 * c.n
     return Me[:m, :m], Me[:m, m]
+
+
+def is_exit_of(s, E):
+    """Whether unchecked state s holds (E - E^T) / 2 of raw carrier E, bit for bit.
+
+    Its M then equals -M^T exactly, and its mu is the symmetrized mean
+    column (E[:m, m] - E[m, :m]) / 2.
+    """
+    m = 2 * s.n
+    S = (E - E.T) / 2
+    return (np.array_equal(s.M, -s.M.T) and s.M.tobytes() == S[:m, :m].tobytes()
+            and s.mu.tobytes() == S[:m, m].tobytes())
 
 
 def reference_rotation(n, gates):

@@ -141,7 +141,7 @@ def test_acceptance_4_compiler():
     for n in range(2, 9):
         m = 2 * n + 1
         R = scipy.linalg.expm(rand_antisym(rng, m))
-        seq = un_mod.compile_rotation(R, n)
+        seq = un_mod.compile(un_mod.DGUnitary.from_rotation(n, R))
         worst_res = max(worst_res, float(np.max(np.abs(un_mod.sequence_rotation(seq) - R))))
         constant = max(constant, len(seq) / n**3)
         if n <= 3:
@@ -176,7 +176,7 @@ def test_acceptance_5_three_way_characterization():
         # circuit route: canonical diagonal input + compiled rotation
         R, _ = antisym.block_diagonalize(s_th.M_ext)
         lambdas = s_th.canonical_lambdas()
-        seq = un_mod.compile_rotation(R.T, n)
+        seq = un_mod.compile(un_mod.DGUnitary.from_rotation(n, R.T))
         s_circ = simulator.run(
             simulator.Circuit(st_mod.from_diagonal([-l for l in lambdas]), seq)
         )

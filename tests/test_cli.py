@@ -554,7 +554,8 @@ def test_oracle_verify_builds_input_once(tmp_path, capsys, monkeypatch):
            "measure": {"lines": [0, 1], "x": [1, 0]}}
     code, out = run_cli(capsys, ["oracle-verify", write_doc(tmp_path, "c.json", doc)])
     assert code == 0 and json.loads(out)["ok"] is True
-    assert calls == {"prepare_product": 1, "validate": 1}
+    # The Bloch rule is the input's one check: no O(n^3) validate follows it.
+    assert calls == {"prepare_product": 1}
 
 
 # An inadmissible input is refused while the document is parsed, so it

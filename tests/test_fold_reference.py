@@ -108,7 +108,7 @@ def test_gate_sequence_run_matches_reference(n):
 def test_compiled_gates_match_reference(n):
     rng = np.random.default_rng(70 + n)
     R = rand_unitary(rng, n, scale=2.0).rotation()
-    seq = un_mod.compile_rotation(R, n)
+    seq = un_mod.compile(un_mod.DGUnitary.from_rotation(n, R))
     ext = 2 * n
     allowed = un_mod._compile_adjacency(n)
     want = [

@@ -15,7 +15,7 @@ import pytest
 from dgsim import cli, serialization as ser, simulator as sim, state as st_mod
 from dgsim.antisym import IndexRuleError, NumericalAdmissibilityError, bordered, canonical_matrix
 
-from helpers import rand_bloch, rand_sequence
+from helpers import gather_fold, is_exit_of, rand_bloch, rand_sequence
 
 SIZES = [1, 2, 3, 17, 64, 200]
 
@@ -60,6 +60,21 @@ def test_reduced_output_is_compression_of_full(n, kind):
         assert p_full.hex() == p_red.hex()
         shots = 20 if len(K) > 50 else 200
         assert np.array_equal(sim.sample(full, K, shots, 7), sim.sample(red, range(len(K)), shots, 7))
+
+
+@pytest.mark.parametrize("n, K", [(3, None), (3, (0, 2)), (17, None), (17, (4, 9, 16)), (150, None),
+                                  (150, tuple(range(150))), (300, tuple(range(0, 300, 2)))])
+def test_run_leaves_through_carrier_state(n, K):
+    # State mode and a reduced output alike: (E - E^T) / 2 of the folded
+    # carrier E, or of its gather onto K's axes and axis 2n (k = 150 spans
+    # two symmetrization blocks).
+    rng = np.random.default_rng(n)
+    c = sim.Circuit(circuit_input(rng, n, "bloch"), rand_sequence(rng, n, 4 * n), lines=K)
+    E = gather_fold(c)
+    if K is not None:
+        ext = sim._measured_axes(K) + [2 * n]
+        E = E[np.ix_(ext, ext)]
+    assert is_exit_of(sim.run(c), E)
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -157,6 +172,10 @@ def unchecked(n, lams):
 
 BAD = unchecked(2, [-1.5, 1.5])
 EDGE = unchecked(1, [1 + 2e-9])
+EDGE_UP = unchecked(1, [-(1 + 1.5e-9)])  # M[0, 1] = 1 + 1.5e-9
+# Lines within bounds, drift between them: only conditioning shows it.
+OFF = st_mod.DGaussState(2, np.array([[0, 0, 1.5, 0], [0, 0, 0, 1.5], [-1.5, 0, 0, 0], [0, -1.5, 0, 0]]),
+                         np.zeros(4), check=False)
 GOOD = st_mod.from_diagonal([0.5, 0.25])
 
 REFUSALS = [
@@ -168,8 +187,13 @@ REFUSALS = [
      st_mod.AdmissibilityError, "magnitude 1.5 above 1"),
     ("expectation past tolerance", lambda: sim.expectation(EDGE, sim.MeasurementOp((0,), (0,))),
      st_mod.AdmissibilityError, "above 1"),
-    ("sample", lambda: sim.sample(BAD, (0, 1), 10, 0),
-     NumericalAdmissibilityError, r"conditional probability -0.25 outside \[0, 1\]"),
+    ("expectation past tolerance, upper", lambda: sim.expectation(EDGE_UP, sim.MeasurementOp((0,), (0,))),
+     st_mod.AdmissibilityError, "magnitude 1.0000000015 above 1"),
+    ("sample", lambda: sim.sample(BAD, (0, 1), 10, 0), st_mod.AdmissibilityError, "magnitude 1.5 above 1"),
+    ("sample past tolerance", lambda: sim.sample(EDGE_UP, (0,), 5, 1),
+     st_mod.AdmissibilityError, "magnitude 1.0000000015 above 1"),
+    ("sample off the lines", lambda: sim.sample(OFF, (0, 1), 4, 0),
+     NumericalAdmissibilityError, r"conditional probability 1.625 outside \[0, 1\]"),
     ("overlap rho", lambda: sim.overlap(BAD, GOOD), st_mod.AdmissibilityError, "magnitude 1.5 above 1"),
     ("overlap sigma", lambda: sim.overlap(GOOD, BAD), st_mod.AdmissibilityError, "magnitude 1.5 above 1"),
 ]

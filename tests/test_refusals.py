@@ -61,6 +61,8 @@ REFUSALS = {
                       ValueError, "overlap inputs have different sizes"),
     "prepare_product-components": (lambda: sim.prepare_product([[0, 0]]), ValueError,
                                    "each Bloch vector needs three components"),
+    "prepare_product-nan": (lambda: sim.prepare_product([[0.0, 0.0, 1.0], [np.nan, 0.0, 0.0]]),
+                            antisym.NonFiniteError, "matrix has non-finite entries"),
     # state
     "DGaussState-shapes": (lambda: st_mod.DGaussState(2, np.zeros((2, 2)), np.zeros(4)), ValueError,
                            "covariance dimensions do not match n"),
@@ -72,8 +74,8 @@ REFUSALS = {
     "conjugate_state-sizes": (lambda: un_mod.conjugate_state(un_mod.DGUnitary.identity(1),
                                                              st_mod.from_diagonal([0.5, 0.5])),
                               ValueError, "unitary and state sizes differ"),
-    "compile_rotation-shape": (lambda: un_mod.compile_rotation(np.eye(3), 2), ValueError,
-                               "rotation dimension does not match n"),
+    "compile_rotation-shape": (lambda: un_mod.compile(un_mod.DGUnitary.from_rotation(2, np.eye(3))),
+                               ValueError, "rotation dimension does not match n"),
     "Gate-kind": (lambda: G("toffoli"), un_mod.GateError, "unknown gate kind 'toffoli'"),
     "Gate-kind-none": (lambda: G(None, line=0), un_mod.GateError, "unknown gate kind None"),
     "Gate-line-on-plane": (lambda: G(MATCH, axes=(0, 1), angle=0.1, line=0), un_mod.GateError,

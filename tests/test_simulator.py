@@ -195,6 +195,51 @@ def test_prepare_product_rejects_long_bloch():
 
 
 
+def bloch_product(kind, n):
+    """A Gaussian product: pure, mixed then diagonal, or pure with lengths 1 + tol / (2n)."""
+    pure = [rand_bloch(rng, pure=True) for _ in range(n)]
+    if kind == "pure":
+        return np.array(pure)
+    if kind == "mixed":
+        tail = [[0.0, 0.0, float(rng.uniform(-1, 1))] for _ in range(n - n // 2 - 1)]
+        return np.array(pure[:n // 2] + [rand_bloch(rng)] + tail)
+    return np.array(pure) * (1 + st_mod.ADMISSIBILITY_TOL / (2 * n))
+
+
+def counted_validate(monkeypatch):
+    calls, real = [], st_mod.validate
+    monkeypatch.setattr(st_mod, "validate", lambda M_ext: calls.append(1) or real(M_ext))
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["pure", "mixed", "boundary"])
+@pytest.mark.parametrize("n", [1, 2, 7, 40])
+def test_bloch_rule_is_the_one_check(monkeypatch, kind, n):
+    # The O(n) Bloch rule admits these carriers with no validate: their
+    # canonical values are the Bloch lengths, or within n times the
+    # lengths' excess over 1.
+    blochs = bloch_product(kind, n)
+    calls = counted_validate(monkeypatch)
+    s = sim.prepare_product(blochs)
+    assert calls == []
+    valid, lambdas = st_mod.validate(s.M_ext)
+    assert valid and len(lambdas) == n
+    if kind != "boundary":
+        assert np.allclose(lambdas, sorted(np.linalg.norm(blochs, axis=1), reverse=True), rtol=0, atol=1e-12)
+
+
+def test_long_bloch_vectors_keep_the_carrier_check(monkeypatch):
+    # Ten transverse vectors of length 1 + 5e-10 pass the Bloch rule, but
+    # their carrier's largest canonical value is 1 + 1.7e-9: refused.
+    # Diagonal ones of that length have canonical values 1 + 5e-10: kept.
+    calls = counted_validate(monkeypatch)
+    long = 1 + st_mod.ADMISSIBILITY_TOL / 2
+    with pytest.raises(st_mod.AdmissibilityError, match=r"^canonical values exceed 1: \[1\.00000000169"):
+        sim.prepare_product([[np.sin(0.3) * long, 0.0, np.cos(0.3) * long]] * 10)
+    s = sim.prepare_product([[0.0, 0.0, long]] * 10)
+    assert calls == [1, 1] and max(s.canonical_lambdas()) == pytest.approx(long, rel=0, abs=1e-15)
+
+
 @pytest.mark.parametrize("pure", [True, False])
 def test_prepare_product_beyond_oracle_cap(pure):
     n = 48

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from dgsim import antisym, oracle, simulator as sim, state as st_mod
+from dgsim import antisym, oracle, simulator as sim, state as st_mod, unitary as un_mod
 
-from helpers import mask, rand_antisym, rand_pure_state, rand_state, state_from_dense
+from helpers import is_exit_of, mask, rand_antisym, rand_pure_state, rand_state, rand_unitary, state_from_dense
 
 rng = np.random.default_rng(404)
 
@@ -202,3 +202,42 @@ def test_is_even():
     assert st_mod.from_diagonal([0.5, 0.1]).is_even
     s = rand_state(rng, 2, scale=0.5)
     assert not s.is_even
+
+
+# ---------------------------------------------------------------------------
+# A checked state copies its data; an unchecked one leaves through
+# carrier_state, exactly antisymmetric.
+
+def test_checked_state_keeps_its_data():
+    M, mu = np.zeros((2, 2)), np.zeros(2)
+    s = st_mod.DGaussState(1, M, mu)
+    M[0, 1], M[1, 0] = -3, 3
+    mu[0] = 2
+    assert s.canonical_lambdas() == [0.0] and not s.mu.any()
+    u = st_mod.DGaussState(1, M, mu, check=False)
+    assert u.M is M and u.mu is mu
+
+
+@pytest.mark.parametrize("block", [4, st_mod.SYMMETRIZE_BLOCK])
+@pytest.mark.parametrize("size", [1, 3, 9, 11, 301])
+def test_carrier_state_symmetrizes_in_place(monkeypatch, block, size):
+    monkeypatch.setattr(st_mod, "SYMMETRIZE_BLOCK", block)
+    E = np.random.default_rng(size).normal(size=(size, size))
+    raw = E.copy()
+    s = st_mod.carrier_state(E)
+    assert s.n == size // 2 and is_exit_of(s, raw)
+    assert s.M.base is E and s.mu.base is E
+
+
+@pytest.mark.parametrize("n", [2, 5, 20])
+def test_from_thermal_is_exactly_antisymmetric(n):
+    h, d = rand_antisym(rng, 2 * n), rng.normal(size=2 * n) * 0.4
+    raw = st_mod._odd_function(antisym.bordered(h, d), np.tanh)
+    assert is_exit_of(st_mod.from_thermal(h, d), raw)
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_conjugate_state_is_exactly_antisymmetric(n):
+    U, s = rand_unitary(rng, n), rand_state(rng, n)
+    R = U.rotation()
+    assert is_exit_of(un_mod.conjugate_state(U, s), R @ s.M_ext @ R.T)

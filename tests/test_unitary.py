@@ -313,7 +313,7 @@ def test_compile_checks_its_rotation_once(monkeypatch):
     seq = un_mod.compile(U)
     assert calls == [(5, 5)]
     calls.clear()
-    assert un_mod.compile_rotation(U.rotation(), 2).axes.tolist() == seq.axes.tolist()
+    assert un_mod.compile(un_mod.DGUnitary.from_rotation(2, U.rotation())).axes.tolist() == seq.axes.tolist()
     assert calls == [(5, 5)]
     calls.clear()
     antisym.plane_decompose(U.rotation(), np.ones((5, 5), dtype=bool))
