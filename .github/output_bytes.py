@@ -53,6 +53,14 @@ def edge_requests(workloads):
     Then a lambda input at n = 300 measured on 150 lines, expectation and
     50-shot sampling, whose gathered (301-square) carrier spans two
     symmetrization blocks, and a ``bloch`` state run at n = 120.
+
+    Then ``lambdas`` inputs that ``run`` folds over their band: a state run
+    with lambda in {0, -0, 1, -1, 0.3} and a third of its angles in
+    {0, pi, -pi/2}; a shallow n = 300 state run (n/4 gates, most lines
+    untouched, the extension row's -0s kept); a deep n = 6 state run (60n
+    gates, the band fills the carrier); and an n = 200 circuit heavy in
+    ``line1`` gates, which spread the mean, measured on lines {0, n - 1}
+    by expectation and by sampling.
     """
     import numpy as np
 
@@ -97,6 +105,22 @@ def edge_requests(workloads):
     blochs = workloads.random_pure_blochs(rng, 120)
     doc = workloads.circuit(120, {"bloch": blochs}, workloads.random_gates(rng, 120, 480))
     reqs.append(workloads.run_request(doc))
+    gates = workloads.random_gates(rng, 40, 160)
+    for g in gates[::3]:
+        if "angle" in g:
+            g["angle"] = float(rng.choice([0.0, np.pi, -np.pi / 2]))
+    lambdas = [[0.0, -0.0, 1.0, -1.0, 0.3][q % 5] for q in range(40)]
+    reqs.append(workloads.run_request(workloads.circuit(40, {"lambdas": lambdas}, gates)))
+    for n, count in ((300, 75), (6, 360)):
+        doc = workloads.circuit(n, {"lambdas": workloads.random_lambdas(rng, n)}, workloads.random_gates(rng, n, count))
+        reqs.append(workloads.run_request(doc))
+    n, lambdas = 200, workloads.random_lambdas(rng, 200)
+    for measure in ({"lines": [0, n - 1], "x": [1, 0]}, {"lines": [0, n - 1], "shots": 300, "seed": 11}):
+        gates = workloads.random_gates(rng, n, 4 * n)
+        gates[::2] = [{"kind": "line1", "axes": sorted(rng.choice([0, 1, 2 * n], 2, replace=False).tolist()),
+                       "angle": float(rng.uniform(-np.pi, np.pi))} for _ in gates[::2]]
+        doc = workloads.circuit(n, {"lambdas": lambdas}, gates, measure)
+        reqs.append(workloads.run_request(doc, shots=measure.get("shots", 0), lines=2))
     return reqs
 
 

@@ -2,11 +2,14 @@
 
 A circuit is a checked input, an ordered gate list and, optionally,
 the lines to be measured.  Evolution updates one real extended carrier
-M_ext in place; each gate touches at most four rows and columns, so a
-g-gate circuit costs O(g n) plus O(n^2) bookkeeping, and one carrier of
-memory beyond the held input (a diagonal input holds its lambdas alone).
-With measured lines K, ``run`` returns the output reduced to K, the
-compression that measurement reads.  Both leave via ``carrier_state``.
+M_ext in place, in fold order (axis 2n first), where each gate touches
+at most four consecutive rows and columns, and those only within the
+band they may reach: g gates cost O(g w) for band width w (at most 2n+1,
+2 to start from a diagonal input) plus O(n^2) bookkeeping, and one
+carrier of memory beyond the held input (a diagonal input holds its
+lambdas alone).  With measured lines K, ``run`` returns the output
+reduced to K, the compression that measurement reads.  Both leave via
+``carrier_state``.
 
 Measurement uses the determinant formula: the probability of outcome
 bits x on lines K is 2^{-|K|} sqrt(det(I - M_rho M_{K,x})), evaluated
@@ -282,41 +285,74 @@ class Circuit:
         return self.state if isinstance(self.state, DGaussState) else from_diagonal(self.state)
 
     def input_carrier(self) -> np.ndarray:
-        """A fresh, writable M_ext of the input; from lambdas, that of ``from_diagonal`` (bottom row -0)."""
-        if isinstance(self.state, DGaussState):
-            return self.input_state().M_ext
+        """A fresh (2n+2)-square buffer of the input's M_ext in fold order, last row and column spare (0).
+
+        Fold order puts axis 2n first, then axes 0..2n-1.  From lambdas it
+        holds the bits of ``from_diagonal``'s M_ext (extension row -0).
+        """
         m = 2 * self.n
-        Me = canonical_matrix(-self.state, m + 1)
-        Me[m, :m] = -0.0
-        return Me
+        X = np.zeros((m + 2, m + 2))
+        if isinstance(self.state, DGaussState):
+            X[1:-1, 1:-1] = self.state.M
+            X[1:-1, 0] = self.state.mu
+            X[0, 1:-1] = -self.state.mu
+        else:
+            q = np.arange(1, m, 2)
+            X[q, q + 1] = -self.state
+            X[q + 1, q] = -X[q, q + 1]
+            X[0, 1:-1] = -0.0
+        return X
 
 
 def run(c: Circuit) -> DGaussState:
     """Fold the circuit's gates over its input's carrier; the output state, or its reduction to c.lines.
 
-    The one extended carrier is ``c.input_carrier()``, fresh and updated
-    in place.  Each gate's fold block (slice, rows, Q) comes with its
-    sequence (see GateSequence): the gate multiplies its two or four rows
-    by Q and the matching columns by Q^T, so the loop builds no per-gate
-    object.  The rows are a slice view, evenly strided, that BLAS reads
-    in place; the columns are the same rows of the transposed view,
-    gathered and scattered back.  With OpenBLAS's 2x2 and 4x4 products
-    both give the bits of the gathered forms Q @ Me[rows, :] and
-    Me[:, rows] @ Q^T, signed zeros included (the fold-reference tests
-    pin this).  A column slice, strided in both dimensions, would be
-    multiplied by numpy's own loop instead of BLAS: slower, and not the
-    call those tests pin.  Gates were validated when their sequence was
-    built, so they are not checked again here.
+    The carrier is ``c.input_carrier()``, updated in place in fold order,
+    where each gate's block (slice, lowest row a, highest row b, Q; see
+    GateSequence) spans at most four consecutive rows.  The gate
+    multiplies its rows of the leading (2n+1)-square block B by Q, and
+    the same rows of B^T (its columns) by Q again, only within a band:
+    two nondecreasing lists bound by lo[r]..hi[r]-1 the entries of row r,
+    and of column r, that may be nonzero.  Rows a..b reach columns
+    lo[a]..hi[b]-1 alone; after the gate they reach all of them, and
+    rows lo[a]..hi[b]-1 reach columns a..b.  A lambdas input starts from
+    its 2x2 blocks, a held state at the full band: g gates cost O(g w)
+    for band width w.  A skipped entry is a zero that the whole-row product would
+    set to +0, and a computed one has the bits of Q @ Me[rows, :] or
+    Me[:, rows] @ Q^T (the fold-reference tests pin both).  The one zero
+    sign the band keeps, -0 in a lambdas input's extension row, leaves no
+    trace in the mean column of (E - E^T) / 2.  Gates were checked when
+    their sequence was built.
 
-    The carrier leaves through ``carrier_state``.  With ``c.lines`` = K
-    it is first gathered onto K's Majorana axes and axis 2n: the output
-    reduced to K, line K[j] renumbered j, with the full output's bits.
+    Copying the extension row and column into the spare ones makes
+    X[1:, 1:] the natural carrier.  It leaves through ``carrier_state``;
+    with ``c.lines`` = K it is first gathered onto K's Majorana axes and
+    axis 2n: the output reduced to K, line K[j] renumbered j, with the
+    full output's bits.
     """
-    Me = c.input_carrier()
-    MT = Me.T
-    for sl, rows, Q in c.gates.blocks:
-        Me[sl] = Q @ Me[sl]
-        MT[rows] = Q @ MT[rows]
+    X = c.input_carrier()
+    B = X[:-1, :-1]
+    BT = B.T
+    w = len(B)
+    if isinstance(c.state, DGaussState):
+        lo, hi = [0] * w, [w] * w
+    else:
+        lo = [0] + [r - 1 + r % 2 for r in range(1, w)]
+        hi = [1] + [r + 2 for r in lo[1:]]
+    for sl, a, b, Q in c.gates.blocks:
+        L, H = lo[a], hi[b]
+        B[sl, L:H] = Q @ B[sl, L:H]
+        BT[sl, L:H] = Q @ BT[sl, L:H]
+        if lo[b] != L or hi[a] != H:  # else rows a..b and L..H-1 already reach each other
+            # Rows L..e-1 stopped short of column b, rows s..H-1 started past column a.
+            e, s = min(lo[b], a), max(hi[a], b + 1)
+            hi[L:e] = [b + 1] * (e - L)
+            lo[s:H] = [a] * (H - s)
+            lo[a:b + 1] = [L] * (b + 1 - a)
+            hi[a:b + 1] = [H] * (b + 1 - a)
+    X[-1, :] = X[0, :]
+    X[:, -1] = X[:, 0]
+    Me = X[1:, 1:]
     if c.lines is not None:
         ext = _measured_axes(c.lines) + [2 * c.n]
         Me = Me[np.ix_(ext, ext)]

@@ -186,11 +186,11 @@ def _odd_function(G: np.ndarray, f) -> np.ndarray:
     Uses the Hermitian matrix iG: result = i * f_applied(iG), which is
     again real antisymmetric.  (A direct series in G would evaluate the
     trigonometric counterpart of f instead, since the squares of G's
-    canonical blocks are negative.)
+    canonical blocks are negative.)  The result is a new C-contiguous
+    float array: the real part of the complex product, copied out of it.
     """
     w, V = np.linalg.eigh(1j * G)
-    out = 1j * (V * f(w)) @ V.conj().T
-    return np.real(out)
+    return np.ascontiguousarray((1j * (V * f(w)) @ V.conj().T).real)
 
 
 def from_thermal(h, d) -> DGaussState:
@@ -205,12 +205,13 @@ def from_thermal(h, d) -> DGaussState:
 
 
 def to_thermal(state: DGaussState) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of from_thermal; raises SaturationError on pure modes."""
+    """Inverse of from_thermal, [[h, d], [-d^T, 0]] exactly antisymmetric; SaturationError on pure modes."""
     lambdas = state.canonical_lambdas()
     saturated = [j for j, lam in enumerate(lambdas) if lam >= 1.0 - SATURATION_TOL]
     if saturated:
         raise SaturationError(saturated)
     G = _odd_function(state.M_ext, np.arctanh)
+    G = (G - G.T) / 2
     m = 2 * state.n
     return G[:m, :m], G[:m, m]
 

@@ -346,20 +346,22 @@ def _stacked_blocks(kind, axes, line, angle):
     return fswap, rows2, Q2, rows4
 
 
-def _fold_blocks(fswap, rows2, Q2, rows4) -> list[tuple[slice, np.ndarray, np.ndarray]]:
-    """(rows as a slice, rows, Q) of every gate: its rotation acts as Q on those rows only.
+def _fold_blocks(n, fswap, rows2, Q2, rows4) -> list[tuple[slice, int, int, np.ndarray]]:
+    """(rows as a slice, lowest row, highest row, Q) of every gate, in fold order.
 
-    The slice picks the same rows in the same order: slice(j, k +- 1,
-    k - j) for a plane gate on (j, k), either order and the extension
-    axis 2n included, and slice(2a, 2a + 4) for an fswap on (a, a + 1).
-    Indexing a carrier with it gives a view, not a gathered copy, and
-    the view's rows are evenly strided, so matmul hands it to BLAS as it
-    is.  ``rows`` and Q are read-only views into the stacked blocks.
+    Fold order puts the extension axis 2n at row 0 and axis a < 2n at
+    row a + 1, so every block lies within four consecutive rows: a
+    matchgate's window, a line1 gate's rows {0, 1, 2} and an fswap's
+    2a + 1..2a + 4.  The slice picks the gate's rows in the order of its
+    axes: slice(p, q +- 1, q - p) for a plane gate on rows (p, q), either
+    order, and slice(2a + 1, 2a + 5) for an fswap on lines (a, a + 1).
+    Indexing a carrier with it gives a view, not a gathered copy.  Q is a
+    read-only view into the stacked blocks.
     """
-    j, k = rows2.T.tolist()
-    plane = zip((slice(a, b + 1 if b > a else (b - 1 if b else None), b - a) for a, b in zip(j, k)),
-                rows2, Q2)
-    swap = ((slice(a, a + 4), r, FSWAP_ROTATION4) for a, r in zip(rows4[:, 0].tolist(), rows4))
+    p, q = ((rows2 + 1) % (2 * n + 1)).T.tolist()
+    plane = ((slice(a, b + 1 if b > a else (b - 1 if b else None), b - a), min(a, b), max(a, b), Q)
+             for a, b, Q in zip(p, q, Q2))
+    swap = ((slice(r, r + 4), r, r + 3, FSWAP_ROTATION4) for r in (rows4[:, 0] + 1).tolist())
     return [next(swap) if f else next(plane) for f in fswap.tolist()]
 
 
@@ -376,8 +378,9 @@ class GateSequence:
     - ``angle``: (g,) float64 rotation angle in (-pi, pi], 0 for an fswap;
     - ``stacked``: the fold blocks stacked by width (_stacked_blocks),
       computed once here;
-    - ``blocks``: per gate the fold block (slice, rows, Q) of
-      _fold_blocks, views into ``stacked``.  Only simulator.run folds
+    - ``blocks``: per gate the fold block (slice, lowest row, highest
+      row, Q) of _fold_blocks, in the fold order of simulator.run (the
+      extension axis first), Q a view into ``stacked``.  Only run folds
       gate by gate, so the list is built on first access: a compiled
       sequence, which goes to sequence_rotation and dumps, never builds
       it.
@@ -423,8 +426,8 @@ class GateSequence:
         self.stacked = _stacked_blocks(self.kind, self.axes, self.line, self.angle)
 
     @functools.cached_property
-    def blocks(self) -> list[tuple[slice, np.ndarray, np.ndarray]]:
-        return _fold_blocks(*self.stacked)
+    def blocks(self) -> list[tuple[slice, int, int, np.ndarray]]:
+        return _fold_blocks(self.n, *self.stacked)
 
     def __len__(self):
         return len(self.kind)

@@ -162,6 +162,16 @@ def gather_fold(c):
     return Me
 
 
+def natural_order(X):
+    """The (2n+1)-square carrier in a (2n+2)-square fold-order buffer X, axes 0..2n in order.
+
+    Fold order (``Circuit.input_carrier``) holds the extension axis 2n at
+    row and column 0 and axis a < 2n at a + 1; the last row and column are spare.
+    """
+    order = list(range(1, len(X) - 1)) + [0]
+    return X[np.ix_(order, order)]
+
+
 def gather_run(c):
     """(M, mu) of ``gather_fold(c)`` symmetrized, the bit reference of ``simulator.run``.
 

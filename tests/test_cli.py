@@ -495,7 +495,7 @@ def test_oracle_verify_catches_corruption(tmp_path, capsys, monkeypatch):
     real = un_mod._fold_blocks
 
     def crooked(*columns):
-        return [(sl, rows, Q.T) for sl, rows, Q in real(*columns)]
+        return [(sl, a, b, Q.T) for sl, a, b, Q in real(*columns)]
 
     monkeypatch.setattr(un_mod, "_fold_blocks", crooked)
     gates = [{"kind": "matchgate", "axes": [0, 2], "angle": 0.9}]

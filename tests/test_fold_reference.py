@@ -17,12 +17,15 @@ from dgsim import serialization as ser, simulator as sim, state as st_mod, unita
 from helpers import (
     PlaneRotation,
     gate_rows,
+    gather_fold,
     gather_run,
+    is_exit_of,
     plane_decompose_reference,
     rand_bloch,
     rand_gate,
     rand_sequence,
     rand_unitary,
+    reference_block,
     reference_rotation,
     reference_run,
 )
@@ -170,8 +173,13 @@ def test_sequence_rotation_of_compiled_and_empty_sequences(n):
 
 
 def one_gate_block(n, gate):
-    """(slice, rows, Q) of one gate, as run folds it."""
+    """(slice, lowest row, highest row, Q) of one gate in fold order, as run folds it."""
     return un_mod.GateSequence(n, (gate,)).blocks[0]
+
+
+def fold_rows(n, gate):
+    """The gate's rows in fold order, in the order of its axes: axis a < 2n at a + 1, axis 2n at 0."""
+    return [(r + 1) % (2 * n + 1) for r in reference_block(gate)[0]]
 
 
 def block_gates(n):
@@ -188,26 +196,63 @@ def block_gates(n):
 
 @pytest.mark.parametrize("n", [1, 3, 128, 1003])
 def test_slice_views_keep_gather_bits(n):
-    # run updates a gate's rows through a basic-slice view and its columns
-    # as the same rows of the transposed carrier; both must give the bits of
-    # the gathering forms Q @ Me[rows, :] and Me[:, rows] @ Q^T.
+    # run updates a gate's rows of the fold-order block B through a basic-slice
+    # view, and its columns as the same rows of B^T, over the whole width or
+    # over a band of columns L..H-1.  Each must give the bits of the gathering
+    # forms Q @ B[rows, :] and B[:, rows] @ Q^T on the entries it writes.
     rng = np.random.default_rng(n)
-    Me = rng.normal(size=(2 * n + 1, 2 * n + 1))
-    Me[rng.random(Me.shape) < 0.2] = 0.0
-    Me[rng.random(Me.shape) < 0.1] = -0.0
+    w = 2 * n + 1
+    X = rng.normal(size=(w + 1, w + 1))
+    X[rng.random(X.shape) < 0.2] = 0.0
+    X[rng.random(X.shape) < 0.1] = -0.0
+    B = X[:-1, :-1]
     gates = block_gates(n)
-    assert {len(one_gate_block(n, g)[1]) for g in gates} == ({2, 4} if n > 1 else {2})
+    assert {len(fold_rows(n, g)) for g in gates} == ({2, 4} if n > 1 else {2})
     for g in gates:
-        sl, rows, Q = one_gate_block(n, g)
-        assert np.arange(2 * n + 1)[sl].tolist() == rows.tolist()
-        want = Me.copy()
-        want[rows, :] = Q @ want[rows, :]
-        got = Me.copy()
-        got[sl] = Q @ got[sl]
-        assert same_bits(got, want), (g, "rows")
-        want[:, rows] = want[:, rows] @ Q.T
-        got.T[rows] = Q @ got.T[rows]
-        assert same_bits(got, want), (g, "columns")
+        sl, a, b, Q = one_gate_block(n, g)
+        rows = fold_rows(n, g)
+        assert np.arange(w)[sl].tolist() == rows and (a, b) == (min(rows), max(rows)) and b - a <= 3
+        assert same_bits(Q, reference_block(g)[1])
+        for L, H in {(0, w), (a, b + 1), (int(rng.integers(0, a + 1)), int(rng.integers(b + 1, w + 1)))}:
+            got = X.copy()[:-1, :-1]
+            got[sl, L:H] = Q @ got[sl, L:H]
+            assert same_bits(got[rows, L:H], (Q @ B[rows, :])[:, L:H]), (g, L, H, "rows")
+            got = X.copy()[:-1, :-1]
+            got.T[sl, L:H] = Q @ got.T[sl, L:H]
+            assert same_bits(got[L:H][:, rows], (B[:, rows] @ Q.T)[L:H]), (g, L, H, "columns")
+
+
+@pytest.mark.parametrize("n", [3, 8, 40])
+def test_band_products_ignore_the_sign_of_zero(n):
+    # The band skips entries that are zero, which the whole-row product would
+    # set to +0, and may later read them with either sign.  So Q @ V never
+    # holds -0, and flipping the sign of V's zeros leaves its bits as they
+    # are.  V takes every band width 2..2n+1, contiguous and strided rows
+    # (negative steps too), in the row form and the transposed form; Q is
+    # each width's fold block at angles 0, pi, -pi/2, -3pi/4 and random.
+    rng = np.random.default_rng(40 + n)
+    X = rng.normal(size=(2 * n + 2, 2 * n + 2))
+    X[rng.random(X.shape) < 0.5] = 0.0
+    X[:, rng.random(len(X)) < 0.2] = 0.0
+    X[rng.random(X.shape) < 0.2] = 0.0
+    X[rng.random(X.shape) < 0.5] *= -1
+    flipped = np.where(X == 0, -X, X)
+    assert np.signbit(X[X == 0]).any() and not np.signbit(X[X == 0]).all()
+    angles = [0.0, np.pi, -np.pi / 2, -3 * np.pi / 4, *rng.uniform(-np.pi, np.pi, 3).tolist()]
+    Qs = [one_gate_block(n, un_mod.Gate(un_mod.MATCHGATE, axes=(0, 1), angle=t))[3] for t in angles]
+    Qs.append(one_gate_block(n, un_mod.Gate(un_mod.FSWAP, line=0))[3])
+    for Q in Qs:
+        k = len(Q)
+        for step in (1, 2, -1, -2):
+            top = int(rng.integers(0, len(X) - abs(step) * (k - 1)))
+            rows = slice(top, None, step) if step > 0 else slice(top + abs(step) * (k - 1), None, step)
+            for A, F in ((X, flipped), (X.T, flipped.T)):
+                for width in range(2, 2 * n + 2):
+                    L = int(rng.integers(0, len(X) - width + 1))
+                    V, Vf = A[rows, L:L + width][:k], F[rows, L:L + width][:k]
+                    P = Q @ V
+                    assert not (np.signbit(P) & (P == 0)).any(), (Q, step, width)
+                    assert same_bits(P, Q @ Vf) and same_bits(P, Q @ np.ascontiguousarray(V)), (Q, step, width)
 
 
 def signed_zero_sequence(rng, n, count):
@@ -220,14 +265,21 @@ def signed_zero_sequence(rng, n, count):
     return un_mod.GateSequence(n, gates)
 
 
-@pytest.mark.parametrize("kind", ["lambdas", "bloch", "covariance"])
+@pytest.mark.parametrize("kind", ["lambdas", "bloch", "covariance", "vector"])
 @pytest.mark.parametrize("n", [1, 2, 5, 40, 128, 300])
 def test_run_matches_gather_fold(n, kind):
     # Deep circuits reach every entry; shallow ones leave some input
     # entries as they were, so the -0.0 planted in a lambdas input's upper
-    # triangle reaches the output through the symmetrization.
+    # triangle reaches the output through the symmetrization.  A held state
+    # folds over the whole width; a "vector" input, lambdas held as such
+    # (+-0, +-1 and random), folds over its band, also with measured lines,
+    # and up to n = 40 a long circuit fills that band.
     rng = np.random.default_rng(3000 + n + len(kind))
-    if kind == "lambdas":
+    if kind == "vector":
+        state = rng.uniform(-1, 1, n)
+        pick = rng.random(n) < 0.6
+        state[pick] = rng.choice([0.0, -0.0, 1.0, -1.0], int(pick.sum()))
+    elif kind == "lambdas":
         lambdas = rng.uniform(-1, 1, n)
         lambdas[rng.random(n) < 0.3] = 0.0
         M = st_mod.from_diagonal(lambdas).M
@@ -241,10 +293,24 @@ def test_run_matches_gather_fold(n, kind):
     deep = signed_zero_sequence(rng, n, 4 * n + 12)
     if n > 1:
         assert set(deep.kind.tolist()) == {0, 1, 2}
-    for seq in (deep, signed_zero_sequence(rng, n, n // 4 + 1)):
-        c = sim.Circuit(state, seq)
-        out = sim.run(c)
-        M, mu = gather_run(c)
-        assert same_bits(out.M, M) and same_bits(out.mu, mu)
-    if kind == "lambdas" and n > 2:
-        assert (np.signbit(out.M) & (out.M == 0)).any()  # the comparison sees signed zeros
+    shallow = signed_zero_sequence(rng, n, n // 4 + 1)
+    full = signed_zero_sequence(rng, n, 60 * n) if kind == "vector" and n <= 40 else None
+    line_sets = [None]
+    if kind == "vector":
+        line_sets += [tuple(sorted({0, n - 1, *rng.choice(n, n // 3, replace=False).tolist()}))]
+    signed = False
+    for seq in (deep, shallow) + ((full,) if full else ()):
+        for lines in line_sets:
+            c = sim.Circuit(state, seq, lines)
+            out = sim.run(c)
+            if lines is None:
+                M, mu = gather_run(c)
+                assert same_bits(out.M, M) and same_bits(out.mu, mu)
+                signed |= bool((np.signbit(out.M) & (out.M == 0)).any())
+                if seq is full:  # the band reached the whole carrier
+                    assert (out.M[~np.eye(2 * n, dtype=bool)] != 0).mean() > 0.9
+            else:
+                ext = sim._measured_axes(lines) + [2 * n]
+                assert is_exit_of(out, gather_fold(c)[np.ix_(ext, ext)])
+    if kind in ("lambdas", "vector") and n > 2:
+        assert signed  # the comparison sees signed zeros

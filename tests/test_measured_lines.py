@@ -15,7 +15,7 @@ import pytest
 from dgsim import cli, serialization as ser, simulator as sim, state as st_mod
 from dgsim.antisym import IndexRuleError, NumericalAdmissibilityError, bordered, canonical_matrix
 
-from helpers import gather_fold, is_exit_of, rand_bloch, rand_sequence
+from helpers import gather_fold, is_exit_of, natural_order, rand_bloch, rand_sequence
 
 SIZES = [1, 2, 3, 17, 64, 200]
 
@@ -83,12 +83,17 @@ def test_lambda_route_carrier_is_bordered_canonical(n):
     lams = rng.uniform(-1, 1, n)
     lams[::2] = 0.0
     c = sim.Circuit(lams, rand_sequence(rng, n, 2 * n))
-    Me = c.input_carrier()
+    X = c.input_carrier()
+    assert X.shape == (2 * n + 2,) * 2 and not X[-1].any() and not X[:, -1].any()
+    Me = natural_order(X)
     assert same_bits(Me, bordered(canonical_matrix(-lams, 2 * n), np.zeros(2 * n)))
     assert same_bits(Me, st_mod.from_diagonal(lams).M_ext)
     assert np.signbit(Me[2 * n, :2 * n]).all() and not np.signbit(Me[:, 2 * n]).any()
+    # A held state's buffer holds its M_ext in the same order.
+    held = st_mod.from_diagonal(lams)
+    assert same_bits(natural_order(sim.Circuit(held, c.gates).input_carrier()), held.M_ext)
     # The held vector and a state built from it fold to the same bits.
-    out, ref = sim.run(c), sim.run(sim.Circuit(st_mod.from_diagonal(lams), c.gates))
+    out, ref = sim.run(c), sim.run(sim.Circuit(held, c.gates))
     assert same_bits(out.M, ref.M) and same_bits(out.mu, ref.mu)
 
 

@@ -236,6 +236,29 @@ def test_from_thermal_is_exactly_antisymmetric(n):
     assert is_exit_of(st_mod.from_thermal(h, d), raw)
 
 
+@pytest.mark.parametrize("n", [2, 5, 20])
+def test_thermal_routes_hold_real_exactly_antisymmetric_arrays(n):
+    # from_thermal's carrier is a real array of its own, not the real part
+    # of a complex one, with that real part's bits; to_thermal's (h, d) is
+    # the symmetrized real part of its complex product, exactly antisymmetric.
+    h, d = rand_antisym(rng, 2 * n), rng.normal(size=2 * n) * 0.4
+    s = st_mod.from_thermal(h, d)
+    side = 8 * (2 * n + 1)
+    assert s.M.strides == (side, 8) and s.mu.strides == (side,)
+    assert s.M.base.dtype == np.float64 and s.M.base.flags.c_contiguous
+
+    def real_part(G, f):
+        w, V = np.linalg.eigh(1j * G)
+        return np.real(1j * (V * f(w)) @ V.conj().T)
+
+    assert is_exit_of(s, real_part(antisym.bordered(h, d), np.tanh))
+    h2, d2 = st_mod.to_thermal(s)
+    assert np.array_equal(h2, -h2.T) and h2.strides == (side, 8)
+    G = real_part(s.M_ext, np.arctanh)
+    G = (G - G.T) / 2
+    assert h2.tobytes() == G[:-1, :-1].tobytes() and d2.tobytes() == G[:-1, -1].tobytes()
+
+
 @pytest.mark.parametrize("n", [1, 3, 8])
 def test_conjugate_state_is_exactly_antisymmetric(n):
     U, s = rand_unitary(rng, n), rand_state(rng, n)
