@@ -61,6 +61,12 @@ def edge_requests(workloads):
     gates, the band fills the carrier); and an n = 200 circuit heavy in
     ``line1`` gates, which spread the mean, measured on lines {0, n - 1}
     by expectation and by sampling.
+
+    Then samplers that share prefixes: 10^4 shots on 20 lines of n = 40,
+    and 2000 shots of certain outcomes (lambda = +-1 on every line, moved
+    by fswaps and turned within their own planes).  Last, two 2000-gate
+    lists that the gate parser refuses, at gate 1000 (an unknown kind) and
+    at the last gate (a bool axis): their stderr names the location.
     """
     import numpy as np
 
@@ -121,6 +127,23 @@ def edge_requests(workloads):
                        "angle": float(rng.uniform(-np.pi, np.pi))} for _ in gates[::2]]
         doc = workloads.circuit(n, {"lambdas": lambdas}, gates, measure)
         reqs.append(workloads.run_request(doc, shots=measure.get("shots", 0), lines=2))
+    n, lines = 40, sorted(rng.choice(40, 20, replace=False).tolist())
+    measure = {"lines": lines, "shots": 10_000, "seed": int(rng.integers(0, 2**31))}
+    doc = workloads.circuit(n, {"lambdas": workloads.random_lambdas(rng, n)}, workloads.random_gates(rng, n, 2 * n), measure)
+    reqs.append(workloads.run_request(doc, shots=10_000, lines=20))
+    n = 12
+    gates = [{"kind": "fswap", "line": int(a)} for a in rng.integers(0, n - 1, 3 * n)]
+    gates += [{"kind": "matchgate", "axes": [2 * int(a), 2 * int(a) + 1], "angle": float(t)}
+              for a, t in zip(rng.integers(0, n, n), rng.choice([0.0, np.pi, -np.pi / 2], n))]
+    rng.shuffle(gates)
+    measure = {"lines": list(range(0, n, 2)), "shots": 2000, "seed": int(rng.integers(0, 2**31))}
+    doc = workloads.circuit(n, {"lambdas": workloads.random_lambdas(rng, n, pure=True)}, gates, measure)
+    reqs.append(workloads.run_request(doc, shots=2000, lines=n // 2))
+    for where, bad in ((1000, {"kind": "toffoli", "axes": [0, 1], "angle": 0.5}),
+                       (1999, {"kind": "matchgate", "axes": [True, 1], "angle": 0.5})):
+        gates = workloads.random_gates(rng, 100, 2000)
+        gates[where] = bad
+        reqs.append(workloads.run_request(workloads.circuit(100, {"lambdas": workloads.random_lambdas(rng, 100)}, gates)))
     return reqs
 
 

@@ -349,13 +349,12 @@ def wrap_angles(angles) -> np.ndarray:
     The bits are those of the scalar definition (``np.sin``, ``np.cos``
     and ``math.atan2`` of one angle), which gate angles have always
     carried.  Sines and cosines are taken over the whole array; atan2 is
-    ``math.atan2`` per angle, because ``np.arctan2`` rounds differently
-    in the last bit.  The normalization is not idempotent: a second pass
-    changes the last bit of some angles.
+    ``math.atan2`` mapped over them, because ``np.arctan2`` rounds
+    differently in the last bit.  The normalization is not idempotent: a
+    second pass changes the last bit of some angles.
     """
     a = np.asarray(angles, dtype=float)
-    out = np.array([atan2(s, c) for s, c in zip(np.sin(a).tolist(), np.cos(a).tolist())],
-                   dtype=float)
+    out = np.fromiter(map(atan2, np.sin(a).tolist(), np.cos(a).tolist()), dtype=float, count=len(a))
     out[out <= -pi] = pi
     return out
 

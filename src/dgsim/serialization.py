@@ -15,9 +15,9 @@ byte-deterministic -- keys are emitted in sorted order and floats with
 
 A result that holds a NaN or an infinity raises
 NumericalAdmissibilityError (exit 3) from one check,
-``_refuse_non_finite``.  A float ndarray of one or two axes (a carrier,
-a mean vector) is written by ``_emit_floats`` and a GateSequence by
-``_emit_gates``, both with the bytes of the per-element path, which
+``_refuse_non_finite``.  A float matrix is written by ``_emit_floats``,
+a float vector by one ``%.17g`` template and a GateSequence by
+``_emit_gates``, all with the bytes of the per-element path, which
 every other value takes (an empty array too; a 0-d one as its scalar).
 """
 
@@ -25,14 +25,16 @@ from __future__ import annotations
 
 import json
 from functools import partial
+from itertools import chain, compress
 from math import isfinite
+from operator import eq, itemgetter
 
 import numpy as np
 
 from .antisym import _check_fields, _is_int, _is_number, as_indices, wrap_angles
 from .simulator import Circuit, MeasurementOp, NumericalAdmissibilityError, Sampling, prepare_product, sampling_arg
 from .state import DGaussState
-from .unitary import _FSWAP, FSWAP, KINDS, DGUnitary, GateError, GateSequence, _gate_row
+from .unitary import _FSWAP, _GATE_FIELDS, FSWAP, KINDS, DGUnitary, GateError, GateSequence, _gate_row
 
 SCHEMA_VERSION = "dgsim/1"
 
@@ -109,18 +111,53 @@ def _header(obj, fields, optional=()) -> int:
     return int(n)
 
 
-def _parse_gates(docs, n: int) -> GateSequence:
-    """The gate list as a GateSequence: one pass over the dicts, then array steps.
+def _plain_columns(docs):
+    """(kind, j, k, line, angle) columns of a plain gate list; None for any other.
 
-    Every document is checked for structure before any register rule,
-    so a schema error comes first wherever it is.  Angles are
-    normalized once, as ``Gate(...)`` does.
+    Plain: dicts with exactly their kind's fields, int lines and axes (a
+    list of two that differ), int or float angles, and no int past int64
+    or a double.  ``_gate_row`` passes each such gate with these columns,
+    read here by one ``map``, one set of types and one array per column.
+    """
+    try:
+        kinds = list(map(itemgetter("kind"), docs))
+        if not (set(map(type, docs)) <= {dict}
+                and all(map(eq, map(dict.keys, docs), map(_GATE_FIELDS.__getitem__, kinds)))):
+            return None
+        kind = np.array(list(map(KINDS.index, kinds)), dtype=np.int8)
+        fswap = kind == _FSWAP
+        lines = list(map(itemgetter("line"), compress(docs, fswap.tolist())))
+        planes = list(compress(docs, (~fswap).tolist()))
+        axes, angles = list(map(itemgetter("axes"), planes)), list(map(itemgetter("angle"), planes))
+        flat = list(chain.from_iterable(axes))
+        if not (set(map(type, axes)) <= {list} and set(map(len, axes)) <= {2} and set(map(type, flat)) <= {int}
+                and set(map(type, lines)) <= {int} and set(map(type, angles)) <= {int, float}):
+            return None
+        j, k, line = np.full((3, len(docs)), -1, dtype=np.int64)
+        j[~fswap], k[~fswap] = np.array(flat, dtype=np.int64).reshape(-1, 2).T
+        line[fswap] = lines
+        angle = np.zeros(len(docs))
+        angle[~fswap] = angles
+    except (KeyError, TypeError, OverflowError):  # not a dict, no such field or kind, an int out of range
+        return None
+    return None if ((j == k) & ~fswap).any() else (kind, j, k, line, angle)
+
+
+def _parse_gates(docs, n: int) -> GateSequence:
+    """The gate list as a GateSequence, read into its columns, then checked in array steps.
+
+    A plain list (``_plain_columns``) is read by columns, any other by
+    ``_gate_row`` gate by gate, which names the first gate at fault.  All
+    fields are checked before any register rule, so a schema error comes
+    first wherever it is.  Angles are normalized once, as ``Gate`` does.
     """
     if not isinstance(docs, list):
         raise SchemaError("gates must be a list", "$.gates")
     try:
-        rows = [_gate_row(obj, i) for i, obj in enumerate(docs)]
-        kind, j, k, line, angle = zip(*rows) if rows else ((),) * 5
+        columns = _plain_columns(docs)  # an empty list is plain
+        if columns is None:
+            columns = zip(*(_gate_row(obj, i) for i, obj in enumerate(docs)))
+        kind, j, k, line, angle = columns
         return GateSequence._from_columns(n, kind, j, k, line, wrap_angles(angle))
     except GateError as exc:
         field = f".{exc.field}" if exc.field else ""
@@ -219,7 +256,7 @@ _TOKENS = np.array([b"0,", b"-0,", b"%s,", b"-%s,", b"0],[", b"-0],[", b"%s],[",
 
 
 def _emit_floats(a: np.ndarray, out):
-    """A finite nonempty 1-D or 2-D float array, one panel of rows at a time.
+    """A finite nonempty float matrix, one panel of rows at a time.
 
     A panel is a ``%`` template of its entries' tokens, a zero written in
     it as ``0`` or ``-0`` by its sign bit, filled with the magnitudes of
@@ -230,14 +267,13 @@ def _emit_floats(a: np.ndarray, out):
     ``-`` when x < 0, so the bytes are those of formatting each element on
     its own.
     """
-    rows = a if a.ndim == 2 else a[None]  # a vector is one row, without the outer brackets
-    m = rows.shape[1]
+    m = a.shape[1]
     b = max(1, _PANEL // m)
-    mirror = a.ndim == 2 and len(a) == m and all((a[r:r + b] == -a[:, r:r + b].T).all() for r in range(0, m, b))
+    mirror = len(a) == m and all((a[r:r + b] == -a[:, r:r + b].T).all() for r in range(0, m, b))
     pending: dict[int, list] = {}
-    out.append("[" if a.ndim == 2 else "")
-    for r0 in range(0, len(rows), b):
-        panel = rows[r0:r0 + b]
+    out.append("[")
+    for r0 in range(0, len(a), b):
+        panel = a[r0:r0 + b]
         nz = panel != 0
         up = np.triu(nz, r0 + 1) if mirror else nz  # a mirror formats right of the diagonal
         vals = np.abs(panel[up])
@@ -252,7 +288,7 @@ def _emit_floats(a: np.ndarray, out):
         code[:, -1] += 4
         template = _TOKENS[code].tobytes().translate(None, b"\0").decode()[:-3]  # less the last "],["
         out.extend(("," if r0 else "", "[", template % tuple(mags[nz].tolist()), "]"))
-    out.append("]" if a.ndim == 2 else "")
+    out.append("]")
 
 
 def _refuse_non_finite(a):
@@ -267,7 +303,10 @@ def _emit(value, out):
         value = value[()]  # a 0-d array is written as its scalar
     if isinstance(value, np.ndarray) and value.dtype.kind == "f" and value.size and value.ndim <= 2:
         _refuse_non_finite(value)
-        _emit_floats(value, out)
+        if value.ndim == 2:
+            _emit_floats(value, out)
+        else:  # "%.17g" writes +-0.0 as 0 and -0, as each element's own formatting does
+            out.append("[" + ("%.17g," * len(value) % tuple(value.tolist()))[:-1] + "]")
     elif value is None or isinstance(value, (bool, np.bool_)):
         out.append("null" if value is None else "true" if value else "false")
     elif isinstance(value, (int, np.integer)):

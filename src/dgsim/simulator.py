@@ -16,9 +16,9 @@ bits x on lines K is 2^{-|K|} sqrt(det(I - M_rho M_{K,x})), evaluated
 through the 2|K| x 2|K| compression of M_rho onto the measured
 Majorana axes.  Sampling conditions that compression one line at a
 time: the line's conditional probability is one entry, and fixing its
-bit is a rank-2 Schur update, O(|K|^2) per line per shot.  Shots are
-processed in chunks, each an array of compressions; no probability is
-memoized.
+bit is a rank-2 Schur update, O(|K|^2) per line.  Shots are processed in
+chunks; within one, shots that share a bit prefix share one conditioned
+compression, so each line conditions every distinct prefix once.
 
 RNG contract: ``sample`` consumes numpy's default_rng(seed) as one
 (shots, |K|) uniform block, shot i using row i and line j column j.
@@ -311,12 +311,12 @@ def run(c: Circuit) -> DGaussState:
     where each gate's block (slice, lowest row a, highest row b, Q; see
     GateSequence) spans at most four consecutive rows.  The gate
     multiplies its rows of the leading (2n+1)-square block B by Q, and
-    the same rows of B^T (its columns) by Q again, only within a band:
-    two nondecreasing lists bound by lo[r]..hi[r]-1 the entries of row r,
-    and of column r, that may be nonzero.  Rows a..b reach columns
-    lo[a]..hi[b]-1 alone; after the gate they reach all of them, and
-    rows lo[a]..hi[b]-1 reach columns a..b.  A lambdas input starts from
-    its 2x2 blocks, a held state at the full band: g gates cost O(g w)
+    the same rows of B^T (its columns) by Q again, one view each, only
+    within a band: two nondecreasing lists bound by lo[r]..hi[r]-1 the
+    entries of row r, and of column r, that may be nonzero.  Rows a..b
+    reach columns lo[a]..hi[b]-1 alone; after the gate they reach all of
+    them, and rows lo[a]..hi[b]-1 reach columns a..b.  A lambdas input
+    starts from its 2x2 blocks, a held state at the full band: g gates cost O(g w)
     for band width w.  A skipped entry is a zero that the whole-row product would
     set to +0, and a computed one has the bits of Q @ Me[rows, :] or
     Me[:, rows] @ Q^T (the fold-reference tests pin both).  The one zero
@@ -324,11 +324,11 @@ def run(c: Circuit) -> DGaussState:
     trace in the mean column of (E - E^T) / 2.  Gates were checked when
     their sequence was built.
 
-    Copying the extension row and column into the spare ones makes
-    X[1:, 1:] the natural carrier.  It leaves through ``carrier_state``;
-    with ``c.lines`` = K it is first gathered onto K's Majorana axes and
-    axis 2n: the output reduced to K, line K[j] renumbered j, with the
-    full output's bits.
+    The output leaves through ``carrier_state``.  With no lines, copying
+    the extension row and column into the spare ones makes X[1:, 1:] the
+    natural carrier.  With ``c.lines`` = K, the rows and columns of K's
+    Majorana axes and axis 2n are gathered from the fold-order buffer: the
+    output reduced to K, line K[j] renumbered j, with the full output's bits.
     """
     X = c.input_carrier()
     B = X[:-1, :-1]
@@ -341,8 +341,8 @@ def run(c: Circuit) -> DGaussState:
         hi = [1] + [r + 2 for r in lo[1:]]
     for sl, a, b, Q in c.gates.blocks:
         L, H = lo[a], hi[b]
-        B[sl, L:H] = Q @ B[sl, L:H]
-        BT[sl, L:H] = Q @ BT[sl, L:H]
+        for V in B[sl, L:H], BT[sl, L:H]:  # the gate's rows, then its columns
+            V[...] = Q @ V
         if lo[b] != L or hi[a] != H:  # else rows a..b and L..H-1 already reach each other
             # Rows L..e-1 stopped short of column b, rows s..H-1 started past column a.
             e, s = min(lo[b], a), max(hi[a], b + 1)
@@ -350,12 +350,13 @@ def run(c: Circuit) -> DGaussState:
             lo[s:H] = [a] * (H - s)
             lo[a:b + 1] = [L] * (b + 1 - a)
             hi[a:b + 1] = [H] * (b + 1 - a)
-    X[-1, :] = X[0, :]
-    X[:, -1] = X[:, 0]
-    Me = X[1:, 1:]
-    if c.lines is not None:
-        ext = _measured_axes(c.lines) + [2 * c.n]
-        Me = Me[np.ix_(ext, ext)]
+    if c.lines is None:
+        X[-1, :] = X[0, :]
+        X[:, -1] = X[:, 0]
+        Me = X[1:, 1:]
+    else:  # K's Majorana axes and axis 2n, at their fold-order rows
+        ext = [a + 1 for a in _measured_axes(c.lines)] + [0]
+        Me = X[np.ix_(ext, ext)]
     return carrier_state(Me)
 
 
@@ -392,15 +393,15 @@ def sample(s: DGaussState, K, shots: int, seed: int) -> np.ndarray:
     Returns the (shots, |K|) uint8 array of outcome bits: row i is shot
     i, column j the bit of line K[j].
 
-    Every shot of a chunk carries its own copy of the 2|K| x 2|K|
-    compression, once it passes ``_refuse_long_lines``.  Line j reads
-    p0 = (1 - S[0, 1]) / 2 from the conditioned compression, draws bit 0
-    when the shot's uniform is below p0, and conditions on the bit by a
-    rank-2 Schur update (_condition).  That is O(|K|^2) per line per
-    shot, done as array operations over the chunk.  A bit whose
-    conditional probability is at round-off level is never drawn: the
-    line takes the likelier bit instead.  Deterministic for a given
-    seed (see the module docstring for the exact RNG contract).
+    The 2|K| x 2|K| compression passes ``_refuse_long_lines`` first.  Shots
+    whose bits so far agree share one conditioned compression (a node).
+    Line j reads p0 = (1 - S[0, 1]) / 2 of each shot's node, draws bit 0
+    when the shot's uniform is below p0, and conditions each distinct
+    child node once by a rank-2 Schur update (_condition): O(|K|^2) per
+    line per node, at most min(shots, 2^j) nodes.  A bit whose
+    conditional probability is at round-off level is never drawn: the line
+    takes the likelier bit instead.  Deterministic for a given seed (see
+    the module docstring for the exact RNG contract).
     """
     K = as_indices(K, s.n, "measured line")
     k = len(K)
@@ -413,11 +414,11 @@ def sample(s: DGaussState, K, shots: int, seed: int) -> np.ndarray:
     rows = max(1, SAMPLE_CHUNK_BYTES // S0.nbytes)
     start = 0
     for u in _uniform_chunks(seed, shots, k, rows):
-        S = np.broadcast_to(S0, (len(u),) + S0.shape)
+        S, node = S0[None], np.zeros(len(u), dtype=np.intp)
         b = out[start:start + len(u)].view(bool)
         start += len(u)
         for j in range(k):
-            p0 = (1.0 - S[:, 0, 1]) / 2
+            p0 = ((1.0 - S[:, 0, 1]) / 2)[node]
             bad = ~((p0 >= -1e-9) & (p0 <= 1 + 1e-9))  # NaN included
             if bad.any():
                 raise NumericalAdmissibilityError(
@@ -427,5 +428,6 @@ def sample(s: DGaussState, K, shots: int, seed: int) -> np.ndarray:
             # Forced branch: never condition on a (numerically) impossible bit.
             b[:, j] = np.where(np.where(bj, 1.0 - p0, p0) > PIVOT_TOL, bj, p0 < 0.5)
             if j + 1 < k:
-                S = _condition(S, b[:, j])
+                child, node = np.unique(2 * node + b[:, j], return_inverse=True)
+                S = _condition(S[child >> 1], child & 1)
     return out

@@ -354,15 +354,18 @@ def _fold_blocks(n, fswap, rows2, Q2, rows4) -> list[tuple[slice, int, int, np.n
     matchgate's window, a line1 gate's rows {0, 1, 2} and an fswap's
     2a + 1..2a + 4.  The slice picks the gate's rows in the order of its
     axes: slice(p, q +- 1, q - p) for a plane gate on rows (p, q), either
-    order, and slice(2a + 1, 2a + 5) for an fswap on lines (a, a + 1).
+    order, and slice(2a + 1, 2a + 5, 1) for an fswap on lines (a, a + 1).
     Indexing a carrier with it gives a view, not a gathered copy.  Q is a
     read-only view into the stacked blocks.
     """
-    p, q = ((rows2 + 1) % (2 * n + 1)).T.tolist()
-    plane = ((slice(a, b + 1 if b > a else (b - 1 if b else None), b - a), min(a, b), max(a, b), Q)
-             for a, b, Q in zip(p, q, Q2))
-    swap = ((slice(r, r + 4), r, r + 3, FSWAP_ROTATION4) for r in (rows4[:, 0] + 1).tolist())
-    return [next(swap) if f else next(plane) for f in fswap.tolist()]
+    ends = np.empty((len(fswap), 2), dtype=np.int64)  # each gate's first and last row, in its axes' order
+    ends[fswap], ends[~fswap] = rows4[:, ::3] + 1, (rows2 + 1) % (2 * n + 1)
+    step = np.where(fswap, 1, ends[:, 1] - ends[:, 0])
+    stop = (ends[:, 1] + np.sign(step)).astype(object)
+    stop[stop == -1] = None  # a descending slice down to row 0
+    Q = list(Q2) + [FSWAP_ROTATION4]  # a plane gate's Q by its place among them, every fswap's last
+    return list(zip(map(slice, ends[:, 0].tolist(), stop.tolist(), step.tolist()), *np.sort(ends).T.tolist(),
+                    map(Q.__getitem__, np.where(fswap, len(Q2), np.cumsum(~fswap) - 1).tolist())))
 
 
 class GateSequence:
@@ -380,10 +383,10 @@ class GateSequence:
       computed once here;
     - ``blocks``: per gate the fold block (slice, lowest row, highest
       row, Q) of _fold_blocks, in the fold order of simulator.run (the
-      extension axis first), Q a view into ``stacked``.  Only run folds
-      gate by gate, so the list is built on first access: a compiled
-      sequence, which goes to sequence_rotation and dumps, never builds
-      it.
+      extension axis first), Q a view into ``stacked``, zipped from
+      columns that ``stacked`` gives in array steps.  Only run folds gate
+      by gate, so the list is built on first access: a compiled sequence,
+      which goes to sequence_rotation and dumps, never builds it.
 
     The arrays are read-only, and they are how a sequence is read: it
     yields no Gate objects.  ``GateSequence(n, gates)`` takes Gate
@@ -404,8 +407,8 @@ class GateSequence:
     def _from_columns(cls, n: int, kind, j, k, line, angle) -> "GateSequence":
         """A sequence from per-gate columns: kind codes, axes j and k, lines, angles.
 
-        The caller has checked each gate's fields (``_gate_row``) and
-        normalized its angle; the register rules are checked here.
+        The caller has checked each gate's fields by ``_gate_row``'s rule
+        and normalized its angle; the register rules are checked here.
         """
         seq = cls.__new__(cls)
         seq._fill(n, kind, j, k, line, angle)

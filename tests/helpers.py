@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from dgsim import antisym, oracle, simulator as sim, state as st_mod, unitary as un_mod
+from dgsim import antisym, oracle, serialization as ser, simulator as sim, state as st_mod, unitary as un_mod
 
 
 def rand_antisym(rng, m, scale=1.0):
@@ -198,6 +198,55 @@ def is_exit_of(s, E):
     S = (E - E.T) / 2
     return (np.array_equal(s.M, -s.M.T) and s.M.tobytes() == S[:m, :m].tobytes()
             and s.mu.tobytes() == S[:m, m].tobytes())
+
+
+def per_shot_sample(s, K, shots, seed):
+    """``simulator.sample`` as it sampled before shots shared their prefixes: the bit reference.
+
+    Every shot of a chunk carries its own copy of the compression (a
+    stride-0 broadcast until the first conditioning), and every line
+    conditions every shot.  The RNG block, the chunks of
+    ``simulator.SAMPLE_CHUNK_BYTES``, the line rule, the range check and
+    the forced branch are those of ``simulator.sample``.
+    """
+    K = antisym.as_indices(K, s.n, "measured line")
+    k = len(K)
+    shots, seed = sim.sampling_arg("shots", shots), sim.sampling_arg("seed", seed)
+    out = np.empty((shots, k), dtype=np.uint8)
+    if k == 0:
+        return out
+    idx = [a for q in K for a in (2 * q, 2 * q + 1)]
+    S0 = sim._refuse_long_lines(s.M[np.ix_(idx, idx)])
+    rows = max(1, sim.SAMPLE_CHUNK_BYTES // S0.nbytes)
+    start = 0
+    for u in sim._uniform_chunks(seed, shots, k, rows):
+        S = np.broadcast_to(S0, (len(u),) + S0.shape)
+        b = out[start:start + len(u)].view(bool)
+        start += len(u)
+        for j in range(k):
+            p0 = (1.0 - S[:, 0, 1]) / 2
+            bad = ~((p0 >= -1e-9) & (p0 <= 1 + 1e-9))
+            if bad.any():
+                raise sim.NumericalAdmissibilityError(f"conditional probability {p0[bad][0]} outside [0, 1]")
+            bj = u[:, j] >= p0
+            b[:, j] = np.where(np.where(bj, 1.0 - p0, p0) > sim.PIVOT_TOL, bj, p0 < 0.5)
+            if j + 1 < k:
+                S = sim._condition(S, b[:, j])
+    return out
+
+
+def row_walk_sequence(docs, n):
+    """The GateSequence of a gate list read gate by gate with ``unitary._gate_row``: the parse's bit reference.
+
+    A GateError is raised as the parser's SchemaError, at the same location.
+    """
+    try:
+        rows = [un_mod._gate_row(obj, i) for i, obj in enumerate(docs)]
+        kind, j, k, line, angle = zip(*rows) if rows else ((),) * 5
+        return un_mod.GateSequence._from_columns(n, kind, j, k, line, antisym.wrap_angles(angle))
+    except un_mod.GateError as exc:
+        field = f".{exc.field}" if exc.field else ""
+        raise ser.SchemaError(str(exc), f"$.gates[{exc.index}]{field}") from None
 
 
 def reference_rotation(n, gates):

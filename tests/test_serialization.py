@@ -33,6 +33,25 @@ def test_float_array_bytes_match_per_element(a):
     assert ser.dumps({"M": a}) == '{"M":' + per_element(a) + "}\n"
 
 
+VECTORS = {
+    "special": np.array(SPECIAL),
+    "signed zeros": np.array([0.0, -0.0, -0.0, 0.0]),
+    "one": np.array([-0.0]),
+    "extremes": np.array([5e-324, -5e-324, 1e300, -1e300, 1.0 / 3.0, -1.0 / 3.0]),
+    "long": rng.normal(size=200_000) * np.where(rng.random(200_000) < 0.1, 0.0, 1.0),
+    "strided": rng.normal(size=(9, 7))[:, 3],
+    "reversed": rng.normal(size=49)[::-1],
+    "float32": rng.normal(size=11).astype(np.float32),
+}
+
+
+@pytest.mark.parametrize("a", VECTORS.values(), ids=VECTORS.keys())
+def test_float_vector_bytes_match_per_element(a):
+    # A vector is one "%.17g" template, which writes +-0.0 as 0 and -0.
+    assert ser.dumps(a) == per_element(a) + "\n"
+    assert ser.dumps({"mu": a}) == ser.dumps({"mu": a.tolist()})
+
+
 @pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 3), (1, 1), (2, 3, 4)])
 def test_float_array_shapes(shape):
     a = rng.normal(size=shape)
