@@ -2,13 +2,15 @@
 
 A circuit is a checked input, an ordered gate list and, optionally,
 the lines to be measured.  Evolution updates one real extended carrier
-M_ext in place, in fold order (axis 2n first), where each gate touches
-at most four consecutive rows and columns, and those only within the
-band they may reach: g gates cost O(g w) for band width w (at most 2n+1,
-2 to start from a diagonal input) plus O(n^2) bookkeeping, and one
-carrier of memory beyond the held input (a diagonal input holds its
-lambdas alone).  With measured lines K, ``run`` returns the output
-reduced to K, the compression that measurement reads.  Both leave via
+M_ext in place, in fold order (axis 2n at row 0, axis a < 2n at row
+a + 1, an order this module alone knows: ``_fold_order`` derives it from
+a GateSequence's columns), where each gate touches at most four
+consecutive rows and columns, and those only within the band they may
+reach.  g gates cost O(g w) for band width w (at most 2n+1, 2 to start
+from a diagonal input) plus O(n^2) bookkeeping, and one carrier of
+memory beyond the held input (a diagonal input holds its lambdas
+alone).  With measured lines K, ``run`` returns the output reduced to
+K, the compression that measurement reads.  Both leave via
 ``carrier_state``.
 
 Measurement uses the determinant formula: the probability of outcome
@@ -38,7 +40,7 @@ import numpy as np
 
 from .antisym import NumericalAdmissibilityError, as_bits, as_index, as_indices, canonical_matrix
 from .state import ADMISSIBILITY_TOL, AdmissibilityError, DGaussState, carrier_state, diagonal_parameters, from_diagonal
-from .unitary import GateSequence
+from .unitary import _FSWAP, FSWAP_ROTATION4, GateSequence, _plane_rotations
 
 
 DET_CLAMP = 1e-10
@@ -119,19 +121,26 @@ def _scaled_sqrt_det(A: np.ndarray, k: int, negative: str) -> float:
     return math.ldexp(math.sqrt(max(det, 0.0)), -k)
 
 
-def _refuse_long_lines(M: np.ndarray) -> np.ndarray:
-    """Return M, or raise AdmissibilityError where some |M[2j, 2j+1]| exceeds 1 + ADMISSIBILITY_TOL.
+def _refuse_inadmissible(S: np.ndarray) -> np.ndarray:
+    """Return S, or raise AdmissibilityError unless its canonical values are at most 1 + ADMISSIBILITY_TOL.
 
-    No entry of an admissible carrier exceeds 1 (its canonical values
-    bound its norm).  This O(k) test catches a line whose sqrt(det)
-    factor (1 - lambda)/2 is negative, which the determinant would hide.
+    First the O(k) line rule: a line's |S[2j, 2j+1]| above 1 + tol, whose
+    sqrt(det) factor (1 - lambda)/2 the determinant would hide.  Then the
+    full rule, which also sees drift between lines: as S^2 = -S S^T,
+    (1 + tol)^2 I + S^2 is positive definite exactly when every canonical
+    value is below 1 + tol, tested by one matmul and one Cholesky.  A NaN
+    passes both, for the checks after them to meet.
     """
-    line = np.abs(np.diagonal(M, 1)[::2])
+    line = np.abs(np.diagonal(S, 1)[::2])
     if (line > 1.0 + ADMISSIBILITY_TOL).any():
         raise AdmissibilityError(
             f"a line's covariance entry has magnitude {line.max()} above 1: not an admissible state"
         )
-    return M
+    try:
+        np.linalg.cholesky((1.0 + ADMISSIBILITY_TOL) ** 2 * np.eye(len(S)) - S @ S.T)
+    except np.linalg.LinAlgError:
+        raise AdmissibilityError("a canonical value of the covariance exceeds 1: not an admissible state") from None
+    return S
 
 
 def _expectation_from_M(M: np.ndarray, m: MeasurementOp) -> float:
@@ -139,7 +148,7 @@ def _expectation_from_M(M: np.ndarray, m: MeasurementOp) -> float:
     idx = _measured_axes(m.K)
     # det(I - M_rho M_meas) = det(I_{2k} - S C) with S the compression
     # of M_rho onto the measured axes.
-    S = _refuse_long_lines(M[np.ix_(idx, idx)])
+    S = _refuse_inadmissible(M[np.ix_(idx, idx)])
     return _scaled_sqrt_det(np.eye(2 * k) - S @ _outcome_carrier(m), k,
                             "measurement determinant {} is negative beyond tolerance")
 
@@ -155,14 +164,14 @@ def overlap(rho: DGaussState, sigma: DGaussState) -> float:
 
     Even-degree moments of a displaced state involve only its
     covariance block, so rho's mean never enters; sigma must be even.
-    Both covariances pass ``_refuse_long_lines``, as in measurement.
+    Both covariances pass ``_refuse_inadmissible``, as in measurement.
     """
     if rho.n != sigma.n:
         raise ValueError("overlap inputs have different sizes")
     if not sigma.is_even:
         raise ValueError("overlap requires the second state to be even")
-    _refuse_long_lines(rho.M)
-    _refuse_long_lines(sigma.M)
+    _refuse_inadmissible(rho.M)
+    _refuse_inadmissible(sigma.M)
     return _scaled_sqrt_det(np.eye(2 * rho.n) - rho.M @ sigma.M, rho.n,
                             "overlap determinant {} negative")
 
@@ -304,25 +313,43 @@ class Circuit:
         return X
 
 
+def _fold_order(gates: GateSequence):
+    """Each gate's fold-order rows and Q, as columns for ``run`` to zip: (slices, lowest rows, highest rows, Qs).
+
+    A gate spans at most four consecutive fold-order rows.  Its slice, a
+    view and not a gathered copy, picks them in the order of its axes:
+    slice(p, q +- 1, q - p) for a plane gate on rows (p, q), stop None
+    down to row 0, and slice(2a + 1, 2a + 5, 1) for an fswap on lines
+    (a, a + 1).  Q is a plane gate's ``unitary._plane_rotations`` block or
+    FSWAP_ROTATION4.  Slices and Qs are iterators: no per-gate list is built.
+    """
+    fswap = gates.kind == _FSWAP
+    ends = np.where(fswap[:, None], 2 * gates.line[:, None] + [1, 4], (gates.axes + 1) % (2 * gates.n + 1))
+    step = np.where(fswap, 1, ends[:, 1] - ends[:, 0])
+    last = ends[:, 1] + np.sign(step)
+    Q = [*_plane_rotations(gates.angle[~fswap]), FSWAP_ROTATION4]
+    return (map(slice, ends[:, 0].tolist(), np.where(last < 0, None, last).tolist(), step.tolist()),
+            *np.sort(ends).T.tolist(), map(Q.__getitem__, np.where(fswap, -1, np.cumsum(~fswap) - 1).tolist()))
+
+
 def run(c: Circuit) -> DGaussState:
     """Fold the circuit's gates over its input's carrier; the output state, or its reduction to c.lines.
 
-    The carrier is ``c.input_carrier()``, updated in place in fold order,
-    where each gate's block (slice, lowest row a, highest row b, Q; see
-    GateSequence) spans at most four consecutive rows.  The gate
-    multiplies its rows of the leading (2n+1)-square block B by Q, and
-    the same rows of B^T (its columns) by Q again, one view each, only
-    within a band: two nondecreasing lists bound by lo[r]..hi[r]-1 the
-    entries of row r, and of column r, that may be nonzero.  Rows a..b
-    reach columns lo[a]..hi[b]-1 alone; after the gate they reach all of
-    them, and rows lo[a]..hi[b]-1 reach columns a..b.  A lambdas input
-    starts from its 2x2 blocks, a held state at the full band: g gates cost O(g w)
-    for band width w.  A skipped entry is a zero that the whole-row product would
-    set to +0, and a computed one has the bits of Q @ Me[rows, :] or
-    Me[:, rows] @ Q^T (the fold-reference tests pin both).  The one zero
-    sign the band keeps, -0 in a lambdas input's extension row, leaves no
-    trace in the mean column of (E - E^T) / 2.  Gates were checked when
-    their sequence was built.
+    The carrier is ``c.input_carrier()``, updated in place in fold order:
+    a gate (rows sl, lowest row a, highest row b and Q, from
+    ``_fold_order``) multiplies its rows of the leading (2n+1)-square
+    block B by Q, and the same rows of B^T (its columns) by Q again, one
+    view each, only within a band: two nondecreasing lists bound by
+    lo[r]..hi[r]-1 the entries of row r, and of column r, that may be
+    nonzero.  Rows a..b reach columns lo[a]..hi[b]-1 alone; after the gate
+    they reach all of them, and rows lo[a]..hi[b]-1 reach columns a..b.  A
+    lambdas input starts from its 2x2 blocks, a held state at the full
+    band: g gates cost O(g w) for band width w.  A skipped entry is a zero
+    that the whole-row product would set to +0, and a computed one has the
+    bits of Q @ Me[rows, :] or Me[:, rows] @ Q^T (the fold-reference tests
+    pin both).  The one zero sign the band keeps, -0 in a lambdas input's
+    extension row, leaves no trace in the mean column of (E - E^T) / 2.
+    Gates were checked when their sequence was built.
 
     The output leaves through ``carrier_state``.  With no lines, copying
     the extension row and column into the spare ones makes X[1:, 1:] the
@@ -339,7 +366,7 @@ def run(c: Circuit) -> DGaussState:
     else:
         lo = [0] + [r - 1 + r % 2 for r in range(1, w)]
         hi = [1] + [r + 2 for r in lo[1:]]
-    for sl, a, b, Q in c.gates.blocks:
+    for sl, a, b, Q in zip(*_fold_order(c.gates)):
         L, H = lo[a], hi[b]
         for V in B[sl, L:H], BT[sl, L:H]:  # the gate's rows, then its columns
             V[...] = Q @ V
@@ -393,7 +420,7 @@ def sample(s: DGaussState, K, shots: int, seed: int) -> np.ndarray:
     Returns the (shots, |K|) uint8 array of outcome bits: row i is shot
     i, column j the bit of line K[j].
 
-    The 2|K| x 2|K| compression passes ``_refuse_long_lines`` first.  Shots
+    The 2|K| x 2|K| compression passes ``_refuse_inadmissible`` first.  Shots
     whose bits so far agree share one conditioned compression (a node).
     Line j reads p0 = (1 - S[0, 1]) / 2 of each shot's node, draws bit 0
     when the shot's uniform is below p0, and conditions each distinct
@@ -410,7 +437,7 @@ def sample(s: DGaussState, K, shots: int, seed: int) -> np.ndarray:
     if k == 0:
         return out
     idx = _measured_axes(K)
-    S0 = _refuse_long_lines(s.M[np.ix_(idx, idx)])
+    S0 = _refuse_inadmissible(s.M[np.ix_(idx, idx)])
     rows = max(1, SAMPLE_CHUNK_BYTES // S0.nbytes)
     start = 0
     for u in _uniform_chunks(seed, shots, k, rows):

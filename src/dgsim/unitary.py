@@ -16,13 +16,14 @@ exp(theta/2 g_j g_k) rotates the (j,k) plane by theta):
   displacements, dense exp(-i (theta/2) g_j).
 - ``fswap``: fermionic swap of adjacent qubit lines (a, a+1).
 
-A gate list is a GateSequence, held as arrays rather than Gate objects:
-kind codes, axes, fswap lines and angles, one entry per gate, plus the
-gates' fold blocks (the rows each touches and its small rotation Q),
-stacked in array steps when the sequence is built.  The register rules
-are checked there, one array step per rule, and a sequence is read
-through those arrays.  A gate's fields follow one rule, ``_gate_row``,
-whether they come as a ``Gate`` or as a gate document.
+A gate list is a GateSequence: four checked columns (kind codes, axes,
+fswap lines, angles), one entry per gate, and nothing derived from
+them.  The register rules are checked when a sequence is built, one
+array step per rule.  Its readers, ``sequence_rotation`` and the
+simulator's fold (whose row order is the simulator's alone), derive each
+gate's rows and small rotation Q from the columns in array steps.  A
+gate's fields follow one rule, ``_gate_row``, whether they come as a
+``Gate`` or as a gate document.
 """
 
 from __future__ import annotations
@@ -327,81 +328,41 @@ FSWAP_ROTATION4 = np.array([
 FSWAP_ROTATION4.flags.writeable = False
 
 
-def _stacked_blocks(kind, axes, line, angle):
-    """Every gate's fold block, stacked by width: (fswap, rows2, Q2, rows4).
-
-    ``fswap`` marks the fswaps.  Plane gates, in order, have rows
-    ``rows2`` (p, 2) and Q ``Q2`` (p, 2, 2), [[c, s], [-s, c]] with c, s
-    the cosine and sine of the angle; fswaps on lines (a, a+1) have rows
-    ``rows4`` (f, 4), 2a..2a+3, and Q = FSWAP_ROTATION4.  The arrays are
-    read-only.
-    """
-    fswap = kind == _FSWAP
-    rows2 = axes[~fswap]
-    c, s = np.cos(angle[~fswap]), np.sin(angle[~fswap])
-    Q2 = np.stack((c, s, -s, c), axis=1).reshape(-1, 2, 2)
-    rows4 = 2 * line[fswap, None] + np.arange(4)
-    for a in (fswap, rows2, Q2, rows4):
-        a.flags.writeable = False
-    return fswap, rows2, Q2, rows4
-
-
-def _fold_blocks(n, fswap, rows2, Q2, rows4) -> list[tuple[slice, int, int, np.ndarray]]:
-    """(rows as a slice, lowest row, highest row, Q) of every gate, in fold order.
-
-    Fold order puts the extension axis 2n at row 0 and axis a < 2n at
-    row a + 1, so every block lies within four consecutive rows: a
-    matchgate's window, a line1 gate's rows {0, 1, 2} and an fswap's
-    2a + 1..2a + 4.  The slice picks the gate's rows in the order of its
-    axes: slice(p, q +- 1, q - p) for a plane gate on rows (p, q), either
-    order, and slice(2a + 1, 2a + 5, 1) for an fswap on lines (a, a + 1).
-    Indexing a carrier with it gives a view, not a gathered copy.  Q is a
-    read-only view into the stacked blocks.
-    """
-    ends = np.empty((len(fswap), 2), dtype=np.int64)  # each gate's first and last row, in its axes' order
-    ends[fswap], ends[~fswap] = rows4[:, ::3] + 1, (rows2 + 1) % (2 * n + 1)
-    step = np.where(fswap, 1, ends[:, 1] - ends[:, 0])
-    stop = (ends[:, 1] + np.sign(step)).astype(object)
-    stop[stop == -1] = None  # a descending slice down to row 0
-    Q = list(Q2) + [FSWAP_ROTATION4]  # a plane gate's Q by its place among them, every fswap's last
-    return list(zip(map(slice, ends[:, 0].tolist(), stop.tolist(), step.tolist()), *np.sort(ends).T.tolist(),
-                    map(Q.__getitem__, np.where(fswap, len(Q2), np.cumsum(~fswap) - 1).tolist())))
+def _plane_rotations(angle) -> np.ndarray:
+    """Plane gates' (p, 2, 2) Q blocks [[c, s], [-s, c]]: one expression for run and sequence_rotation, one set of bits."""
+    c, s = np.cos(angle), np.sin(angle)
+    return np.stack((c, s, -s, c), axis=1).reshape(-1, 2, 2)
 
 
 class GateSequence:
-    """Ordered gate list held as arrays; gates apply left to right.
+    """Ordered gate list held as four checked, read-only columns; gates apply left to right.
 
-    For g gates the layout is:
+    For g gates:
 
     - ``kind``: (g,) int8 codes into KINDS (matchgate 0, line1 1, fswap 2);
     - ``axes``: (g, 2) int64, the plane (j, k) of a matchgate or line1
       gate, -1 for an fswap;
     - ``line``: (g,) int64, the lower line a of an fswap on (a, a+1),
       -1 otherwise;
-    - ``angle``: (g,) float64 rotation angle in (-pi, pi], 0 for an fswap;
-    - ``stacked``: the fold blocks stacked by width (_stacked_blocks),
-      computed once here;
-    - ``blocks``: per gate the fold block (slice, lowest row, highest
-      row, Q) of _fold_blocks, in the fold order of simulator.run (the
-      extension axis first), Q a view into ``stacked``, zipped from
-      columns that ``stacked`` gives in array steps.  Only run folds gate
-      by gate, so the list is built on first access: a compiled sequence,
-      which goes to sequence_rotation and dumps, never builds it.
+    - ``angle``: (g,) float64 rotation angle in (-pi, pi], 0 for an fswap.
 
-    The arrays are read-only, and they are how a sequence is read: it
-    yields no Gate objects.  ``GateSequence(n, gates)`` takes Gate
-    objects and keeps their angles; the parser and the compiler fill the
-    columns directly (``_from_columns``).  This is the one place gates
-    are checked against the register, by one array step per rule; the
-    functions that take a sequence trust it.
+    The columns are the whole sequence and how it is read: it holds
+    nothing derived from them and yields no Gate objects.  Readers derive
+    what they need in array steps (``sequence_rotation`` its rows and Q
+    blocks, ``simulator._fold_order`` each gate's fold-order rows).
+    ``GateSequence(n, gates)`` takes Gate objects and keeps their angles;
+    the parser and the compiler fill the columns directly
+    (``_from_columns``).  This is the one place gates are checked against
+    the register, one array step per rule; the functions that take a
+    sequence trust it.
     """
 
     def __init__(self, n: int, gates=()):
         gates = tuple(gates)
         pairs = [(-1, -1) if g.axes is None else g.axes for g in gates]
-        self._fill(n, [KINDS.index(g.kind) for g in gates], [p[0] for p in pairs],
-                   [p[1] for p in pairs], [-1 if g.line is None else g.line for g in gates],
-                   [0.0 if g.angle is None else g.angle for g in gates])
+        self.__post_init__(n, [KINDS.index(g.kind) for g in gates], [p[0] for p in pairs],
+                           [p[1] for p in pairs], [-1 if g.line is None else g.line for g in gates],
+                           [0.0 if g.angle is None else g.angle for g in gates])
 
     @classmethod
     def _from_columns(cls, n: int, kind, j, k, line, angle) -> "GateSequence":
@@ -411,26 +372,19 @@ class GateSequence:
         and normalized its angle; the register rules are checked here.
         """
         seq = cls.__new__(cls)
-        seq._fill(n, kind, j, k, line, angle)
+        seq.__post_init__(n, kind, j, k, line, angle)
         return seq
 
-    def _fill(self, n: int, kind, j, k, line, angle):
+    def __post_init__(self, n: int, kind, j, k, line, angle):
+        """Fill the read-only columns from per-gate values and check them against an n-line register."""
         self.n = n
         self.kind = np.array(kind, dtype=np.int8)
         self.axes = np.stack((_index_column(j), _index_column(k)), axis=1)
         self.line = _index_column(line)
         self.angle = np.array(angle, dtype=float)
-        self.__post_init__()
-
-    def __post_init__(self):
         for a in (self.kind, self.axes, self.line, self.angle):
             a.flags.writeable = False
-        _check_gates(self.n, self.kind, self.axes, self.line, self.angle)
-        self.stacked = _stacked_blocks(self.kind, self.axes, self.line, self.angle)
-
-    @functools.cached_property
-    def blocks(self) -> list[tuple[slice, int, int, np.ndarray]]:
-        return _fold_blocks(self.n, *self.stacked)
+        _check_gates(n, self.kind, self.axes, self.line, self.angle)
 
     def __len__(self):
         return len(self.kind)
@@ -465,7 +419,9 @@ def sequence_rotation(seq: GateSequence) -> np.ndarray:
     compare them).
     """
     acc = np.eye(2 * seq.n + 1)
-    fswap, rows2, Q2, rows4 = seq.stacked
+    fswap = seq.kind == _FSWAP
+    rows2, Q2 = seq.axes[~fswap], _plane_rotations(seq.angle[~fswap])
+    rows4 = 2 * seq.line[fswap, None] + np.arange(4)
     Q4 = np.broadcast_to(FSWAP_ROTATION4, (len(rows4), 4, 4))
     layer = _layers(seq)
     bounds = np.arange(layer.max(initial=-1) + 2)

@@ -148,13 +148,16 @@ def reference_run(M_ext, gates):
 def gather_fold(c):
     """The carrier ``simulator.run`` folds, as it folded before slice views: the bit reference.
 
-    Each gate gathers its rows and columns by fancy indexing, multiplies
-    them by Q and Q^T and scatters them back.  The result is not
-    symmetrized.
+    Each gate's rows (in natural order) and Q are built from the
+    sequence's columns; it gathers those rows and columns by fancy
+    indexing, multiplies them by Q and Q^T and scatters them back.  The
+    result is not symmetrized.
     """
     Me = c.input_state().M_ext
-    fswap, rows2, Q2, rows4 = c.gates.stacked
-    plane, swap = iter(zip(rows2, Q2)), iter(rows4)
+    g = c.gates
+    fswap = g.kind == un_mod._FSWAP
+    plane = iter(zip(g.axes[~fswap], un_mod._plane_rotations(g.angle[~fswap])))
+    swap = iter(2 * g.line[fswap, None] + np.arange(4))
     for f in fswap.tolist():
         rows, Q = (next(swap), un_mod.FSWAP_ROTATION4) if f else next(plane)
         Me[rows, :] = Q @ Me[rows, :]
@@ -216,7 +219,7 @@ def per_shot_sample(s, K, shots, seed):
     if k == 0:
         return out
     idx = [a for q in K for a in (2 * q, 2 * q + 1)]
-    S0 = sim._refuse_long_lines(s.M[np.ix_(idx, idx)])
+    S0 = sim._refuse_inadmissible(s.M[np.ix_(idx, idx)])
     rows = max(1, sim.SAMPLE_CHUNK_BYTES // S0.nbytes)
     start = 0
     for u in sim._uniform_chunks(seed, shots, k, rows):

@@ -491,13 +491,14 @@ def test_oracle_verify_ok(tmp_path, capsys):
 
 
 def test_oracle_verify_catches_corruption(tmp_path, capsys, monkeypatch):
-    # sabotage the simulator side: the blocks run folds apply the inverse rotation
-    real = un_mod._fold_blocks
+    # sabotage the simulator side: the Q blocks run folds apply the inverse rotation
+    real = simulator._fold_order
 
-    def crooked(*columns):
-        return [(sl, a, b, Q.T) for sl, a, b, Q in real(*columns)]
+    def crooked(gates):
+        *rows, Q = real(gates)
+        return (*rows, map(np.transpose, Q))
 
-    monkeypatch.setattr(un_mod, "_fold_blocks", crooked)
+    monkeypatch.setattr(simulator, "_fold_order", crooked)
     gates = [{"kind": "matchgate", "axes": [0, 2], "angle": 0.9}]
     path = write_doc(tmp_path, "c.json", circuit_doc(2, [0.8, 0.8], gates))
     code, out = run_cli(capsys, ["oracle-verify", path])
@@ -516,20 +517,6 @@ def counted(monkeypatch, module, name, calls):
     for mod in (cli, ser, simulator, st_mod, un_mod, oracle, antisym, embedding):
         if getattr(mod, name, None) is real:
             monkeypatch.setattr(mod, name, wrapper)
-
-
-def test_compile_builds_no_fold_blocks(tmp_path, capsys, monkeypatch):
-    # Only run folds gate by gate; a compiled sequence never builds the list.
-    calls = collections.Counter()
-    counted(monkeypatch, un_mod, "_fold_blocks", calls)
-    n = 2
-    doc = {"schema": ser.SCHEMA_VERSION, "n": n,
-           "h": rand_antisym(np.random.default_rng(5), 2 * n).tolist(), "d": [0.1] * (2 * n)}
-    assert run_cli(capsys, ["compile", write_doc(tmp_path, "h.json", doc)])[0] == 0
-    assert calls["_fold_blocks"] == 0
-    gates = [{"kind": "matchgate", "axes": [0, 1], "angle": 0.5}, {"kind": "fswap", "line": 0}]
-    assert run_cli(capsys, ["run", write_doc(tmp_path, "c.json", circuit_doc(2, [0.5, 0.5], gates))])[0] == 0
-    assert calls["_fold_blocks"] == 1
 
 
 @pytest.mark.parametrize("n, lam, want", [(600, 1.0, 1.0), (1100, 1.0, 1.0), (1100, 0.5, 0.75**1100)])

@@ -174,7 +174,7 @@ def test_sequence_rotation_of_compiled_and_empty_sequences(n):
 
 def one_gate_block(n, gate):
     """(slice, lowest row, highest row, Q) of one gate in fold order, as run folds it."""
-    return un_mod.GateSequence(n, (gate,)).blocks[0]
+    return next(zip(*sim._fold_order(un_mod.GateSequence(n, (gate,)))))
 
 
 def fold_rows(n, gate):
@@ -192,6 +192,28 @@ def block_gates(n):
     gates = [un_mod.Gate(kind, axes=axes, angle=0.3 + 0.4 * i) for i, (kind, axes) in enumerate(planes)]
     gates += [un_mod.Gate(un_mod.FSWAP, line=a) for a in sorted({0, (n - 1) // 2, n - 2}) if n > 1]
     return gates
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 1003])
+def test_fold_order_columns_match_reference(n):
+    # The derivation run zips, over a whole mixed sequence: each gate's slice
+    # picks its fold-order rows in the order of its axes (a descending one
+    # down to row 0 with stop None), lows and highs bound them, and Q is the
+    # per-gate reference block, whatever kinds precede the gate.
+    rng = np.random.default_rng(70 + n)
+    gates = block_gates(n) + [rand_gate(rng, n) for _ in range(40)]
+    gates = [gates[i] for i in rng.permutation(len(gates))]
+    ext = 2 * n
+    assert {(g.kind, g.axes) for g in gates} >= {(un_mod.LINE1, (0, ext)), (un_mod.LINE1, (ext, 0))}
+    assert n == 1 or un_mod.Gate(un_mod.FSWAP, line=n - 2) in gates
+    columns = list(zip(*sim._fold_order(un_mod.GateSequence(n, gates))))
+    assert len(columns) == len(gates)
+    for g, (sl, a, b, Q) in zip(gates, columns):
+        rows = fold_rows(n, g)
+        assert np.arange(ext + 1)[sl].tolist() == rows and (a, b) == (min(rows), max(rows)), g
+        assert (sl.stop is None) == (rows[-1] == 0 and len(rows) == 2 and rows[0] > 0), g
+        assert same_bits(Q, reference_block(g)[1]), g
+    assert list(zip(*sim._fold_order(un_mod.GateSequence(n)))) == []
 
 
 @pytest.mark.parametrize("n", [1, 3, 128, 1003])

@@ -12,10 +12,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dgsim import cli, serialization as ser, simulator as sim, state as st_mod
-from dgsim.antisym import IndexRuleError, NumericalAdmissibilityError, bordered, canonical_matrix
+from dgsim import cli, serialization as ser, simulator as sim, state as st_mod, unitary as un_mod
+from dgsim.antisym import IndexRuleError, bordered, canonical_matrix
 
-from helpers import gather_fold, is_exit_of, natural_order, rand_bloch, rand_sequence
+from helpers import gather_fold, is_exit_of, natural_order, rand_bloch, rand_gate, rand_sequence
 
 SIZES = [1, 2, 3, 17, 64, 200]
 
@@ -198,9 +198,15 @@ REFUSALS = [
     ("sample past tolerance", lambda: sim.sample(EDGE_UP, (0,), 5, 1),
      st_mod.AdmissibilityError, "magnitude 1.0000000015 above 1"),
     ("sample off the lines", lambda: sim.sample(OFF, (0, 1), 4, 0),
-     NumericalAdmissibilityError, r"conditional probability 1.625 outside \[0, 1\]"),
+     st_mod.AdmissibilityError, "canonical value of the covariance exceeds 1"),
+    ("expectation off the lines", lambda: sim.expectation(OFF, sim.MeasurementOp((0, 1), (0, 0))),
+     st_mod.AdmissibilityError, "canonical value of the covariance exceeds 1"),
     ("overlap rho", lambda: sim.overlap(BAD, GOOD), st_mod.AdmissibilityError, "magnitude 1.5 above 1"),
     ("overlap sigma", lambda: sim.overlap(GOOD, BAD), st_mod.AdmissibilityError, "magnitude 1.5 above 1"),
+    ("overlap rho off the lines", lambda: sim.overlap(OFF, GOOD),
+     st_mod.AdmissibilityError, "canonical value of the covariance exceeds 1"),
+    ("overlap sigma off the lines", lambda: sim.overlap(GOOD, OFF),
+     st_mod.AdmissibilityError, "canonical value of the covariance exceeds 1"),
 ]
 
 
@@ -208,6 +214,22 @@ REFUSALS = [
 def test_inadmissible_carrier_is_refused(route, call, cls, message):
     with pytest.raises(cls, match=message):
         call()
+
+
+@pytest.mark.parametrize("lam", [1.0, -1.0, 1 - 2e-13, -(1 - 2e-13)])
+def test_full_rule_passes_pure_carriers(lam):
+    # Canonical values at 1, or a round-off below it, on every line: as the
+    # input carrier, and spread across lines by 200 even gates (matchgates
+    # and fswaps), every route still gives a number.
+    n = 6
+    rng = np.random.default_rng(11)
+    seq = un_mod.GateSequence(n, [g for g in (rand_gate(rng, n) for _ in range(600)) if g.kind != un_mod.LINE1])
+    assert len(seq) >= 200
+    for s in (st_mod.from_diagonal([lam] * n), sim.run(sim.Circuit(np.full(n, lam), seq))):
+        p = sim.expectation(s, sim.MeasurementOp(range(n), [0] * n))
+        assert 0.0 <= p <= 1.0 + 1e-9
+        assert sim.sample(s, range(n), 50, 3).shape == (50, n)
+        assert sim.overlap(s, s) == pytest.approx(1.0)
 
 
 def test_line_rule_passes_admissible_edges():

@@ -39,7 +39,6 @@ def random_docs(rng, n, count, int_angles=0.3):
 
 def same_sequence(a, b):
     arrays = [(a.kind, b.kind), (a.axes, b.axes), (a.line, b.line), (a.angle, b.angle)]
-    arrays += list(zip(a.stacked, b.stacked))
     return a.n == b.n and all(x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
                               for x, y in arrays)
 
