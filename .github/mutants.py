@@ -32,17 +32,32 @@ FOLD = "tests/test_fold_reference.py"
 REFUSALS = "tests/test_measured_lines.py::test_inadmissible_carrier_is_refused"
 
 MUTANTS = [
-    ("descending slice keeps stop None", "src/dgsim/simulator.py",
+    ("descending slice keeps stop None", "src/dgsim/unitary.py",
      "np.where(last < 0, None, last)", "np.where(last < -1, None, last)",
      [FOLD + "::test_fold_order_columns_match_reference"]),
-    ("fswap Q index", "src/dgsim/simulator.py",
+    ("fswap Q index", "src/dgsim/unitary.py",
      "np.where(fswap, -1, np.cumsum(~fswap) - 1)", "np.where(fswap, 0, np.cumsum(~fswap) - 1)",
      [FOLD + "::test_fold_order_columns_match_reference"]),
-    ("fold row of the extension axis", "src/dgsim/simulator.py",
-     "(gates.axes + 1) % (2 * gates.n + 1)", "(gates.axes + 1)",
+    ("row of the extension axis", "src/dgsim/unitary.py",
+     "(gates.axes + shift) % (2 * gates.n + 1)", "(gates.axes + shift)",
      [FOLD + "::test_fold_order_columns_match_reference"]),
+    ("sequence_rotation's slice-view product", "src/dgsim/unitary.py",
+     "V[...] = Q @ V", "V[...] = Q.T @ V",
+     [FOLD + "::test_sequence_rotation_deep_and_wide_match_reference"]),
+    ("run's fold-order shift", "src/dgsim/simulator.py",
+     "_gate_blocks(c.gates, 1)", "_gate_blocks(c.gates, 0)",
+     [FOLD + "::test_gate_sequence_run_matches_reference"]),
     ("band widening", "src/dgsim/simulator.py",
      "hi[L:e] = [b + 1] * (e - L)", "hi[L:e] = [b] * (e - L)",
+     [FOLD]),
+    ("band widening of later rows", "src/dgsim/simulator.py",
+     "lo[s:H] = [a] * (H - s)", "lo[s:H] = [a + 1] * (H - s)",
+     [FOLD]),
+    ("band low of the gate's rows", "src/dgsim/simulator.py",
+     "lo[a:b + 1] = [L] * (b + 1 - a)", "lo[a:b + 1] = [L + 1] * (b + 1 - a)",
+     [FOLD]),
+    ("band high of the gate's rows", "src/dgsim/simulator.py",
+     "hi[a:b + 1] = [H] * (b + 1 - a)", "hi[a:b + 1] = [H - 1] * (b + 1 - a)",
      [FOLD]),
     ("band skip guard", "src/dgsim/simulator.py",
      "if lo[b] != L or hi[a] != H:", "if lo[b] != L and hi[a] != H:",
@@ -70,6 +85,15 @@ MUTANTS = [
      ["tests/test_simulator.py"]),
     ("panel writer sign token", "src/dgsim/serialization.py",
      '_TOKENS = np.array([b"0,", b"-0,",', '_TOKENS = np.array([b"0,", b"0,",',
+     ["tests/test_serialization.py"]),
+    ("panel writer row-end code", "src/dgsim/serialization.py",
+     "code[:, -1] += 4", "code[:, -1] += 0",
+     ["tests/test_serialization.py"]),
+    ("panel step", "src/dgsim/serialization.py",
+     "for r0 in range(0, len(a), b):", "for r0 in range(0, len(a), 2 * b):",
+     ["tests/test_serialization.py"]),
+    ("pending panel offset", "src/dgsim/serialization.py",
+     "p0 - r0 + 1)] = above", "p0 - r0 + 2)] = above",
      ["tests/test_serialization.py"]),
 ]
 

@@ -3,13 +3,12 @@
 A circuit is a checked input, an ordered gate list and, optionally,
 the lines to be measured.  Evolution updates one real extended carrier
 M_ext in place, in fold order (axis 2n at row 0, axis a < 2n at row
-a + 1, an order this module alone knows: ``_fold_order`` derives it from
-a GateSequence's columns), where each gate touches at most four
-consecutive rows and columns, and those only within the band they may
-reach.  g gates cost O(g w) for band width w (at most 2n+1, 2 to start
-from a diagonal input) plus O(n^2) bookkeeping, and one carrier of
-memory beyond the held input (a diagonal input holds its lambdas
-alone).  With measured lines K, ``run`` returns the output reduced to
+a + 1: ``unitary._gate_blocks`` at shift 1, a shift and a buffer this
+module alone picks), where each gate touches at most four consecutive
+rows and columns, and those only within the band they may reach.  g
+gates cost O(g w) for band width w (at most 2n+1, 2 to start from a
+diagonal input) plus O(n^2) bookkeeping, and one carrier of memory
+beyond the held input (a diagonal input holds its lambdas alone).  With measured lines K, ``run`` returns the output reduced to
 K, the compression that measurement reads.  Both leave via
 ``carrier_state``.
 
@@ -40,7 +39,7 @@ import numpy as np
 
 from .antisym import NumericalAdmissibilityError, as_bits, as_index, as_indices, canonical_matrix
 from .state import ADMISSIBILITY_TOL, AdmissibilityError, DGaussState, carrier_state, diagonal_parameters, from_diagonal
-from .unitary import _FSWAP, FSWAP_ROTATION4, GateSequence, _plane_rotations
+from .unitary import GateSequence, _gate_blocks
 
 
 DET_CLAMP = 1e-10
@@ -313,41 +312,22 @@ class Circuit:
         return X
 
 
-def _fold_order(gates: GateSequence):
-    """Each gate's fold-order rows and Q, as columns for ``run`` to zip: (slices, lowest rows, highest rows, Qs).
-
-    A gate spans at most four consecutive fold-order rows.  Its slice, a
-    view and not a gathered copy, picks them in the order of its axes:
-    slice(p, q +- 1, q - p) for a plane gate on rows (p, q), stop None
-    down to row 0, and slice(2a + 1, 2a + 5, 1) for an fswap on lines
-    (a, a + 1).  Q is a plane gate's ``unitary._plane_rotations`` block or
-    FSWAP_ROTATION4.  Slices and Qs are iterators: no per-gate list is built.
-    """
-    fswap = gates.kind == _FSWAP
-    ends = np.where(fswap[:, None], 2 * gates.line[:, None] + [1, 4], (gates.axes + 1) % (2 * gates.n + 1))
-    step = np.where(fswap, 1, ends[:, 1] - ends[:, 0])
-    last = ends[:, 1] + np.sign(step)
-    Q = [*_plane_rotations(gates.angle[~fswap]), FSWAP_ROTATION4]
-    return (map(slice, ends[:, 0].tolist(), np.where(last < 0, None, last).tolist(), step.tolist()),
-            *np.sort(ends).T.tolist(), map(Q.__getitem__, np.where(fswap, -1, np.cumsum(~fswap) - 1).tolist()))
-
-
 def run(c: Circuit) -> DGaussState:
     """Fold the circuit's gates over its input's carrier; the output state, or its reduction to c.lines.
 
-    The carrier is ``c.input_carrier()``, updated in place in fold order:
-    a gate (rows sl, lowest row a, highest row b and Q, from
-    ``_fold_order``) multiplies its rows of the leading (2n+1)-square
-    block B by Q, and the same rows of B^T (its columns) by Q again, one
-    view each, only within a band: two nondecreasing lists bound by
-    lo[r]..hi[r]-1 the entries of row r, and of column r, that may be
+    The carrier is ``c.input_carrier()``, updated in place in fold order: a
+    gate (rows sl, lowest row a, highest row b and Q, from
+    ``unitary._gate_blocks`` at shift 1) multiplies its rows of the leading
+    (2n+1)-square block B by Q, and the same rows of B^T (its columns) by Q
+    again, one view each, only within a band: two nondecreasing lists bound
+    by lo[r]..hi[r]-1 the entries of row r, and of column r, that may be
     nonzero.  Rows a..b reach columns lo[a]..hi[b]-1 alone; after the gate
     they reach all of them, and rows lo[a]..hi[b]-1 reach columns a..b.  A
-    lambdas input starts from its 2x2 blocks, a held state at the full
-    band: g gates cost O(g w) for band width w.  A skipped entry is a zero
-    that the whole-row product would set to +0, and a computed one has the
-    bits of Q @ Me[rows, :] or Me[:, rows] @ Q^T (the fold-reference tests
-    pin both).  The one zero sign the band keeps, -0 in a lambdas input's
+    lambdas input starts from its 2x2 blocks, a held state at the full band:
+    g gates cost O(g w) for band width w.  A skipped entry is a zero that
+    the whole-row product would set to +0, and a computed one has the bits
+    of Q @ Me[rows, :] or Me[:, rows] @ Q^T (the fold-reference tests pin
+    both).  The one zero sign the band keeps, -0 in a lambdas input's
     extension row, leaves no trace in the mean column of (E - E^T) / 2.
     Gates were checked when their sequence was built.
 
@@ -366,7 +346,7 @@ def run(c: Circuit) -> DGaussState:
     else:
         lo = [0] + [r - 1 + r % 2 for r in range(1, w)]
         hi = [1] + [r + 2 for r in lo[1:]]
-    for sl, a, b, Q in zip(*_fold_order(c.gates)):
+    for sl, a, b, Q in zip(*_gate_blocks(c.gates, 1)):
         L, H = lo[a], hi[b]
         for V in B[sl, L:H], BT[sl, L:H]:  # the gate's rows, then its columns
             V[...] = Q @ V

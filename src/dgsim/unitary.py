@@ -20,10 +20,11 @@ A gate list is a GateSequence: four checked columns (kind codes, axes,
 fswap lines, angles), one entry per gate, and nothing derived from
 them.  The register rules are checked when a sequence is built, one
 array step per rule.  Its readers, ``sequence_rotation`` and the
-simulator's fold (whose row order is the simulator's alone), derive each
-gate's rows and small rotation Q from the columns in array steps.  A
-gate's fields follow one rule, ``_gate_row``, whether they come as a
-``Gate`` or as a gate document.
+simulator's fold, zip one derivation, ``_gate_blocks``: each gate's rows
+as a slice and its small rotation Q, at the row shift the reader picks
+(0 for the natural order, 1 for the simulator's fold order).  A gate's
+fields follow one rule, ``_gate_row``, whether they come as a ``Gate``
+or as a gate document.
 """
 
 from __future__ import annotations
@@ -329,7 +330,7 @@ FSWAP_ROTATION4.flags.writeable = False
 
 
 def _plane_rotations(angle) -> np.ndarray:
-    """Plane gates' (p, 2, 2) Q blocks [[c, s], [-s, c]]: one expression for run and sequence_rotation, one set of bits."""
+    """Plane gates' (p, 2, 2) Q blocks [[c, s], [-s, c]]: one expression, one set of bits (``_gate_blocks``)."""
     c, s = np.cos(angle), np.sin(angle)
     return np.stack((c, s, -s, c), axis=1).reshape(-1, 2, 2)
 
@@ -347,9 +348,9 @@ class GateSequence:
     - ``angle``: (g,) float64 rotation angle in (-pi, pi], 0 for an fswap.
 
     The columns are the whole sequence and how it is read: it holds
-    nothing derived from them and yields no Gate objects.  Readers derive
-    what they need in array steps (``sequence_rotation`` its rows and Q
-    blocks, ``simulator._fold_order`` each gate's fold-order rows).
+    nothing derived from them and yields no Gate objects.  Its readers,
+    ``sequence_rotation`` and ``simulator.run``, zip the rows and Q blocks
+    that ``_gate_blocks`` derives from them in array steps.
     ``GateSequence(n, gates)`` takes Gate objects and keeps their angles;
     the parser and the compiler fill the columns directly
     (``_from_columns``).  This is the one place gates are checked against
@@ -390,51 +391,41 @@ class GateSequence:
         return len(self.kind)
 
 
-def _layers(seq: GateSequence) -> np.ndarray:
-    """Layer of each gate: the first one after every layer that touched any of its rows."""
-    free = [0] * (2 * seq.n + 1)  # first layer each row is free in
-    layer = []
-    for code, (j, k), a in zip(seq.kind.tolist(), seq.axes.tolist(), seq.line.tolist()):
-        if code == _FSWAP:
-            t = max(free[2 * a:2 * a + 4])
-            free[2 * a:2 * a + 4] = (t + 1,) * 4
-        else:
-            t = max(free[j], free[k])
-            free[j] = free[k] = t + 1
-        layer.append(t)
-    return np.array(layer, dtype=np.int64)
+def _gate_blocks(gates: GateSequence, shift: int):
+    """Each gate's rows and Q, as columns to zip: (slices, lowest rows, highest rows, Qs).
+
+    Axis a sits at row (a + shift) % (2n + 1): shift 0 is the natural
+    order, and shift 1 the simulator's fold order, in which every gate
+    spans at most four consecutive rows.  A gate's slice, a view and not a
+    gathered copy, picks its rows in the order of its axes: slice(p, q +- 1,
+    q - p) for a plane gate on rows (p, q), stop None down to row 0, and
+    slice(2a + shift, 2a + shift + 4, 1) for an fswap on lines (a, a + 1).
+    Q is a view of a plane gate's ``_plane_rotations`` block, or
+    FSWAP_ROTATION4.  Slices and Qs are iterators, built as they are zipped.
+    """
+    fswap = gates.kind == _FSWAP
+    ends = np.where(fswap[:, None], 2 * gates.line[:, None] + shift + [0, 3],
+                    (gates.axes + shift) % (2 * gates.n + 1))
+    step = np.where(fswap, 1, ends[:, 1] - ends[:, 0])
+    last = ends[:, 1] + np.sign(step)
+    Q = [*_plane_rotations(gates.angle[~fswap]), FSWAP_ROTATION4]
+    return (map(slice, ends[:, 0].tolist(), np.where(last < 0, None, last).tolist(), step.tolist()),
+            *np.sort(ends).T.tolist(), map(Q.__getitem__, np.where(fswap, -1, np.cumsum(~fswap) - 1).tolist()))
 
 
 def sequence_rotation(seq: GateSequence) -> np.ndarray:
     """Product rotation of a gate list (gates applied in order).
 
-    The gates are applied in row-disjoint layers (``_layers``): each
-    gate goes in the first layer after the last one that touched any of
-    its rows, so every row meets its gates in sequence order, and gates
-    on disjoint rows commute exactly.  A layer's plane gates, then its
-    fswaps, are one gather of their rows, one stacked matmul by their Q
-    blocks and one scatter.  NumPy's stacked matmul makes, per block, the
-    BLAS call the two-dimensional ``Q @ acc[rows]`` makes, so the product
-    has the bits of the gate-by-gate fold (the fold-reference tests
-    compare them).
+    Each gate multiplies its rows of the accumulator by its Q in place,
+    through the slice view of ``_gate_blocks`` at shift 0 (axis a at row
+    a): the bits of the gathered ``Q @ acc[rows]`` (the fold-reference
+    tests compare them).
     """
     acc = np.eye(2 * seq.n + 1)
-    fswap = seq.kind == _FSWAP
-    rows2, Q2 = seq.axes[~fswap], _plane_rotations(seq.angle[~fswap])
-    rows4 = 2 * seq.line[fswap, None] + np.arange(4)
-    Q4 = np.broadcast_to(FSWAP_ROTATION4, (len(rows4), 4, 4))
-    layer = _layers(seq)
-    bounds = np.arange(layer.max(initial=-1) + 2)
-    stacks = []
-    for rows, Q, at in ((rows2, Q2, layer[~fswap]), (rows4, Q4, layer[fswap])):
-        order = np.argsort(at, kind="stable")
-        stacks.append((rows[order], Q[order], np.searchsorted(at[order], bounds).tolist()))
-    for t in bounds[:-1].tolist():
-        for rows, Q, ends in stacks:
-            lo, hi = ends[t], ends[t + 1]
-            if hi > lo:
-                r = rows[lo:hi]
-                acc[r] = Q[lo:hi] @ acc[r]
+    slices, _, _, Qs = _gate_blocks(seq, 0)
+    for sl, Q in zip(slices, Qs):
+        V = acc[sl]
+        V[...] = Q @ V
     return acc
 
 

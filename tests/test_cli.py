@@ -492,13 +492,13 @@ def test_oracle_verify_ok(tmp_path, capsys):
 
 def test_oracle_verify_catches_corruption(tmp_path, capsys, monkeypatch):
     # sabotage the simulator side: the Q blocks run folds apply the inverse rotation
-    real = simulator._fold_order
+    real = simulator._gate_blocks
 
-    def crooked(gates):
-        *rows, Q = real(gates)
+    def crooked(gates, shift):
+        *rows, Q = real(gates, shift)
         return (*rows, map(np.transpose, Q))
 
-    monkeypatch.setattr(simulator, "_fold_order", crooked)
+    monkeypatch.setattr(simulator, "_gate_blocks", crooked)
     gates = [{"kind": "matchgate", "axes": [0, 2], "angle": 0.9}]
     path = write_doc(tmp_path, "c.json", circuit_doc(2, [0.8, 0.8], gates))
     code, out = run_cli(capsys, ["oracle-verify", path])

@@ -1,12 +1,14 @@
 """Gate evolution against the per-Gate reference fold, bit for bit.
 
-``simulator.run`` and ``unitary.sequence_rotation`` must give exactly the
-carriers and rotations of folding one ``Gate`` at a time (see
-``helpers.reference_run``) and of the gathering fold ``run`` replaced
-(``helpers.gather_run``), and the angles a parsed or compiled gate
-carries must be exactly those ``Gate(...)`` holds.  Comparing with the
-reference on the machine that runs the tests pins byte-identical output
-without a stored digest of BLAS results, which can differ between CPUs.
+``simulator.run`` and ``unitary.sequence_rotation`` both zip one
+derivation of each gate's rows and Q, ``unitary._gate_blocks`` (at row
+shifts 1 and 0), and must give exactly the carriers and rotations of
+folding one ``Gate`` at a time (see ``helpers.reference_run``) and of the
+gathering fold ``run`` replaced (``helpers.gather_run``), and the angles
+a parsed or compiled gate carries must be exactly those ``Gate(...)``
+holds.  Comparing with the reference on the machine that runs the tests
+pins byte-identical output without a stored digest of BLAS results,
+which can differ between CPUs.
 """
 
 import numpy as np
@@ -149,17 +151,15 @@ def deep_gates(rng, n, count):
 
 
 @pytest.mark.parametrize("n", [3, 8, 40])
-def test_sequence_rotation_layers_match_reference(n):
-    # Many gates on the same rows make deep layers; the spread-out part
-    # makes wide ones.  Either way the layered product is the per-gate fold.
+def test_sequence_rotation_deep_and_wide_match_reference(n):
+    # Long chains of gates on the same rows, spread-out gates and the two
+    # concatenated: the product has the bits of the per-gate fold.
     rng = np.random.default_rng(500 + n)
     deep = deep_gates(rng, n, 300)
     wide = [rand_gate(rng, n) for _ in range(12 * n)]
     for gates in (deep, wide, deep + wide + deep):
         seq = un_mod.GateSequence(n, gates)
         assert same_bits(un_mod.sequence_rotation(seq), reference_rotation(n, gates))
-    layer = un_mod._layers(un_mod.GateSequence(n, deep))
-    assert layer.max() + 1 >= len(deep) // 3
 
 
 @pytest.mark.parametrize("n", [1, 4, 9])
@@ -173,13 +173,16 @@ def test_sequence_rotation_of_compiled_and_empty_sequences(n):
 
 
 def one_gate_block(n, gate):
-    """(slice, lowest row, highest row, Q) of one gate in fold order, as run folds it."""
-    return next(zip(*sim._fold_order(un_mod.GateSequence(n, (gate,)))))
+    """(slice, lowest row, highest row, Q) of one gate in fold order (shift 1), as run folds it."""
+    return next(zip(*un_mod._gate_blocks(un_mod.GateSequence(n, (gate,)), 1)))
 
 
-def fold_rows(n, gate):
-    """The gate's rows in fold order, in the order of its axes: axis a < 2n at a + 1, axis 2n at 0."""
-    return [(r + 1) % (2 * n + 1) for r in reference_block(gate)[0]]
+def fold_rows(n, gate, shift):
+    """The gate's rows in the order of its axes, axis a at row (a + shift) % (2n + 1).
+
+    Shift 0 is the natural order; shift 1 is fold order (axis 2n at 0).
+    """
+    return [(r + shift) % (2 * n + 1) for r in reference_block(gate)[0]]
 
 
 def block_gates(n):
@@ -196,24 +199,27 @@ def block_gates(n):
 
 @pytest.mark.parametrize("n", [1, 3, 8, 1003])
 def test_fold_order_columns_match_reference(n):
-    # The derivation run zips, over a whole mixed sequence: each gate's slice
-    # picks its fold-order rows in the order of its axes (a descending one
-    # down to row 0 with stop None), lows and highs bound them, and Q is the
-    # per-gate reference block, whatever kinds precede the gate.
+    # The derivation run (shift 1) and sequence_rotation (shift 0) zip, over
+    # a whole mixed sequence: each gate's slice picks its rows in the order
+    # of its axes (a descending one down to row 0 with stop None), lows and
+    # highs bound them, and Q is the per-gate reference block, whatever
+    # kinds precede the gate.  At shift 0, block_gates' slices down to row 0
+    # are the matchgate (3, 0) and the line1 gates (1, 0) and (2n, 0).
     rng = np.random.default_rng(70 + n)
     gates = block_gates(n) + [rand_gate(rng, n) for _ in range(40)]
     gates = [gates[i] for i in rng.permutation(len(gates))]
     ext = 2 * n
     assert {(g.kind, g.axes) for g in gates} >= {(un_mod.LINE1, (0, ext)), (un_mod.LINE1, (ext, 0))}
     assert n == 1 or un_mod.Gate(un_mod.FSWAP, line=n - 2) in gates
-    columns = list(zip(*sim._fold_order(un_mod.GateSequence(n, gates))))
-    assert len(columns) == len(gates)
-    for g, (sl, a, b, Q) in zip(gates, columns):
-        rows = fold_rows(n, g)
-        assert np.arange(ext + 1)[sl].tolist() == rows and (a, b) == (min(rows), max(rows)), g
-        assert (sl.stop is None) == (rows[-1] == 0 and len(rows) == 2 and rows[0] > 0), g
-        assert same_bits(Q, reference_block(g)[1]), g
-    assert list(zip(*sim._fold_order(un_mod.GateSequence(n)))) == []
+    for shift in (0, 1):
+        columns = list(zip(*un_mod._gate_blocks(un_mod.GateSequence(n, gates), shift)))
+        assert len(columns) == len(gates)
+        for g, (sl, a, b, Q) in zip(gates, columns):
+            rows = fold_rows(n, g, shift)
+            assert np.arange(ext + 1)[sl].tolist() == rows and (a, b) == (min(rows), max(rows)), (g, shift)
+            assert (sl.stop is None) == (rows[-1] == 0 and len(rows) == 2 and rows[0] > 0), (g, shift)
+            assert same_bits(Q, reference_block(g)[1]), (g, shift)
+        assert list(zip(*un_mod._gate_blocks(un_mod.GateSequence(n), shift))) == []
 
 
 @pytest.mark.parametrize("n", [1, 3, 128, 1003])
@@ -229,10 +235,10 @@ def test_slice_views_keep_gather_bits(n):
     X[rng.random(X.shape) < 0.1] = -0.0
     B = X[:-1, :-1]
     gates = block_gates(n)
-    assert {len(fold_rows(n, g)) for g in gates} == ({2, 4} if n > 1 else {2})
+    assert {len(fold_rows(n, g, 1)) for g in gates} == ({2, 4} if n > 1 else {2})
     for g in gates:
         sl, a, b, Q = one_gate_block(n, g)
-        rows = fold_rows(n, g)
+        rows = fold_rows(n, g, 1)
         assert np.arange(w)[sl].tolist() == rows and (a, b) == (min(rows), max(rows)) and b - a <= 3
         assert same_bits(Q, reference_block(g)[1])
         for L, H in {(0, w), (a, b + 1), (int(rng.integers(0, a + 1)), int(rng.integers(b + 1, w + 1)))}:

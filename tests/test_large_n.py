@@ -37,7 +37,8 @@ def benchmark_mix(rng, n, count):
 
 
 def test_run_matches_sequence_rotation_at_n500():
-    # run folds gate by gate; sequence_rotation multiplies the rotations.
+    # run conjugates the carrier gate by gate; sequence_rotation multiplies
+    # the same gates' rotations into R, and R M R^T must agree.
     rng = np.random.default_rng(500)
     n = 500
     s = pure_product(rng, n)
