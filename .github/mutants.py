@@ -30,6 +30,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 FOLD = "tests/test_fold_reference.py"
 REFUSALS = "tests/test_measured_lines.py::test_inadmissible_carrier_is_refused"
+CLI = "tests/test_cli.py"
 
 MUTANTS = [
     ("descending slice keeps stop None", "src/dgsim/unitary.py",
@@ -95,6 +96,12 @@ MUTANTS = [
     ("pending panel offset", "src/dgsim/serialization.py",
      "p0 - r0 + 1)] = above", "p0 - r0 + 2)] = above",
      ["tests/test_serialization.py"]),
+    ("parser built once per process", "src/dgsim/cli.py",
+     "@functools.cache\n", "",
+     [CLI + "::test_main_builds_one_parser"]),
+    ("verb-to-command name", "src/dgsim/cli.py",
+     'args.verb.replace("-", "_")', 'args.verb.replace("-", "")',
+     [CLI]),
 ]
 
 

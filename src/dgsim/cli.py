@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: run, compile, embed, test-state, test-unitary,
-oracle-verify, version.  Results are emitted as deterministic JSON
-documents (see serialization).  Exit codes: 0 ok, 1 verdict-negative,
-2 parse error, 3 numerical error, 4 oracle cap exceeded.
+oracle-verify, version; ``main`` builds one parser per process, on its
+first call, and looks up the verb's ``cmd_*`` by name at each call.
+Outputs are deterministic JSON (see serialization).  Exit codes: 0 ok,
+1 verdict-negative, 2 parse error, 3 numerical error, 4 oracle cap exceeded.
 
 An error's class alone picks its code, by the one map FAILURES; every
 antisym.NumericalAdmissibilityError, whatever its route, exits 3.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import os
 import sys
@@ -252,6 +254,7 @@ def cmd_version(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dgsim",
@@ -259,29 +262,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add(name, func, needs_file=True):
+    def add(name, needs_file=True):
         p = sub.add_parser(name)
         if needs_file:
             p.add_argument("file", help="input document (JSON)")
         p.add_argument("--out", default=None, help="write the result document here")
-        p.set_defaults(func=func)
         return p
 
     def add_tol(p):
         p.add_argument("--tol", type=float, default=None, help="tolerance")
 
-    run = add("run", cmd_run)
+    run = add("run")
     run.add_argument("--shots", type=int, default=None, help="override the measure block's shots")
     run.add_argument("--seed", type=int, default=None, help="override the measure block's seed")
-    add("compile", cmd_compile)
-    add("embed", cmd_embed)
-    add_tol(add("test-state", cmd_test_state))
-    add_tol(add("test-unitary", cmd_test_unitary))
-    verify = add("oracle-verify", cmd_oracle_verify)
+    add("compile")
+    add("embed")
+    add_tol(add("test-state"))
+    add_tol(add("test-unitary"))
+    verify = add("oracle-verify")
     add_tol(verify)
     verify.add_argument("--n-max", type=int, default=None, dest="n_max",
                         help="refuse circuits wider than this (at most the oracle cap)")
-    add("version", cmd_version, needs_file=False)
+    add("version", needs_file=False)
     return parser
 
 
@@ -289,7 +291,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_flags(args)
-        return args.func(args)
+        return globals()["cmd_" + args.verb.replace("-", "_")](args)
     except (CliError, ValueError, NumericalAdmissibilityError) as exc:
         code, prefix = next((code, prefix) for cls, code, prefix in FAILURES if isinstance(exc, cls))
         print(f"{prefix}: {exc}", file=sys.stderr)

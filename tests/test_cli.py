@@ -1,3 +1,4 @@
+import argparse
 import collections
 import json
 import math
@@ -1018,6 +1019,67 @@ def test_version(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["schema"] == ser.SCHEMA_VERSION
+
+
+def test_main_builds_one_parser(capsys, monkeypatch):
+    # The first call builds the parser; later calls reuse it.
+    cli.main(["version"])
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert cli.main(["version"]) == 0 and cli.main(["version"]) == 0
+    capsys.readouterr()
+    assert built == []
+
+
+VERBS = ("run", "compile", "embed", "test-state", "test-unitary", "oracle-verify", "version")
+HELP_AND_USAGE = {
+    "dgsim --help": (["--help"], 0),
+    **{f"{verb} --help": ([verb, "--help"], 0) for verb in VERBS},
+    "unknown-verb": (["frobnicate", "doc.json"], 2),
+    "compile-shots": (["compile", "doc.json", "--shots", "1"], 2),
+    "run-no-file": (["run"], 2),
+}
+
+
+def _exit_of(call, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        call(argv)
+    captured = capsys.readouterr()
+    return captured.out, captured.err, exc.value.code
+
+
+@pytest.mark.parametrize("argv, code", HELP_AND_USAGE.values(), ids=HELP_AND_USAGE)
+def test_help_and_usage_bytes_repeat(capsys, argv, code):
+    # build_parser.__wrapped__ is the builder behind the per-process cache.
+    fresh = _exit_of(cli.build_parser.__wrapped__().parse_args, argv, capsys)
+    assert fresh[2] == code and fresh[0 if code == 0 else 1].startswith("usage: dgsim")
+    assert _exit_of(cli.main, argv, capsys) == fresh
+    assert _exit_of(cli.main, argv, capsys) == fresh
+
+
+@pytest.mark.parametrize("verb", VERBS)
+def test_command_rebound_after_parser_is_called(capsys, monkeypatch, verb):
+    cli.main(["version"])
+    capsys.readouterr()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_" + verb.replace("-", "_"), lambda args: seen.append(args.verb) or 7)
+    assert cli.main([verb] if verb == "version" else [verb, "doc.json"]) == 7
+    assert seen == [verb]
+
+
+def test_flags_do_not_carry_over(tmp_path, capsys):
+    path = write_doc(tmp_path, "c.json",
+                     circuit_doc(2, [0.5, -0.2], measure={"lines": [0, 1], "shots": 5, "seed": 3}))
+    for flags, shots in (["--shots", "7"], 7), ([], 5):
+        code, out = run_cli(capsys, ["run", path, *flags])
+        doc = json.loads(out)
+        assert code == 0 and doc["shots"] == shots and sum(doc["counts"].values()) == shots
 
 
 def test_dumps_deterministic():
