@@ -102,6 +102,12 @@ MUTANTS = [
     ("verb-to-command name", "src/dgsim/cli.py",
      'args.verb.replace("-", "_")', 'args.verb.replace("-", "")',
      [CLI]),
+    ("main's schema stamp", "src/dgsim/cli.py",
+     '        doc["schema"] = ser.SCHEMA_VERSION\n', "",
+     [CLI]),
+    ("exit rule inverted", "src/dgsim/cli.py",
+     "return EXIT_OK if doc.get(", "return EXIT_NEGATIVE if doc.get(",
+     [CLI]),
 ]
 
 

@@ -1,13 +1,15 @@
 """Command-line front end.
 
 Subcommands: run, compile, embed, test-state, test-unitary,
-oracle-verify, version; ``main`` builds one parser per process, on its
-first call, and looks up the verb's ``cmd_*`` by name at each call.
-Outputs are deterministic JSON (see serialization).  Exit codes: 0 ok,
-1 verdict-negative, 2 parse error, 3 numerical error, 4 oracle cap exceeded.
+oracle-verify, version.  ``main`` builds one parser per process, on its
+first call, and at each call looks up the verb's ``cmd_*`` by name.  The
+command returns its result document; ``main`` alone stamps its schema,
+writes it as deterministic JSON (see serialization) and picks the exit
+code: 0 ok, 1 when its ``verdict`` or ``ok`` is false, 2 parse error,
+3 numerical error, 4 oracle cap exceeded.
 
-An error's class alone picks its code, by the one map FAILURES; every
-antisym.NumericalAdmissibilityError, whatever its route, exits 3.
+An error's class alone picks its code, by the one map FAILURES, whose classes
+``main`` catches; every antisym.NumericalAdmissibilityError exits 3.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ FAILURES = (
     (OracleCapError, EXIT_CAP, "cap error"),
     (NumericalAdmissibilityError, EXIT_NUMERIC, "numerical error"),
     (ValueError, EXIT_PARSE, "parse error"),
+    (MemoryError, EXIT_NUMERIC, "memory error"),
 )
 
 
@@ -123,14 +126,13 @@ def _counts(bits: np.ndarray) -> dict[str, int]:
     return {text[i:i + k]: c for i, c in zip(range(0, len(text), k), counts.tolist())}
 
 
-def cmd_run(args) -> int:
+def cmd_run(args) -> dict:
     circuit, measure = ser.parse_circuit(_read_doc(args.file))
     measure = _measure_override(measure, args)
-    doc = {"schema": ser.SCHEMA_VERSION, "n": circuit.n}
+    doc = {"n": circuit.n}
     if measure is not None:  # run returns the output on the measured lines, renumbered 0..k-1
         circuit = dataclasses.replace(circuit, lines=measure.K)
     out_state = simulator.run(circuit)
-    del circuit  # its input state would stay alive while the result is formatted
     lines = range(out_state.n)
     if measure is None:
         doc["mode"] = "state"
@@ -144,41 +146,34 @@ def cmd_run(args) -> int:
         doc["shots"] = measure.shots
         doc["seed"] = measure.seed
         doc["counts"] = _counts(simulator.sample(out_state, lines, measure.shots, measure.seed))
-    _write(doc, args.out)
-    return EXIT_OK
+    return doc
 
 
-def cmd_compile(args) -> int:
+def cmd_compile(args) -> dict:
     U = ser.parse_hamiltonian(_read_doc(args.file))
     seq = un_mod.compile(U)
     residual = float(np.max(np.abs(un_mod.sequence_rotation(seq) - U.rotation())))
     count = len(seq)
-    doc = {
-        "schema": ser.SCHEMA_VERSION,
+    return {
         "n": U.n,
         "gates": seq,
         "gate_count": count,
         "cubic_constant": count / U.n**3,
         "residual": residual,
     }
-    _write(doc, args.out)
-    return EXIT_OK
 
 
-def cmd_embed(args) -> int:
+def cmd_embed(args) -> dict:
     s = ser.parse_state(_read_doc(args.file))
     res = embedding.embed_covariance(s)
     emb = res.state()
-    doc = {
-        "schema": ser.SCHEMA_VERSION,
+    return {
         "n": emb.n,
         "M": emb.M,
         "mu": emb.mu,
         "r": res.r,
         "c": res.c,
     }
-    _write(doc, args.out)
-    return EXIT_OK
 
 
 def _dense_operand(args, parse, dense, limit: int) -> np.ndarray:
@@ -195,33 +190,27 @@ def _evolved_dense(parsed) -> np.ndarray:
     return st_mod.dense(simulator.run(parsed[0]))
 
 
-def _verdict(args, test: str, check, operand) -> int:
-    """Write the verdict of ``check(operand, tol=--tol)``; exit 1 when it is negative."""
-    tol = args.tol if args.tol is not None else embedding.GAUSSIAN_TOL
-    verdict, deviation = check(operand, tol=tol)
-    doc = {"schema": ser.SCHEMA_VERSION, "test": test, "verdict": bool(verdict),
-           "deviation": float(deviation)}
-    _write(doc, args.out)
-    return EXIT_OK if verdict else EXIT_NEGATIVE
+def _verdict(args, test: str, check, operand) -> dict:
+    """The verdict document of ``check(operand, tol=--tol)``."""
+    verdict, deviation = check(operand, tol=args.tol)
+    return {"test": test, "verdict": bool(verdict), "deviation": float(deviation)}
 
 
-def cmd_test_state(args) -> int:
+def cmd_test_state(args) -> dict:
     return _verdict(args, "displaced-gaussian-state", embedding.displaced_state_test,
                     _dense_operand(args, ser.parse_circuit, _evolved_dense, oracle.ORACLE_MAX_QUBITS))
 
 
-def cmd_test_unitary(args) -> int:
+def cmd_test_unitary(args) -> dict:
     return _verdict(args, "displaced-gaussian-unitary", embedding.displaced_unitary_test,
                     _dense_operand(args, ser.parse_hamiltonian, un_mod.DGUnitary.dense,
                                    embedding.UNITARY_TEST_MAX_QUBITS))
 
 
-def cmd_oracle_verify(args) -> int:
+def cmd_oracle_verify(args) -> dict:
     circuit, measure = ser.parse_circuit(_read_doc(args.file))
-    n_max = args.n_max if args.n_max is not None else oracle.ORACLE_MAX_QUBITS
-    oracle._check_cap(n_max)
-    oracle._check_cap(circuit.n, n_max)
-    tol = args.tol if args.tol is not None else 1e-7
+    oracle._check_cap(args.n_max)
+    oracle._check_cap(circuit.n, args.n_max)
 
     out_state = simulator.run(circuit)
     rho = un_mod.conjugate_dense(circuit.gates, st_mod.dense(circuit.input_state()))
@@ -237,21 +226,17 @@ def cmd_oracle_verify(args) -> int:
             pb = oracle.born_probability(rho, lines, x)
             prob_dev = max(prob_dev, abs(p - pb))
         checkpoints["measurement_probabilities"] = prob_dev
-    ok = all(v < tol for v in checkpoints.values())
-    doc = {
-        "schema": ser.SCHEMA_VERSION,
+    ok = all(v < args.tol for v in checkpoints.values())
+    return {
         "n": circuit.n,
         "checkpoints": checkpoints,
-        "tolerance": tol,
+        "tolerance": args.tol,
         "ok": ok,
     }
-    _write(doc, args.out)
-    return EXIT_OK if ok else EXIT_NEGATIVE
 
 
-def cmd_version(args) -> int:
-    _write({"schema": ser.SCHEMA_VERSION, "version": __version__}, args.out)
-    return EXIT_OK
+def cmd_version(args) -> dict:
+    return {"version": __version__}
 
 
 @functools.cache
@@ -269,8 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write the result document here")
         return p
 
-    def add_tol(p):
-        p.add_argument("--tol", type=float, default=None, help="tolerance")
+    def add_tol(p, default=embedding.GAUSSIAN_TOL):
+        p.add_argument("--tol", type=float, default=default, help="tolerance")
 
     run = add("run")
     run.add_argument("--shots", type=int, default=None, help="override the measure block's shots")
@@ -280,8 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_tol(add("test-state"))
     add_tol(add("test-unitary"))
     verify = add("oracle-verify")
-    add_tol(verify)
-    verify.add_argument("--n-max", type=int, default=None, dest="n_max",
+    add_tol(verify, 1e-7)
+    verify.add_argument("--n-max", type=int, default=oracle.ORACLE_MAX_QUBITS, dest="n_max",
                         help="refuse circuits wider than this (at most the oracle cap)")
     add("version", needs_file=False)
     return parser
@@ -291,11 +276,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_flags(args)
-        return globals()["cmd_" + args.verb.replace("-", "_")](args)
-    except (CliError, ValueError, NumericalAdmissibilityError) as exc:
+        doc = globals()["cmd_" + args.verb.replace("-", "_")](args)
+        doc["schema"] = ser.SCHEMA_VERSION
+        _write(doc, args.out)
+    except tuple(cls for cls, _, _ in FAILURES) as exc:
         code, prefix = next((code, prefix) for cls, code, prefix in FAILURES if isinstance(exc, cls))
         print(f"{prefix}: {exc}", file=sys.stderr)
         return code
+    return EXIT_OK if doc.get("verdict", True) and doc.get("ok", True) else EXIT_NEGATIVE
 
 
 if __name__ == "__main__":

@@ -384,8 +384,10 @@ def _finite_float(token: str) -> float:
 
 
 def loads(text: str):
-    """Parse a JSON document; NaN, infinities and overflowing numbers are rejected."""
+    """Parse a JSON document; NaN, infinities, overflowing numbers and too deep nesting are rejected."""
     try:
         return json.loads(text, parse_constant=_reject_constant, parse_float=_finite_float)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: line {exc.lineno} column {exc.colno}") from None
+    except RecursionError:
+        raise SchemaError("invalid JSON: nested too deeply") from None

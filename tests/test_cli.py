@@ -883,6 +883,83 @@ def test_exit_code_table(tmp_path, capsys, monkeypatch, argv, doc, code, prefix)
     assert (captured.out == "") == (code > 1)
 
 
+# main's document contract, one row per verb and outcome: the verb and its
+# flags (the document's path goes after the verb), the document and the
+# exit code.  Every output holds the schema stamp once, and the exit code
+# is 1 exactly when the document's verdict or ok is false.
+CONTRACT_GATES = [{"kind": "matchgate", "axes": [1, 2], "angle": 0.7}, {"kind": "fswap", "line": 0}]
+QUARTIC = np.diag([-1.0 if b & 5 == 5 else 1.0 for b in range(8)])  # exp(i pi n_0 n_2) on 3 qubits
+CONTRACT = {
+    "run-state": (["run"], circuit_doc(2, [0.6, -0.3], CONTRACT_GATES), 0),
+    "run-expectation": (["run"], circuit_doc(2, [0.6, -0.3], CONTRACT_GATES, {"lines": [0, 1], "x": [0, 1]}), 0),
+    "run-sample": (["run"], circuit_doc(2, [0.6, -0.3], CONTRACT_GATES, {"lines": [1], "shots": 5, "seed": 2}), 0),
+    "compile": (["compile"], _scaled_generator(2, 1.0), 0),
+    "embed": (["embed"], {"schema": ser.SCHEMA_VERSION, "n": 1, "M": [[0.0, -0.6], [0.6, 0.0]], "mu": [0.3, 0.0]}, 0),
+    "test-state-gaussian": (["test-state"], circuit_doc(2, [1.0, 0.4], CONTRACT_GATES), 0),
+    "test-state-non-gaussian": (["test-state"], _matrix_doc(4, ghz4()), 1),
+    "test-unitary-gaussian": (["test-unitary"], _scaled_generator(2, 1.0), 0),
+    "test-unitary-quartic": (["test-unitary"], _matrix_doc(3, QUARTIC), 1),
+    "oracle-verify": (["oracle-verify"], circuit_doc(2, [0.6, -0.3], CONTRACT_GATES, {"lines": [0], "x": [1]}), 0),
+    "oracle-verify-tol-0": (["oracle-verify", "--tol", "0"], circuit_doc(2, [0.6, -0.3], CONTRACT_GATES), 1),
+    "version": (["version"], None, 0),
+}
+
+
+@pytest.mark.parametrize("argv, doc, code", CONTRACT.values(), ids=CONTRACT)
+def test_document_contract(tmp_path, capsys, argv, doc, code):
+    if doc is not None:
+        argv = [argv[0], write_doc(tmp_path, "doc.json", doc), *argv[1:]]
+    got, out = run_cli(capsys, argv)
+    res = json.loads(out)
+    assert out.count('"schema"') == 1 and res["schema"] == ser.SCHEMA_VERSION
+    assert got == code == int(res.get("verdict") is False or res.get("ok") is False)
+
+
+SRC = os.path.dirname(os.path.dirname(cli.__file__))
+
+# A document nested past the recursion limit is refused while it is read,
+# and one just inside it by the schema: both exit 2, in this process and
+# as a command, without a traceback.
+NESTED = {"lambdas": '{"schema": "dgsim/1", "n": 1, "input": {"lambdas": %s}, "gates": []}',
+          "gates": '{"schema": "dgsim/1", "n": 1, "input": {"lambdas": [1.0]}, "gates": %s}'}
+
+
+@pytest.mark.parametrize("depth", [950, 100_000])
+@pytest.mark.parametrize("field", sorted(NESTED))
+def test_deeply_nested_json_exits_2(tmp_path, capsys, field, depth):
+    path = tmp_path / "deep.json"
+    path.write_text(NESTED[field] % ("[" * depth + "1" * (field == "lambdas") + "]" * depth))
+    code = cli.main(["run", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and captured.err.startswith("parse error: $")
+    if depth > 1000:
+        assert captured.err == "parse error: $: invalid JSON: nested too deeply\n"
+    proc = subprocess.run([sys.executable, "-m", "dgsim.cli", "run", str(path)], env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2 and proc.stdout == "" and proc.stderr.startswith("parse error: $")
+    assert "Traceback" not in proc.stderr
+
+
+# Run in a fresh interpreter whose address space is capped at 1.5 GB, as
+# `ulimit -v 1500000` caps it: cli.main on argv[1:], as the console script.
+_CAPPED = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1500 << 20, resource.getrlimit(resource.RLIMIT_AS)[1]))
+from dgsim.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_out_of_memory_exits_3(tmp_path):
+    # Ten billion shots cannot be held: the sampler's outcome array fails to allocate.
+    doc = circuit_doc(2, [0.5, 0.5], measure={"lines": [0, 1], "shots": 10**10, "seed": 1})
+    env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _CAPPED, "run", write_doc(tmp_path, "c.json", doc)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("memory error: ") and "Traceback" not in proc.stderr
+
+
 # test-unitary runs the Choi-state test on max_entangled(n + 1), so it
 # reaches n = 3; a wider document exits 4 naming its own n, before any
 # dense matrix is built.
@@ -1068,9 +1145,11 @@ def test_command_rebound_after_parser_is_called(capsys, monkeypatch, verb):
     cli.main(["version"])
     capsys.readouterr()
     seen = []
-    monkeypatch.setattr(cli, "cmd_" + verb.replace("-", "_"), lambda args: seen.append(args.verb) or 7)
-    assert cli.main([verb] if verb == "version" else [verb, "doc.json"]) == 7
+    monkeypatch.setattr(cli, "cmd_" + verb.replace("-", "_"),
+                        lambda args: seen.append(args.verb) or {"verdict": False})
+    assert cli.main([verb] if verb == "version" else [verb, "doc.json"]) == 1
     assert seen == [verb]
+    assert capsys.readouterr().out == '{"schema":"dgsim/1","verdict":false}\n'
 
 
 def test_flags_do_not_carry_over(tmp_path, capsys):
