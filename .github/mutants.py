@@ -108,6 +108,15 @@ MUTANTS = [
     ("exit rule inverted", "src/dgsim/cli.py",
      "return EXIT_OK if doc.get(", "return EXIT_NEGATIVE if doc.get(",
      [CLI]),
+    ("verbs' BLAS thread cap", "src/dgsim/cli.py",
+     "        set_(1)\n", "        set_(2)\n",
+     [CLI]),
+    ("BLAS threads restored", "src/dgsim/cli.py",
+     "            set_(threads)\n", "            pass\n",
+     [CLI]),
+    ("SciPy's pool takes NumPy's count", "src/dgsim/antisym.py",
+     "        set_(pools[0][0]())", "        pass",
+     [CLI]),
 ]
 
 

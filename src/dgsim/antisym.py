@@ -18,6 +18,9 @@ full-rank input with negative Pfaffian no such form exists with all
 sign is an SO-conjugation invariant); in that case the last ``l`` is
 returned negative and ``det R = +1`` is kept.
 
+SciPy is imported on use (``_scipy_linalg``), and ``_blas_pools`` finds
+the OpenBLAS thread pools for the CLI's one-thread rule (see cli).
+
 NumericalAdmissibilityError is the root of every numerical fault in
 dgsim (the CLI exits 3 on each).  NonFiniteError, a NaN or an infinity
 refused by check_antisymmetric and check_rotation, is one and a ValueError.
@@ -25,7 +28,9 @@ refused by check_antisymmetric and check_rotation, is one and a ValueError.
 
 from __future__ import annotations
 
+import ctypes
 import heapq
+import sys
 from math import atan2, isfinite, pi
 
 import numpy as np
@@ -335,12 +340,59 @@ def canonical_matrix(lambdas, dim: int) -> np.ndarray:
     return C
 
 
+# Path of each OpenBLAS library mapped into this process -> its (get, set)
+# thread-count functions, in the order found; len(sys.modules) at the last scan.
+_BLAS_POOLS: dict = {}
+_blas_scanned_at = -1
+
+
+def _blas_pools() -> dict:
+    """The thread pools of the OpenBLAS libraries mapped into this process.
+
+    Found in /proc/self/maps (none where it cannot be read) by their
+    ``*_get/set_num_threads*`` symbols.  A scan costs about 0.6 ms, so it
+    runs again only after an import, the only way a library gets mapped.
+    """
+    global _blas_scanned_at
+    if _blas_scanned_at != len(sys.modules):
+        _blas_scanned_at = len(sys.modules)
+        try:
+            with open("/proc/self/maps") as fh:
+                paths = {p for p in (line.split()[-1] for line in fh) if p[0] == "/" and "openblas" in p}
+        except OSError:
+            paths = set()
+        for path in sorted(paths - _BLAS_POOLS.keys()):
+            lib = ctypes.CDLL(path)
+            for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                         "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+                get, set_ = (getattr(lib, name.format(op), None) for op in ("get", "set"))
+                if get is not None and set_ is not None:
+                    get.argtypes, get.restype, set_.argtypes, set_.restype = [], ctypes.c_int, [ctypes.c_int], None
+                    _BLAS_POOLS[path] = (get, set_)
+                    break
+    return _BLAS_POOLS
+
+
+def _scipy_linalg():
+    """scipy.linalg, imported on use, so `dgsim run` never loads SciPy (README, Install).
+
+    A pool that the import maps (SciPy's own OpenBLAS) takes the thread
+    count of the first pool found (NumPy's, mapped before dgsim runs), so
+    inside a CLI verb it runs on one thread too.
+    """
+    known = len(_blas_pools())
+    import scipy.linalg
+
+    pools = list(_blas_pools().values())
+    for _, set_ in pools[known:]:
+        set_(pools[0][0]())  # the first pool's get()
+    return scipy.linalg
+
+
 def expm_antisym(h) -> np.ndarray:
     """Matrix exponential of a real antisymmetric matrix (lands in SO)."""
-    import scipy.linalg  # imported on use, so `dgsim run` never loads SciPy (README, Install)
-
     h = check_antisymmetric(np.asarray(h, dtype=float))
-    return scipy.linalg.expm(h)
+    return _scipy_linalg().expm(h)
 
 
 def wrap_angles(angles) -> np.ndarray:

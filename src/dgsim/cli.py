@@ -10,11 +10,18 @@ code: 0 ok, 1 when its ``verdict`` or ``ok`` is false, 2 parse error,
 
 An error's class alone picks its code, by the one map FAILURES, whose classes
 ``main`` catches; every antisym.NumericalAdmissibilityError exits 3.
+
+``main`` runs the verb with every OpenBLAS thread pool in the process on
+one thread, SciPy's from the moment a verb loads it, and gives each pool
+its caller's count back when the verb returns or raises.  So a
+document's bytes do not depend on the host's core count, and library
+calls keep the caller's BLAS settings.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import itertools
@@ -24,7 +31,7 @@ import sys
 import numpy as np
 
 from . import __version__, embedding, oracle, serialization as ser, simulator, state as st_mod, unitary as un_mod
-from .antisym import NumericalAdmissibilityError
+from .antisym import NumericalAdmissibilityError, _blas_pools
 from .oracle import OracleCapError
 
 EXIT_OK = 0
@@ -272,11 +279,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Every OpenBLAS pool on one thread inside the block, and its caller's count after.
+
+    A pool mapped inside the block (SciPy's) gets the first pool's
+    (NumPy's) caller count after it, as if it had been mapped outside.
+    """
+    pools = _blas_pools()
+    saved = [get() for get, _ in pools.values()]
+    for _, set_ in pools.values():
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), threads in zip(pools.values(), saved + saved[:1] * len(pools)):
+            set_(threads)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_flags(args)
-        doc = globals()["cmd_" + args.verb.replace("-", "_")](args)
+        with _one_blas_thread():
+            doc = globals()["cmd_" + args.verb.replace("-", "_")](args)
         doc["schema"] = ser.SCHEMA_VERSION
         _write(doc, args.out)
     except tuple(cls for cls, _, _ in FAILURES) as exc:

@@ -37,8 +37,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .antisym import (_check_carrier, _check_generator, _popcounts, as_bits, as_index, as_indices, bordered,
-                      pfaffian_all_restrictions)
+from .antisym import (_check_carrier, _check_generator, _popcounts, _scipy_linalg, as_bits, as_index, as_indices,
+                      bordered, pfaffian_all_restrictions)
 
 ORACLE_MAX_QUBITS = 6
 ORACLE_MAX_PAIRED = 4
@@ -302,9 +302,7 @@ def exp_quadratic(n: int, h, d) -> np.ndarray:
         for k in range(j + 1, 2 * n):
             if h[j, k]:
                 H += h[j, k] * (gammas[j] @ gammas[k])
-    import scipy.linalg  # imported on use, so `dgsim run` never loads SciPy (README, Install)
-
-    return scipy.linalg.expm(H)
+    return _scipy_linalg().expm(H)
 
 
 def conv_unitary(n: int) -> np.ndarray:

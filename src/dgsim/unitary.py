@@ -43,6 +43,7 @@ from .antisym import (
     _check_generator,
     _is_int,
     _is_number,
+    _scipy_linalg,
     as_indices,
     bordered,
     check_antisymmetric,
@@ -129,9 +130,7 @@ class DGUnitary:
                 "rotation has eigenvalue -1; the principal matrix logarithm "
                 "is ambiguous (the rotation form remains valid)"
             )
-        import scipy.linalg  # imported on use, so `dgsim run` never loads SciPy (README, Install)
-
-        G = np.real(scipy.linalg.logm(R))
+        G = np.real(_scipy_linalg().logm(R))
         G = (G - G.T) / 2
         m = 2 * self.n
         return G[:m, :m] / 2, G[m, :m] / 2

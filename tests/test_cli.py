@@ -15,7 +15,7 @@ import scipy.linalg
 from dgsim import antisym, cli, embedding, oracle, serialization as ser, simulator
 from dgsim import state as st_mod, unitary as un_mod
 
-from helpers import complex_matrix_doc, gate_doc, gate_rows, ghz4, rand_antisym
+from helpers import complex_matrix_doc, gate_doc, gate_rows, ghz4, rand_antisym, rand_state
 
 rng = np.random.default_rng(90210)
 
@@ -1159,6 +1159,112 @@ def test_flags_do_not_carry_over(tmp_path, capsys):
         code, out = run_cli(capsys, ["run", path, *flags])
         doc = json.loads(out)
         assert code == 0 and doc["shots"] == shots and sum(doc["counts"].values()) == shots
+
+
+# cli.main runs each verb with every OpenBLAS pool on one thread and gives
+# each pool its caller's count back, so a document's bytes do not depend on
+# the host's core count.  SciPy is imported above, so its pool is mapped too.
+needs_blas = pytest.mark.skipif(not antisym._blas_pools(), reason="no OpenBLAS thread pool found")
+
+
+def blas_threads():
+    return [get() for get, _ in antisym._blas_pools().values()]
+
+
+@pytest.fixture
+def set_blas_threads():
+    """Sets the pools' counts, in pool order; each pool gets its count back after the test."""
+    pools = list(antisym._blas_pools().values())
+
+    def set_threads(counts):
+        for (_, set_), count in zip(pools, counts):
+            set_(count)
+
+    saved = blas_threads()
+    yield set_threads
+    set_threads(saved)
+
+
+@needs_blas
+@pytest.mark.parametrize("verb", VERBS)
+def test_every_verb_runs_on_one_blas_thread(capsys, monkeypatch, set_blas_threads, verb):
+    set_blas_threads([2] * len(blas_threads()))
+    seen = []
+    monkeypatch.setattr(cli, "cmd_" + verb.replace("-", "_"), lambda args: seen.append(blas_threads()) or {})
+    assert cli.main([verb] if verb == "version" else [verb, "doc.json"]) == 0
+    capsys.readouterr()
+    assert seen == [[1] * len(blas_threads())]
+
+
+@needs_blas
+@pytest.mark.parametrize("row", ["version", "negative-verdict", "unknown-field", "lambdas-above-1",
+                                 "oracle-verify-past-n-max"])
+def test_main_restores_caller_blas_threads(tmp_path, capsys, set_blas_threads, row):
+    argv, doc, code, _ = EXIT_TABLE[row]
+    argv = [write_doc(tmp_path, "doc.json", doc) if a == "FILE" else a for a in argv]
+    counts = [2 + i for i in range(len(blas_threads()))]  # a count of its own per pool
+    set_blas_threads(counts)
+    assert cli.main(argv) == code
+    capsys.readouterr()
+    assert blas_threads() == counts
+
+
+def _large_docs(tmp_path):
+    """compile of an n = 64 generator and embed of an n = 100 state: large
+    enough that OpenBLAS splits their products over its threads, so their
+    bytes depend on the thread count unless it is fixed."""
+    g = np.random.default_rng(30)
+    s = rand_state(g, 100)
+    return {"compile": write_doc(tmp_path, "h.json", _generator_doc(64, rand_antisym(g, 128), g.normal(size=128))),
+            "embed": write_doc(tmp_path, "s.json", {"schema": ser.SCHEMA_VERSION, "n": 100, "M": s.M.tolist(),
+                                                    "mu": s.mu.tolist()})}
+
+
+@needs_blas
+def test_large_document_bytes_do_not_depend_on_blas_threads(tmp_path, capsys, set_blas_threads):
+    env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="2")
+    for verb, path in _large_docs(tmp_path).items():
+        outs = []
+        for threads in (1, 2):
+            set_blas_threads([threads] * len(blas_threads()))
+            outs.append(run_cli(capsys, [verb, path]))
+        # The first call of a fresh process, where compile loads SciPy and its pool.
+        proc = subprocess.run([sys.executable, "-m", "dgsim.cli", verb, path], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert outs[0] == outs[1] == (proc.returncode, proc.stdout) and outs[0][0] == 0
+
+
+# Run in a fresh interpreter: cli.main on argv[1:], whose compile loads
+# SciPy; prints the exit code and every pool's count at the end of the
+# verb and after main returns.
+_FRESH_POOL = """
+import json, sys
+from dgsim import antisym, cli
+real, inside = cli.cmd_compile, []
+
+def recording(args):
+    doc = real(args)
+    inside.extend(get() for get, _ in antisym._blas_pools().values())
+    return doc
+
+cli.cmd_compile = recording
+code = cli.main(sys.argv[1:])
+print(json.dumps([code, inside, [get() for get, _ in antisym._blas_pools().values()]]))
+"""
+
+
+@needs_blas
+def test_pool_mapped_inside_a_verb(tmp_path):
+    # SciPy's pool takes NumPy's count on being mapped: 1 inside the verb,
+    # and the caller's (2) after it.
+    path = write_doc(tmp_path, "h.json", _scaled_generator(2, 1.0))
+    out = str(tmp_path / "out.json")
+    proc = subprocess.run([sys.executable, "-c", _FRESH_POOL, "compile", path, "--out", out],
+                          env=dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="2"),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, inside, after = json.loads(proc.stdout)
+    assert code == 0 and inside == [1] * len(after) and after == [2] * len(after)
 
 
 def test_dumps_deterministic():
