@@ -31,6 +31,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FOLD = "tests/test_fold_reference.py"
 REFUSALS = "tests/test_measured_lines.py::test_inadmissible_carrier_is_refused"
 CLI = "tests/test_cli.py"
+PARSE = "tests/test_parse_reference.py"
 
 MUTANTS = [
     ("descending slice keeps stop None", "src/dgsim/unitary.py",
@@ -75,9 +76,18 @@ MUTANTS = [
     ("prefix-tree node map", "src/dgsim/simulator.py",
      "np.unique(2 * node + b[:, j], return_inverse=True)", "np.unique(node + b[:, j], return_inverse=True)",
      ["tests/test_sample_reference.py"]),
-    ("plain gate list type check", "src/dgsim/serialization.py",
-     "set(map(type, flat)) <= {int}", "set(map(type, flat)) <= {int, bool}",
-     ["tests/test_parse_reference.py"]),
+    ("plain gate axis type check", "src/dgsim/serialization.py",
+     "type(j) is int and type(k) is int", "type(j) in (int, bool) and type(k) is int",
+     [PARSE]),
+    ("plain gate with equal axes", "src/dgsim/serialization.py",
+     " and j != k and ", " and ",
+     [PARSE]),
+    ("plain gate index past int64", "src/dgsim/serialization.py",
+     "\n                and _INT64_MIN <= j < _INT64_END and _INT64_MIN <= k < _INT64_END)", ")",
+     [PARSE]),
+    ("gate walk without the row-rule fallback", "src/dgsim/serialization.py",
+     "_plain_row(obj) or _gate_row(obj, i)", "_plain_row(obj)",
+     [PARSE]),
     ("carrier_state block loop", "src/dgsim/state.py",
      "            if j > i:\n", "            if j > i + b:\n",
      [FOLD]),
@@ -117,6 +127,15 @@ MUTANTS = [
     ("SciPy's pool takes NumPy's count", "src/dgsim/antisym.py",
      "        set_(pools[0][0]())", "        pass",
      [CLI]),
+    ("maps path split", "src/dgsim/antisym.py",
+     "line.split(maxsplit=5)[-1]", "line.split()[-1]",
+     ["tests/test_antisym.py::test_blas_pools_read_whole_paths"]),
+    ("finite generator d", "src/dgsim/antisym.py",
+     "    if not np.isfinite(d).all():\n", "    if False:\n",
+     ["tests/test_refusals.py"]),
+    ("finite dense state", "src/dgsim/oracle.py",
+     "    if not np.isfinite(A).all():\n", "    if False:\n",
+     ["tests/test_refusals.py"]),
 ]
 
 

@@ -66,7 +66,11 @@ def edge_requests(workloads):
     and 2000 shots of certain outcomes (lambda = +-1 on every line, moved
     by fswaps and turned within their own planes).  Last, two 2000-gate
     lists that the gate parser refuses, at gate 1000 (an unknown kind) and
-    at the last gate (a bool axis): their stderr names the location.
+    at the last gate (a bool axis): their stderr names the location.  Then
+    four on the edges of the parser's plain-gate check: every gate's keys
+    out of order, int angles up to 10**300 (both run), an int angle past a
+    double at gate 1000 and an axis past int64 at the last gate (both
+    refused).
     """
     import numpy as np
 
@@ -143,6 +147,16 @@ def edge_requests(workloads):
                        (1999, {"kind": "matchgate", "axes": [True, 1], "angle": 0.5})):
         gates = workloads.random_gates(rng, 100, 2000)
         gates[where] = bad
+        reqs.append(workloads.run_request(workloads.circuit(100, {"lambdas": workloads.random_lambdas(rng, 100)}, gates)))
+    ints = [0, 1, -3, 7, 2**53 + 1, -(2**62), 10**300]
+    lists = [[dict(reversed(g.items())) for g in workloads.random_gates(rng, 100, 2000)],
+             [{**g, "angle": ints[i % len(ints)]} if "angle" in g else g
+              for i, g in enumerate(workloads.random_gates(rng, 100, 2000))]]
+    for where, bad in ((1000, {"kind": "matchgate", "axes": [0, 1], "angle": 10**400}),
+                       (1999, {"kind": "line1", "axes": [0, 2**64], "angle": 0.5})):
+        lists.append(workloads.random_gates(rng, 100, 2000))
+        lists[-1][where] = bad
+    for gates in lists:
         reqs.append(workloads.run_request(workloads.circuit(100, {"lambdas": workloads.random_lambdas(rng, 100)}, gates)))
     return reqs
 

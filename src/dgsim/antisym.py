@@ -23,7 +23,8 @@ the OpenBLAS thread pools for the CLI's one-thread rule (see cli).
 
 NumericalAdmissibilityError is the root of every numerical fault in
 dgsim (the CLI exits 3 on each).  NonFiniteError, a NaN or an infinity
-refused by check_antisymmetric and check_rotation, is one and a ValueError.
+refused by check_antisymmetric, check_rotation, _check_generator and
+oracle.check_state, is one and a ValueError.
 """
 
 from __future__ import annotations
@@ -155,11 +156,13 @@ def _check_carrier(M_ext) -> np.ndarray:
 
 
 def _check_generator(n: int, h, d) -> tuple[np.ndarray, np.ndarray]:
-    """Generator (h, d) on n lines as float arrays: h antisymmetric 2n x 2n, d of length 2n."""
+    """Generator (h, d) on n lines as float arrays: h antisymmetric 2n x 2n, d finite of length 2n."""
     h = check_antisymmetric(np.asarray(h, dtype=float))
     d = np.asarray(d, dtype=float)
     if h.shape != (2 * n, 2 * n) or d.shape != (2 * n,):
         raise ValueError("generator dimensions do not match n")
+    if not np.isfinite(d).all():
+        raise NonFiniteError("generator has non-finite entries")
     return h, d
 
 
@@ -357,8 +360,9 @@ def _blas_pools() -> dict:
     if _blas_scanned_at != len(sys.modules):
         _blas_scanned_at = len(sys.modules)
         try:
-            with open("/proc/self/maps") as fh:
-                paths = {p for p in (line.split()[-1] for line in fh) if p[0] == "/" and "openblas" in p}
+            with open("/proc/self/maps") as fh:  # a mapped file's path is all after the fifth field
+                paths = {p for p in (line.split(maxsplit=5)[-1].rstrip("\n") for line in fh)
+                         if p[0] == "/" and "openblas" in p and not p.endswith(" (deleted)")}
         except OSError:
             paths = set()
         for path in sorted(paths - _BLAS_POOLS.keys()):

@@ -37,8 +37,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .antisym import (_check_carrier, _check_generator, _popcounts, _scipy_linalg, as_bits, as_index, as_indices,
-                      bordered, pfaffian_all_restrictions)
+from .antisym import (NonFiniteError, _check_carrier, _check_generator, _popcounts, _scipy_linalg, as_bits, as_index,
+                      as_indices, bordered, pfaffian_all_restrictions)
 
 ORACLE_MAX_QUBITS = 6
 ORACLE_MAX_PAIRED = 4
@@ -334,8 +334,10 @@ def is_even(A: np.ndarray) -> bool:
 
 
 def check_state(A: np.ndarray) -> np.ndarray:
-    """Validate Hermiticity, unit trace, and positive semidefiniteness."""
+    """Validate finiteness (else NonFiniteError), Hermiticity, unit trace, and positive semidefiniteness."""
     A = np.asarray(A, dtype=complex)
+    if not np.isfinite(A).all():
+        raise NonFiniteError("state has non-finite entries")
     if np.abs(A - A.conj().T).max() > STATE_TOL:
         raise ValueError("state is not Hermitian")
     if abs(np.trace(A) - 1.0) > STATE_TOL:

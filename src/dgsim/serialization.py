@@ -25,16 +25,15 @@ from __future__ import annotations
 
 import json
 from functools import partial
-from itertools import chain, compress
 from math import isfinite
-from operator import eq, itemgetter
 
 import numpy as np
 
 from .antisym import _check_fields, _is_int, _is_number, as_indices, wrap_angles
 from .simulator import Circuit, MeasurementOp, NumericalAdmissibilityError, Sampling, prepare_product, sampling_arg
 from .state import DGaussState
-from .unitary import _FSWAP, _GATE_FIELDS, FSWAP, KINDS, DGUnitary, GateError, GateSequence, _gate_row
+from .unitary import (_FSWAP, _GATE_FIELDS, _LINE1, _MATCHGATE, FSWAP, KINDS, MATCHGATE, DGUnitary, GateError,
+                      GateSequence, _gate_row)
 
 SCHEMA_VERSION = "dgsim/1"
 
@@ -111,53 +110,48 @@ def _header(obj, fields, optional=()) -> int:
     return int(n)
 
 
-def _plain_columns(docs):
-    """(kind, j, k, line, angle) columns of a plain gate list; None for any other.
+# A gate index outside int64 fits no register; ``_gate_row`` leaves it to that check.
+_INT64_MIN, _INT64_END = -(2**63), 2**63
+_PLAIN_NUMBERS = {int, float}
 
-    Plain: dicts with exactly their kind's fields, int lines and axes (a
-    list of two that differ), int or float angles, and no int past int64
-    or a double.  ``_gate_row`` passes each such gate with these columns,
-    read here by one ``map``, one set of types and one array per column.
+
+def _plain_row(doc):
+    """``_gate_row``'s row of a plain gate document, None for any other; never raises.
+
+    Plain: a dict with exactly its kind's fields, an int line, axes a list
+    of two different ints, an int or float angle, no index outside int64
+    and no int angle past a double.  The fields read here are the kind's
+    (``_GATE_FIELDS``), so a dict of their count holds exactly them.
     """
     try:
-        kinds = list(map(itemgetter("kind"), docs))
-        if not (set(map(type, docs)) <= {dict}
-                and all(map(eq, map(dict.keys, docs), map(_GATE_FIELDS.__getitem__, kinds)))):
+        if type(doc) is not dict or len(doc) != len(_GATE_FIELDS[doc["kind"]]):
             return None
-        kind = np.array(list(map(KINDS.index, kinds)), dtype=np.int8)
-        fswap = kind == _FSWAP
-        lines = list(map(itemgetter("line"), compress(docs, fswap.tolist())))
-        planes = list(compress(docs, (~fswap).tolist()))
-        axes, angles = list(map(itemgetter("axes"), planes)), list(map(itemgetter("angle"), planes))
-        flat = list(chain.from_iterable(axes))
-        if not (set(map(type, axes)) <= {list} and set(map(len, axes)) <= {2} and set(map(type, flat)) <= {int}
-                and set(map(type, lines)) <= {int} and set(map(type, angles)) <= {int, float}):
-            return None
-        j, k, line = np.full((3, len(docs)), -1, dtype=np.int64)
-        j[~fswap], k[~fswap] = np.array(flat, dtype=np.int64).reshape(-1, 2).T
-        line[fswap] = lines
-        angle = np.zeros(len(docs))
-        angle[~fswap] = angles
-    except (KeyError, TypeError, OverflowError):  # not a dict, no such field or kind, an int out of range
-        return None
-    return None if ((j == k) & ~fswap).any() else (kind, j, k, line, angle)
+        if doc["kind"] == FSWAP:
+            line = doc["line"]
+            return (_FSWAP, -1, -1, line, 0.0) if type(line) is int and _INT64_MIN <= line < _INT64_END else None
+        axes, angle = doc["axes"], doc["angle"]
+        j, k = axes
+        if (type(axes) is list and type(j) is int and type(k) is int and j != k and type(angle) in _PLAIN_NUMBERS
+                and _INT64_MIN <= j < _INT64_END and _INT64_MIN <= k < _INT64_END):
+            return _MATCHGATE if doc["kind"] == MATCHGATE else _LINE1, j, k, -1, float(angle)
+    except (KeyError, TypeError, ValueError, OverflowError):  # no field or kind, axes no pair, an int past a double
+        pass
+    return None
 
 
 def _parse_gates(docs, n: int) -> GateSequence:
-    """The gate list as a GateSequence, read into its columns, then checked in array steps.
+    """The gate list as a GateSequence: each gate's row in one walk, then checked in array steps.
 
-    A plain list (``_plain_columns``) is read by columns, any other by
-    ``_gate_row`` gate by gate, which names the first gate at fault.  All
-    fields are checked before any register rule, so a schema error comes
-    first wherever it is.  Angles are normalized once, as ``Gate`` does.
+    A plain gate's row is ``_plain_row``'s; any other gate's is
+    ``_gate_row``'s, which names the first gate at fault.  All fields are
+    checked before any register rule, so a schema error comes first
+    wherever it is.  Angles are normalized once, as ``Gate`` does.
     """
     if not isinstance(docs, list):
         raise SchemaError("gates must be a list", "$.gates")
     try:
-        columns = _plain_columns(docs)  # an empty list is plain
-        if columns is None:
-            columns = zip(*(_gate_row(obj, i) for i, obj in enumerate(docs)))
-        kind, j, k, line, angle = columns
+        rows = [_plain_row(obj) or _gate_row(obj, i) for i, obj in enumerate(docs)]
+        kind, j, k, line, angle = zip(*rows) if rows else [()] * 5
         return GateSequence._from_columns(n, kind, j, k, line, wrap_angles(angle))
     except GateError as exc:
         field = f".{exc.field}" if exc.field else ""

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import oracle
-from .antisym import (KERNEL_TOL, NumericalAdmissibilityError, _check_carrier, as_indices, bordered,
-                      canonical_matrix, check_antisymmetric, pfaffian_restricted)
+from .antisym import (KERNEL_TOL, NumericalAdmissibilityError, _check_carrier, _check_generator, as_indices, bordered,
+                      canonical_matrix, pfaffian_restricted)
 
 ADMISSIBILITY_TOL = 1e-9
 SATURATION_TOL = 1e-9
@@ -199,8 +199,10 @@ def from_thermal(h, d) -> DGaussState:
     In each canonical plane of the extended generator with parameter
     beta the state carries lambda = tanh(beta); equivalently
     M_ext = i*tanh(i*G) for the extended carrier G = [[h, d], [-d^T, 0]].
+    (h, d) follow the generator rule ``_check_generator`` on n = len(h) // 2 lines.
     """
-    G = bordered(check_antisymmetric(np.asarray(h, dtype=float)), d)
+    h = np.asarray(h, dtype=float)
+    G = bordered(*_check_generator(len(h) // 2 if h.ndim else 0, h, d))
     return carrier_state(_odd_function(G, np.tanh))
 
 

@@ -1,4 +1,6 @@
 import enum
+import io
+import types
 
 import numpy as np
 import pytest
@@ -354,3 +356,24 @@ def test_plane_decompose_checks_its_input():
         antisym.plane_decompose(2 * np.eye(3), _chain_adjacency(3))
     with pytest.raises(antisym.DimensionError):
         antisym.plane_decompose(np.eye(3), _chain_adjacency(4))
+
+
+def test_blas_pools_read_whole_paths(monkeypatch):
+    # A mapped file's path is all after the fifth field of its maps line,
+    # spaces too; a deleted file's mapping and an anonymous one are skipped.
+    numpy_blas = "/home/u/My Projects/venv/lib/numpy.libs/libopenblas64_p-r0.so"
+    scipy_blas = "/opt/a /b/scipy_openblas32.libs/libscipy_openblas.so"
+    paths = (numpy_blas, scipy_blas, "/tmp/old/libopenblas.so (deleted)", "/usr/lib/libc.so.6")
+    maps = "".join(f"7f00-7f01 r-xp 00000000 08:01 {i}      {path}\n" for i, path in enumerate(paths))
+    maps += "7f02-7f03 rw-p 00000000 00:00 0 \n"
+    loaded = []
+
+    def cdll(path):
+        loaded.append(path)
+        return types.SimpleNamespace(openblas_get_num_threads=lambda: 1, openblas_set_num_threads=lambda count: None)
+
+    monkeypatch.setattr(antisym, "open", lambda path: io.StringIO(maps), raising=False)
+    monkeypatch.setattr(antisym.ctypes, "CDLL", cdll)
+    monkeypatch.setattr(antisym, "_BLAS_POOLS", {})
+    monkeypatch.setattr(antisym, "_blas_scanned_at", -1)
+    assert list(antisym._blas_pools()) == loaded == [numpy_blas, scipy_blas]

@@ -1,16 +1,16 @@
-"""Gate parsing by columns against the row walk of ``unitary._gate_row``.
+"""Gate parsing in one walk against the row walk of ``unitary._gate_row``.
 
-``serialization._parse_gates`` reads a plain gate list (every gate a dict
-with exactly its kind's fields, int axes and lines, int or float angles)
-column by column, and walks any other list gate by gate.  The arrays of
-the sequence, and the error a bad list raises, must be those of the row
-walk (``helpers.row_walk_sequence``).
+``serialization._parse_gates`` walks a gate list once: a plain gate
+(a dict with exactly its kind's fields, int axes and lines, int or float
+angles) gives its row by ``_plain_row``, and any other gate by
+``_gate_row``.  The arrays of the sequence, and the error a bad list
+raises, must be those of the row walk (``helpers.row_walk_sequence``).
 """
 
 import numpy as np
 import pytest
 
-from dgsim import serialization as ser
+from dgsim import serialization as ser, unitary as un_mod
 
 from helpers import row_walk_sequence
 
@@ -48,7 +48,7 @@ def test_plain_lists_give_the_row_walk_arrays(n):
     rng = np.random.default_rng(n)
     for count in (0, 1, 5, 2 * n, 3000):
         docs = random_docs(rng, n, count)
-        assert ser._plain_columns(docs) is not None
+        assert None not in map(ser._plain_row, docs)
         assert same_sequence(ser._parse_gates(docs, n), row_walk_sequence(docs, n))
 
 
@@ -109,7 +109,7 @@ def test_mutation_gives_the_row_walk_error(name, where):
     got = raised(ser._parse_gates, docs, n)
     assert got == raised(row_walk_sequence, docs, n)
     assert got[1].startswith(f"$.gates[{where}]")
-    assert (ser._plain_columns(docs) is None) == (name in FIELD_RULES)
+    assert (ser._plain_row(MUTATIONS[name]) is None) == (name in FIELD_RULES)
 
 
 @pytest.mark.parametrize("first, second", [("bool axis", "unknown kind"), ("outside every window", "bool line"),
@@ -124,3 +124,21 @@ def test_first_field_error_wins(first, second):
     got = raised(ser._parse_gates, docs, n)
     assert got == raised(row_walk_sequence, docs, n)
     assert got[1].startswith("$.gates[1500]" if first == "outside every window" else "$.gates[700]")
+
+
+def test_gate_row_reads_only_irregular_gates(monkeypatch):
+    # One walk: ``_gate_row`` reads a gate only where ``_plain_row`` does not.
+    calls = []
+
+    def counted(doc, i):
+        calls.append(i)
+        return un_mod._gate_row(doc, i)
+
+    monkeypatch.setattr(ser, "_gate_row", counted)
+    n = 10
+    docs = random_docs(np.random.default_rng(11), n, 2000)
+    ser._parse_gates(docs, n)
+    assert calls == []
+    docs[1000] = MUTATIONS["bool axis"]
+    raised(ser._parse_gates, docs, n)
+    assert calls == [1000]

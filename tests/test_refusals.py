@@ -49,6 +49,8 @@ REFUSALS = {
     "check_state-trace": (lambda: oracle.check_state(np.eye(2)), ValueError, "state trace is not 1"),
     "check_state-negative": (lambda: oracle.check_state(np.diag([1.5, -0.5])), ValueError,
                              "state has a negative eigenvalue"),
+    "check_state-nan": (lambda: embedding.displaced_state_test(np.array([[np.nan, 0.0], [0.0, 0.5]])),
+                        antisym.NonFiniteError, "state has non-finite entries"),
     "fermionic_convolution-unequal": (lambda: oracle.fermionic_convolution(EVEN, np.eye(2) / 2), ValueError,
                                       "convolution inputs must have equal dimension"),
     "fermionic_convolution-odd": (lambda: oracle.fermionic_convolution(EVEN, oracle.majorana(2, 0)),
@@ -66,10 +68,14 @@ REFUSALS = {
     # state
     "DGaussState-shapes": (lambda: st_mod.DGaussState(2, np.zeros((2, 2)), np.zeros(4)), ValueError,
                            "covariance dimensions do not match n"),
+    "from_thermal-nan-d": (lambda: st_mod.from_thermal(np.zeros((2, 2)), [np.nan, 0.0]), antisym.NonFiniteError,
+                           "generator has non-finite entries"),
     # unitary
     "DGUnitary-neither": (lambda: un_mod.DGUnitary(1), ValueError, "need a generator or a rotation"),
     "DGUnitary-h": (lambda: un_mod.DGUnitary(2, h=np.zeros((2, 2))), ValueError,
                     "generator dimensions do not match n"),
+    "DGUnitary-nan-d": (lambda: un_mod.DGUnitary.from_generator(1, np.zeros((2, 2)), [np.nan, 0.0]),
+                        antisym.NonFiniteError, "generator has non-finite entries"),
     "DGUnitary-R": (lambda: un_mod.DGUnitary(2, R=np.eye(3)), ValueError, "rotation dimension does not match n"),
     "conjugate_state-sizes": (lambda: un_mod.conjugate_state(un_mod.DGUnitary.identity(1),
                                                              st_mod.from_diagonal([0.5, 0.5])),
