@@ -136,6 +136,18 @@ MUTANTS = [
     ("finite dense state", "src/dgsim/oracle.py",
      "    if not np.isfinite(A).all():\n", "    if False:\n",
      ["tests/test_refusals.py"]),
+    ("held table left writable", "src/dgsim/antisym.py",
+     "    x.flags.writeable = False\n", "",
+     ["tests/test_antisym.py", "tests/test_oracle.py"]),
+    ("plan's gather index without the step's bit", "src/dgsim/antisym.py",
+     "(masks ^ low ^ bit).astype(np.int32)", "(masks ^ low).astype(np.int32)",
+     ["tests/test_antisym.py"]),
+    ("plan's sign alternation", "src/dgsim/antisym.py",
+     "            sign = -sign\n", "",
+     ["tests/test_antisym.py"]),
+    ("oracle cap without the integer rule", "src/dgsim/oracle.py",
+     '    n = as_index(n, "qubit count")\n    if not 1 <= n:', "    if not 1 <= n:",
+     ["tests/test_refusals.py"]),
 ]
 
 

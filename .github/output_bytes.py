@@ -12,7 +12,11 @@ SRC, in this one process, with the benchmark worker's own loop
 (``worker.run_pass``) and output hash (``worker._hash``).  It stores, per
 document, the exit code, what went to stderr (its last 2000 characters,
 as the worker keeps them) and the sha256 of the output file; with
-``--out`` given, the CLI writes nothing to stdout.  A document that
+``--out`` given, the CLI writes nothing to stdout.  Each workload's
+documents then run a second time in the same process, their output
+files removed first, and ``warm`` lists the fields in which the second
+pass differs from the first: the first pass of a size builds dgsim's
+per-process tables, the second only reads them.  A document that
 raises is recorded with its traceback, which names SRC's paths, so a
 crash at either tree shows as a difference.  The documents come from this
 checkout's perfbench, so two records of the same seed see the same
@@ -20,9 +24,10 @@ documents.  They are written under WORK in the current directory, the
 same path for both records, since an error message may name a document's
 path; the directory is removed afterwards.
 
-``compare`` exits 1 if the records differ anywhere, and names the first
-differing document.  With GITHUB_STEP_SUMMARY set it appends the verdict
-there too.
+``compare`` exits 1 if the records differ anywhere, or if either record
+holds a document whose second pass differed from its first, and names
+the first differing document.  With GITHUB_STEP_SUMMARY set it appends
+the verdict there too.
 """
 
 from __future__ import annotations
@@ -179,10 +184,18 @@ def record(src: str, out_path: str, seed: int) -> int:
     for name in WORKLOADS + ("edge",):
         reqs = edge_requests(workloads) if name == "edge" else workloads.build(name, seed)
         argvs, _ = write_docs(reqs, os.path.join(WORK, name), "d")
-        _, _, codes, errs = run_pass(cli, argvs)
-        for i, (r, argv, code, err) in enumerate(zip(reqs, argvs, codes, errs)):
-            docs.append({"workload": name, "index": i, "verb": r.verb, "n": r.n, "exit": code,
-                         "stderr": err, "sha256": _hash(argv[argv.index("--out") + 1])})
+        outs = [argv[argv.index("--out") + 1] for argv in argvs]
+        passes = []
+        for _ in range(2):
+            for out in outs:
+                if os.path.exists(out):
+                    os.remove(out)
+            _, _, codes, errs = run_pass(cli, argvs)
+            passes.append(list(zip(codes, errs, map(_hash, outs))))
+        for i, (r, first, second) in enumerate(zip(reqs, *passes)):
+            docs.append({"workload": name, "index": i, "verb": r.verb, "n": r.n,
+                         **dict(zip(FIELDS, first)),
+                         "warm": [f for f, a, b in zip(FIELDS, first, second) if a != b]})
     shutil.rmtree(WORK, ignore_errors=True)
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump({"seed": seed, "docs": docs}, fh, indent=1)
@@ -200,17 +213,20 @@ def compare(base_path: str, head_path: str) -> int:
     if base["seed"] != head["seed"] or len(base["docs"]) != len(head["docs"]):
         diffs.append("the records hold different document sets")
     for b, h in zip(base["docs"], head["docs"]):
+        where = f"{h['workload']} document {h['index']} ({h['verb']}, n={h['n']})"
         fields = [f for f in FIELDS if b[f] != h[f]]
         if fields:
-            diffs.append(f"{h['workload']} document {h['index']} ({h['verb']}, n={h['n']}): "
-                         f"{', '.join(fields)} differ (exit {b['exit']!r} -> {h['exit']!r})")
+            diffs.append(f"{where}: {', '.join(fields)} differ (exit {b['exit']!r} -> {h['exit']!r})")
+        for tree, d in (("base", b), ("HEAD", h)):
+            if d["warm"]:
+                diffs.append(f"{where}: {', '.join(d['warm'])} differ between the passes at {tree}")
     if diffs:
-        lines.append(f"**{len(diffs)} of {len(head['docs'])} documents differ.** "
+        lines.append(f"**{len(diffs)} differences in {len(head['docs'])} documents.** "
                      f"First: {diffs[0]}\n")
         lines += [f"- {d}" for d in diffs[:20]]
     else:
         lines.append(f"All {len(head['docs'])} documents give the same exit code, stderr "
-                     "and output bytes.")
+                     "and output bytes, in both passes.")
     text = "\n".join(lines) + "\n"
     print(text)
     summary = os.environ.get("GITHUB_STEP_SUMMARY")

@@ -30,6 +30,7 @@ oracle.check_state, is one and a ValueError.
 from __future__ import annotations
 
 import ctypes
+import functools
 import heapq
 import sys
 from math import atan2, isfinite, pi
@@ -231,12 +232,46 @@ def pfaffian_restricted(M, J) -> complex | float:
     return pfaffian(M[np.ix_(J, J)])
 
 
+def _read_only(x: np.ndarray) -> np.ndarray:
+    """``x``, marked read-only: a table held per process is never written."""
+    x.flags.writeable = False
+    return x
+
+
+@functools.lru_cache(maxsize=21)
 def _popcounts(m: int) -> np.ndarray:
-    """Number of set bits of every mask below 2^m, as uint8."""
+    """Number of set bits of every mask below 2^m, as read-only uint8; held per m."""
     pc = np.zeros(1 << m, dtype=np.uint8)
     for a in range(m):
         pc[1 << a:2 << a] = pc[:1 << a] + 1
-    return pc
+    return _read_only(pc)
+
+
+@functools.lru_cache(maxsize=8)
+def _restriction_plan(m: int) -> tuple:
+    """The size-only part of ``pfaffian_all_restrictions`` at m axes, held per m.
+
+    One ``(masks, steps)`` per even popcount k >= 2: the masks of popcount
+    k (int32) and, per expansion step with b increasing, the pair
+    ``(a * m + b, masks ^ low ^ bit)``: the flat index into M of the
+    lowest axis a and the step's axis b (int16), and the k-2 masks the
+    step reads (int32).  All read-only.
+    """
+    size = _popcounts(m)
+    plan = []
+    for k in range(2, m + 1, 2):
+        masks = np.flatnonzero(size == k)
+        low = masks & -masks
+        row = (np.frexp(low)[1] - 1) * m
+        rest = masks ^ low
+        steps = []
+        for _ in range(k - 1):
+            bit = rest & -rest
+            steps.append((_read_only((row + np.frexp(bit)[1] - 1).astype(np.int16)),
+                          _read_only((masks ^ low ^ bit).astype(np.int32))))
+            rest ^= bit
+        plan.append((_read_only(masks.astype(np.int32)), tuple(steps)))
+    return tuple(plan)
 
 
 def pfaffian_all_restrictions(M) -> np.ndarray:
@@ -249,7 +284,9 @@ def pfaffian_all_restrictions(M) -> np.ndarray:
     done together, from the k-2 table, as the alternating sum over the
     set bits b above the lowest bit a of M[a, b] * pf[mask - a - b],
     with b increasing.  Used to evaluate all moments of a Gaussian state
-    in one pass.
+    in one pass.  The masks and the indices each step reads depend on m
+    alone; ``_restriction_plan`` builds them once per process and holds
+    the last 8 sizes asked (3.2 MB at m = 17, 30 MB at m = 20).
     """
     M = check_antisymmetric(M)
     m = M.shape[0]
@@ -258,19 +295,12 @@ def pfaffian_all_restrictions(M) -> np.ndarray:
     dtype = complex if np.iscomplexobj(M) else float
     pf = np.zeros(1 << m, dtype=dtype)
     pf[0] = 1.0
-    size = _popcounts(m)
-    for k in range(2, m + 1, 2):
-        masks = np.flatnonzero(size == k)
-        low = masks & -masks
-        a = np.frexp(low)[1] - 1
-        rest = masks ^ low
+    for masks, steps in _restriction_plan(m):
         acc = np.zeros(len(masks), dtype=dtype)
         sign = 1.0
-        for _ in range(k - 1):
-            bit = rest & -rest
-            b = np.frexp(bit)[1] - 1
-            t = sign * M[a, b]
-            p = pf[masks ^ low ^ bit]
+        for ab, index in steps:
+            t = sign * M.take(ab)
+            p = pf.take(index)
             if dtype is complex:
                 # Componentwise, rounded as scalar complex products are
                 # (an array complex multiply may fuse multiply and add).
@@ -278,7 +308,6 @@ def pfaffian_all_restrictions(M) -> np.ndarray:
                 acc.imag += t.real * p.imag + t.imag * p.real
             else:
                 acc += t * p
-            rest ^= bit
             sign = -sign
         pf[masks] = acc
     return pf

@@ -35,10 +35,12 @@ this convention i*gamma_0*gamma_1 = -Z on line 0, so a state with
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from .antisym import (NonFiniteError, _check_carrier, _check_generator, _popcounts, _scipy_linalg, as_bits, as_index,
-                      as_indices, bordered, pfaffian_all_restrictions)
+from .antisym import (NonFiniteError, _check_carrier, _check_generator, _popcounts, _read_only, _scipy_linalg, as_bits,
+                      as_index, as_indices, bordered, pfaffian_all_restrictions)
 
 ORACLE_MAX_QUBITS = 6
 ORACLE_MAX_PAIRED = 4
@@ -52,11 +54,18 @@ class OracleCapError(ValueError):
     """Requested size exceeds the dense-oracle hard limit."""
 
 
-def _check_cap(n: int, limit: int = ORACLE_MAX_QUBITS):
+def _check_cap(n, limit: int = ORACLE_MAX_QUBITS) -> int:
+    """``n`` as an int (``as_index``) in [1, limit]; else ValueError, or OracleCapError past the limit.
+
+    Every builder sizes its work, and its held tables, by the returned int,
+    so 2.0 or True is refused on every call and never meets a table keyed by 2.
+    """
+    n = as_index(n, "qubit count")
     if not 1 <= n:
         raise ValueError("qubit count must be positive")
     if n > limit:
         raise OracleCapError(f"dense oracle capped at {limit} qubits, got {n}")
+    return n
 
 
 def _operator_lines(A) -> int:
@@ -103,7 +112,7 @@ def _majorana_codes(n: int, a: int) -> tuple[int, ...]:
 
 def majorana(n: int, a: int) -> np.ndarray:
     """Dense Majorana operator: Z-string, then X (even a) or Y (odd a)."""
-    _check_cap(n, 2 * ORACLE_MAX_PAIRED)
+    n = _check_cap(n, 2 * ORACLE_MAX_PAIRED)
     (a,) = as_indices((a,), 2 * n, "Majorana index")
     return _pauli_string_dense(_majorana_codes(n, a))
 
@@ -129,7 +138,7 @@ def monomial_permutation(n: int, J) -> tuple[np.ndarray, np.ndarray]:
     the column, and each Y a factor i: P|x> = i^#Y (-1)^|x & zmask|
     |x ^ xmask>.  Line 0 is the most significant bit of a basis index.
     """
-    _check_cap(n, 2 * ORACLE_MAX_PAIRED)
+    n = _check_cap(n, 2 * ORACLE_MAX_PAIRED)
     phase, codes = monomial_string(n, J)
     codes = np.array(codes)
     shift = np.arange(n - 1, -1, -1)
@@ -187,13 +196,15 @@ def from_pauli_tensor(C: np.ndarray) -> np.ndarray:
     return X.reshape(1 << n, 1 << n)
 
 
+@functools.lru_cache(maxsize=2 * ORACLE_MAX_PAIRED)
 def _monomial_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Pauli string and phase of gamma_J for every bitmask J over 2n axes.
 
     Returns ``(index, phase)`` with gamma_J = phase[J] * P, P the Pauli
     string whose per-line codes, read as base-4 digits with line 0 most
     significant, give index[J].  Built in 2n array steps: the masks with
-    top bit a are those below 2^a times gamma_a on the right.
+    top bit a are those below 2^a times gamma_a on the right.  Held per
+    process for the last 8 sizes asked, read-only: 24 * 4^n bytes each.
     """
     size = 1 << (2 * n)
     codes = np.zeros((size, n), dtype=np.uint8)
@@ -207,8 +218,7 @@ def _monomial_table(n: int) -> tuple[np.ndarray, np.ndarray]:
             if c:
                 ph *= _MUL_PHASE[cs[:, q], c]
                 cs[:, q] = _MUL_CODE[cs[:, q], c]
-    index = codes @ 4 ** np.arange(n - 1, -1, -1)
-    return index, phase
+    return _read_only(codes @ 4 ** np.arange(n - 1, -1, -1)), _read_only(phase)
 
 
 def moments(A: np.ndarray) -> np.ndarray:
@@ -292,7 +302,7 @@ def is_gaussian(A: np.ndarray, tol: float = 1e-7) -> tuple[bool, float]:
 
 def exp_quadratic(n: int, h, d) -> np.ndarray:
     """Dense displaced Gaussian unitary exp(1/2 gamma^T h gamma + i d^T gamma)."""
-    _check_cap(n, 2 * ORACLE_MAX_PAIRED)
+    n = _check_cap(n, 2 * ORACLE_MAX_PAIRED)
     h, d = _check_generator(n, h, d)
     H = np.zeros((1 << n, 1 << n), dtype=complex)
     gammas = [majorana(n, a) for a in range(2 * n)]
@@ -318,7 +328,7 @@ def conv_unitary(n: int) -> np.ndarray:
     accepts everything; that reading is rejected by the dense
     counterexamples in the test suite.)
     """
-    _check_cap(n, ORACLE_MAX_PAIRED)
+    n = _check_cap(n, ORACLE_MAX_PAIRED)
     h = np.zeros((4 * n, 4 * n))
     for a in range(2 * n):
         h[a, 2 * n + a] = np.pi / 8
@@ -378,7 +388,7 @@ def fswap_permutation(n: int, a: int) -> tuple[np.ndarray, np.ndarray]:
     exchanges the two lines' bits, with -1 on |11>, times the global
     phase -i: D[y, perm[y]] = d[y] as in ``monomial_permutation``.
     """
-    _check_cap(n, 2 * ORACLE_MAX_PAIRED)
+    n = _check_cap(n, 2 * ORACLE_MAX_PAIRED)
     a = as_index(a, "fswap line")
     if not 0 <= a < n - 1:
         raise ValueError("need 0 <= a < n - 1")
@@ -393,11 +403,18 @@ def embed_V(n: int) -> np.ndarray:
 
     In closed form, cos(pi/4) I - i sin(pi/4) gamma_{2n+1}, since
     gamma_{2n+1} squares to I.  The entries equal those of the matrix
-    exponential bit for bit at every size the cap allows.
+    exponential bit for bit at every size the cap allows.  Built once
+    per process for each n and shared: the returned array is read-only.
     """
+    n = as_index(n, "qubit count")
     _check_cap(n + 1, 2 * ORACLE_MAX_PAIRED)
-    return (np.cos(np.pi / 4) * np.eye(2 << n)
-            - 1j * np.sin(np.pi / 4) * majorana(n + 1, 2 * n + 1))
+    return _embed_V(n)
+
+
+@functools.lru_cache(maxsize=2 * ORACLE_MAX_PAIRED)
+def _embed_V(n: int) -> np.ndarray:
+    """``embed_V(n)`` for a checked n, held for every n the cap allows (1 MiB at n = 7)."""
+    return _read_only(np.cos(np.pi / 4) * np.eye(2 << n) - 1j * np.sin(np.pi / 4) * majorana(n + 1, 2 * n + 1))
 
 
 def max_entangled(n: int) -> np.ndarray:
@@ -408,14 +425,20 @@ def max_entangled(n: int) -> np.ndarray:
     expansion.  The coupling sign is pinned by positivity of the dense
     matrix (the opposite sign gives an operator with negative
     eigenvalues) and by the Choi-state Gaussianity test for the
-    identity unitary.
+    identity unitary.  Built once per process for each n and shared:
+    the returned array is read-only.
     """
-    _check_cap(n, ORACLE_MAX_PAIRED)
+    return _max_entangled(_check_cap(n, ORACLE_MAX_PAIRED))
+
+
+@functools.lru_cache(maxsize=ORACLE_MAX_PAIRED)
+def _max_entangled(n: int) -> np.ndarray:
+    """``max_entangled(n)`` for a checked n, held for every n the cap allows (1 MiB at n = 4)."""
     a = np.arange(2 * n)
     M = np.zeros((4 * n, 4 * n))
     M[a, 2 * n + a] = -1.0
     M[2 * n + a, a] = 1.0
-    return gaussian_dense(bordered(M, np.zeros(4 * n)))
+    return _read_only(gaussian_dense(bordered(M, np.zeros(4 * n))))
 
 
 def born_probability(rho: np.ndarray, K, x) -> float:

@@ -291,6 +291,54 @@ def pfaffian_reference(M):
     return expand(tuple(range(m)))
 
 
+def held_arrays(table) -> list[np.ndarray]:
+    """Every array of a table held per process (an array, or tuples of them), depth first."""
+    if isinstance(table, np.ndarray):
+        return [table]
+    return [x for part in table for x in held_arrays(part)]
+
+
+def same_bits(a, b) -> bool:
+    """Whether two held tables have the same structure, dtypes, shapes and bytes."""
+    return [(x.dtype, x.shape, x.tobytes()) for x in held_arrays(a)] == [
+        (x.dtype, x.shape, x.tobytes()) for x in held_arrays(b)]
+
+
+def pfaffian_all_restrictions_reference(M):
+    """``antisym.pfaffian_all_restrictions`` with its mask work done per call.
+
+    The same arithmetic in the same order, each step's masks and axes
+    derived from the popcount table on the spot: the bits the held plan
+    must reproduce.
+    """
+    M = antisym.check_antisymmetric(M)
+    m = M.shape[0]
+    dtype = complex if np.iscomplexobj(M) else float
+    pf = np.zeros(1 << m, dtype=dtype)
+    pf[0] = 1.0
+    size = np.array([bin(x).count("1") for x in range(1 << m)])
+    for k in range(2, m + 1, 2):
+        masks = np.flatnonzero(size == k)
+        low = masks & -masks
+        a = np.frexp(low)[1] - 1
+        rest = masks ^ low
+        acc = np.zeros(len(masks), dtype=dtype)
+        sign = 1.0
+        for _ in range(k - 1):
+            bit = rest & -rest
+            t = sign * M[a, np.frexp(bit)[1] - 1]
+            p = pf[masks ^ low ^ bit]
+            if dtype is complex:
+                acc.real += t.real * p.real - t.imag * p.imag
+                acc.imag += t.real * p.imag + t.imag * p.real
+            else:
+                acc += t * p
+            rest ^= bit
+            sign = -sign
+        pf[masks] = acc
+    return pf
+
+
 @dataclass(frozen=True)
 class PlaneRotation:
     """Rotation by ``angle`` in the coordinate plane spanned by two axes.

@@ -7,7 +7,8 @@ import pytest
 
 from dgsim import antisym, oracle, simulator as sim, state as st_mod, unitary as un_mod
 
-from helpers import pfaffian_reference, plane_decompose_reference, plane_rotation_matrix, rand_antisym
+from helpers import (held_arrays, pfaffian_all_restrictions_reference, pfaffian_reference, plane_decompose_reference,
+                     plane_rotation_matrix, rand_antisym, same_bits)
 
 rng = np.random.default_rng(1234)
 
@@ -163,6 +164,59 @@ def test_pfaffian_all_restrictions_every_mask(m):
             else:
                 want = antisym.pfaffian_restricted(M, J)
                 assert abs(table[mask] - want) <= 1e-12 * max(1.0, abs(want))
+
+
+# The size-only tables held per process, and every size their callers allow
+# (pfaffian_all_restrictions takes m <= 20; its plan at m = 20 is about 30 MB).
+HELD = {"_popcounts": range(21), "_restriction_plan": range(21)}
+
+
+@pytest.mark.parametrize("name", HELD)
+def test_held_table_equals_a_fresh_build(name):
+    build = getattr(antisym, name)
+    for m in HELD[name]:
+        held = build(m)
+        assert build(m) is held
+        build.cache_clear()
+        fresh = build(m)
+        assert build.cache_info().misses == 1 and same_bits(held, fresh), m
+    build.cache_clear()
+
+
+@pytest.mark.parametrize("name", HELD)
+def test_held_table_refuses_writes(name):
+    for x in held_arrays(getattr(antisym, name)(9)):
+        with pytest.raises(ValueError, match="read-only"):
+            x[...] = 0
+
+
+@pytest.mark.parametrize("name, sizes", [("_popcounts", range(24)), ("_restriction_plan", range(11))])
+def test_held_tables_stay_within_their_bound(name, sizes):
+    build = getattr(antisym, name)
+    assert len(sizes) > build.cache_info().maxsize
+    for m in sizes:
+        build(m)
+        assert build.cache_info().currsize <= build.cache_info().maxsize
+
+
+def test_restriction_plan_serves_real_and_complex_carriers():
+    # One plan per m, read by a real and a complex M in turn, each with the
+    # bits of the per-call mask work.  m = 17 is the largest the CLI reaches.
+    antisym._restriction_plan.cache_clear()
+    for m in (12, 17):
+        real = rand_antisym(rng, m)
+        cplx = rand_antisym(rng, m) + 1j * rand_antisym(rng, m)
+        for M in (real, cplx, real):
+            got = antisym.pfaffian_all_restrictions(M)
+            want = pfaffian_all_restrictions_reference(M)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert antisym._restriction_plan.cache_info().misses == 2
+
+
+def test_all_restrictions_cap_is_refused_on_every_call():
+    for _ in range(2):
+        with pytest.raises(antisym.DimensionError, match="^all-restrictions table limited to m <= 20$"):
+            antisym.pfaffian_all_restrictions(np.zeros((21, 21)))
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 7, 8])

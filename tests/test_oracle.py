@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from helpers import (
     dense_product,
     fswap,
     ghz4,
+    held_arrays,
     majorana_monomial,
     mask,
     permutation_dense,
@@ -17,6 +19,7 @@ from helpers import (
     quartic_unitary,
     rand_bloch,
     rand_state,
+    same_bits,
 )
 from dgsim import state as st_mod
 
@@ -232,6 +235,69 @@ def test_oracle_cap():
         oracle.majorana(2 * oracle.ORACLE_MAX_PAIRED + 1, 0)
     with pytest.raises(oracle.OracleCapError):
         oracle.max_entangled(oracle.ORACLE_MAX_PAIRED + 1)
+
+
+# The tables held per process: their builder, the public call that reads
+# one, and every size that call allows (moments has no cap: sizes up to the
+# 8 lines of the CLI's Choi states).
+HELD = {
+    "_monomial_table": (oracle._monomial_table, oracle._monomial_table, range(1, 2 * oracle.ORACLE_MAX_PAIRED + 1)),
+    "max_entangled": (oracle._max_entangled, oracle.max_entangled, range(1, oracle.ORACLE_MAX_PAIRED + 1)),
+    "embed_V": (oracle._embed_V, oracle.embed_V, range(2 * oracle.ORACLE_MAX_PAIRED)),
+}
+
+
+@pytest.mark.parametrize("name", HELD)
+def test_held_table_equals_a_fresh_build(name):
+    build, call, sizes = HELD[name]
+    for n in sizes:
+        held = call(n)
+        assert call(n) is held
+        build.cache_clear()
+        fresh = call(n)
+        assert build.cache_info().misses == 1 and same_bits(held, fresh), n
+    build.cache_clear()
+
+
+@pytest.mark.parametrize("name", HELD)
+def test_held_table_refuses_writes(name):
+    _, call, sizes = HELD[name]
+    for x in held_arrays(call(sizes[-1])):
+        with pytest.raises(ValueError, match="read-only"):
+            x[...] = 0
+
+
+@pytest.mark.parametrize("name", HELD)
+def test_held_tables_stay_within_their_bound(name):
+    # One size more than the bound; a size past the cap is refused and held by none.
+    build, call, _ = HELD[name]
+    build.cache_clear()
+    for n in range(build.cache_info().maxsize + 1):
+        try:
+            call(n + 1)
+        except oracle.OracleCapError:
+            pass
+        assert build.cache_info().currsize <= build.cache_info().maxsize
+
+
+@pytest.mark.parametrize("call, n", [(oracle.max_entangled, oracle.ORACLE_MAX_PAIRED + 1),
+                                     (oracle.embed_V, 2 * oracle.ORACLE_MAX_PAIRED)])
+def test_held_tables_refuse_on_every_call(call, n):
+    for _ in range(2):
+        with pytest.raises(oracle.OracleCapError, match="^dense oracle capped at"):
+            call(n)
+    for bad in (2.0, True, np.float64(2.0)):
+        message = f"^{re.escape(f'qubit count must be an integer, got {bad!r}')}$"
+        with pytest.raises(ValueError, match=message):
+            call(bad)
+        call(2)
+        with pytest.raises(ValueError, match=message):
+            call(bad)
+
+
+def test_held_tables_take_numpy_sizes():
+    assert oracle.max_entangled(np.int64(2)) is oracle.max_entangled(2)
+    assert oracle.embed_V(np.uint8(3)) is oracle.embed_V(3)
 
 
 def test_phase_aligned_distance():

@@ -56,6 +56,17 @@ REFUSALS = {
     "fermionic_convolution-odd": (lambda: oracle.fermionic_convolution(EVEN, oracle.majorana(2, 0)),
                                   ValueError, "sigma is not an even operator"),
     "fswap_permutation-line": (lambda: oracle.fswap_permutation(3, 2), ValueError, "need 0 <= a < n - 1"),
+    # A size is an int (antisym.as_index), checked before any table keyed by it is read.
+    "max_entangled-bool": (lambda: oracle.max_entangled(True), ValueError, "qubit count must be an integer, got True"),
+    "embed_V-bool": (lambda: oracle.embed_V(True), ValueError, "qubit count must be an integer, got True"),
+    "conv_unitary-bool": (lambda: oracle.conv_unitary(True), ValueError, "qubit count must be an integer, got True"),
+    "max_entangled-float": (lambda: oracle.max_entangled(2.0), ValueError, "qubit count must be an integer, got 2.0"),
+    "embed_V-float": (lambda: oracle.embed_V(2.0), ValueError, "qubit count must be an integer, got 2.0"),
+    "majorana-float": (lambda: oracle.majorana(2.0, 1), ValueError, "qubit count must be an integer, got 2.0"),
+    "monomial_permutation-float": (lambda: oracle.monomial_permutation(2.0, (0, 1)), ValueError,
+                                   "qubit count must be an integer, got 2.0"),
+    "fswap_permutation-float": (lambda: oracle.fswap_permutation(3.0, 0), ValueError,
+                                "qubit count must be an integer, got 3.0"),
     # serialization
     "dumps-object": (lambda: ser.dumps(object()), TypeError, "cannot serialize object"),
     # simulator
