@@ -82,9 +82,6 @@ MUTANTS = [
     ("plain gate with equal axes", "src/dgsim/serialization.py",
      " and j != k and ", " and ",
      [PARSE]),
-    ("plain gate index past int64", "src/dgsim/serialization.py",
-     "\n                and _INT64_MIN <= j < _INT64_END and _INT64_MIN <= k < _INT64_END)", ")",
-     [PARSE]),
     ("gate walk without the row-rule fallback", "src/dgsim/serialization.py",
      "_plain_row(obj) or _gate_row(obj, i)", "_plain_row(obj)",
      [PARSE]),
@@ -147,6 +144,18 @@ MUTANTS = [
      ["tests/test_antisym.py"]),
     ("oracle cap without the integer rule", "src/dgsim/oracle.py",
      '    n = as_index(n, "qubit count")\n    if not 1 <= n:', "    if not 1 <= n:",
+     ["tests/test_refusals.py"]),
+    ("real-array rule without its complex refusal", "src/dgsim/antisym.py",
+     "    if np.iscomplexobj(x):\n", "    if False:\n",
+     ["tests/test_refusals.py"]),
+    ("check_antisymmetric reads through np.asarray alone", "src/dgsim/antisym.py",
+     '    M = _as_real(M, "matrix")\n', "    M = np.asarray(M)\n",
+     ["tests/test_refusals.py"]),
+    ("DGaussState without the size rule", "src/dgsim/state.py",
+     'object.__setattr__(self, "n", as_index(self.n, "qubit count"))', 'object.__setattr__(self, "n", self.n)',
+     ["tests/test_refusals.py"]),
+    ("GateSequence without the size rule", "src/dgsim/unitary.py",
+     'self.n = as_index(n, "qubit count")', "self.n = n",
      ["tests/test_refusals.py"]),
 ]
 

@@ -1,10 +1,13 @@
-"""Numerical kernels for antisymmetric matrices.
+"""Numerical kernels for real antisymmetric matrices.
 
 Pfaffians, restrictions, canonical (block-diagonal) forms, matrix
 exponentials into SO(m), and factorizations of special orthogonal
 matrices into plane rotations restricted to an adjacency graph.  A
 factorization is returned as arrays, planes (g, 2) and angles (g,);
 no object is made per rotation.
+
+Every operand is read as float64 by ``_as_real``, which refuses a
+complex one; ``check_antisymmetric`` reads every antisymmetric one.
 
 All indices are 0-based.  The canonical form of a real antisymmetric
 matrix M is
@@ -119,9 +122,17 @@ def as_bits(x, k: int) -> tuple[int, ...]:
     return x
 
 
+def _as_real(x, what: str) -> np.ndarray:
+    """``x`` as a float64 array, not copied if it is one; a complex ``x`` raises ValueError naming ``what``."""
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        raise ValueError(f"{what} must be real, got dtype {x.dtype}")
+    return x.astype(float, copy=False)
+
+
 def check_antisymmetric(M) -> np.ndarray:
-    """Validate and return ``M`` as a finite (else NonFiniteError), square, antisymmetric ndarray."""
-    M = np.asarray(M)
+    """Validate and return ``M`` as a real (``_as_real``), finite (else NonFiniteError), square, antisymmetric array."""
+    M = _as_real(M, "matrix")
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {M.shape}")
     if M.size:
@@ -135,7 +146,7 @@ def check_antisymmetric(M) -> np.ndarray:
 
 def check_rotation(R) -> np.ndarray:
     """Validate and return ``R`` as a special orthogonal ndarray."""
-    R = np.asarray(R, dtype=float)
+    R = _as_real(R, "matrix")
     if R.ndim != 2 or R.shape[0] != R.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {R.shape}")
     if not np.isfinite(R).all():
@@ -150,7 +161,7 @@ def check_rotation(R) -> np.ndarray:
 
 def _check_carrier(M_ext) -> np.ndarray:
     """``M_ext`` as a float extended carrier: antisymmetric (``check_antisymmetric``), odd dimension."""
-    M_ext = check_antisymmetric(np.asarray(M_ext, dtype=float))
+    M_ext = check_antisymmetric(M_ext)
     if M_ext.shape[0] % 2 == 0:
         raise ValueError("extended carrier must have odd dimension")
     return M_ext
@@ -158,8 +169,8 @@ def _check_carrier(M_ext) -> np.ndarray:
 
 def _check_generator(n: int, h, d) -> tuple[np.ndarray, np.ndarray]:
     """Generator (h, d) on n lines as float arrays: h antisymmetric 2n x 2n, d finite of length 2n."""
-    h = check_antisymmetric(np.asarray(h, dtype=float))
-    d = np.asarray(d, dtype=float)
+    h = check_antisymmetric(h)
+    d = _as_real(d, "generator")
     if h.shape != (2 * n, 2 * n) or d.shape != (2 * n,):
         raise ValueError("generator dimensions do not match n")
     if not np.isfinite(d).all():
@@ -173,8 +184,8 @@ def bordered(A, v) -> np.ndarray:
     This is the layout of every extended matrix: a carrier (M, mu), a
     generator (h, d), and the embedding's carriers.
     """
-    A = np.asarray(A, dtype=float)
-    v = np.asarray(v, dtype=float)
+    A = _as_real(A, "matrix")
+    v = _as_real(v, "border")
     m = v.shape[0] if v.ndim == 1 else -1
     if A.shape != (m, m):
         raise DimensionError(
@@ -187,7 +198,7 @@ def bordered(A, v) -> np.ndarray:
     return out
 
 
-def pfaffian(M) -> complex | float:
+def pfaffian(M) -> float:
     """Pfaffian of an even-dimensional antisymmetric matrix.
 
     Skew-symmetric tridiagonalization with partial pivoting, O(m^3).
@@ -197,10 +208,8 @@ def pfaffian(M) -> complex | float:
     m = M.shape[0]
     if m % 2:
         raise DimensionError("Pfaffian requires even dimension")
-    if m == 0:
-        return 1.0
-    A = M.astype(complex) if np.iscomplexobj(M) else M.astype(float)
-    val = 1.0 + 0j if np.iscomplexobj(A) else 1.0
+    A = M.copy()
+    val = 1.0
     for k in range(0, m - 1, 2):
         kp = k + 1 + int(np.abs(A[k + 1:, k]).argmax())
         if kp != k + 1:
@@ -217,7 +226,7 @@ def pfaffian(M) -> complex | float:
     return val
 
 
-def pfaffian_restricted(M, J) -> complex | float:
+def pfaffian_restricted(M, J) -> float:
     """Pfaffian of the restriction of ``M`` to the index tuple ``J``.
 
     ``J`` follows ``as_indices`` and must have an even number of entries;
@@ -227,8 +236,6 @@ def pfaffian_restricted(M, J) -> complex | float:
     J = as_indices(J, M.shape[0], "restriction index")
     if len(J) % 2:
         raise DimensionError("restriction must have even size")
-    if not J:
-        return 1.0
     return pfaffian(M[np.ix_(J, J)])
 
 
@@ -292,22 +299,13 @@ def pfaffian_all_restrictions(M) -> np.ndarray:
     m = M.shape[0]
     if m > 20:
         raise DimensionError("all-restrictions table limited to m <= 20")
-    dtype = complex if np.iscomplexobj(M) else float
-    pf = np.zeros(1 << m, dtype=dtype)
+    pf = np.zeros(1 << m)
     pf[0] = 1.0
     for masks, steps in _restriction_plan(m):
-        acc = np.zeros(len(masks), dtype=dtype)
+        acc = np.zeros(len(masks))
         sign = 1.0
         for ab, index in steps:
-            t = sign * M.take(ab)
-            p = pf.take(index)
-            if dtype is complex:
-                # Componentwise, rounded as scalar complex products are
-                # (an array complex multiply may fuse multiply and add).
-                acc.real += t.real * p.real - t.imag * p.imag
-                acc.imag += t.real * p.imag + t.imag * p.real
-            else:
-                acc += t * p
+            acc += sign * M.take(ab) * pf.take(index)
             sign = -sign
         pf[masks] = acc
     return pf
@@ -334,7 +332,7 @@ def block_diagonalize(M):
     subspaces.  See the module docstring for the one case where the
     last ``l`` comes out negative.
     """
-    M = check_antisymmetric(np.asarray(M, dtype=float))
+    M = check_antisymmetric(M)
     m = M.shape[0]
     if m == 0:
         return np.eye(0), []
@@ -364,7 +362,7 @@ def block_diagonalize(M):
 
 def canonical_matrix(lambdas, dim: int) -> np.ndarray:
     """Block-diagonal dim x dim matrix of blocks [[0, l_j], [-l_j, 0]], zeros after them."""
-    lam = np.asarray(lambdas, dtype=float)
+    lam = _as_real(lambdas, "canonical values")
     C = np.zeros((dim, dim))
     j = 2 * np.arange(len(lam))
     C[j, j + 1] = lam
@@ -424,7 +422,7 @@ def _scipy_linalg():
 
 def expm_antisym(h) -> np.ndarray:
     """Matrix exponential of a real antisymmetric matrix (lands in SO)."""
-    h = check_antisymmetric(np.asarray(h, dtype=float))
+    h = check_antisymmetric(h)
     return _scipy_linalg().expm(h)
 
 
@@ -438,7 +436,7 @@ def wrap_angles(angles) -> np.ndarray:
     differently in the last bit.  The normalization is not idempotent: a
     second pass changes the last bit of some angles.
     """
-    a = np.asarray(angles, dtype=float)
+    a = _as_real(angles, "angles")
     out = np.fromiter(map(atan2, np.sin(a).tolist(), np.cos(a).tolist()), dtype=float, count=len(a))
     out[out <= -pi] = pi
     return out

@@ -110,8 +110,6 @@ def _header(obj, fields, optional=()) -> int:
     return int(n)
 
 
-# A gate index outside int64 fits no register; ``_gate_row`` leaves it to that check.
-_INT64_MIN, _INT64_END = -(2**63), 2**63
 _PLAIN_NUMBERS = {int, float}
 
 
@@ -119,20 +117,19 @@ def _plain_row(doc):
     """``_gate_row``'s row of a plain gate document, None for any other; never raises.
 
     Plain: a dict with exactly its kind's fields, an int line, axes a list
-    of two different ints, an int or float angle, no index outside int64
-    and no int angle past a double.  The fields read here are the kind's
-    (``_GATE_FIELDS``), so a dict of their count holds exactly them.
+    of two different ints, and an int or float angle, not an int past a
+    double.  The fields read here are the kind's (``_GATE_FIELDS``), so a
+    dict of their count holds exactly them.
     """
     try:
         if type(doc) is not dict or len(doc) != len(_GATE_FIELDS[doc["kind"]]):
             return None
         if doc["kind"] == FSWAP:
             line = doc["line"]
-            return (_FSWAP, -1, -1, line, 0.0) if type(line) is int and _INT64_MIN <= line < _INT64_END else None
+            return (_FSWAP, -1, -1, line, 0.0) if type(line) is int else None
         axes, angle = doc["axes"], doc["angle"]
         j, k = axes
-        if (type(axes) is list and type(j) is int and type(k) is int and j != k and type(angle) in _PLAIN_NUMBERS
-                and _INT64_MIN <= j < _INT64_END and _INT64_MIN <= k < _INT64_END):
+        if type(axes) is list and type(j) is int and type(k) is int and j != k and type(angle) in _PLAIN_NUMBERS:
             return _MATCHGATE if doc["kind"] == MATCHGATE else _LINE1, j, k, -1, float(angle)
     except (KeyError, TypeError, ValueError, OverflowError):  # no field or kind, axes no pair, an int past a double
         pass

@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .antisym import NumericalAdmissibilityError, as_bits, as_index, as_indices, canonical_matrix
+from .antisym import NumericalAdmissibilityError, _as_real, as_bits, as_index, as_indices, canonical_matrix
 from .state import ADMISSIBILITY_TOL, AdmissibilityError, DGaussState, carrier_state, diagonal_parameters, from_diagonal
 from .unitary import GateSequence, _gate_blocks
 
@@ -242,7 +242,7 @@ def prepare_product(blochs) -> DGaussState:
     check.  Longer ones raise the largest by up to about n times their
     excess, so past ADMISSIBILITY_TOL (or NaN) ``DGaussState`` checks too.
     """
-    blochs = np.asarray(blochs, dtype=float)
+    blochs = _as_real(blochs, "Bloch vectors")
     if blochs.ndim != 2 or blochs.shape[1] != 3:
         raise ValueError("each Bloch vector needs three components")
     norms = np.linalg.norm(blochs, axis=1)

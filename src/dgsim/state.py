@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import oracle
-from .antisym import (KERNEL_TOL, NumericalAdmissibilityError, _check_carrier, _check_generator, as_indices, bordered,
-                      canonical_matrix, pfaffian_restricted)
+from .antisym import (KERNEL_TOL, NumericalAdmissibilityError, _as_real, _check_carrier, _check_generator, as_index,
+                      as_indices, bordered, canonical_matrix, pfaffian_restricted)
 
 ADMISSIBILITY_TOL = 1e-9
 SATURATION_TOL = 1e-9
@@ -87,7 +87,8 @@ class DGaussState:
     check: bool = field(default=True, compare=False)
 
     def __post_init__(self):
-        M, mu = np.asarray(self.M, dtype=float), np.asarray(self.mu, dtype=float)
+        object.__setattr__(self, "n", as_index(self.n, "qubit count"))
+        M, mu = _as_real(self.M, "covariance"), _as_real(self.mu, "covariance")
         if M.shape != (2 * self.n, 2 * self.n) or mu.shape != (2 * self.n,):
             raise ValueError("covariance dimensions do not match n")
         if self.check:
@@ -142,7 +143,7 @@ def diagonal_parameters(lambdas) -> np.ndarray:
     Every lambda_q must lie in [-1, 1] within ADMISSIBILITY_TOL, the
     tolerance of every input form.
     """
-    lams = np.array(lambdas, dtype=float)
+    lams = _as_real(lambdas, "diagonal parameters").copy()
     if lams.ndim != 1:
         raise ValueError("diagonal parameters must form a vector")
     if not (np.abs(lams) <= 1.0 + ADMISSIBILITY_TOL).all():
@@ -201,7 +202,7 @@ def from_thermal(h, d) -> DGaussState:
     M_ext = i*tanh(i*G) for the extended carrier G = [[h, d], [-d^T, 0]].
     (h, d) follow the generator rule ``_check_generator`` on n = len(h) // 2 lines.
     """
-    h = np.asarray(h, dtype=float)
+    h = _as_real(h, "generator")
     G = bordered(*_check_generator(len(h) // 2 if h.ndim else 0, h, d))
     return carrier_state(_odd_function(G, np.tanh))
 

@@ -313,8 +313,7 @@ def pfaffian_all_restrictions_reference(M):
     """
     M = antisym.check_antisymmetric(M)
     m = M.shape[0]
-    dtype = complex if np.iscomplexobj(M) else float
-    pf = np.zeros(1 << m, dtype=dtype)
+    pf = np.zeros(1 << m)
     pf[0] = 1.0
     size = np.array([bin(x).count("1") for x in range(1 << m)])
     for k in range(2, m + 1, 2):
@@ -322,17 +321,11 @@ def pfaffian_all_restrictions_reference(M):
         low = masks & -masks
         a = np.frexp(low)[1] - 1
         rest = masks ^ low
-        acc = np.zeros(len(masks), dtype=dtype)
+        acc = np.zeros(len(masks))
         sign = 1.0
         for _ in range(k - 1):
             bit = rest & -rest
-            t = sign * M[a, np.frexp(bit)[1] - 1]
-            p = pf[masks ^ low ^ bit]
-            if dtype is complex:
-                acc.real += t.real * p.real - t.imag * p.imag
-                acc.imag += t.real * p.imag + t.imag * p.real
-            else:
-                acc += t * p
+            acc += sign * M[a, np.frexp(bit)[1] - 1] * pf[masks ^ low ^ bit]
             rest ^= bit
             sign = -sign
         pf[masks] = acc

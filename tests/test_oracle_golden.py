@@ -2,12 +2,15 @@
 
 ``data/oracle_golden.npz`` holds inputs and the outputs the per-bitmask
 loop implementation of the kernels gave on them: random complex
-operators (``pauli_tensor``, ``from_pauli_tensor``, ``moments``), random
-complex antisymmetric matrices (``pfaffian_all_restrictions``), and a
+operators (``pauli_tensor``, ``from_pauli_tensor``, ``moments``), and a
 random admissible carrier and a diagonal carrier per n
 (``pfaffian_all_restrictions``, ``wick_moment_array``,
-``gaussian_dense``).  Every kernel must reproduce them exactly.  They are
-compared with ``np.array_equal``, not byte digests, because the sign of
+``gaussian_dense``).  Every kernel must reproduce them exactly.  The
+fixture also holds random complex antisymmetric matrices ``n{n}_K`` and
+their all-restrictions Pfaffians ``n{n}_K_pf``, which are no longer
+computed: ``pfaffian_all_restrictions`` refuses a complex matrix.  The
+K are still drawn, so the carriers after them keep their values.  Outputs
+are compared with ``np.array_equal``, not byte digests, because the sign of
 an exact zero may differ between implementations.
 
 Running this file as a script rewrites the fixture from the current
@@ -47,7 +50,6 @@ def _outputs(inputs: dict[str, np.ndarray], n: int) -> dict[str, np.ndarray]:
         f"n{n}_A_pauli_tensor": oracle.pauli_tensor(A),
         f"n{n}_A_from_pauli_tensor": oracle.from_pauli_tensor(A.reshape((4,) * n)),
         f"n{n}_A_moments": oracle.moments(A),
-        f"n{n}_K_pf": antisym.pfaffian_all_restrictions(inputs[f"n{n}_K"]),
     }
     for name in ("carrier", "diag"):
         M_ext = inputs[f"n{n}_{name}"]

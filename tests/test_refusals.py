@@ -16,6 +16,8 @@ from dgsim import state as st_mod, unitary as un_mod
 G = un_mod.Gate
 MATCH, LINE1, FSWAP = un_mod.MATCHGATE, un_mod.LINE1, un_mod.FSWAP
 EVEN = np.eye(4) / 4  # the maximally mixed state on two lines, an even operator
+J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+REAL = "must be real, got dtype complex128"  # antisym._as_real's refusal, after the name of the input
 
 REFUSALS = {
     # antisym
@@ -31,6 +33,22 @@ REFUSALS = {
                                 antisym.DimensionError, "restriction must have even size"),
     "pfaffian_all_restrictions-22": (lambda: antisym.pfaffian_all_restrictions(np.zeros((22, 22))),
                                      antisym.DimensionError, "all-restrictions table limited to m <= 20"),
+    # A complex operand is refused, never truncated to its real part (antisym._as_real).
+    "check_antisymmetric-complex": (lambda: antisym.check_antisymmetric(0.5j * J2), ValueError, f"matrix {REAL}"),
+    "pfaffian-complex": (lambda: antisym.pfaffian(0.5j * J2), ValueError, f"matrix {REAL}"),
+    "pfaffian_restricted-complex": (lambda: antisym.pfaffian_restricted(0.5j * J2, (0, 1)), ValueError,
+                                    f"matrix {REAL}"),
+    "pfaffian_all_restrictions-complex": (lambda: antisym.pfaffian_all_restrictions(0.5j * J2), ValueError,
+                                          f"matrix {REAL}"),
+    "check_rotation-complex": (lambda: antisym.check_rotation(np.eye(3) + 1e-3j * np.ones((3, 3))), ValueError,
+                               f"matrix {REAL}"),
+    "block_diagonalize-complex": (lambda: antisym.block_diagonalize(0.5j * J2), ValueError, f"matrix {REAL}"),
+    "expm_antisym-complex": (lambda: antisym.expm_antisym(0.5j * J2), ValueError, f"matrix {REAL}"),
+    "bordered-complex-A": (lambda: antisym.bordered(0.5j * J2, np.zeros(2)), ValueError, f"matrix {REAL}"),
+    "bordered-complex-v": (lambda: antisym.bordered(np.zeros((2, 2)), [0.5j, 0.0]), ValueError, f"border {REAL}"),
+    "canonical_matrix-complex": (lambda: antisym.canonical_matrix([0.5j], 2), ValueError,
+                                 f"canonical values {REAL}"),
+    "wrap_angles-complex": (lambda: antisym.wrap_angles([0.5j]), ValueError, f"angles {REAL}"),
     # oracle
     "majorana-no-lines": (lambda: oracle.majorana(0, 0), ValueError, "qubit count must be positive"),
     "majorana-index": (lambda: oracle.majorana(2, 4), IndexError, "Majorana index 4 out of range"),
@@ -76,9 +94,24 @@ REFUSALS = {
                                    "each Bloch vector needs three components"),
     "prepare_product-nan": (lambda: sim.prepare_product([[0.0, 0.0, 1.0], [np.nan, 0.0, 0.0]]),
                             antisym.NonFiniteError, "matrix has non-finite entries"),
+    "prepare_product-complex": (lambda: sim.prepare_product([[0.0, 0.0, 0.5j]]), ValueError,
+                                f"Bloch vectors {REAL}"),
     # state
     "DGaussState-shapes": (lambda: st_mod.DGaussState(2, np.zeros((2, 2)), np.zeros(4)), ValueError,
                            "covariance dimensions do not match n"),
+    "DGaussState-complex-M": (lambda: st_mod.DGaussState(1, 0.5j * J2, np.zeros(2)), ValueError,
+                              f"covariance {REAL}"),
+    "DGaussState-complex-mu": (lambda: st_mod.DGaussState(1, np.zeros((2, 2)), [0.5j, 0.0]), ValueError,
+                               f"covariance {REAL}"),
+    "DGaussState-float-n": (lambda: st_mod.DGaussState(2.0, np.zeros((4, 4)), np.zeros(4)), ValueError,
+                            "qubit count must be an integer, got 2.0"),
+    "DGaussState-bool-n": (lambda: st_mod.DGaussState(True, np.zeros((2, 2)), np.zeros(2)), ValueError,
+                           "qubit count must be an integer, got True"),
+    "diagonal_parameters-complex": (lambda: st_mod.diagonal_parameters(np.array([0.5j])), ValueError,
+                                    f"diagonal parameters {REAL}"),
+    "from_diagonal-complex": (lambda: st_mod.from_diagonal([0.5j]), ValueError, f"diagonal parameters {REAL}"),
+    "from_thermal-complex-h": (lambda: st_mod.from_thermal([[0, 1j], [-1j, 0]], [0, 0]), ValueError,
+                               f"generator {REAL}"),
     "from_thermal-nan-d": (lambda: st_mod.from_thermal(np.zeros((2, 2)), [np.nan, 0.0]), antisym.NonFiniteError,
                            "generator has non-finite entries"),
     # unitary
@@ -87,6 +120,22 @@ REFUSALS = {
                     "generator dimensions do not match n"),
     "DGUnitary-nan-d": (lambda: un_mod.DGUnitary.from_generator(1, np.zeros((2, 2)), [np.nan, 0.0]),
                         antisym.NonFiniteError, "generator has non-finite entries"),
+    "DGUnitary-complex-h": (lambda: un_mod.DGUnitary.from_generator(1, [[0, 1j], [-1j, 0]]), ValueError,
+                            f"matrix {REAL}"),
+    "DGUnitary-complex-d": (lambda: un_mod.DGUnitary.from_generator(1, np.zeros((2, 2)), [0.5j, 0.0]), ValueError,
+                            f"generator {REAL}"),
+    "lie_embed-complex-d": (lambda: un_mod.lie_embed(np.zeros((2, 2)), [0.5j, 0.0]), ValueError,
+                            f"generator {REAL}"),
+    "DGUnitary-float-n": (lambda: un_mod.DGUnitary.from_generator(2.0, np.zeros((4, 4))), ValueError,
+                          "qubit count must be an integer, got 2.0"),
+    "DGUnitary-identity-float-n": (lambda: un_mod.DGUnitary.identity(2.0), ValueError,
+                                   "qubit count must be an integer, got 2.0"),
+    "GateSequence-float-n": (lambda: un_mod.GateSequence(2.0, [G(MATCH, (0, 1), 0.3)]), ValueError,
+                             "qubit count must be an integer, got 2.0"),
+    "GateSequence-bool-n": (lambda: un_mod.GateSequence(True, []), ValueError,
+                            "qubit count must be an integer, got True"),
+    "GateSequence-negative-n": (lambda: un_mod.GateSequence(-1, []), ValueError,
+                                "qubit count must not be negative"),
     "DGUnitary-R": (lambda: un_mod.DGUnitary(2, R=np.eye(3)), ValueError, "rotation dimension does not match n"),
     "conjugate_state-sizes": (lambda: un_mod.conjugate_state(un_mod.DGUnitary.identity(1),
                                                              st_mod.from_diagonal([0.5, 0.5])),

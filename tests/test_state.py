@@ -21,6 +21,15 @@ def test_from_diagonal_basic():
     assert np.max(np.abs(rho - direct)) < 1e-12
 
 
+def test_sizes_are_stored_as_ints():
+    # A size follows the one integer rule (antisym.as_index); n = 0 stays allowed.
+    for n in (1, np.int64(1)):
+        assert type(st_mod.DGaussState(n, np.zeros((2, 2)), np.zeros(2)).n) is int
+        assert type(un_mod.DGUnitary.identity(n).n) is int
+        assert type(un_mod.GateSequence(n, ()).n) is int
+    assert un_mod.GateSequence(0, ()).n == 0
+
+
 def test_from_diagonal_matches_loop():
     # Bit for bit, signed zeros included, as one canonical block per line.
     lams = [0.0, -0.0, 0.5, -1.0, 1.0]
