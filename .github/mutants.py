@@ -32,6 +32,7 @@ FOLD = "tests/test_fold_reference.py"
 REFUSALS = "tests/test_measured_lines.py::test_inadmissible_carrier_is_refused"
 CLI = "tests/test_cli.py"
 PARSE = "tests/test_parse_reference.py"
+ORACLE = "tests/test_oracle.py"
 
 MUTANTS = [
     ("descending slice keeps stop None", "src/dgsim/unitary.py",
@@ -152,11 +153,30 @@ MUTANTS = [
      '    M = _as_real(M, "matrix")\n', "    M = np.asarray(M)\n",
      ["tests/test_refusals.py"]),
     ("DGaussState without the size rule", "src/dgsim/state.py",
-     'object.__setattr__(self, "n", as_index(self.n, "qubit count"))', 'object.__setattr__(self, "n", self.n)',
+     'object.__setattr__(self, "n", _as_qubit_count(self.n))', 'object.__setattr__(self, "n", self.n)',
      ["tests/test_refusals.py"]),
     ("GateSequence without the size rule", "src/dgsim/unitary.py",
-     'self.n = as_index(n, "qubit count")', "self.n = n",
+     "self.n = _as_qubit_count(n)", "self.n = n",
      ["tests/test_refusals.py"]),
+    ("DGUnitary without the sign rule", "src/dgsim/unitary.py",
+     'object.__setattr__(self, "n", _as_qubit_count(self.n))',
+     'object.__setattr__(self, "n", _as_qubit_count(abs(self.n)))',
+     ["tests/test_refusals.py"]),
+    ("Pauli phase table in the reversed cyclic order", "src/dgsim/oracle.py",
+     "(_b - _a) % 3 == 1", "(_a - _b) % 3 == 1",
+     [ORACLE + "::test_pauli_tables_are_their_trace_definition"]),
+    ("Pauli phase -i with a -0 real part", "src/dgsim/oracle.py",
+     "1j, 0 - 1j))", "1j, -1j))",
+     [ORACLE + "::test_pauli_tables_are_their_trace_definition"]),
+    ("dense monomial scattered transposed", "src/dgsim/oracle.py",
+     "out[np.arange(len(perm)), perm] = d", "out[perm, np.arange(len(perm))] = d",
+     [ORACLE + "::test_majorana_is_the_kronecker_product"]),
+    ("exp_quadratic term assigned, not added", "src/dgsim/oracle.py",
+     "H += h[j, k] * _dense_monomial(n, (j, k))", "H = h[j, k] * _dense_monomial(n, (j, k))",
+     [ORACLE + "::test_exp_quadratic_is_the_sum_of_dense_products"]),
+    ("is_even parity without its low bit", "src/dgsim/oracle.py",
+     "(_popcounts(_operator_lines(A)) & 1)", "_popcounts(_operator_lines(A))",
+     [ORACLE + "::test_is_even_matches_dense_products_near_its_tolerance"]),
 ]
 
 

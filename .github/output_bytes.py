@@ -75,7 +75,9 @@ def edge_requests(workloads):
     four on the edges of the parser's plain-gate check: every gate's keys
     out of order, int angles up to 10**300 (both run), an int angle past a
     double at gate 1000 and an axis past int64 at the last gate (both
-    refused).
+    refused).  Last, ``test-unitary`` documents at n = 1 and at n = 3, the
+    largest the CLI takes: a dense generator with d, and a sparse h
+    without d.
     """
     import numpy as np
 
@@ -163,6 +165,13 @@ def edge_requests(workloads):
         lists[-1][where] = bad
     for gates in lists:
         reqs.append(workloads.run_request(workloads.circuit(100, {"lambdas": workloads.random_lambdas(rng, 100)}, gates)))
+    for n in (1, 3):
+        reqs.append(workloads.Request("test-unitary", workloads.random_generator(rng, n), n=n))
+        doc = workloads.random_generator(rng, n)
+        del doc["d"]
+        h = np.array(doc["h"]) * np.triu(rng.random((2 * n, 2 * n)) < 0.4, 1)
+        doc["h"] = (h - h.T).tolist()
+        reqs.append(workloads.Request("test-unitary", doc, n=n))
     return reqs
 
 

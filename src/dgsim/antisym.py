@@ -79,6 +79,14 @@ def as_index(value, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
+def _as_qubit_count(n) -> int:
+    """A register size ``n`` as an int (``as_index``), 0 included; a negative one raises ValueError."""
+    n = as_index(n, "qubit count")
+    if n < 0:
+        raise ValueError("qubit count must not be negative")
+    return n
+
+
 def _is_number(value) -> bool:
     """Whether ``value`` is a real number: an int or a float, numpy's too, never a bool."""
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)

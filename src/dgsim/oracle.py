@@ -10,12 +10,14 @@ validate the polynomial-time covariance-matrix paths, so sizes are
 hard-capped (n <= 6 for single-register operators, n <= 4 for the
 2n-qubit convolution/Choi constructions).
 
-Operators with a two-term closed form skip the matrix exponential.  A
-Pauli string, and so every Majorana monomial, is a signed permutation
-of the basis states (``monomial_permutation``); so is the adjacent
-fermionic swap (``fswap_permutation``).  The embedding unitary is
-cos(pi/4) I - i sin(pi/4) gamma_{2n+1}, and a gate of the alphabet is
-c I + s D with D such a permutation (``unitary.conjugate_dense``).
+Exact operators are built by index arithmetic, with no Kronecker or
+dense matrix product.  A Pauli string, and so every Majorana monomial,
+is a signed permutation of the basis states (``monomial_permutation``)
+whose one dense form ``_dense_monomial`` scatters; so is the adjacent
+fermionic swap (``fswap_permutation``).  The Pauli products come in
+closed form, the parity Z...Z from the index bits (``is_even``).  The
+embedding unitary is cos(pi/4) I - i sin(pi/4) gamma_{2n+1}, and a gate
+of the alphabet is c I + s D with D such a permutation (``unitary.conjugate_dense``).
 
 The moment kernels are whole-array transforms, not loops over the 4^n
 Majorana bitmasks: the Pauli transform takes one step per line, a
@@ -83,25 +85,11 @@ PAULIS = (
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
 
-# Single-qubit Pauli products: sigma_a sigma_b = _MUL_PHASE[a][b] * sigma_{_MUL_CODE[a][b]}
-_MUL_CODE = np.zeros((4, 4), dtype=int)
-_MUL_PHASE = np.zeros((4, 4), dtype=complex)
-for _a in range(4):
-    for _b in range(4):
-        _prod = PAULIS[_a] @ PAULIS[_b]
-        for _c in range(4):
-            _tr = np.trace(PAULIS[_c].conj().T @ _prod) / 2
-            if abs(_tr) > 0.5:
-                _MUL_CODE[_a, _b] = _c
-                _MUL_PHASE[_a, _b] = complex(_tr)
-                break
-
-
-def _pauli_string_dense(codes) -> np.ndarray:
-    out = np.ones((1, 1), dtype=complex)
-    for c in codes:
-        out = np.kron(out, PAULIS[c])
-    return out
+# Single-qubit Pauli products: sigma_a sigma_b = _MUL_PHASE[a][b] * sigma_{_MUL_CODE[a][b]}, in closed form: 1 if a
+# factor is I or both are equal, else +i in the cyclic order X -> Y -> Z, -i (0 - 1j, a +0 real part) against it.
+_a, _b = np.ogrid[:4, :4]
+_MUL_CODE = _a ^ _b
+_MUL_PHASE = np.where(_a * _b * (_a - _b) == 0, 1, np.where((_b - _a) % 3 == 1, 1j, 0 - 1j))
 
 
 def _majorana_codes(n: int, a: int) -> tuple[int, ...]:
@@ -113,8 +101,7 @@ def _majorana_codes(n: int, a: int) -> tuple[int, ...]:
 def majorana(n: int, a: int) -> np.ndarray:
     """Dense Majorana operator: Z-string, then X (even a) or Y (odd a)."""
     n = _check_cap(n, 2 * ORACLE_MAX_PAIRED)
-    (a,) = as_indices((a,), 2 * n, "Majorana index")
-    return _pauli_string_dense(_majorana_codes(n, a))
+    return _dense_monomial(n, as_indices((a,), 2 * n, "Majorana index"))
 
 
 def monomial_string(n: int, J) -> tuple[complex, tuple[int, ...]]:
@@ -145,6 +132,14 @@ def monomial_permutation(n: int, J) -> tuple[np.ndarray, np.ndarray]:
     perm = np.arange(1 << n) ^ int((1 << shift[(codes == 1) | (codes == 2)]).sum())
     odd = ((perm[:, None] >> shift[codes >= 2]) & 1).sum(axis=1) & 1
     return perm, phase * (1, 1j, -1, -1j)[int((codes == 2).sum()) % 4] * (1.0 - 2.0 * odd)
+
+
+def _dense_monomial(n: int, J) -> np.ndarray:
+    """gamma_J as a dense 2^n-square matrix, scattered from its signed permutation (``monomial_permutation``)."""
+    perm, d = monomial_permutation(n, J)
+    out = np.zeros((len(perm), len(perm)), dtype=complex)
+    out[np.arange(len(perm)), perm] = d
+    return out
 
 
 def pauli_tensor(A: np.ndarray) -> np.ndarray:
@@ -301,17 +296,16 @@ def is_gaussian(A: np.ndarray, tol: float = 1e-7) -> tuple[bool, float]:
 
 
 def exp_quadratic(n: int, h, d) -> np.ndarray:
-    """Dense displaced Gaussian unitary exp(1/2 gamma^T h gamma + i d^T gamma)."""
+    """Dense unitary exp(H), H = 1/2 gamma^T h gamma + i d^T gamma summed term by term from ``_dense_monomial``."""
     n = _check_cap(n, 2 * ORACLE_MAX_PAIRED)
     h, d = _check_generator(n, h, d)
     H = np.zeros((1 << n, 1 << n), dtype=complex)
-    gammas = [majorana(n, a) for a in range(2 * n)]
     for j in range(2 * n):
         if d[j]:
-            H += 1j * d[j] * gammas[j]
+            H += 1j * d[j] * _dense_monomial(n, (j,))
         for k in range(j + 1, 2 * n):
             if h[j, k]:
-                H += h[j, k] * (gammas[j] @ gammas[k])
+                H += h[j, k] * _dense_monomial(n, (j, k))
     return _scipy_linalg().expm(H)
 
 
@@ -337,10 +331,10 @@ def conv_unitary(n: int) -> np.ndarray:
 
 
 def is_even(A: np.ndarray) -> bool:
-    """True iff A commutes with the total parity operator Z...Z."""
-    n = _operator_lines(A)
-    par = _pauli_string_dense((3,) * n)
-    return bool(np.abs(par @ A @ par - A).max() <= PARITY_TOL * max(1.0, np.abs(A).max()))
+    """True iff A commutes with the parity Z...Z, diagonal (-1)^popcount(y); a NaN or an infinity is never even."""
+    par = 1.0 - 2.0 * (_popcounts(_operator_lines(A)) & 1)
+    dev = np.abs(par[:, None] * A * par - A).max()
+    return bool(np.isfinite(dev) and dev <= PARITY_TOL * max(1.0, np.abs(A).max()))
 
 
 def check_state(A: np.ndarray) -> np.ndarray:

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import oracle
-from .antisym import (KERNEL_TOL, NumericalAdmissibilityError, _as_real, _check_carrier, _check_generator, as_index,
-                      as_indices, bordered, canonical_matrix, pfaffian_restricted)
+from .antisym import (KERNEL_TOL, NumericalAdmissibilityError, _as_qubit_count, _as_real, _check_carrier,
+                      _check_generator, as_indices, bordered, canonical_matrix, pfaffian_restricted)
 
 ADMISSIBILITY_TOL = 1e-9
 SATURATION_TOL = 1e-9
@@ -87,7 +87,7 @@ class DGaussState:
     check: bool = field(default=True, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "n", as_index(self.n, "qubit count"))
+        object.__setattr__(self, "n", _as_qubit_count(self.n))
         M, mu = _as_real(self.M, "covariance"), _as_real(self.mu, "covariance")
         if M.shape != (2 * self.n, 2 * self.n) or mu.shape != (2 * self.n,):
             raise ValueError("covariance dimensions do not match n")

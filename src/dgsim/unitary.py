@@ -39,13 +39,13 @@ import numpy as np
 from . import oracle
 from .antisym import (
     NumericalAdmissibilityError,
+    _as_qubit_count,
     _as_real,
     _check_fields,
     _check_generator,
     _is_int,
     _is_number,
     _scipy_linalg,
-    as_index,
     as_indices,
     bordered,
     check_antisymmetric,
@@ -85,7 +85,7 @@ class DGUnitary:
     R: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "n", as_index(self.n, "qubit count"))
+        object.__setattr__(self, "n", _as_qubit_count(self.n))
         if self.h is None and self.R is None:
             raise ValueError("need a generator or a rotation")
         if self.h is not None:
@@ -108,7 +108,7 @@ class DGUnitary:
 
     @classmethod
     def identity(cls, n: int) -> "DGUnitary":
-        n = as_index(n, "qubit count")
+        n = _as_qubit_count(n)
         return cls(n, h=np.zeros((2 * n, 2 * n)), d=np.zeros(2 * n))
 
     def rotation(self) -> np.ndarray:
@@ -380,9 +380,7 @@ class GateSequence:
 
     def __post_init__(self, n: int, kind, j, k, line, angle):
         """Fill the read-only columns from per-gate values and check them against an n-line register."""
-        self.n = as_index(n, "qubit count")
-        if self.n < 0:
-            raise ValueError("qubit count must not be negative")
+        self.n = _as_qubit_count(n)
         self.kind = np.array(kind, dtype=np.int8)
         self.axes = np.stack((_index_column(j), _index_column(k)), axis=1)
         self.line = _index_column(line)

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg
 
 from dgsim import antisym, oracle, serialization as ser, simulator as sim, state as st_mod, unitary as un_mod
 
@@ -524,9 +525,54 @@ def complex_matrix_doc(A):
 # Dense references: Majorana monomials, fermionic swaps, phase alignment.
 
 def majorana_monomial(n, J):
-    """Dense ordered product gamma_J."""
+    """Dense ordered product gamma_J: its phase times the Kronecker product of its Pauli string."""
     phase, codes = oracle.monomial_string(n, J)
-    return phase * oracle._pauli_string_dense(codes)
+    out = np.ones((1, 1), dtype=complex)
+    for c in codes:
+        out = np.kron(out, oracle.PAULIS[c])
+    return phase * out
+
+
+def pauli_product_tables():
+    """``oracle._MUL_CODE`` and ``oracle._MUL_PHASE`` by definition: sigma_a sigma_b traced against each sigma_c."""
+    code = np.zeros((4, 4), dtype=int)
+    phase = np.zeros((4, 4), dtype=complex)
+    for a in range(4):
+        for b in range(4):
+            prod = oracle.PAULIS[a] @ oracle.PAULIS[b]
+            for c in range(4):
+                tr = np.trace(oracle.PAULIS[c].conj().T @ prod) / 2
+                if abs(tr) > 0.5:
+                    code[a, b], phase[a, b] = c, complex(tr)
+                    break
+    return code, phase
+
+
+def exp_quadratic_reference(n, h, d):
+    """``oracle.exp_quadratic`` with H summed from dense Majorana products, in the same term order."""
+    gammas = [majorana_monomial(n, (a,)) for a in range(2 * n)]
+    H = np.zeros((1 << n, 1 << n), dtype=complex)
+    for j in range(2 * n):
+        if d[j]:
+            H += 1j * d[j] * gammas[j]
+        for k in range(j + 1, 2 * n):
+            if h[j, k]:
+                H += h[j, k] * (gammas[j] @ gammas[k])
+    return scipy.linalg.expm(H)
+
+
+def parity_dense(n):
+    """The total parity Z...Z on n lines as a Kronecker product."""
+    P = np.ones((1, 1), dtype=complex)
+    for _ in range(n):
+        P = np.kron(P, oracle.PAULIS[3])
+    return P
+
+
+def is_even_reference(A):
+    """``oracle.is_even`` with P A P - A taken by dense products."""
+    P = parity_dense(len(A).bit_length() - 1)
+    return bool(np.abs(P @ A @ P - A).max() <= oracle.PARITY_TOL * max(1.0, np.abs(A).max()))
 
 
 def permutation_dense(perm, d):

@@ -9,14 +9,19 @@ from dgsim import oracle
 
 from helpers import (
     dense_product,
+    exp_quadratic_reference,
     fswap,
     ghz4,
     held_arrays,
+    is_even_reference,
     majorana_monomial,
     mask,
+    parity_dense,
+    pauli_product_tables,
     permutation_dense,
     phase_aligned_distance,
     quartic_unitary,
+    rand_antisym,
     rand_bloch,
     rand_state,
     same_bits,
@@ -346,3 +351,62 @@ def test_operator_builders_take_numpy_integers():
     assert np.array_equal(oracle.majorana(2, np.int64(1)), oracle.majorana(2, 1))
     for got, want in zip(oracle.fswap_permutation(3, np.int64(1)), oracle.fswap_permutation(3, 1)):
         assert np.array_equal(got, want)
+
+
+# The exact operators are built by index arithmetic; each is pinned here to its
+# dense construction: Kronecker products of 2x2 Paulis and their matrix products.
+
+def test_pauli_tables_are_their_trace_definition():
+    # Bit for bit, the signs of zero parts included: -i has a +0 real part.
+    assert same_bits((oracle._MUL_CODE, oracle._MUL_PHASE), pauli_product_tables())
+
+
+@pytest.mark.parametrize("n", range(1, 2 * oracle.ORACLE_MAX_PAIRED + 1))
+def test_majorana_is_the_kronecker_product(n):
+    for a in range(2 * n):
+        assert np.array_equal(oracle.majorana(n, a), majorana_monomial(n, (a,))), a
+
+
+@pytest.mark.parametrize("n", range(2 * oracle.ORACLE_MAX_PAIRED))
+def test_embed_V_is_its_closed_form_bit_for_bit(n):
+    want = np.cos(np.pi / 4) * np.eye(2 << n) - 1j * np.sin(np.pi / 4) * majorana_monomial(n + 1, (2 * n + 1,))
+    assert same_bits(oracle.embed_V(n), want)
+
+
+@pytest.mark.parametrize("n, sparse, displaced",
+                         [(n, sparse, displaced) for n in range(1, 5) for sparse in (False, True)
+                          for displaced in (False, True)] + [(6, False, True)])
+def test_exp_quadratic_is_the_sum_of_dense_products(n, sparse, displaced):
+    gen = np.random.default_rng([n, sparse, displaced])
+    for _ in range(5):
+        h = rand_antisym(gen, 2 * n)
+        if sparse:
+            h *= np.triu(gen.random((2 * n, 2 * n)) < 0.4, 1)
+            h -= h.T
+        d = gen.normal(size=2 * n) * (gen.random(2 * n) < 0.5) if displaced else np.zeros(2 * n)
+        assert same_bits(oracle.exp_quadratic(n, h, d), exp_quadratic_reference(n, h, d))
+
+
+@pytest.mark.parametrize("n", range(1, oracle.ORACLE_MAX_QUBITS + 1))
+def test_is_even_matches_dense_products_near_its_tolerance(n):
+    # The odd part is scaled to f times the tolerance, on both sides of 1.
+    gen = np.random.default_rng(300 + n)
+    P = parity_dense(n)
+    for scale in (0.1, 1.0, 1e5):
+        A = scale * (gen.normal(size=(1 << n, 1 << n)) + 1j * gen.normal(size=(1 << n, 1 << n)))
+        even, odd = (A + P @ A @ P) / 2, (A - P @ A @ P) / 2
+        for f in (0.0, 0.5, 0.999999, 1.000001, 2.0):
+            eps = f * oracle.PARITY_TOL * max(1.0, np.abs(even).max()) / (2 * np.abs(odd).max())
+            B = even + eps * odd
+            assert oracle.is_even(B) == is_even_reference(B) == (f < 1), (scale, f)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+def test_is_even_refuses_non_finite_operators(bad):
+    # An even entry (0, 0) and an odd one (0, 1), in an even operator otherwise.
+    for n in (1, 2, 3):
+        for y, x in ((0, 0), (0, 1), (1, 1), (1, 0)):
+            A = np.eye(1 << n, dtype=complex)
+            A[y, x] = bad
+            with np.errstate(invalid="ignore"):
+                assert not oracle.is_even(A), (n, y, x)

@@ -107,6 +107,9 @@ REFUSALS = {
                             "qubit count must be an integer, got 2.0"),
     "DGaussState-bool-n": (lambda: st_mod.DGaussState(True, np.zeros((2, 2)), np.zeros(2)), ValueError,
                            "qubit count must be an integer, got True"),
+    # One size rule (antisym._as_qubit_count): a negative n is refused before any shape is read.
+    "DGaussState-negative-n": (lambda: st_mod.DGaussState(-1, np.zeros((0, 0)), np.zeros(0)), ValueError,
+                               "qubit count must not be negative"),
     "diagonal_parameters-complex": (lambda: st_mod.diagonal_parameters(np.array([0.5j])), ValueError,
                                     f"diagonal parameters {REAL}"),
     "from_diagonal-complex": (lambda: st_mod.from_diagonal([0.5j]), ValueError, f"diagonal parameters {REAL}"),
@@ -136,6 +139,14 @@ REFUSALS = {
                             "qubit count must be an integer, got True"),
     "GateSequence-negative-n": (lambda: un_mod.GateSequence(-1, []), ValueError,
                                 "qubit count must not be negative"),
+    "DGUnitary-identity-negative-n": (lambda: un_mod.DGUnitary.identity(-1), ValueError,
+                                      "qubit count must not be negative"),
+    "DGUnitary-negative-n-h": (lambda: un_mod.DGUnitary.from_generator(-1, np.zeros((0, 0))), ValueError,
+                               "qubit count must not be negative"),
+    "DGUnitary-negative-n-h-d": (lambda: un_mod.DGUnitary.from_generator(-1, np.zeros((0, 0)), np.zeros(0)),
+                                 ValueError, "qubit count must not be negative"),
+    "DGUnitary-negative-n-R": (lambda: un_mod.DGUnitary.from_rotation(-1, np.eye(1)), ValueError,
+                               "qubit count must not be negative"),
     "DGUnitary-R": (lambda: un_mod.DGUnitary(2, R=np.eye(3)), ValueError, "rotation dimension does not match n"),
     "conjugate_state-sizes": (lambda: un_mod.conjugate_state(un_mod.DGUnitary.identity(1),
                                                              st_mod.from_diagonal([0.5, 0.5])),
@@ -178,6 +189,14 @@ DENSE_ENTRY_POINTS = {
 def test_dense_entry_points_share_the_size_rule(call, A):
     with pytest.raises(ValueError, match="^operator dimension is not a power of two$"):
         call(A)
+
+
+def test_zero_lines_are_a_register():
+    # The size rule refuses a negative n only: n = 0 holds empty arrays.
+    assert un_mod.DGUnitary.identity(0).h.shape == (0, 0)
+    assert un_mod.DGUnitary.from_rotation(0, np.eye(1)).n == 0
+    assert st_mod.DGaussState(0, np.zeros((0, 0)), np.zeros(0)).n == 0
+    assert un_mod.GateSequence(0, []).n == 0
 
 
 def test_gate_error_names_its_field():
