@@ -33,6 +33,7 @@ REFUSALS = "tests/test_measured_lines.py::test_inadmissible_carrier_is_refused"
 CLI = "tests/test_cli.py"
 PARSE = "tests/test_parse_reference.py"
 ORACLE = "tests/test_oracle.py"
+BAND = "tests/test_band_storage.py"
 
 MUTANTS = [
     ("descending slice keeps stop None", "src/dgsim/unitary.py",
@@ -65,6 +66,18 @@ MUTANTS = [
     ("band skip guard", "src/dgsim/simulator.py",
      "if lo[b] != L or hi[a] != H:", "if lo[b] != L and hi[a] != H:",
      [FOLD]),
+    ("band stride below the widest product", "src/dgsim/simulator.py",
+     "else 2 * W)", "else 2 * W - 1)",
+     [BAND]),
+    ("W read from a stale band (the input's)", "src/dgsim/simulator.py",
+     "W = max(map(operator.sub, range(w), lo))", "W = 1",
+     [BAND]),
+    ("measured gather without its band mask", "src/dgsim/simulator.py",
+     "        Me[np.abs(ext[:, None] - ext) > W] = 0.0  # outside the band\n", "",
+     [BAND]),
+    ("dense fallback condition inverted", "src/dgsim/simulator.py",
+     "w + 1 if c.lines is None or 2 * W >= w else", "w + 1 if not (c.lines is None or 2 * W >= w) else",
+     [BAND]),
     ("plane Q expression", "src/dgsim/unitary.py",
      "np.stack((c, s, -s, c), axis=1)", "np.stack((c, -s, s, c), axis=1)",
      [FOLD + "::test_fold_order_columns_match_reference"]),

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 from functools import partial
+from json.encoder import encode_basestring_ascii  # what json.dumps writes a str with, by default
 from math import isfinite
 
 import numpy as np
@@ -306,13 +307,13 @@ def _emit(value, out):
         _refuse_non_finite(value)
         out.append(format(float(value), ".17g"))
     elif isinstance(value, str):
-        out.append(json.dumps(value))
+        out.append(encode_basestring_ascii(value))
     elif isinstance(value, dict):
         out.append("{")
         for i, key in enumerate(sorted(value)):
             if i:
                 out.append(",")
-            out.append(json.dumps(str(key)) + ":")
+            out.append(encode_basestring_ascii(str(key)) + ":")
             _emit(value[key], out)
         out.append("}")
     elif isinstance(value, (list, tuple, np.ndarray)):

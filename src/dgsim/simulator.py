@@ -7,10 +7,11 @@ a + 1: ``unitary._gate_blocks`` at shift 1, a shift and a buffer this
 module alone picks), where each gate touches at most four consecutive
 rows and columns, and those only within the band they may reach.  g
 gates cost O(g w) for band width w (at most 2n+1, 2 to start from a
-diagonal input) plus O(n^2) bookkeeping, and one carrier of memory
-beyond the held input (a diagonal input holds its lambdas alone).  With measured lines K, ``run`` returns the output reduced to
-K, the compression that measurement reads.  Both leave via
-``carrier_state``.
+diagonal input) plus O(n^2) bookkeeping.  Memory beyond the held input
+(a diagonal input holds its lambdas alone) is one dense carrier, or,
+for a diagonal input with measured lines, band storage of O(n w).
+With measured lines K, ``run`` returns the output reduced to K, the
+compression that measurement reads.  Both leave via ``carrier_state``.
 
 Measurement uses the determinant formula: the probability of outcome
 bits x on lines K is 2^{-|K|} sqrt(det(I - M_rho M_{K,x})), evaluated
@@ -32,6 +33,7 @@ block row-wise reproduces the sequential output exactly.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -292,64 +294,76 @@ class Circuit:
         """The input as a DGaussState; a diagonal input's is built on each call."""
         return self.state if isinstance(self.state, DGaussState) else from_diagonal(self.state)
 
-    def input_carrier(self) -> np.ndarray:
-        """A fresh (2n+2)-square buffer of the input's M_ext in fold order, last row and column spare (0).
+    def input_carrier(self, stride: int) -> np.ndarray:
+        """The input's M_ext in fold order (axis 2n first), a (2n+1)-square view of row stride ``stride``.
 
-        Fold order puts axis 2n first, then axes 0..2n-1.  From lambdas it
-        holds the bits of ``from_diagonal``'s M_ext (extension row -0).
+        The view's buffer is fresh and zeroed.  At stride 2n+2 it is
+        (2n+2)-square, last row and column spare (0), as a held state needs.
+        A smaller stride is band storage: entry (r, c) sits at r * stride +
+        c, so a row owns only its entries within stride // 2 of the diagonal.
+        From lambdas only the 2x2 blocks are written: ``from_diagonal``'s
+        M_ext, but with +0 for the extension row's -0.
         """
-        m = 2 * self.n
-        X = np.zeros((m + 2, m + 2))
+        w = 2 * self.n + 1
+        B = np.ndarray((w, w), buffer=np.zeros(w * stride + w + 1), strides=(8 * stride, 8))
         if isinstance(self.state, DGaussState):
-            X[1:-1, 1:-1] = self.state.M
-            X[1:-1, 0] = self.state.mu
-            X[0, 1:-1] = -self.state.mu
+            B[1:, 1:] = self.state.M
+            B[1:, 0] = self.state.mu
+            B[0, 1:] = -self.state.mu
         else:
-            q = np.arange(1, m, 2)
-            X[q, q + 1] = -self.state
-            X[q + 1, q] = -X[q, q + 1]
-            X[0, 1:-1] = -0.0
-        return X
+            q = np.arange(1, w - 1, 2)
+            B[q, q + 1] = -self.state
+            B[q + 1, q] = self.state
+        return B
 
 
 def run(c: Circuit) -> DGaussState:
     """Fold the circuit's gates over its input's carrier; the output state, or its reduction to c.lines.
 
-    The carrier is ``c.input_carrier()``, updated in place in fold order: a
-    gate (rows sl, lowest row a, highest row b and Q, from
-    ``unitary._gate_blocks`` at shift 1) multiplies its rows of the leading
-    (2n+1)-square block B by Q, and the same rows of B^T (its columns) by Q
-    again, one view each, only within a band: two nondecreasing lists bound
-    by lo[r]..hi[r]-1 the entries of row r, and of column r, that may be
-    nonzero.  Rows a..b reach columns lo[a]..hi[b]-1 alone; after the gate
-    they reach all of them, and rows lo[a]..hi[b]-1 reach columns a..b.  A
-    lambdas input starts from its 2x2 blocks, a held state at the full band:
-    g gates cost O(g w) for band width w.  A skipped entry is a zero that
-    the whole-row product would set to +0, and a computed one has the bits
-    of Q @ Me[rows, :] or Me[:, rows] @ Q^T (the fold-reference tests pin
-    both).  The one zero sign the band keeps, -0 in a lambdas input's
-    extension row, leaves no trace in the mean column of (E - E^T) / 2.
-    Gates were checked when their sequence was built.
+    The carrier is ``c.input_carrier``'s view, updated in place in fold order:
+    a gate (rows sl, lowest row a, highest row b and Q, from
+    ``unitary._gate_blocks`` at shift 1) multiplies its rows of the
+    (2n+1)-square carrier B by Q, and the same rows of B^T (its columns)
+    by Q again, one view each, only within a band: two nondecreasing lists
+    bound by lo[r]..hi[r]-1 the entries of row r, and of column r, that
+    may be nonzero.  Rows a..b reach columns lo[a]..hi[b]-1 alone; after
+    the gate they reach all of them, and rows lo[a]..hi[b]-1 reach columns
+    a..b.  A lambdas input starts from its 2x2 blocks, a held state at the
+    full band: g gates cost O(g w) for band width w.  A skipped entry is a
+    zero that the whole-row product would set to +0, and a computed one has
+    the bits of Q @ Me[rows, :] or Me[:, rows] @ Q^T (the fold-reference
+    tests pin both).  Gates were checked when their sequence was built.
+
+    A first pass runs that bookkeeping alone: each gate's columns [L, H)
+    and the final band, whose rows reach at most W columns from the
+    diagonal.  The fold then runs in band storage of row stride 2W, O(n W)
+    memory.  After a gate, row a reaches column H - 1 and row b > a column
+    L, so H - L <= 2W: each product keeps a leading dimension of at least
+    its width, so NumPy hands it to BLAS as in the dense buffer, with its
+    bits.
+    State output, and a band whose 2W reaches 2n+1, take the dense buffer
+    (stride 2n+2).
 
     The output leaves through ``carrier_state``.  With no lines, copying
-    the extension row and column into the spare ones makes X[1:, 1:] the
-    natural carrier.  With ``c.lines`` = K, the rows and columns of K's
-    Majorana axes and axis 2n are gathered from the fold-order buffer: the
-    output reduced to K, line K[j] renumbered j, with the full output's bits.
+    the extension row and column into the spare ones makes the buffer's
+    trailing (2n+1)-square block the natural carrier.  With ``c.lines`` =
+    K, the rows and columns of K's Majorana axes and axis 2n are gathered
+    from the fold-order view, with +0 outside the band (where a band view
+    aliases other rows): the output reduced to K, line K[j] renumbered j,
+    with the full output's bits.
     """
-    X = c.input_carrier()
-    B = X[:-1, :-1]
-    BT = B.T
-    w = len(B)
+    w = 2 * c.n + 1
+    slices, lows, highs, Qs = _gate_blocks(c.gates, 1)
     if isinstance(c.state, DGaussState):
         lo, hi = [0] * w, [w] * w
     else:
         lo = [0] + [r - 1 + r % 2 for r in range(1, w)]
         hi = [1] + [r + 2 for r in lo[1:]]
-    for sl, a, b, Q in zip(*_gate_blocks(c.gates, 1)):
+    Ls, Hs = [], []  # each gate's columns L..H-1, as ints: nothing held per gate that the collector tracks
+    for a, b in zip(lows, highs):
         L, H = lo[a], hi[b]
-        for V in B[sl, L:H], BT[sl, L:H]:  # the gate's rows, then its columns
-            V[...] = Q @ V
+        Ls.append(L)
+        Hs.append(H)
         if lo[b] != L or hi[a] != H:  # else rows a..b and L..H-1 already reach each other
             # Rows L..e-1 stopped short of column b, rows s..H-1 started past column a.
             e, s = min(lo[b], a), max(hi[a], b + 1)
@@ -357,13 +371,21 @@ def run(c: Circuit) -> DGaussState:
             lo[s:H] = [a] * (H - s)
             lo[a:b + 1] = [L] * (b + 1 - a)
             hi[a:b + 1] = [H] * (b + 1 - a)
+    W = max(map(operator.sub, range(w), lo))  # the band is symmetric: hi[r] - 1 - r reaches no further
+    B = c.input_carrier(w + 1 if c.lines is None or 2 * W >= w else 2 * W)
+    BT = B.T
+    for sl, L, H, Q in zip(slices, Ls, Hs, Qs):
+        for V in B[sl, L:H], BT[sl, L:H]:  # the gate's rows, then its columns
+            V[...] = Q @ V
     if c.lines is None:
+        X = B.base.reshape(w + 1, w + 1)
         X[-1, :] = X[0, :]
         X[:, -1] = X[:, 0]
         Me = X[1:, 1:]
     else:  # K's Majorana axes and axis 2n, at their fold-order rows
-        ext = [a + 1 for a in _measured_axes(c.lines)] + [0]
-        Me = X[np.ix_(ext, ext)]
+        ext = np.array([a + 1 for a in _measured_axes(c.lines)] + [0])
+        Me = B[np.ix_(ext, ext)]
+        Me[np.abs(ext[:, None] - ext) > W] = 0.0  # outside the band
     return carrier_state(Me)
 
 

@@ -83,15 +83,30 @@ def test_lambda_route_carrier_is_bordered_canonical(n):
     lams = rng.uniform(-1, 1, n)
     lams[::2] = 0.0
     c = sim.Circuit(lams, rand_sequence(rng, n, 2 * n))
-    X = c.input_carrier()
-    assert X.shape == (2 * n + 2,) * 2 and not X[-1].any() and not X[:, -1].any()
-    Me = natural_order(X)
-    assert same_bits(Me, bordered(canonical_matrix(-lams, 2 * n), np.zeros(2 * n)))
-    assert same_bits(Me, st_mod.from_diagonal(lams).M_ext)
-    assert np.signbit(Me[2 * n, :2 * n]).all() and not np.signbit(Me[:, 2 * n]).any()
-    # A held state's buffer holds its M_ext in the same order.
+    w = 2 * n + 1
+    # The fold-order carrier: from_diagonal's M_ext with axis 2n first, its
+    # row of -0 (the mean's negation) taken as +0.
+    order = [w - 1] + list(range(w - 1))
+    want = bordered(canonical_matrix(-lams, 2 * n), np.zeros(2 * n))[np.ix_(order, order)]
+    assert same_bits(want, st_mod.from_diagonal(lams).M_ext[np.ix_(order, order)])
+    assert np.signbit(want[0, 1:]).all() and not np.signbit(want[:, 0]).any()
+    want[0] = 0.0
+    # Band storage at strides 2 and 4, and the dense (2n+2)-square buffer:
+    # the whole buffer holds exactly the band's entries of that carrier, +0
+    # elsewhere.
+    for stride in (2, 4, w + 1):
+        B = c.input_carrier(stride)
+        assert B.shape == (w, w) and B.strides == (8 * stride, 8)
+        band = np.abs(np.subtract.outer(range(w), range(w))) <= stride // 2
+        buf = np.zeros_like(B.base)
+        np.ndarray((w, w), buffer=buf, strides=B.strides)[band] = want[band]
+        assert same_bits(B.base, buf)
+    X = B.base.reshape(w + 1, w + 1)
+    assert not X[-1].any() and not X[:, -1].any() and same_bits(X[:-1, :-1], want)
+    # A held state's buffer holds its M_ext in the same order, -0 row included.
     held = st_mod.from_diagonal(lams)
-    assert same_bits(natural_order(sim.Circuit(held, c.gates).input_carrier()), held.M_ext)
+    X = sim.Circuit(held, c.gates).input_carrier(w + 1).base.reshape(w + 1, w + 1)
+    assert same_bits(natural_order(X), held.M_ext)
     # The held vector and a state built from it fold to the same bits.
     out, ref = sim.run(c), sim.run(sim.Circuit(held, c.gates))
     assert same_bits(out.M, ref.M) and same_bits(out.mu, ref.mu)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,15 @@ def test_run_carrier_with_negative_zero():
 ], ids=["0-d float", "0-d -0", "0-d int", "bool array", "numpy bool", "0-d bool"])
 def test_scalar_like_values(value, text):
     assert ser.dumps(value) == text + "\n"
+
+
+@pytest.mark.parametrize("s", ['say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f\x7f", "café → \U0001f600",
+                               "lone \ud800 surrogate", ""],
+                         ids=["quotes", "backslashes", "control", "non-ASCII", "lone surrogate", "empty"])
+def test_strings_are_written_as_json_dumps_writes_them(s):
+    # Keys and values alike, with json.dumps's default escaping (ASCII only).
+    want = "{" + json.dumps(s) + ":" + json.dumps(s) + "}\n"
+    assert ser.dumps({s: s}) == want and ser.dumps([s]) == "[" + json.dumps(s) + "]\n"
 
 
 def test_0d_non_finite_refused():
