@@ -34,6 +34,7 @@ CLI = "tests/test_cli.py"
 PARSE = "tests/test_parse_reference.py"
 ORACLE = "tests/test_oracle.py"
 BAND = "tests/test_band_storage.py"
+BAND_DEFINITION = BAND + "::test_band_is_its_reachability_definition"
 
 MUTANTS = [
     ("descending slice keeps stop None", "src/dgsim/unitary.py",
@@ -51,9 +52,9 @@ MUTANTS = [
     ("run's fold-order shift", "src/dgsim/simulator.py",
      "_gate_blocks(c.gates, 1)", "_gate_blocks(c.gates, 0)",
      [FOLD + "::test_gate_sequence_run_matches_reference"]),
-    ("band widening", "src/dgsim/simulator.py",
-     "hi[L:e] = [b + 1] * (e - L)", "hi[L:e] = [b] * (e - L)",
-     [FOLD]),
+    ("band widening: later rows searched past column a + 1", "src/dgsim/simulator.py",
+     "s = bisect_right(lo, a, b + 1, H)", "s = bisect_right(lo, a + 1, b + 1, H)",
+     [FOLD, BAND_DEFINITION]),
     ("band widening of later rows", "src/dgsim/simulator.py",
      "lo[s:H] = [a] * (H - s)", "lo[s:H] = [a + 1] * (H - s)",
      [FOLD]),
@@ -61,11 +62,11 @@ MUTANTS = [
      "lo[a:b + 1] = [L] * (b + 1 - a)", "lo[a:b + 1] = [L + 1] * (b + 1 - a)",
      [FOLD]),
     ("band high of the gate's rows", "src/dgsim/simulator.py",
-     "hi[a:b + 1] = [H] * (b + 1 - a)", "hi[a:b + 1] = [H - 1] * (b + 1 - a)",
-     [FOLD]),
-    ("band skip guard", "src/dgsim/simulator.py",
-     "if lo[b] != L or hi[a] != H:", "if lo[b] != L and hi[a] != H:",
-     [FOLD]),
+     "H = lo[a], bisect_right(lo, b)", "H = lo[a], bisect_left(lo, b)",
+     [FOLD, BAND_DEFINITION]),
+    ("band low read at the gate's highest row", "src/dgsim/simulator.py",
+     "L, H = lo[a], bisect_right", "L, H = lo[b], bisect_right",
+     [FOLD, BAND_DEFINITION]),
     ("band stride below the widest product", "src/dgsim/simulator.py",
      "else 2 * W)", "else 2 * W - 1)",
      [BAND]),

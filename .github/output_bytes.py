@@ -22,17 +22,22 @@ crash at either tree shows as a difference.  The documents come from this
 checkout's perfbench, so two records of the same seed see the same
 documents.  They are written under WORK in the current directory, the
 same path for both records, since an error message may name a document's
-path; the directory is removed afterwards.
+path; the directory is removed afterwards.  The record also stores the
+core name of each OpenBLAS library the process mapped (``kernels``), since
+``dgsim/1`` bytes are defined for a given BLAS kernel
+(``OPENBLAS_CORETYPE`` picks another).
 
 ``compare`` exits 1 if the records differ anywhere, or if either record
 holds a document whose second pass differed from its first, and names
-the first differing document.  With GITHUB_STEP_SUMMARY set it appends
-the verdict there too.
+the first differing document.  When base and HEAD ran on different
+kernels it says so; that note never changes the exit code.  With
+GITHUB_STEP_SUMMARY set it appends the verdict there too.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import shutil
@@ -175,6 +180,21 @@ def edge_requests(workloads):
     return reqs
 
 
+def blas_kernels(antisym) -> dict:
+    """Core name of each OpenBLAS library ``antisym._blas_pools()`` finds, by file name, from its ``*get_corename*`` symbol."""
+    kernels = {}
+    for path in antisym._blas_pools():
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                     "openblas_get_corename64_", "openblas_get_corename"):
+            get = getattr(lib, name, None)
+            if get is not None:
+                get.argtypes, get.restype = [], ctypes.c_char_p
+                kernels[os.path.basename(path)] = get().decode()
+                break
+    return kernels
+
+
 def record(src: str, out_path: str, seed: int) -> int:
     src = os.path.abspath(src)
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -182,7 +202,7 @@ def record(src: str, out_path: str, seed: int) -> int:
     import workloads
     from run import write_docs
     from worker import _hash, run_pass
-    from dgsim import cli
+    from dgsim import antisym, cli
 
     # worker.py makes the same check inside its main, which also times and traces.
     if not os.path.abspath(cli.__file__).startswith(src + os.sep):
@@ -206,10 +226,16 @@ def record(src: str, out_path: str, seed: int) -> int:
                          **dict(zip(FIELDS, first)),
                          "warm": [f for f, a, b in zip(FIELDS, first, second) if a != b]})
     shutil.rmtree(WORK, ignore_errors=True)
+    kernels = blas_kernels(antisym)  # after the runs, which map SciPy's library too
     with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump({"seed": seed, "docs": docs}, fh, indent=1)
-    print(f"{len(docs)} documents recorded from {src}")
+        json.dump({"seed": seed, "kernels": kernels, "docs": docs}, fh, indent=1)
+    print(f"{len(docs)} documents recorded from {src} on OpenBLAS kernel {kernel_names(kernels)}")
     return 0
+
+
+def kernel_names(kernels) -> str:
+    """The distinct core names of a record's libraries, or "unknown" for a record without them."""
+    return ", ".join(sorted(set(kernels.values()))) or "unknown"
 
 
 def compare(base_path: str, head_path: str) -> int:
@@ -218,6 +244,10 @@ def compare(base_path: str, head_path: str) -> int:
     with open(head_path, encoding="utf-8") as fh:
         head = json.load(fh)
     lines = [f"### Output bytes, seed {head['seed']}: base against HEAD\n"]
+    kernels = [kernel_names(r.get("kernels", {})) for r in (base, head)]
+    if kernels[0] != kernels[1]:
+        lines.append(f"Note: base ran on OpenBLAS kernel {kernels[0]} and HEAD on {kernels[1]}; "
+                     "dgsim/1 bytes are defined for a given kernel, so a difference may be the kernels'.\n")
     diffs = []
     if base["seed"] != head["seed"] or len(base["docs"]) != len(head["docs"]):
         diffs.append("the records hold different document sets")
@@ -235,7 +265,7 @@ def compare(base_path: str, head_path: str) -> int:
         lines += [f"- {d}" for d in diffs[:20]]
     else:
         lines.append(f"All {len(head['docs'])} documents give the same exit code, stderr "
-                     "and output bytes, in both passes.")
+                     f"and output bytes, in both passes (OpenBLAS kernel {kernels[1]}).")
     text = "\n".join(lines) + "\n"
     print(text)
     summary = os.environ.get("GITHUB_STEP_SUMMARY")

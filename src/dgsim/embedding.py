@@ -81,6 +81,8 @@ def embed_covariance(s: DGaussState) -> EmbeddingResult:
     kernel vector k of M_ext, so the embedding costs O(n^3).  Its
     length is the product of the canonical lambdas, so for pure inputs
     (r, c) is the unit kernel row of the canonicalizing rotation.
+    This is the covariance of E(s) for a pure s; for a mixed s, E(s) is not
+    Gaussian (``displaced_state_test``) and this holds its second moments alone.
     """
     n = s.n
     m = 2 * n
@@ -92,7 +94,7 @@ def embed_covariance(s: DGaussState) -> EmbeddingResult:
 
 
 def embed_state(s: DGaussState) -> DGaussState:
-    """Even displaced-Gaussian state of the embedding E(s) on n+1 qubits."""
+    """Even Gaussian state on n+1 qubits: E(s) for a pure s, else the one with E(s)'s second moments."""
     return embed_covariance(s).state()
 
 

@@ -5,13 +5,14 @@ the lines to be measured.  Evolution updates one real extended carrier
 M_ext in place, in fold order (axis 2n at row 0, axis a < 2n at row
 a + 1: ``unitary._gate_blocks`` at shift 1, a shift and a buffer this
 module alone picks), where each gate touches at most four consecutive
-rows and columns, and those only within the band they may reach.  g
-gates cost O(g w) for band width w (at most 2n+1, 2 to start from a
-diagonal input) plus O(n^2) bookkeeping.  Memory beyond the held input
-(a diagonal input holds its lambdas alone) is one dense carrier, or,
-for a diagonal input with measured lines, band storage of O(n w).
-With measured lines K, ``run`` returns the output reduced to K, the
-compression that measurement reads.  Both leave via ``carrier_state``.
+rows and columns, and those only within the band they may reach, held
+as each row's first column.  g gates cost O(g w) for band width w (at
+most 2n+1, 2 to start from a diagonal input) plus O(n^2) bookkeeping.
+Memory beyond the held input (a diagonal input holds its lambdas alone)
+is one dense carrier, or, for a diagonal input with measured lines,
+band storage of O(n w).  With measured lines K, ``run`` returns the
+output reduced to K, the compression that measurement reads.  Both
+leave via ``carrier_state``.
 
 Measurement uses the determinant formula: the probability of outcome
 bits x on lines K is 2^{-|K|} sqrt(det(I - M_rho M_{K,x})), evaluated
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -324,15 +326,16 @@ def run(c: Circuit) -> DGaussState:
     a gate (rows sl, lowest row a, highest row b and Q, from
     ``unitary._gate_blocks`` at shift 1) multiplies its rows of the
     (2n+1)-square carrier B by Q, and the same rows of B^T (its columns)
-    by Q again, one view each, only within a band: two nondecreasing lists
-    bound by lo[r]..hi[r]-1 the entries of row r, and of column r, that
-    may be nonzero.  Rows a..b reach columns lo[a]..hi[b]-1 alone; after
-    the gate they reach all of them, and rows lo[a]..hi[b]-1 reach columns
-    a..b.  A lambdas input starts from its 2x2 blocks, a held state at the
-    full band: g gates cost O(g w) for band width w.  A skipped entry is a
-    zero that the whole-row product would set to +0, and a computed one has
-    the bits of Q @ Me[rows, :] or Me[:, rows] @ Q^T (the fold-reference
-    tests pin both).  Gates were checked when their sequence was built.
+    by Q again, one view each, only within a band, symmetric as B is: row
+    r, and column r, may be nonzero from column lo[r] to hi(r) - 1, for lo
+    nondecreasing and hi(r) = bisect_right(lo, r).  Rows a..b reach
+    columns L = lo[a] to H - 1 = hi(b) - 1 alone; after the gate they start
+    at L, and rows b+1..H-1 at a at most.  A lambdas input starts from its
+    2x2 blocks, a held state at the full band: g gates cost O(g w) for band
+    width w.  A skipped entry is a zero that the whole-row product would
+    set to +0, and a computed one has the bits of Q @ Me[rows, :] or
+    Me[:, rows] @ Q^T (the fold-reference tests pin both).  Gates were
+    checked when their sequence was built.
 
     A first pass runs that bookkeeping alone: each gate's columns [L, H)
     and the final band, whose rows reach at most W columns from the
@@ -340,9 +343,8 @@ def run(c: Circuit) -> DGaussState:
     memory.  After a gate, row a reaches column H - 1 and row b > a column
     L, so H - L <= 2W: each product keeps a leading dimension of at least
     its width, so NumPy hands it to BLAS as in the dense buffer, with its
-    bits.
-    State output, and a band whose 2W reaches 2n+1, take the dense buffer
-    (stride 2n+2).
+    bits.  State output, and a band whose 2W reaches 2n+1, take the dense
+    buffer (stride 2n+2).
 
     The output leaves through ``carrier_state``.  With no lines, copying
     the extension row and column into the spare ones makes the buffer's
@@ -354,24 +356,16 @@ def run(c: Circuit) -> DGaussState:
     """
     w = 2 * c.n + 1
     slices, lows, highs, Qs = _gate_blocks(c.gates, 1)
-    if isinstance(c.state, DGaussState):
-        lo, hi = [0] * w, [w] * w
-    else:
-        lo = [0] + [r - 1 + r % 2 for r in range(1, w)]
-        hi = [1] + [r + 2 for r in lo[1:]]
+    lo = [0] * w if isinstance(c.state, DGaussState) else [0] + [r - 1 + r % 2 for r in range(1, w)]
     Ls, Hs = [], []  # each gate's columns L..H-1, as ints: nothing held per gate that the collector tracks
     for a, b in zip(lows, highs):
-        L, H = lo[a], hi[b]
+        L, H = lo[a], bisect_right(lo, b)
         Ls.append(L)
         Hs.append(H)
-        if lo[b] != L or hi[a] != H:  # else rows a..b and L..H-1 already reach each other
-            # Rows L..e-1 stopped short of column b, rows s..H-1 started past column a.
-            e, s = min(lo[b], a), max(hi[a], b + 1)
-            hi[L:e] = [b + 1] * (e - L)
-            lo[s:H] = [a] * (H - s)
-            lo[a:b + 1] = [L] * (b + 1 - a)
-            hi[a:b + 1] = [H] * (b + 1 - a)
-    W = max(map(operator.sub, range(w), lo))  # the band is symmetric: hi[r] - 1 - r reaches no further
+        lo[a:b + 1] = [L] * (b + 1 - a)
+        s = bisect_right(lo, a, b + 1, H)  # rows s..H-1 started past column a
+        lo[s:H] = [a] * (H - s)
+    W = max(map(operator.sub, range(w), lo))  # the band is symmetric: no row reaches further right
     B = c.input_carrier(w + 1 if c.lines is None or 2 * W >= w else 2 * W)
     BT = B.T
     for sl, L, H, Q in zip(slices, Ls, Hs, Qs):

@@ -166,6 +166,38 @@ def gather_fold(c):
     return Me
 
 
+def band_reference(c):
+    """Each gate's fold-order columns (L, H) and the final band's half-width W, from the band's definition.
+
+    A boolean matrix in fold order (axis 2n at row 0, axis a < 2n at
+    a + 1) marks the entries each row may reach: every entry of a held
+    state; a lambdas input's diagonal and 2x2 blocks.  A gate reaches
+    the union of its rows' columns, every row from its lowest to its
+    highest counted; after it, all of those rows reach that union, and
+    the reach is made symmetric again.  (L, H) are the least and one past
+    the greatest column of the union, and W the largest |row - column|
+    reached at the end.
+    """
+    w = 2 * c.n + 1
+    if isinstance(c.state, st_mod.DGaussState):
+        reach = np.ones((w, w), dtype=bool)
+    else:
+        reach = np.eye(w, dtype=bool)
+        q = np.arange(1, w - 1, 2)
+        reach[q, q + 1] = reach[q + 1, q] = True
+    spans = []
+    for g in gate_rows(c.gates):
+        axes = range(2 * g.line, 2 * g.line + 4) if g.kind == un_mod.FSWAP else g.axes
+        rows = [(x + 1) % w for x in axes]
+        a, b = min(rows), max(rows)
+        cols = np.flatnonzero(reach[a:b + 1].any(axis=0))
+        spans.append((int(cols[0]), int(cols[-1]) + 1))
+        reach[a:b + 1, cols] = True
+        reach |= reach.T
+    r, col = np.nonzero(reach)
+    return spans, int(np.abs(r - col).max())
+
+
 def natural_order(X):
     """The (2n+1)-square carrier in a (2n+2)-square fold-order buffer X, axes 0..2n in order.
 

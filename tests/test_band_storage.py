@@ -14,9 +14,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dgsim import simulator as sim, unitary as un_mod
+from dgsim import simulator as sim, state as st_mod, unitary as un_mod
 
-from helpers import gather_fold, gather_run, is_exit_of, rand_gate, same_bits
+from helpers import band_reference, gather_fold, gather_run, is_exit_of, rand_gate, rand_state, same_bits
 
 SIZES = [1, 2, 3, 4, 7, 16, 50, 120, 200]
 
@@ -126,6 +126,57 @@ def test_band_products_are_blas_products(n, monkeypatch):
     for (k, width), (s0, s1) in views:
         assert not (s1 == 8 and 0 < s0 < 8 * width), ("rows", k, width, s0)
         assert not (s0 == 8 and 0 < s1 < 8 * k), ("columns", k, width, s1)
+
+
+def line1_on_the_extension(rng, n, count):
+    """``count`` line1 gates on axis 2n, (0, 2n) or (1, 2n): each joins row 0 to the first line's rows."""
+    return [un_mod.Gate(un_mod.LINE1, axes=(int(rng.integers(0, 2)), 2 * n), angle=float(rng.uniform(-3, 3)))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 30, 80])
+def test_band_is_its_reachability_definition(n, monkeypatch):
+    # Each product's column slice must be the gate's (L, H) of
+    # helpers.band_reference, for the gate's rows and for its columns, and
+    # the buffer's row stride the one that reference's W picks: 2W for a
+    # measured lambdas input whose 2W is below 2n + 1, else the dense 2n + 2.
+    spans, strides, banded = [], [], []
+
+    class Recorded(np.ndarray):
+        def __getitem__(self, key):
+            if isinstance(key, tuple) and all(isinstance(k, slice) for k in key):
+                spans.append((key[1].start, key[1].stop))
+            return np.asarray(self)[key]
+
+    real = sim.Circuit.input_carrier
+
+    def spy(self, stride):
+        B = real(self, stride)
+        strides.append(stride)
+        return Recorded(B.shape, buffer=B.base, strides=B.strides)  # its base the buffer, as state output reads it
+
+    monkeypatch.setattr(sim.Circuit, "input_carrier", spy)
+    rng = np.random.default_rng(3600 + n)
+    lams = rng.uniform(-1, 1, n)
+    short = band_sequence(rng, n, n // 2 + 1)
+    line1 = band_sequence(rng, n, n) + line1_on_the_extension(rng, n, n // 2 + 2)
+    gate_lists = [short, [line1[i] for i in rng.permutation(len(line1))],
+                  short + fswap_chain(n) + short, fswap_chain(n)[::-1] + line1_on_the_extension(rng, n, 3),
+                  band_sequence(rng, n, 3 * n)]
+    for state in lams, st_mod.from_diagonal(lams), rand_state(rng, n):
+        for gates in gate_lists:
+            seq = un_mod.GateSequence(n, gates)
+            for lines in None, tuple(sorted({0, n - 1})):
+                c = sim.Circuit(state, seq, lines)
+                want, W = band_reference(c)
+                sim.run(c)
+                assert spans[0::2] == spans[1::2] == want, (len(gates), lines)
+                band = lines is not None and not isinstance(state, st_mod.DGaussState) and 2 * W < 2 * n + 1
+                assert strides == [2 * W if band else 2 * n + 2]
+                banded.append(band)
+                spans.clear()
+                strides.clear()
+    assert any(banded) == (n >= 8)  # measured lambdas runs took band storage from n = 8 on
 
 
 def mixed_sequence(rng, n, count):

@@ -88,6 +88,25 @@ def test_embed_mixed_input_is_not_gaussian_densely():
     assert not verdict and dev > 1e-3
 
 
+def trace_distance(A, B):
+    return 0.5 * np.abs(np.linalg.eigvalsh(A - B)).sum()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_embed_state_is_the_channel_for_pure_inputs_only(n):
+    # A pure input's embedding is E(rho) itself.  A mixed input's is the
+    # even Gaussian state with E(rho)'s second moments, which E(rho), not
+    # being Gaussian, is not: far in trace distance, equal in covariance.
+    g = np.random.default_rng(1300 + n)
+    pure = rand_pure_state(g, n)
+    mixed = un_mod.conjugate_state(rand_unitary(g, n), st_mod.from_diagonal(g.uniform(-0.7, 0.7, n)))
+    for s, far in ((pure, False), (mixed, True)):
+        got, want = st_mod.dense(emb.embed_state(s)), emb.embed_dense(st_mod.dense(s))
+        assert (trace_distance(got, want) > 0.1) if far else (trace_distance(got, want) < 1e-12)
+        assert np.max(np.abs(oracle.covariance_from_dense(got) - oracle.covariance_from_dense(want))) < 1e-12
+    assert st_mod.purity(mixed) < 0.7
+
+
 def test_embed_even_specialization():
     s = rand_state(rng, 2, scale=0.0)
     out = emb.embed_state(s)
