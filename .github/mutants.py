@@ -104,8 +104,11 @@ MUTANTS = [
      "            if j > i:\n", "            if j > i + b:\n",
      [FOLD]),
     ("Bloch-rule fallback", "src/dgsim/simulator.py",
-     "check = not len(blochs) * (norms.max(initial=1.0) - 1.0) <= ADMISSIBILITY_TOL", "check = False",
+     "short = len(blochs) * (norms.max(initial=1.0) - 1.0) <= ADMISSIBILITY_TOL", "short = True",
      ["tests/test_simulator.py"]),
+    ("prepare_product's branch condition inverted", "src/dgsim/simulator.py",
+     "(_unchecked if short else DGaussState)", "(_unchecked if not short else DGaussState)",
+     ["tests/test_simulator.py::test_long_bloch_vectors_keep_the_carrier_check"]),
     ("panel writer sign token", "src/dgsim/serialization.py",
      '_TOKENS = np.array([b"0,", b"-0,",', '_TOKENS = np.array([b"0,", b"0,",',
      ["tests/test_serialization.py"]),
@@ -176,6 +179,16 @@ MUTANTS = [
      'object.__setattr__(self, "n", _as_qubit_count(self.n))',
      'object.__setattr__(self, "n", _as_qubit_count(abs(self.n)))',
      ["tests/test_refusals.py"]),
+    ("DGUnitary without the one-form refusal", "src/dgsim/unitary.py",
+     '            if self.h is not None or self.d is not None:\n'
+     '                raise ValueError("give a generator or a rotation, not both")\n', "",
+     ["tests/test_refusals.py"]),
+    ("carrier_state without its shape rule", "src/dgsim/state.py",
+     "    if E.shape != (len(E),) * 2 or len(E) % 2 == 0:\n", "    if False:\n",
+     ["tests/test_refusals.py"]),
+    ("Wick phase at k = 7 with a -0 real part", "src/dgsim/antisym.py",
+     "-0.0 - 1j, 0 - 1j]))", "-0.0 - 1j, -1j]))",
+     ["tests/test_antisym.py::test_wick_phase_is_its_expression_bit_for_bit"]),
     ("Pauli phase table in the reversed cyclic order", "src/dgsim/oracle.py",
      "(_b - _a) % 3 == 1", "(_a - _b) % 3 == 1",
      [ORACLE + "::test_pauli_tables_are_their_trace_definition"]),

@@ -319,6 +319,10 @@ def pfaffian_all_restrictions(M) -> np.ndarray:
     return pf
 
 
+# Phase of a Wick moment of k Majoranas by k mod 8, i^{k/2} or -i * i^{(k+1)/2}, signed zeros included.
+WICK_PHASE = _read_only(np.array([1 + 0j, complex(1, -0.0), 1j, 1j, -1 + 0j, -1 + 0j, -0.0 - 1j, 0 - 1j]))
+
+
 def _real_planes(vecs):
     """Real orthonormal row pairs from positive-eigenvalue eigenvectors."""
     rows = []

@@ -108,7 +108,7 @@ def embed_unitary(U: DGUnitary) -> DGUnitary:
               [ 0,   0,  0],
               [ d^T, 0,  0]]
 
-    and E(U rho U+) = U~ E(rho) U~+.  A unitary held as a rotation only
+    and E(U rho U+) = U~ E(rho) U~+.  A unitary given as a rotation
     is read through its generator (principal logarithm).
     """
     m = 2 * U.n

@@ -41,8 +41,8 @@ import functools
 
 import numpy as np
 
-from .antisym import (NonFiniteError, _check_carrier, _check_generator, _popcounts, _read_only, _scipy_linalg, as_bits,
-                      as_index, as_indices, bordered, pfaffian_all_restrictions)
+from .antisym import (WICK_PHASE, NonFiniteError, _check_carrier, _check_generator, _popcounts, _read_only,
+                      _scipy_linalg, as_bits, as_index, as_indices, bordered, pfaffian_all_restrictions)
 
 ORACLE_MAX_QUBITS = 6
 ORACLE_MAX_PAIRED = 4
@@ -238,19 +238,14 @@ def wick_moment_array(M_ext: np.ndarray) -> np.ndarray:
     ``M_ext`` is (2n+1)x(2n+1) real antisymmetric holding the covariance
     block M and mean column mu (extended covariance = i * M_ext).
     Returns the length-4^n moment array in the layout of ``moments``: an even
-    |J| reads i^{|J|/2} Pf(M_J), an odd |J| reads
-    -i * i^{(|J|+1)/2} Pf(M_{J + mean axis}).
+    |J| reads i^{|J|/2} Pf(M_J), an odd |J| reads -i * i^{(|J|+1)/2}
+    Pf(M_{J + mean axis}), the phase read from ``WICK_PHASE``.
     """
     M_ext = _check_carrier(M_ext)
     nmaj = M_ext.shape[0] - 1
     pf = pfaffian_all_restrictions(M_ext)
     size = _popcounts(nmaj)
-    coef = np.array([
-        (1j) ** (k // 2) if k % 2 == 0 else -1j * (1j) ** ((k + 1) // 2)
-        for k in range(nmaj + 1)
-    ])
-    masks = np.arange(1 << nmaj)
-    return coef[size] * pf[np.where(size % 2, masks | (1 << nmaj), masks)]
+    return WICK_PHASE[size & 7] * pf[np.arange(1 << nmaj) | (size & 1).astype(np.int64) << nmaj]
 
 
 def gaussian_dense(M_ext: np.ndarray) -> np.ndarray:

@@ -42,7 +42,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .antisym import NumericalAdmissibilityError, _as_real, as_bits, as_index, as_indices, canonical_matrix
-from .state import ADMISSIBILITY_TOL, AdmissibilityError, DGaussState, carrier_state, diagonal_parameters, from_diagonal
+from .state import (ADMISSIBILITY_TOL, AdmissibilityError, DGaussState, _unchecked, carrier_state, diagonal_parameters,
+                    from_diagonal)
 from .unitary import GateSequence, _gate_blocks
 
 
@@ -258,8 +259,8 @@ def prepare_product(blochs) -> DGaussState:
             "a qubit after the first mixed one is transversely displaced; "
             "this product state is not a displaced Gaussian state"
         )
-    check = not len(blochs) * (norms.max(initial=1.0) - 1.0) <= ADMISSIBILITY_TOL  # NaN included
-    return DGaussState(len(blochs), *product_covariance(blochs), check=check)
+    short = len(blochs) * (norms.max(initial=1.0) - 1.0) <= ADMISSIBILITY_TOL  # NaN excluded
+    return (_unchecked if short else DGaussState)(len(blochs), *product_covariance(blochs))
 
 
 # ---------------------------------------------------------------------------

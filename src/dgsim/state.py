@@ -16,12 +16,12 @@ pure states have every nonzero canonical value equal to 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import oracle
-from .antisym import (KERNEL_TOL, NumericalAdmissibilityError, _as_qubit_count, _as_real, _check_carrier,
+from .antisym import (KERNEL_TOL, WICK_PHASE, NumericalAdmissibilityError, _as_qubit_count, _as_real, _check_carrier,
                       _check_generator, as_indices, bordered, canonical_matrix, pfaffian_restricted)
 
 ADMISSIBILITY_TOL = 1e-9
@@ -75,32 +75,26 @@ def validate(M_ext):
 class DGaussState:
     """Displaced Gaussian state (n, M, mu); immutable after construction.
 
-    ``check`` (the default) builds [[M, mu], [-mu^T, 0]], checks it once for
-    finiteness, antisymmetry and admissibility, and keeps views of it.
-    ``check=False`` checks the shapes only and keeps the arrays given, for
-    exactly antisymmetric data such as ``carrier_state``'s.
+    The constructor builds [[M, mu], [-mu^T, 0]], checks it once for finiteness,
+    antisymmetry and admissibility, and keeps views of it, never the caller's
+    arrays.  States dgsim computed or checked itself come through ``_unchecked``.
     """
 
     n: int
     M: np.ndarray
     mu: np.ndarray
-    check: bool = field(default=True, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "n", _as_qubit_count(self.n))
         M, mu = _as_real(self.M, "covariance"), _as_real(self.mu, "covariance")
         if M.shape != (2 * self.n, 2 * self.n) or mu.shape != (2 * self.n,):
             raise ValueError("covariance dimensions do not match n")
-        if self.check:
-            M_ext = bordered(M, mu)
-            valid, lambdas = validate(M_ext)
-            if not valid:
-                raise AdmissibilityError(
-                    f"canonical values exceed 1: {[l for l in lambdas if l > 1 + ADMISSIBILITY_TOL]}"
-                )
-            M, mu = M_ext[:-1, :-1], M_ext[:-1, -1]
-        object.__setattr__(self, "M", M)
-        object.__setattr__(self, "mu", mu)
+        M_ext = bordered(M, mu)
+        valid, lambdas = validate(M_ext)
+        if not valid:
+            raise AdmissibilityError(f"canonical values exceed 1: {[l for l in lambdas if l > 1 + ADMISSIBILITY_TOL]}")
+        object.__setattr__(self, "M", M_ext[:-1, :-1])
+        object.__setattr__(self, "mu", M_ext[:-1, -1])
 
     @property
     def M_ext(self) -> np.ndarray:
@@ -117,6 +111,13 @@ class DGaussState:
         return lambdas + [0.0] * (self.n - len(lambdas))
 
 
+def _unchecked(n: int, M: np.ndarray, mu: np.ndarray) -> DGaussState:
+    """The state on exactly the float arrays given, unchecked: for data dgsim computed or checked itself."""
+    s = object.__new__(DGaussState)
+    s.__dict__.update(n=n, M=M, mu=mu)
+    return s
+
+
 def carrier_state(E: np.ndarray) -> DGaussState:
     """The unchecked state on views of a computed (2k+1)-square carrier E, symmetrized in place.
 
@@ -125,6 +126,8 @@ def carrier_state(E: np.ndarray) -> DGaussState:
     other's is written in place, so both read old values.  These are the
     bits of the whole-matrix expression, with no second carrier.
     """
+    if E.shape != (len(E),) * 2 or len(E) % 2 == 0:
+        raise ValueError("carrier must be square of odd dimension")
     b = SYMMETRIZE_BLOCK
     scratch = np.empty((min(b, len(E)),) * 2)
     for i in range(0, len(E), b):
@@ -134,7 +137,7 @@ def carrier_state(E: np.ndarray) -> DGaussState:
             if j > i:
                 np.divide(np.subtract(Y, X.T, out=Y), 2, out=Y)
             np.divide(upper, 2, out=X)
-    return DGaussState(len(E) // 2, E[:-1, :-1], E[:-1, -1], check=False)
+    return _unchecked(len(E) // 2, E[:-1, :-1], E[:-1, -1])
 
 
 def diagonal_parameters(lambdas) -> np.ndarray:
@@ -159,7 +162,7 @@ def from_diagonal(lambdas) -> DGaussState:
     """
     lams = diagonal_parameters(lambdas)
     n = len(lams)
-    return DGaussState(n, canonical_matrix(-lams, 2 * n), np.zeros(2 * n), check=False)
+    return _unchecked(n, canonical_matrix(-lams, 2 * n), np.zeros(2 * n))
 
 
 def wick_moment(state: DGaussState, J) -> complex:
@@ -167,13 +170,11 @@ def wick_moment(state: DGaussState, J) -> complex:
 
     Even |J| = 2p: i^p * Pf(M_ext restricted to J); odd |J|: append the
     extension index 2n and multiply by -i (the alpha prefactor for odd
-    moments), giving -i * i^{(|J|+1)/2} * Pf(M_ext restricted).
+    moments), giving -i * i^{(|J|+1)/2} * Pf(M_ext restricted), as ``WICK_PHASE``.
     """
     J = as_indices(J, 2 * state.n, "moment index")
-    if len(J) % 2 == 0:
-        return (1j) ** (len(J) // 2) * pfaffian_restricted(state.M_ext, J)
-    Jt = J + (2 * state.n,)
-    return -1j * (1j) ** (len(Jt) // 2) * pfaffian_restricted(state.M_ext, Jt)
+    Jt = J + (2 * state.n,) * (len(J) % 2)
+    return complex(WICK_PHASE[len(J) & 7]) * pfaffian_restricted(state.M_ext, Jt)
 
 
 def purity(state: DGaussState) -> float:

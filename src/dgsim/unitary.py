@@ -77,7 +77,7 @@ def lie_embed(h, d) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DGUnitary:
-    """Displaced Gaussian unitary held as generator (h, d), rotation R, or both."""
+    """Displaced Gaussian unitary given as a generator (h, d = 0 by default) or a rotation R, never both."""
 
     n: int
     h: np.ndarray | None = None
@@ -86,17 +86,19 @@ class DGUnitary:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _as_qubit_count(self.n))
-        if self.h is None and self.R is None:
-            raise ValueError("need a generator or a rotation")
-        if self.h is not None:
-            h, d = _check_generator(self.n, self.h, np.zeros(2 * self.n) if self.d is None else self.d)
-            object.__setattr__(self, "h", h)
-            object.__setattr__(self, "d", d)
         if self.R is not None:
+            if self.h is not None or self.d is not None:
+                raise ValueError("give a generator or a rotation, not both")
             R = check_rotation(self.R)
             if R.shape != (2 * self.n + 1, 2 * self.n + 1):
                 raise ValueError("rotation dimension does not match n")
             object.__setattr__(self, "R", R)
+        elif self.h is None:
+            raise ValueError("need a generator or a rotation")
+        else:
+            h, d = _check_generator(self.n, self.h, np.zeros(2 * self.n) if self.d is None else self.d)
+            object.__setattr__(self, "h", h)
+            object.__setattr__(self, "d", d)
 
     @classmethod
     def from_generator(cls, n: int, h, d=None) -> "DGUnitary":
@@ -112,7 +114,7 @@ class DGUnitary:
         return cls(n, h=np.zeros((2 * n, 2 * n)), d=np.zeros(2 * n))
 
     def rotation(self) -> np.ndarray:
-        """The rotation; a computed one failing check_rotation raises NumericalAdmissibilityError."""
+        """The rotation, computed once and held; one failing check_rotation raises NumericalAdmissibilityError."""
         if self.R is None:
             R = expm_antisym(lie_embed(self.h, self.d))
             try:

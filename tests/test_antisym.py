@@ -189,6 +189,14 @@ def test_held_table_refuses_writes(name):
             x[...] = 0
 
 
+def test_wick_phase_is_its_expression_bit_for_bit():
+    # The phase of a Wick moment of k Majoranas as it was computed per k; bytes compare the signed zeros.
+    old = [(1j) ** (k // 2) if k % 2 == 0 else -1j * (1j) ** ((k + 1) // 2) for k in range(64)]
+    assert antisym.WICK_PHASE[np.arange(64) & 7].tobytes() == np.array(old).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        antisym.WICK_PHASE[7] = -1j
+
+
 @pytest.mark.parametrize("name, sizes", [("_popcounts", range(24)), ("_restriction_plan", range(11))])
 def test_held_tables_stay_within_their_bound(name, sizes):
     build = getattr(antisym, name)

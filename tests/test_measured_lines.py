@@ -182,20 +182,19 @@ def test_measured_run_holds_one_carrier(tmp_path, measure):
 
 
 # ---------------------------------------------------------------------------
-# Inadmissible carriers, as run's check=False output would hold them after
+# Inadmissible carriers, as run's unchecked output would hold them after
 # drift: each route refuses them, by class and message.
 
 def unchecked(n, lams):
-    return st_mod.DGaussState(n, canonical_matrix(-np.asarray(lams, dtype=float), 2 * n), np.zeros(2 * n),
-                              check=False)
+    return st_mod.carrier_state(bordered(canonical_matrix(-np.asarray(lams, dtype=float), 2 * n), np.zeros(2 * n)))
 
 
 BAD = unchecked(2, [-1.5, 1.5])
 EDGE = unchecked(1, [1 + 2e-9])
 EDGE_UP = unchecked(1, [-(1 + 1.5e-9)])  # M[0, 1] = 1 + 1.5e-9
 # Lines within bounds, drift between them: only conditioning shows it.
-OFF = st_mod.DGaussState(2, np.array([[0, 0, 1.5, 0], [0, 0, 0, 1.5], [-1.5, 0, 0, 0], [0, -1.5, 0, 0]]),
-                         np.zeros(4), check=False)
+OFF = st_mod.carrier_state(bordered(np.array([[0, 0, 1.5, 0], [0, 0, 0, 1.5], [-1.5, 0, 0, 0], [0, -1.5, 0, 0]]),
+                                     np.zeros(4)))
 GOOD = st_mod.from_diagonal([0.5, 0.25])
 
 REFUSALS = [

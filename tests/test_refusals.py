@@ -110,6 +110,11 @@ REFUSALS = {
     # One size rule (antisym._as_qubit_count): a negative n is refused before any shape is read.
     "DGaussState-negative-n": (lambda: st_mod.DGaussState(-1, np.zeros((0, 0)), np.zeros(0)), ValueError,
                                "qubit count must not be negative"),
+    # carrier_state trusts its carrier's values, not its shape.
+    "carrier_state-even": (lambda: st_mod.carrier_state(np.zeros((4, 4))), ValueError,
+                           "carrier must be square of odd dimension"),
+    "carrier_state-not-square": (lambda: st_mod.carrier_state(np.zeros((3, 5))), ValueError,
+                                 "carrier must be square of odd dimension"),
     "diagonal_parameters-complex": (lambda: st_mod.diagonal_parameters(np.array([0.5j])), ValueError,
                                     f"diagonal parameters {REAL}"),
     "from_diagonal-complex": (lambda: st_mod.from_diagonal([0.5j]), ValueError, f"diagonal parameters {REAL}"),
@@ -148,6 +153,13 @@ REFUSALS = {
     "DGUnitary-negative-n-R": (lambda: un_mod.DGUnitary.from_rotation(-1, np.eye(1)), ValueError,
                                "qubit count must not be negative"),
     "DGUnitary-R": (lambda: un_mod.DGUnitary(2, R=np.eye(3)), ValueError, "rotation dimension does not match n"),
+    # One form per unitary: a generator (h, d) given with a rotation is refused before either is read.
+    "DGUnitary-h-R": (lambda: un_mod.DGUnitary(1, h=np.zeros((2, 2)), R=np.eye(3)), ValueError,
+                      "give a generator or a rotation, not both"),
+    "DGUnitary-d-R": (lambda: un_mod.DGUnitary(1, d=[np.nan, 1j], R=np.eye(3)), ValueError,
+                      "give a generator or a rotation, not both"),
+    "DGUnitary-h-d-R": (lambda: un_mod.DGUnitary(1, h=np.zeros((2, 2)), d=np.zeros(2), R=np.eye(3)), ValueError,
+                        "give a generator or a rotation, not both"),
     "conjugate_state-sizes": (lambda: un_mod.conjugate_state(un_mod.DGUnitary.identity(1),
                                                              st_mod.from_diagonal([0.5, 0.5])),
                               ValueError, "unitary and state sizes differ"),

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from dgsim import simulator as sim, state as st_mod
-from dgsim.antisym import NumericalAdmissibilityError
+from dgsim.antisym import NumericalAdmissibilityError, bordered
 
 from helpers import per_shot_sample, rand_antisym, rand_pure_state, rand_state
 
@@ -106,8 +106,8 @@ def test_prefix_tree_takes_the_forced_branch_as_before(monkeypatch, chunk):
         assert same_bits(sim.sample(p, range(6), 500, seed), per_shot_sample(p, range(6), 500, seed))
 
 
-OFF = st_mod.DGaussState(2, np.array([[0, 0, 1.5, 0], [0, 0, 0, 1.5], [-1.5, 0, 0, 0], [0, -1.5, 0, 0]]),
-                         np.zeros(4), check=False)
+OFF = st_mod.carrier_state(bordered(np.array([[0, 0, 1.5, 0], [0, 0, 0, 1.5], [-1.5, 0, 0, 0], [0, -1.5, 0, 0]]),
+                                     np.zeros(4)))
 
 
 @pytest.mark.parametrize("seed", range(12))

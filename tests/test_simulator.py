@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dgsim import oracle, simulator as sim, state as st_mod, unitary as un_mod
+from dgsim import antisym, oracle, simulator as sim, state as st_mod, unitary as un_mod
 
 from helpers import (
     dense_product,
@@ -327,7 +327,7 @@ def test_sample_takes_numpy_shots_and_seed():
 def test_sample_rejects_inadmissible_conditional(bad):
     M = np.zeros((4, 4))
     M[2, 3], M[3, 2] = bad, -bad
-    s = st_mod.DGaussState(2, M, np.zeros(4), check=False)
+    s = st_mod.carrier_state(antisym.bordered(M, np.zeros(4)))
     with pytest.raises(sim.NumericalAdmissibilityError):
         sim.sample(s, (0, 1), shots=5, seed=0)
 

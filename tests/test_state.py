@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -6,7 +7,8 @@ import scipy.linalg
 
 from dgsim import antisym, oracle, simulator as sim, state as st_mod, unitary as un_mod
 
-from helpers import is_exit_of, mask, rand_antisym, rand_pure_state, rand_state, rand_unitary, state_from_dense
+from helpers import (gather_fold, is_exit_of, mask, rand_antisym, rand_pure_state, rand_sequence, rand_state, rand_unitary,
+                     state_from_dense)
 
 rng = np.random.default_rng(404)
 
@@ -223,8 +225,44 @@ def test_checked_state_keeps_its_data():
     M[0, 1], M[1, 0] = -3, 3
     mu[0] = 2
     assert s.canonical_lambdas() == [0.0] and not s.mu.any()
-    u = st_mod.DGaussState(1, M, mu, check=False)
-    assert u.M is M and u.mu is mu
+
+
+def test_state_fields_are_its_data():
+    assert [f.name for f in dataclasses.fields(st_mod.DGaussState)] == ["n", "M", "mu"]
+
+
+# Signed zeros: lambda = 0 puts -0 above the diagonal, lambda = -0 puts it
+# below; a z < 0 line with no transverse part puts -0 in the later means.
+LAMBDAS = [0.0, -0.0, 1.0, -1.0, 0.3]
+SHORT = [[0.0, 0.0, -1.0], [0.6, 0.8, 0.0], [0.0, 0.0, -0.5], [0.0, 0.0, 1.0]]
+LONG = [[0.0, 0.0, -(1 + st_mod.ADMISSIBILITY_TOL / 2)], [0.0, 0.0, -0.5], [0.0, 0.0, 0.25]]
+
+
+def held_bits(s):
+    return s.M.tobytes(), s.mu.tobytes()
+
+
+def test_built_states_hold_their_formulas_bits():
+    n = len(LAMBDAS)
+    d = st_mod.from_diagonal(LAMBDAS)
+    assert d.n == n and held_bits(d) == (antisym.canonical_matrix(-np.array(LAMBDAS), 2 * n).tobytes(),
+                                         np.zeros(2 * n).tobytes())
+    assert np.signbit(d.M[0, 1]) and not np.signbit(d.M[1, 0]) and np.signbit(d.M[3, 2])
+    for blochs, checked in ((SHORT, False), (LONG, True)):
+        s = sim.prepare_product(blochs)
+        assert held_bits(s) == tuple(x.tobytes() for x in sim.product_covariance(np.array(blochs)))
+        assert np.signbit(s.mu[2:]).any()
+        # The checked branch keeps views of its bordered carrier; the other holds the arrays computed.
+        assert (s.M.base is not None and s.M.base is s.mu.base) == checked
+
+
+@pytest.mark.parametrize("source", [LAMBDAS, SHORT, LONG], ids=["lambdas", "short", "long"])
+def test_run_output_holds_the_fold_bits(source):
+    state = source if source is LAMBDAS else sim.prepare_product(source)
+    for count in (0, 7):
+        c = sim.Circuit(state, rand_sequence(np.random.default_rng(count), len(source), count))
+        s = sim.run(c)
+        assert is_exit_of(s, gather_fold(c)) and s.M.base is s.mu.base
 
 
 @pytest.mark.parametrize("block", [4, st_mod.SYMMETRIZE_BLOCK])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from dgsim import antisym, oracle, simulator as sim, state as st_mod, unitary as un_mod
+from dgsim import antisym, embedding, oracle, simulator as sim, state as st_mod, unitary as un_mod
 
 from helpers import (
     compose,
@@ -75,6 +75,21 @@ def test_generator_roundtrip():
     h, d = V.generator()
     W = un_mod.DGUnitary.from_generator(2, h, d)
     assert np.max(np.abs(W.rotation() - U.rotation())) < 1e-9
+
+
+def test_each_form_gives_one_unitary():
+    U = rand_unitary(rng, 2)
+    assert U.R is None
+    R = U.rotation()
+    assert U.R is R and U.rotation() is R  # computed once, then held
+    V = un_mod.DGUnitary.from_rotation(2, U.rotation())
+    assert V.h is None and V.d is None and V.rotation() is V.R
+    # The embedding reads a rotation-given unitary through its generator.
+    got, want = embedding.embed_unitary(V), embedding.embed_unitary(U)
+    assert got.h.shape == (6, 6) and np.max(np.abs(got.rotation() - want.rotation())) < 1e-9
+    I = un_mod.DGUnitary.identity(2)
+    assert not I.h.any() and not I.d.any() and np.array_equal(I.rotation(), np.eye(5))
+    assert not un_mod.DGUnitary.from_generator(2, I.h).d.any()
 
 
 def test_dense_matches_exp_quadratic():
