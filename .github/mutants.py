@@ -35,6 +35,7 @@ PARSE = "tests/test_parse_reference.py"
 ORACLE = "tests/test_oracle.py"
 BAND = "tests/test_band_storage.py"
 BAND_DEFINITION = BAND + "::test_band_is_its_reachability_definition"
+PLANES = "tests/test_antisym.py::test_plane_decompose_matches_reference"
 
 MUTANTS = [
     ("descending slice keeps stop None", "src/dgsim/unitary.py",
@@ -189,6 +190,27 @@ MUTANTS = [
     ("Wick phase at k = 7 with a -0 real part", "src/dgsim/antisym.py",
      "-0.0 - 1j, 0 - 1j]))", "-0.0 - 1j, -1j]))",
      ["tests/test_antisym.py::test_wick_phase_is_its_expression_bit_for_bit"]),
+    ("plane_decompose clears nearest rows first", "src/dgsim/antisym.py",
+     "sorted(near[1:], key=depth.get, reverse=True)", "sorted(near[1:], key=depth.get)",
+     [PLANES]),
+    ("plane_decompose prunes the heap list's last leaf", "src/dgsim/antisym.py",
+     "c = heapq.heappop(leaves)", "c = leaves.pop()",
+     [PLANES]),
+    ("plane_decompose's sign fix with the farthest vertex", "src/dgsim/antisym.py",
+     "rotate(c, near[1], pi)", "rotate(c, near[-1], pi)",
+     [PLANES]),
+    ("plane_decompose's column walk enters pruned vertices", "src/dgsim/antisym.py",
+     "if degree[u] and u not in depth:", "if u not in depth:",
+     [PLANES]),
+    ("plane_decompose seeds vertex 0 of SO(0)", "src/dgsim/antisym.py",
+     "order = [0] if m else []", "order = [0]",
+     ["tests/test_antisym.py::test_plane_decompose_of_so0_and_so1_is_empty"]),
+    ("check_rotation's orthogonality max without its empty case", "src/dgsim/antisym.py",
+     "np.eye(m)).max(initial=0.0)", "np.eye(m)).max()",
+     ["tests/test_antisym.py::test_plane_decompose_of_so0_and_so1_is_empty"]),
+    ("finite dense unitary", "src/dgsim/embedding.py",
+     "    if not np.isfinite(U).all():\n", "    if False:\n",
+     ["tests/test_refusals.py"]),
     ("Pauli phase table in the reversed cyclic order", "src/dgsim/oracle.py",
      "(_b - _a) % 3 == 1", "(_a - _b) % 3 == 1",
      [ORACLE + "::test_pauli_tables_are_their_trace_definition"]),

@@ -80,9 +80,11 @@ def edge_requests(workloads):
     four on the edges of the parser's plain-gate check: every gate's keys
     out of order, int angles up to 10**300 (both run), an int angle past a
     double at gate 1000 and an axis past int64 at the last gate (both
-    refused).  Last, ``test-unitary`` documents at n = 1 and at n = 3, the
+    refused).  Then ``test-unitary`` documents at n = 1 and at n = 3, the
     largest the CLI takes: a dense generator with d, and a sparse h
-    without d.
+    without d.  Last, ``compile`` documents: dense generators at n = 1, 2
+    and 64, and a sparse h without d at n = 6, whose rotation's exact
+    zeros take the factorization's skip branch.
     """
     import numpy as np
 
@@ -177,6 +179,13 @@ def edge_requests(workloads):
         h = np.array(doc["h"]) * np.triu(rng.random((2 * n, 2 * n)) < 0.4, 1)
         doc["h"] = (h - h.T).tolist()
         reqs.append(workloads.Request("test-unitary", doc, n=n))
+    for n in (1, 2, 64):
+        reqs.append(workloads.Request("compile", workloads.random_generator(rng, n), n=n))
+    doc = workloads.random_generator(rng, 6)
+    del doc["d"]
+    h = np.array(doc["h"]) * np.triu(rng.random((12, 12)) < 0.4, 1)
+    doc["h"] = (h - h.T).tolist()
+    reqs.append(workloads.Request("compile", doc, n=6))
     return reqs
 
 

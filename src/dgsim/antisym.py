@@ -26,8 +26,8 @@ the OpenBLAS thread pools for the CLI's one-thread rule (see cli).
 
 NumericalAdmissibilityError is the root of every numerical fault in
 dgsim (the CLI exits 3 on each).  NonFiniteError, a NaN or an infinity
-refused by check_antisymmetric, check_rotation, _check_generator and
-oracle.check_state, is one and a ValueError.
+refused by check_antisymmetric, check_rotation, _check_generator,
+oracle.check_state and embedding._check_unitary, is one and a ValueError.
 """
 
 from __future__ import annotations
@@ -160,7 +160,7 @@ def check_rotation(R) -> np.ndarray:
     if not np.isfinite(R).all():
         raise NonFiniteError("matrix has non-finite entries")
     m = R.shape[0]
-    if np.abs(R.T @ R - np.eye(m)).max() > ORTHO_TOL:
+    if np.abs(R.T @ R - np.eye(m)).max(initial=0.0) > ORTHO_TOL:
         raise ValueError("matrix is not orthogonal within tolerance")
     if abs(np.linalg.det(R) - 1.0) > 1e-8:
         raise ValueError("matrix has determinant != +1")
@@ -454,51 +454,6 @@ def wrap_angles(angles) -> np.ndarray:
     return out
 
 
-def _spanning_tree(allowed: np.ndarray) -> list[list[int]]:
-    """BFS spanning tree of the graph of allowed pairs; raises if disconnected.
-
-    ``tree[v]`` lists v's tree neighbors in the order the search met them:
-    its parent first, then its children in ascending order.
-    """
-    m = len(allowed)
-    pairs = allowed | allowed.T
-    np.fill_diagonal(pairs, False)
-    neighbors = [np.flatnonzero(row).tolist() for row in pairs]
-    tree: list[list[int]] = [[] for _ in range(m)]
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in neighbors[v]:
-                if u not in seen:
-                    seen.add(u)
-                    tree[v].append(u)
-                    tree[u].append(v)
-                    nxt.append(u)
-        frontier = nxt
-    if len(seen) != m:
-        raise DecompositionError("adjacency graph is disconnected")
-    return tree
-
-
-def _leaf_order(tree: list[list[int]]) -> list[int]:
-    """Vertices in the order they are pruned: always the smallest current leaf."""
-    degree = [len(t) for t in tree]
-    heap = [v for v, d in enumerate(degree) if d == 1]
-    gone = [False] * len(tree)
-    order: list[int] = []
-    while len(order) < len(tree) - 1:
-        leaf = heapq.heappop(heap)
-        order.append(leaf)
-        gone[leaf] = True
-        (p,) = (u for u in tree[leaf] if not gone[u])
-        degree[p] -= 1
-        if degree[p] == 1:
-            heapq.heappush(heap, p)
-    return order
-
-
 def plane_decompose(R, allowed, *, checked: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Factor a special orthogonal matrix into allowed plane rotations.
 
@@ -511,11 +466,13 @@ def plane_decompose(R, allowed, *, checked: bool = False) -> tuple[np.ndarray, n
     |j><k| - |k><j|, for each plane (j, k) and angle a, ``acc == R``.
     At most one rotation per (column, row) pair plus one sign fix per
     column is emitted: count <= m^2 (well under the documented C * m^3
-    envelope with C = 1).
+    envelope with C = 1).  SO(0) and SO(1) give no rotations.
 
-    The columns are eliminated leaf by leaf of a spanning tree, each by
-    Givens rotations along the tree towards the column's vertex.  The
-    matrix is held as a list of row arrays: a rotation of rows a, b
+    One walk: a breadth-first spanning tree from vertex 0, its leaves
+    pruned smallest first.  Pruning leaf c clears column c by Givens
+    rotations along the unpruned tree towards c, farthest rows first,
+    then turns a negative diagonal by pi with c's one unpruned neighbour.
+    The matrix is held as a list of row arrays: a rotation of rows a, b
     replaces both by new arrays, with no copy and no per-rotation
     object.  Each angle is normalized as ``wrap_angles`` does, once when
     the rotation is found and once after it is inverted.  ``checked``
@@ -526,7 +483,19 @@ def plane_decompose(R, allowed, *, checked: bool = False) -> tuple[np.ndarray, n
     allowed = np.asarray(allowed, dtype=bool)
     if allowed.shape != (m, m):
         raise DimensionError(f"adjacency of shape {allowed.shape} for a rotation of size {m}")
-    tree = _spanning_tree(allowed)
+    pairs = allowed | allowed.T
+    np.fill_diagonal(pairs, False)
+    # tree[v]: v's parent, then its children ascending; empty while v is unreached.
+    tree: list[list[int]] = [[] for _ in range(m)]
+    order = [0] if m else []
+    for v in order:  # read while it grows: vertex 0 has its children before any u can be 0
+        for u in np.flatnonzero(pairs[v]).tolist():
+            if not tree[u]:
+                tree[v].append(u)
+                tree[u].append(v)
+                order.append(u)
+    if len(order) != m:
+        raise DecompositionError("adjacency graph is disconnected")
     rows = list(R)  # rows are replaced, never written: R is not changed
     planes: list[tuple[int, int]] = []
     found: list[float] = []
@@ -540,31 +509,29 @@ def plane_decompose(R, allowed, *, checked: bool = False) -> tuple[np.ndarray, n
         planes.append((a, b))
         found.append(angle)
 
-    remaining = [True] * m
-    for c in _leaf_order(tree):
-        # BFS from c over the remaining vertices: parent = next hop to c.
-        parent = {c: c}
-        frontier = [c]
-        levels = []
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for u in tree[v]:
-                    if remaining[u] and u not in parent:
-                        parent[u] = v
-                        nxt.append(u)
-            levels.append(nxt)
-            frontier = nxt
-        for level in reversed(levels):
-            for r in level:
-                x = rows[r][c]
-                if abs(x) < 1e-15:
-                    continue
-                p = parent[r]
-                rotate(p, r, atan2(x, rows[p][c]))
+    degree = [len(t) for t in tree]  # in the unpruned tree; 0 once pruned
+    leaves = [v for v in range(m) if degree[v] == 1]  # ascending, so a heap
+    for _ in range(m - 1):
+        c = heapq.heappop(leaves)
+        # Breadth-first from c over the unpruned tree: parent[u] is u's next hop to c.
+        near, depth, parent = [c], {c: 0}, {}
+        for v in near:
+            for u in tree[v]:
+                if degree[u] and u not in depth:
+                    depth[u], parent[u] = depth[v] + 1, v
+                    near.append(u)
+        for r in sorted(near[1:], key=depth.get, reverse=True):  # stable: one distance keeps its order
+            x = rows[r][c]
+            if abs(x) < 1e-15:
+                continue
+            p = parent[r]
+            rotate(p, r, atan2(x, rows[p][c]))
         if rows[c][c] < 0:
-            rotate(c, min(v for v in tree[c] if remaining[v]), pi)
-        remaining[c] = False
+            rotate(c, near[1], pi)
+        degree[c] = 0
+        degree[near[1]] -= 1
+        if degree[near[1]] == 1:
+            heapq.heappush(leaves, near[1])
 
     axes = np.array(planes, dtype=np.int64).reshape(-1, 2)[::-1]
     angles = wrap_angles(-wrap_angles(found)[::-1])

@@ -148,15 +148,23 @@ def gaussian_mixed_test(rho: np.ndarray, tol: float = GAUSSIAN_TOL):
     return oracle.is_gaussian(rho, tol=tol)
 
 
+def _check_unitary(U) -> tuple[np.ndarray, int]:
+    """Dense ``U`` as complex, and its n (``oracle._operator_lines``); a NaN or an infinity raises NonFiniteError."""
+    U = np.asarray(U, dtype=complex)
+    n = oracle._operator_lines(U)
+    if not np.isfinite(U).all():
+        raise antisym.NonFiniteError("unitary has non-finite entries")
+    return U, n
+
+
 def gaussian_unitary_test(U: np.ndarray, tol: float = GAUSSIAN_TOL):
     """Choi-state Gaussianity test for even unitaries.
 
     Conjugates the first register of the fermionic maximally entangled
     state and applies the Wick-consistency check.  Returns
-    ``(verdict, deviation)``.
+    ``(verdict, deviation)``; a non-finite U raises NonFiniteError.
     """
-    U = np.asarray(U, dtype=complex)
-    n = oracle._operator_lines(U)
+    U, n = _check_unitary(U)
     if np.max(np.abs(U @ U.conj().T - np.eye(len(U)))) > UNITARY_TOL:
         raise ValueError("input is not unitary")
     rho_E = oracle.max_entangled(n)
@@ -187,11 +195,11 @@ def displaced_unitary_test(U: np.ndarray, tol: float = GAUSSIAN_TOL):
 
     Conjugates U (x) I with the embedding unitary to obtain an even
     candidate and runs the Choi-state test on it.  Returns
-    ``(verdict, deviation)``.  U on more than UNITARY_TEST_MAX_QUBITS
-    lines raises OracleCapError before any dense work.
+    ``(verdict, deviation)``.  A non-finite U raises NonFiniteError, and
+    U on more than UNITARY_TEST_MAX_QUBITS lines OracleCapError, before
+    any dense work.
     """
-    U = np.asarray(U, dtype=complex)
-    n = oracle._operator_lines(U)
+    U, n = _check_unitary(U)
     oracle._check_cap(n, UNITARY_TEST_MAX_QUBITS)
     V = oracle.embed_V(n)
     W = V @ np.kron(U, np.eye(2, dtype=complex)) @ V.conj().T

@@ -320,9 +320,18 @@ def _chain_adjacency(m):
     return np.abs(i[:, None] - i[None, :]) == 1
 
 
-def _star_adjacency(m):
+def _star_adjacency(m, hub=0):
     allowed = np.zeros((m, m), dtype=bool)
-    allowed[0] = allowed[:, 0] = True
+    allowed[hub] = allowed[:, hub] = True
+    return allowed
+
+
+def _random_connected_adjacency(m, seed):
+    """A random spanning path plus each other pair at density 0.3: connected, with cycles."""
+    r = np.random.default_rng(seed)
+    allowed = r.random((m, m)) < 0.3
+    path = r.permutation(m)
+    allowed[path[:-1], path[1:]] = True
     return allowed
 
 
@@ -386,6 +395,8 @@ def _test_rotations(m):
 
 ADJACENCIES = ([("chain", m, _chain_adjacency(m)) for m in (2, 5, 9)]
                + [("star", m, _star_adjacency(m)) for m in (3, 6)]
+               + [("complete", 5, np.ones((5, 5), dtype=bool)), ("star-middle", 7, _star_adjacency(7, hub=3))]
+               + [("random", m, _random_connected_adjacency(m, seed=m)) for m in (8, 11)]
                + [("compile", 2 * n + 1, un_mod._compile_adjacency(n)) for n in range(1, 9)])
 
 
@@ -412,6 +423,16 @@ def test_plane_decompose_sign_fix_and_skip_branches():
     assert np.array_equal(_product(m, axes, angles).round(12), flip)
     axes, angles = antisym.plane_decompose(np.eye(m), _chain_adjacency(m))
     assert axes.shape == (0, 2) and angles.shape == (0,)
+
+
+@pytest.mark.parametrize("m", [0, 1])
+def test_plane_decompose_of_so0_and_so1_is_empty(m):
+    # SO(0) and SO(1) hold the identity alone: it is a rotation, and it needs none.
+    R = antisym.check_rotation(np.eye(m))
+    assert R.shape == (m, m)
+    axes, angles = antisym.plane_decompose(R, np.ones((m, m), dtype=bool))
+    assert axes.dtype == np.int64 and axes.shape == (0, 2)
+    assert angles.dtype == float and angles.shape == (0,)
 
 
 def test_plane_decompose_checks_its_input():

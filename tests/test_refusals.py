@@ -6,6 +6,7 @@ Pfaffian, so only rounding could make it negative.
 """
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -49,6 +50,15 @@ REFUSALS = {
     "canonical_matrix-complex": (lambda: antisym.canonical_matrix([0.5j], 2), ValueError,
                                  f"canonical values {REAL}"),
     "wrap_angles-complex": (lambda: antisym.wrap_angles([0.5j]), ValueError, f"angles {REAL}"),
+    # embedding: a dense unitary is refused before any arithmetic reads a NaN or an infinity.
+    "gaussian_unitary_test-nan": (lambda: embedding.gaussian_unitary_test(np.full((2, 2), np.nan)),
+                                  antisym.NonFiniteError, "unitary has non-finite entries"),
+    "gaussian_unitary_test-inf": (lambda: embedding.gaussian_unitary_test(np.diag([1.0, np.inf])),
+                                  antisym.NonFiniteError, "unitary has non-finite entries"),
+    "displaced_unitary_test-nan": (lambda: embedding.displaced_unitary_test(np.full((2, 2), np.nan)),
+                                   antisym.NonFiniteError, "unitary has non-finite entries"),
+    "displaced_unitary_test-inf": (lambda: embedding.displaced_unitary_test(np.diag([1.0, -np.inf])),
+                                   antisym.NonFiniteError, "unitary has non-finite entries"),
     # oracle
     "majorana-no-lines": (lambda: oracle.majorana(0, 0), ValueError, "qubit count must be positive"),
     "majorana-index": (lambda: oracle.majorana(2, 4), IndexError, "Majorana index 4 out of range"),
@@ -201,6 +211,19 @@ DENSE_ENTRY_POINTS = {
 def test_dense_entry_points_share_the_size_rule(call, A):
     with pytest.raises(ValueError, match="^operator dimension is not a power of two$"):
         call(A)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("call", [embedding.gaussian_unitary_test, embedding.displaced_unitary_test],
+                         ids=["gaussian_unitary_test", "displaced_unitary_test"])
+def test_non_finite_unitary_is_refused_without_warnings(call, bad):
+    U = np.eye(4, dtype=complex)
+    U[1, 2] = bad
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(antisym.NonFiniteError, match="^unitary has non-finite entries$"):
+            call(U)
+    assert caught == []
 
 
 def test_zero_lines_are_a_register():
